@@ -138,10 +138,10 @@ bench-workers:
 	$(GO) run ./cmd/benchgen -sweep -n 512 -field 2048 -kernels 24 -reps 3 \
 		-workers 1,2,4,8 -json BENCH_WORKERS.json
 
-# FFT-engine sweep: times the exact forward simulation per FFT engine
-# (dense reference / pruned inverses / pruned + packed forward / fused
-# batch) at workers=1 and records the speedups in BENCH_FFT.json plus a
-# benchstat-format sidecar BENCH_FFT.txt.
+# FFT-engine sweep: times the exact forward simulation and one gradient per
+# FFT engine (dense reference / pruned inverses / pruned + packed forward /
+# fused batch) at workers=1 and records the speedups and exact butterfly
+# counts in BENCH_FFT.json plus a benchstat-format sidecar BENCH_FFT.txt.
 bench-fft:
 	$(GO) run ./cmd/benchgen -fftsweep -sizes 256,512,1024,2048 -field 2048 \
 		-kernels 24 -reps 3 -json BENCH_FFT.json
@@ -151,7 +151,9 @@ bench-fft:
 # BENCH_FFT.smoke.json baseline via the bench-compare machinery. The 75%
 # threshold is deliberately loose — shared CI hosts are noisy — it exists
 # to catch a pruning/fusion path silently falling back to dense work (a
-# 2-10× slowdown), not single-digit drift.
+# 2-10× slowdown), not single-digit drift. The butterfly counts are held
+# exactly, so a dense fallback of the pruned inverse or adjoint fails even
+# where the tiny sizes hide it in the wall clock.
 bench-fft-smoke:
 	$(GO) run ./cmd/benchgen -fftsweep -sizes 64,128 -field 2048 \
 		-kernels 8 -reps 2 -json BENCH_FFT.smoke.new.json

@@ -6,7 +6,7 @@
 //	benchgen -suite ext -out testdata/ext     # cases 11-20
 //	benchgen -suite via -count 15 -out testdata/via
 //	benchgen -sweep -json BENCH_WORKERS.json  # parallel-SOCS speedup curve
-//	benchgen -fftsweep -json BENCH_FFT.json   # FFT-engine (band pruning) sweep
+//	benchgen -fftsweep -json BENCH_FFT.json   # FFT-engine sweep: forward + gradient
 //	benchgen -compare -old BENCH_FFT.json -new BENCH_FFT.new.json
 package main
 
@@ -88,8 +88,10 @@ func run() error {
 			return err
 		}
 		for _, p := range s.Points {
-			fmt.Printf("m=%-5d reference %8.4fs  band-inverse %8.4fs (%.2fx)  band %8.4fs (%.2fx)  batch %8.4fs (%.2fx)\n",
+			fmt.Printf("m=%-5d forward   reference %8.4fs  band-inverse %8.4fs (%.2fx)  band %8.4fs (%.2fx)  batch %8.4fs (%.2fx)\n",
 				p.M, p.ReferenceSec, p.BandInverseSec, p.BandInverseGain, p.BandSec, p.BandGain, p.BatchedSec, p.BatchedGain)
+			fmt.Printf("        gradient  reference %8.4fs  band-inverse %8.4fs (%.2fx)  band %8.4fs (%.2fx)  batch %8.4fs (%.2fx)  keep-amps=%v\n",
+				p.ReferenceGradSec, p.BandInverseGradSec, p.BandInverseGradGain, p.BandGradSec, p.BandGradGain, p.BatchedGradSec, p.BatchedGradGain, p.KeepAmps)
 		}
 		fmt.Printf("→ %s + %s (%d kernels, P=%d, workers=%d)\n", *sweepJSON, txt, s.Kernels, s.P, s.Workers)
 		return nil

@@ -8,20 +8,24 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/litho"
 	"repro/internal/optics"
 	"repro/internal/telemetry"
 )
 
 // FFT-engine sweep: the repo-level BENCH_FFT.json artifact tracks the
-// band-pruning speedup of the forward simulation across PRs. For each grid
-// size the sweep times one exact forward simulation (Eq. 3) per FFT engine
+// FFT engines' speedups across PRs. For each grid size the sweep times one
+// exact forward simulation (Eq. 3) and one Gradient of it per FFT engine
 // at a fixed worker count of 1 — the single-threaded column is what the
-// pruning claim is about, and it is comparable across hosts with different
-// core counts. Speedups are relative to the reference (dense) engine of the
-// same run.
+// pruning claims are about, and it is comparable across hosts with
+// different core counts. The gradient reuses kept amplitudes at m ≤ 256
+// and recomputes them above, as the optimizer does (core's default
+// KeepAmpsLimit). Speedups are relative to the reference (dense) engine of
+// the same run.
 
-// FFTPoint is one grid size's measurement (seconds per forward simulation).
+// FFTPoint is one grid size's measurement (seconds per forward simulation
+// and per gradient).
 type FFTPoint struct {
 	M               int     `json:"m"`
 	ReferenceSec    float64 `json:"reference_sec"`    // dense forward + dense inverses
@@ -31,6 +35,48 @@ type FFTPoint struct {
 	BandInverseGain float64 `json:"band_inverse_speedup"`
 	BandGain        float64 `json:"band_speedup"`
 	BatchedGain     float64 `json:"batched_speedup"`
+	// Gradient columns: dense adjoint transforms on the reference engine,
+	// output-pruned ones on the others.
+	KeepAmps            bool    `json:"keep_amps"` // amplitudes kept by the forward, not recomputed
+	ReferenceGradSec    float64 `json:"reference_grad_sec"`
+	BandInverseGradSec  float64 `json:"band_inverse_grad_sec"`
+	BandGradSec         float64 `json:"band_grad_sec"`
+	BatchedGradSec      float64 `json:"batched_grad_sec"`
+	BandInverseGradGain float64 `json:"band_inverse_grad_speedup"`
+	BandGradGain        float64 `json:"band_grad_speedup"`
+	BatchedGradGain     float64 `json:"batched_grad_speedup"`
+	// Exact transform work per engine of one Forward and of one Gradient
+	// (the simulator's litho.fft_inverse_butterflies and
+	// litho.adjoint_butterflies). Host noise cannot move them, so the gate
+	// holds them exactly: a pruned path falling back to dense transforms
+	// fails it at any size.
+	InverseButterflies map[string]int64 `json:"inverse_butterflies,omitempty"`
+	AdjointButterflies map[string]int64 `json:"adjoint_butterflies,omitempty"`
+}
+
+// sweepEngines are the engines of a sweep, in report order.
+var sweepEngines = []litho.FFTEngine{litho.EngineReference, litho.EngineBandInverse, litho.EngineBand, litho.EngineBatch}
+
+// sweepColumn is one timed column of a point: an engine's forward or
+// gradient seconds.
+type sweepColumn struct {
+	bench, engine string // benchstat benchmark name, engine spelling
+	sec           float64
+}
+
+// columns returns the point's timed columns: every engine's forward, then
+// every engine's gradient, each in sweepEngines order.
+func (p FFTPoint) columns() []sweepColumn {
+	fwd := []float64{p.ReferenceSec, p.BandInverseSec, p.BandSec, p.BatchedSec}
+	grad := []float64{p.ReferenceGradSec, p.BandInverseGradSec, p.BandGradSec, p.BatchedGradSec}
+	cols := make([]sweepColumn, 0, 2*len(sweepEngines))
+	for i, e := range sweepEngines {
+		cols = append(cols, sweepColumn{"Forward", e.String(), fwd[i]})
+	}
+	for i, e := range sweepEngines {
+		cols = append(cols, sweepColumn{"Gradient", e.String(), grad[i]})
+	}
+	return cols
 }
 
 // FFTSweep is the serializable sweep report.
@@ -48,8 +94,9 @@ type FFTSweep struct {
 	Points     []FFTPoint         `json:"points"`
 }
 
-// RunFFTSweep measures the forward-simulation cost of each FFT engine at
-// the given grid sizes (reps timed runs after one warm-up each).
+// RunFFTSweep measures the forward-simulation and gradient cost of each
+// FFT engine at the given grid sizes (reps timed runs after one warm-up
+// each).
 func RunFFTSweep(sizes []int, fieldNM float64, kernels, reps int) (*FFTSweep, error) {
 	if reps < 1 {
 		reps = 1
@@ -70,18 +117,23 @@ func RunFFTSweep(sizes []int, fieldNM float64, kernels, reps int) (*FFTSweep, er
 		NumCPU: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Host: telemetry.Host(),
 	}
-	engines := []litho.FFTEngine{litho.EngineReference, litho.EngineBandInverse, litho.EngineBand, litho.EngineBatch}
+	keepLimit := core.DefaultOptions(nil).KeepAmpsLimit
 	for _, m := range sizes {
 		cs, err := M1Case(m, fieldNM, 1, PaperM1Areas[0], m1Params())
 		if err != nil {
 			return nil, err
 		}
 		mask := cs.Target
-		var secs [4]float64
-		for i, e := range engines {
-			sim := litho.NewSim(model)
-			sim.Workers = 1
-			sim.Engine = e
+		// A fixed, mask-shaped dL/dI: the adjoint's cost does not depend
+		// on its values.
+		dLdI := mask.Clone()
+		keep := m <= keepLimit
+		// Every engine's forwards run before any gradient, so no forward is
+		// timed in a heap that a gradient's amplitudes have grown.
+		var fwd, grad [4]float64
+		invBF, adjBF := map[string]int64{}, map[string]int64{}
+		for i, e := range sweepEngines {
+			sim := sweepSim(model, e)
 			// Warm-up builds the plan, band tables and scratch pools.
 			if _, err := sim.Forward(mask, model.Nominal, 1, false); err != nil {
 				return nil, err
@@ -92,21 +144,57 @@ func RunFFTSweep(sizes []int, fieldNM float64, kernels, reps int) (*FFTSweep, er
 					return nil, err
 				}
 			}
-			secs[i] = time.Since(start).Seconds() / float64(reps)
+			fwd[i] = time.Since(start).Seconds() / float64(reps)
 		}
-		pt := FFTPoint{M: m, ReferenceSec: secs[0], BandInverseSec: secs[1], BandSec: secs[2], BatchedSec: secs[3]}
-		if pt.BandInverseSec > 0 {
-			pt.BandInverseGain = pt.ReferenceSec / pt.BandInverseSec
+		for i, e := range sweepEngines {
+			sim := sweepSim(model, e)
+			rec := telemetry.New() // counts the untimed calls' transform work
+			sim.Recorder = rec
+			f, err := sim.Forward(mask, model.Nominal, 1, keep)
+			if err != nil {
+				return nil, err
+			}
+			if _, err := sim.Gradient(f, dLdI); err != nil { // warm-up
+				return nil, err
+			}
+			c := rec.Counters()
+			invBF[e.String()], adjBF[e.String()] = c["litho.fft_inverse_butterflies"], c["litho.adjoint_butterflies"]
+			sim.Recorder = nil
+			start := time.Now()
+			for r := 0; r < reps; r++ {
+				if _, err := sim.Gradient(f, dLdI); err != nil {
+					return nil, err
+				}
+			}
+			grad[i] = time.Since(start).Seconds() / float64(reps)
 		}
-		if pt.BandSec > 0 {
-			pt.BandGain = pt.ReferenceSec / pt.BandSec
+		pt := FFTPoint{
+			M: m, KeepAmps: keep,
+			ReferenceSec: fwd[0], BandInverseSec: fwd[1], BandSec: fwd[2], BatchedSec: fwd[3],
+			ReferenceGradSec: grad[0], BandInverseGradSec: grad[1], BandGradSec: grad[2], BatchedGradSec: grad[3],
+			InverseButterflies: invBF, AdjointButterflies: adjBF,
 		}
-		if pt.BatchedSec > 0 {
-			pt.BatchedGain = pt.ReferenceSec / pt.BatchedSec
-		}
+		pt.BandInverseGain, pt.BandGain, pt.BatchedGain = speedup(fwd[0], fwd[1]), speedup(fwd[0], fwd[2]), speedup(fwd[0], fwd[3])
+		pt.BandInverseGradGain, pt.BandGradGain, pt.BatchedGradGain = speedup(grad[0], grad[1]), speedup(grad[0], grad[2]), speedup(grad[0], grad[3])
 		sweep.Points = append(sweep.Points, pt)
 	}
 	return sweep, nil
+}
+
+// sweepSim returns a fresh single-worker simulator on engine e.
+func sweepSim(model *optics.Model, e litho.FFTEngine) *litho.Sim {
+	sim := litho.NewSim(model)
+	sim.Workers = 1
+	sim.Engine = e
+	return sim
+}
+
+// speedup is ref/sec, or 0 when sec was not measured.
+func speedup(ref, sec float64) float64 {
+	if sec <= 0 {
+		return 0
+	}
+	return ref / sec
 }
 
 // WriteJSON writes the sweep report (indented, trailing newline) to path.
@@ -120,65 +208,59 @@ func (s *FFTSweep) WriteJSON(path string) error {
 
 // WriteBenchstat writes the sweep in Go benchmark format so two runs can be
 // diffed with benchstat (Makefile target bench-compare). One line per
-// (size, engine) pair.
+// (size, engine) pair for the forward simulation, then one per pair for the
+// gradient.
 func (s *FFTSweep) WriteBenchstat(path string) error {
 	var b strings.Builder
 	fmt.Fprintf(&b, "goos: %s\ngoarch: %s\ncpu: %s\n", runtime.GOOS, runtime.GOARCH, s.Host.CPUModel)
 	for _, p := range s.Points {
-		for _, ec := range []struct {
-			name string
-			sec  float64
-		}{
-			{"reference", p.ReferenceSec},
-			{"band-inverse", p.BandInverseSec},
-			{"band", p.BandSec},
-			{"batch", p.BatchedSec},
-		} {
-			fmt.Fprintf(&b, "BenchmarkForward/m=%d/kernels=%d/engine=%s 1 %.0f ns/op\n",
-				p.M, s.Kernels, ec.name, ec.sec*1e9)
+		for _, c := range p.columns() {
+			fmt.Fprintf(&b, "Benchmark%s/m=%d/kernels=%d/engine=%s 1 %.0f ns/op\n",
+				c.bench, p.M, s.Kernels, c.engine, c.sec*1e9)
 		}
 	}
 	return os.WriteFile(path, []byte(b.String()), 0o644)
 }
 
 // CompareFFTSweeps renders a per-size old-vs-new delta table for two sweep
-// reports (the benchstat-free fallback of make bench-compare). Sizes present
-// in only one report are skipped.
+// reports (the benchstat-free fallback of make bench-compare), forward and
+// gradient columns alike. Sizes present in only one report are skipped.
 func CompareFFTSweeps(old, new *FFTSweep) string {
 	oldAt := map[int]FFTPoint{}
 	for _, p := range old.Points {
 		oldAt[p.M] = p
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-6s  %-14s  %-12s  %-12s  %s\n", "m", "engine", "old", "new", "delta")
+	fmt.Fprintf(&b, "%-6s  %-9s  %-14s  %-12s  %-12s  %s\n", "m", "phase", "engine", "old", "new", "delta")
 	for _, np := range new.Points {
 		op, ok := oldAt[np.M]
 		if !ok {
 			continue
 		}
-		row := func(name string, o, n float64) {
+		oc := op.columns()
+		for i, c := range np.columns() {
+			o, n := oc[i].sec, c.sec
 			delta := "n/a"
 			if o > 0 && n > 0 {
 				delta = fmt.Sprintf("%+.1f%%", (n/o-1)*100)
 			}
-			fmt.Fprintf(&b, "%-6d  %-14s  %10.4fs  %10.4fs  %s\n", np.M, name, o, n, delta)
+			fmt.Fprintf(&b, "%-6d  %-9s  %-14s  %10.4fs  %10.4fs  %s\n", np.M, strings.ToLower(c.bench), c.engine, o, n, delta)
 		}
-		row("reference", op.ReferenceSec, np.ReferenceSec)
-		row("band-inverse", op.BandInverseSec, np.BandInverseSec)
-		row("band", op.BandSec, np.BandSec)
-		row("batch", op.BatchedSec, np.BatchedSec)
 	}
 	return b.String()
 }
 
 // GateFFTSweeps is the bench-compare regression gate: it fails when any
-// engine at any size shared by both reports slowed down by more than
-// maxRegressPct percent. Engines missing from the baseline (zero seconds,
-// e.g. batched columns predating PR 8) are skipped, so the gate stays
-// usable across trajectory-schema growth. The threshold should be generous
-// — single-rep timings on shared CI hosts are noisy — its job is catching
-// catastrophic regressions (a pruning or fusion path silently disabled),
-// not single-digit drift.
+// engine's forward or gradient time at any size shared by both reports
+// slowed down by more than maxRegressPct percent, or when any engine's
+// butterfly count grew at all. Columns missing from the
+// baseline (zero seconds, e.g. batched columns predating PR 8 or gradient
+// columns predating the output-pruned adjoint) are skipped, so the gate
+// stays usable across trajectory-schema growth. The threshold should be
+// generous — single-rep timings on shared CI hosts are noisy — its job is
+// catching catastrophic regressions (a pruning or fusion path silently
+// disabled, the adjoint falling back to dense transforms), not
+// single-digit drift.
 func GateFFTSweeps(old, new *FFTSweep, maxRegressPct float64) error {
 	oldAt := map[int]FFTPoint{}
 	for _, p := range old.Points {
@@ -190,18 +272,30 @@ func GateFFTSweeps(old, new *FFTSweep, maxRegressPct float64) error {
 		if !ok {
 			continue
 		}
-		check := func(name string, o, n float64) {
+		oc := op.columns()
+		for i, c := range np.columns() {
+			o, n := oc[i].sec, c.sec
 			if o <= 0 || n <= 0 {
-				return
+				continue
 			}
 			if pct := (n/o - 1) * 100; pct > maxRegressPct {
+				name := c.engine
+				if c.bench != "Forward" {
+					name += " " + strings.ToLower(c.bench)
+				}
 				fails = append(fails, fmt.Sprintf("m=%d %s %+.1f%% (%.4fs → %.4fs)", np.M, name, pct, o, n))
 			}
 		}
-		check("reference", op.ReferenceSec, np.ReferenceSec)
-		check("band-inverse", op.BandInverseSec, np.BandInverseSec)
-		check("band", op.BandSec, np.BandSec)
-		check("batch", op.BatchedSec, np.BatchedSec)
+		for _, c := range []struct {
+			phase    string
+			old, new map[string]int64
+		}{{"inverse", op.InverseButterflies, np.InverseButterflies}, {"adjoint", op.AdjointButterflies, np.AdjointButterflies}} {
+			for _, e := range sweepEngines {
+				if o, n := c.old[e.String()], c.new[e.String()]; o > 0 && n > o {
+					fails = append(fails, fmt.Sprintf("m=%d %s %s butterflies %d → %d", np.M, e, c.phase, o, n))
+				}
+			}
+		}
 	}
 	if len(fails) > 0 {
 		return fmt.Errorf("bench: regression gate (>%g%%) failed:\n  %s", maxRegressPct, strings.Join(fails, "\n  "))

@@ -22,6 +22,21 @@ func TestRunFFTSweep(t *testing.T) {
 		if p.BandInverseGain <= 0 || p.BandGain <= 0 || p.BatchedGain <= 0 {
 			t.Errorf("m=%d: speedups not computed %+v", p.M, p)
 		}
+		if p.ReferenceGradSec <= 0 || p.BandInverseGradSec <= 0 || p.BandGradSec <= 0 || p.BatchedGradSec <= 0 {
+			t.Errorf("m=%d: non-positive gradient timings %+v", p.M, p)
+		}
+		if p.BandInverseGradGain <= 0 || p.BandGradGain <= 0 || p.BatchedGradGain <= 0 {
+			t.Errorf("m=%d: gradient speedups not computed %+v", p.M, p)
+		}
+		if !p.KeepAmps {
+			t.Errorf("m=%d: gradient should reuse kept amplitudes below the optimizer's limit", p.M)
+		}
+		ref := p.AdjointButterflies["reference"]
+		for _, e := range []string{"band-inverse", "band", "batch"} {
+			if inv, adj := p.InverseButterflies[e], p.AdjointButterflies[e]; inv <= 0 || adj <= 0 || adj >= ref {
+				t.Errorf("m=%d %s: butterflies inverse %d, adjoint %d; want positive and the adjoint below the dense %d", p.M, e, inv, adj, ref)
+			}
+		}
 	}
 
 	dir := t.TempDir()
@@ -50,12 +65,15 @@ func TestRunFFTSweep(t *testing.T) {
 	if got := strings.Count(txt, "BenchmarkForward/"); got != 8 {
 		t.Errorf("%d benchmark lines, want 8:\n%s", got, txt)
 	}
+	if got := strings.Count(txt, "BenchmarkGradient/"); got != 8 {
+		t.Errorf("%d gradient benchmark lines, want 8:\n%s", got, txt)
+	}
 	if !strings.Contains(txt, "engine=band ") || !strings.Contains(txt, "ns/op") {
 		t.Errorf("benchstat format missing fields:\n%s", txt)
 	}
 
 	diff := CompareFFTSweeps(back, s)
-	if !strings.Contains(diff, "reference") || !strings.Contains(diff, "%") {
+	if !strings.Contains(diff, "reference") || !strings.Contains(diff, "gradient") || !strings.Contains(diff, "%") {
 		t.Errorf("compare table incomplete:\n%s", diff)
 	}
 }
@@ -84,5 +102,35 @@ func TestGateFFTSweeps(t *testing.T) {
 	}}
 	if err := GateFFTSweeps(noBatch, slow, 25); err != nil {
 		t.Errorf("missing baseline column should be skipped: %v", err)
+	}
+
+	// The gradient columns gate too: an adjoint falling back to dense
+	// transforms fails, named as the engine's gradient.
+	withGrad := &FFTSweep{Points: []FFTPoint{
+		{M: 64, ReferenceSec: 1, BatchedSec: 0.5, ReferenceGradSec: 2, BatchedGradSec: 0.8},
+	}}
+	denseAdjoint := &FFTSweep{Points: []FFTPoint{
+		{M: 64, ReferenceSec: 1, BatchedSec: 0.5, ReferenceGradSec: 2, BatchedGradSec: 1.6},
+	}}
+	err = GateFFTSweeps(withGrad, denseAdjoint, 75)
+	if err == nil || !strings.Contains(err.Error(), "batch gradient") {
+		t.Errorf("2x batch gradient regression should fail the gate naming the column, got %v", err)
+	}
+	if err := GateFFTSweeps(old, denseAdjoint, 75); err != nil {
+		t.Errorf("gradient columns missing from the baseline should be skipped: %v", err)
+	}
+
+	// Butterfly counts gate exactly, whatever the threshold: a dense
+	// fallback fails even when the wall clock hides it.
+	counted := &FFTSweep{Points: []FFTPoint{{M: 64, BatchedSec: 0.5,
+		AdjointButterflies: map[string]int64{"batch": 100}}}}
+	fallback := &FFTSweep{Points: []FFTPoint{{M: 64, BatchedSec: 0.5,
+		AdjointButterflies: map[string]int64{"batch": 101}}}}
+	err = GateFFTSweeps(counted, fallback, 1000)
+	if err == nil || !strings.Contains(err.Error(), "batch adjoint butterflies 100 → 101") {
+		t.Errorf("a grown butterfly count should fail the gate, got %v", err)
+	}
+	if err := GateFFTSweeps(fallback, counted, 25); err != nil {
+		t.Errorf("a smaller butterfly count should pass: %v", err)
 	}
 }

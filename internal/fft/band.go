@@ -301,6 +301,32 @@ func (p *Plan2) inverseBand(dst, src *grid.CMat, band BandSpec, normalize bool) 
 	})
 }
 
+// Butterflies returns the radix-2 butterflies of one dense 2-D transform
+// (Forward, Inverse or their NoNorm variants): n/2·log₂ n per row and per
+// column. The litho layer adds transform counts like this one to its work
+// counters, so traces report transform work exactly, on any host.
+func (p *Plan2) Butterflies() int64 {
+	return int64(p.h*p.rowP.tab.denseBF + p.w*p.colP.tab.denseBF)
+}
+
+// InverseBandButterflies returns the butterflies one InverseBand (or
+// InverseBandNoNorm) call runs for band: the pruned transforms of the band
+// rows, then every column pruned to the band rows. MulRowsBatch +
+// InverseColumns run the same transforms kernel by kernel, so for K
+// kernels the batch's count is K times this one (its zero padding lanes
+// are not counted, nor does it subtract the rows it mirrors for an exactly
+// Hermitian kernel).
+func (p *Plan2) InverseBandButterflies(band BandSpec) int64 {
+	switch {
+	case band.None():
+		return 0
+	case band.Covers(p.h) && band.Covers(p.w):
+		return p.Butterflies()
+	}
+	return int64(band.Rows(p.h)*p.rowP.prunedButterflies(band.Half) +
+		p.w*p.colP.prunedButterflies(band.Half))
+}
+
 // inverseBandColumn gathers column x's band rows from m (zero-filling the
 // structurally empty middle), runs the pruned column inverse and scatters
 // all h values back — fully initialising the column, whatever dst held.

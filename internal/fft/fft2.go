@@ -24,9 +24,13 @@ type Plan2 struct {
 	// grow on demand (see batchLease).
 	batchBufs sync.Pool
 	// colBufs4 and intBufs recycle the 4-column gather scratch of
-	// BatchInverse.InverseColumns (complex amplitudes and real intensity).
+	// BatchInverse.InverseColumns (complex amplitudes and real intensity);
+	// AdjointPatch reuses colBufs4 for its 4-row buffer (square plans only).
 	colBufs4 sync.Pool
 	intBufs  sync.Pool
+	// adjBufs recycles AdjointPatch's kept-column slab, ⌈P/4⌉·4·m values;
+	// entries grow on demand like batchBufs.
+	adjBufs sync.Pool
 	// biPool recycles the BatchInverse shell itself: the struct is
 	// single-use by contract, so InverseColumns returns it here and the
 	// chunked gradient's repeated MulRowsBatch calls stop allocating it.
@@ -56,6 +60,7 @@ func NewPlan2(w, h int) (*Plan2, error) {
 	p.colBufs4.New = func() any { b := make([]complex128, 4*h); return &b }
 	p.intBufs.New = func() any { b := make([]float64, 4*h); return &b }
 	p.biPool.New = func() any { return new(BatchInverse) }
+	p.adjBufs.New = func() any { b := []complex128(nil); return &b }
 	return p, nil
 }
 

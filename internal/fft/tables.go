@@ -8,11 +8,12 @@ import (
 )
 
 // Shared transform tables. Every Plan of one length uses the same
-// bit-reversal permutation, per-stage twiddle factors and band skip tables,
-// so they are built once per process per length and shared — a Sim, a
-// server job and a test helper all pointing plans at size 1024 hold one
-// table set between them. Tables are immutable after construction (the band
-// skip tables extend through a LoadOrStore-guarded sync.Map), which is what
+// bit-reversal permutation, per-stage twiddle factors and skip tables (the
+// input-pruned band tables and the output-pruned adjoint tables), so they
+// are built once per process per length and shared — a Sim, a server job
+// and a test helper all pointing plans at size 1024 hold one table set
+// between them. Tables are immutable after construction (the skip tables
+// extend through LoadOrStore-guarded sync.Maps), which is what
 // makes the sharing safe without locks on the transform path.
 //
 // Observability: the package exports two expvars, mirrored into /metrics by
@@ -30,7 +31,9 @@ type planTables struct {
 	twidF   []complex128 // forward twiddles, all stages concatenated
 	twidI   []complex128 // inverse twiddles
 	stageAt []int        // offset of each stage's twiddles
+	denseBF int          // butterflies of one dense transform: n/2 · log₂ n
 	bands   sync.Map     // int (band half-width) → *bandTable, see band.go
+	outs    sync.Map     // int (kept half-width) → *outTable, see adjoint.go
 }
 
 type tableSlot struct {
@@ -72,6 +75,7 @@ func tablesFor(n int) *planTables {
 
 func buildTables(n int) *planTables {
 	t := &planTables{n: n, logN: bits.TrailingZeros(uint(n))}
+	t.denseBF = n / 2 * t.logN
 	t.rev = make([]int32, n)
 	shift := 64 - uint(t.logN)
 	for i := 0; i < n; i++ {

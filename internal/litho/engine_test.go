@@ -97,7 +97,7 @@ func TestEngineBandInverseEq7BitIdentical(t *testing.T) {
 func TestEngineBandInverseGradientBitIdentical(t *testing.T) {
 	mdl := model(t)
 	rng := rand.New(rand.NewSource(33))
-	for _, n := range []int{64, 128} {
+	for _, n := range []int{64, 128, 256} {
 		mask := randMask(rng, n)
 		dLdI := randMask(rng, n)
 		for _, keep := range []bool{false, true} {
@@ -451,6 +451,37 @@ func TestBatchEngineTelemetry(t *testing.T) {
 	if c["litho.kernel_ffts"] != int64(2*nk) {
 		t.Errorf("litho.kernel_ffts = %d, want %d", c["litho.kernel_ffts"], 2*nk)
 	}
+	checkButterflies(t, sim, c, wantInverseBF, wantAdjointBF)
+}
+
+// Exact transform-work counters of one Forward (keepAmps off) plus one
+// Gradient of the test model (P = 13, 8 kernels) at n = 64, where a dense
+// 1-D transform runs 32·6 = 192 butterflies and a dense 2-D one
+// 2·64·192 = 24576. Pruned to the band |f| ≤ 6, a 1-D transform runs
+// 13 + 26 + 4·32 = 167 (input pruned: stages 1–2 touch 13 blocks) or
+// 4·32 + 26 + 13 = 167 (output pruned: stages 5–6 keep 13 butterflies per
+// block), so a band inverse (13 rows, 64 columns) and an adjoint patch
+// (64 rows, 13 columns) both run 77·167 = 12859. The forward adds nk SOCS
+// inverses; the gradient nk recompute inverses, nk adjoint transforms and
+// the patch fold's inverse.
+const (
+	wantInverseBF    = 8 * 12859  // pruned: nk band inverses
+	wantAdjointBF    = 17 * 12859 // pruned: (nk+1) inverses + nk patches
+	wantRefInverseBF = 8 * 24576  // dense reference
+	wantRefAdjointBF = 17 * 24576
+)
+
+func checkButterflies(t *testing.T, sim *Sim, c map[string]int64, inverse, adjoint int64) {
+	t.Helper()
+	if p, nk := sim.Model.Nominal.P, len(sim.Model.Nominal.Kernels); p != 13 || nk != 8 {
+		t.Fatalf("test model has P=%d and %d kernels; the expected counts assume P=13 and 8", p, nk)
+	}
+	if got := c["litho.fft_inverse_butterflies"]; got != inverse {
+		t.Errorf("litho.fft_inverse_butterflies = %d, want %d", got, inverse)
+	}
+	if got := c["litho.adjoint_butterflies"]; got != adjoint {
+		t.Errorf("litho.adjoint_butterflies = %d, want %d", got, adjoint)
+	}
 }
 
 // The band engine records the per-kernel FFT counter and the fft_inverse
@@ -488,4 +519,18 @@ func TestBandEngineTelemetry(t *testing.T) {
 	if c["litho.kernel_ffts"] != int64(2*nk) {
 		t.Errorf("litho.kernel_ffts = %d, want %d", c["litho.kernel_ffts"], 2*nk)
 	}
+	checkButterflies(t, sim, c, wantInverseBF, wantAdjointBF)
+
+	// The dense reference counts dense transforms for the same calls.
+	ref := newEngineSim(t, EngineReference, 1)
+	refRec := telemetry.New()
+	ref.Recorder = refRec
+	rf, err := ref.Forward(mask, mdl.Nominal, 1, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ref.Gradient(rf, mask); err != nil {
+		t.Fatal(err)
+	}
+	checkButterflies(t, ref, refRec.Counters(), wantRefInverseBF, wantRefAdjointBF)
 }

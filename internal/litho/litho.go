@@ -25,8 +25,11 @@
 // pass, with the inverse normalisation and SOCS scale folded into the
 // multiply, the mask spectrum from the two-for-one real-input forward
 // (identical to rounding), and the intensity fold fused into the column
-// transforms. Sim.Engine selects between this default, the per-kernel
-// EngineBand, the pruning-only EngineBandInverse, and the dense
+// transforms. The gradient's per-kernel adjoint transforms are output
+// pruned on every engine but the reference: only the butterflies feeding
+// the P×P kernel band run (fft.Plan2.AdjointPatch, bit-identical to the
+// dense transform). Sim.Engine selects between this default, the
+// per-kernel EngineBand, the pruning-only EngineBandInverse, and the dense
 // EngineReference.
 package litho
 
@@ -253,13 +256,17 @@ func (s *Sim) maskSpectrum(plan *fft.Plan2, mask *grid.Mat) *grid.CMat {
 // SOCS loop; the parallel lane records one caller-side litho.socs span
 // (per-worker spans would double-count wall time and break tracecheck's
 // phase-coverage bound). The batch records one litho.socs span around the
-// row pass and one litho.fft_inverse span around the column pass.
+// row pass and one litho.fft_inverse span around the column pass. Every lane
+// adds the butterflies of its inverse transforms to
+// litho.fft_inverse_butterflies, an exact, host-independent work count.
 func (s *Sim) accumulateSOCS(f *Field, plan *fft.Plan2, spec *grid.CMat, m int, scale complex128, keepAmps bool) {
 	ks := f.KS
 	nk := len(ks.Kernels)
 	workers := s.kernelWorkers(nk)
 	banded := s.Engine != EngineReference
 	scale = fft.FoldInverseScale(scale, m, m)
+	//lint:ignore inline work accounting, once per SOCS call
+	s.Recorder.Add("litho.fft_inverse_butterflies", int64(nk)*inverseButterflies(plan, banded, ks.P))
 
 	if s.Engine == EngineBatch && s.batchSOCS(f, plan, spec, m, scale, keepAmps, workers) {
 		s.Recorder.Add("litho.kernel_ffts", int64(nk))
@@ -462,10 +469,16 @@ func (s *Sim) ForwardEq7(mask *grid.Mat, scale int, ks *optics.KernelSet, dose f
 //	dL/dM = Σ_k 2·w_k·dose · Re[ F⁻¹( conj(H_k) ⊙ F( dLdI ⊙ A_k ) ) ].
 //
 // Amplitudes are taken from the field when kept, otherwise recomputed from
-// the retained mask spectrum. The kernel-adjoint products are computed in
-// parallel as dense P×P patches and folded into the frequency-domain
-// accumulator in ascending k, so only one final inverse FFT is needed and
-// the result is bit-identical for every worker count.
+// the retained mask spectrum. Each kernel contributes only the P×P band of
+// F(dLdI ⊙ A_k): every engine but the reference computes that patch with
+// the output-pruned fft.Plan2.AdjointPatch, which forms the product row by
+// row and runs only the butterflies the patch reads; EngineReference keeps
+// the dense product, m×m transform and KernelAdjointPatch (adjointPatch) as
+// the oracle, with the same bits. The patches are computed in parallel and
+// folded into the frequency-domain accumulator in ascending k, so only one
+// final inverse FFT is needed and the result is bit-identical for every
+// worker count. The call adds its transform butterflies to
+// litho.adjoint_butterflies.
 func (s *Sim) Gradient(f *Field, dLdI *grid.Mat) (*grid.Mat, error) {
 	if dLdI.W != f.M || dLdI.H != f.M {
 		//lint:ignore escape error-path boxing of the size operands into the fmt args; never reached by a converging optimization
@@ -494,6 +507,8 @@ func (s *Sim) Gradient(f *Field, dLdI *grid.Mat) (*grid.Mat, error) {
 	if f.Amps == nil {
 		s.Recorder.Add("litho.kernel_ffts", int64(nk))
 	}
+	//lint:ignore inline work accounting, once per gradient
+	s.Recorder.Add("litho.adjoint_butterflies", s.adjointButterflies(plan, f))
 	patchesp, patches := s.kscratch.Get(nk)
 	if f.Amps == nil && s.Engine == EngineBatch && s.batchAdjointPatches(f, plan, dLdI, patches, ampScale, workers) {
 		// Amplitudes recomputed in batched chunks, patches filled.
@@ -515,7 +530,14 @@ func (s *Sim) Gradient(f *Field, dLdI *grid.Mat) (*grid.Mat, error) {
 				plan.InverseNoNorm(amp)
 				recomputed = true
 			}
-			patches[k] = s.adjointPatch(f, plan, amp, dLdI, k)
+			var patch *grid.CMat
+			if banded {
+				//lint:ignore inline one call per kernel into an O(m·P·log m) transform
+				patch = s.prunedPatch(f, plan, amp, dLdI, k)
+			} else {
+				patch = s.adjointPatch(f, plan, amp, dLdI, k)
+			}
+			patches[k] = patch
 			if recomputed {
 				s.cscratch.Put(amp)
 			}
@@ -567,14 +589,50 @@ func (s *Sim) adjointPatch(f *Field, plan *fft.Plan2, amp *grid.CMat, dLdI *grid
 	return patch
 }
 
+// prunedPatch is adjointPatch on the output-pruned path of every engine but
+// the reference: fft.Plan2.AdjointPatch forms dLdI ⊙ A_k row by row and
+// transforms only what the P×P patch reads — the same patch bits, without
+// the m×m product buffer or the dense transform.
+func (s *Sim) prunedPatch(f *Field, plan *fft.Plan2, amp *grid.CMat, dLdI *grid.Mat, k int) *grid.CMat {
+	w := fft.FoldInverseScale(complex(2*f.KS.Weights[k]*f.Dose, 0), f.M, f.M)
+	//lint:ignore scratchalias the returned patch is pool-leased on purpose, like adjointPatch's: Gradient Puts every entry of patches right after AddKernelPatch
+	return plan.AdjointPatch(s.cscratch.Get(f.KS.P, f.KS.P), dLdI, amp, f.KS.Kernels[k], w)
+}
+
+// inverseButterflies is the transform work of one kernel's SOCS inverse:
+// band-pruned on every engine but the dense reference.
+func inverseButterflies(plan *fft.Plan2, banded bool, support int) int64 {
+	if !banded {
+		return plan.Butterflies()
+	}
+	return plan.InverseBandButterflies(fft.BandSpec{Half: support / 2})
+}
+
+// adjointButterflies is the transform work of one Gradient call: the
+// amplitude recompute inverses (for a field that kept no amplitudes), the
+// per-kernel adjoint transforms and the inverse of the patch fold.
+func (s *Sim) adjointButterflies(plan *fft.Plan2, f *Field) int64 {
+	banded := s.Engine != EngineReference
+	nk := int64(len(f.KS.Kernels))
+	inverses := int64(1)
+	if f.Amps == nil {
+		inverses += nk
+	}
+	adj := plan.Butterflies()
+	if banded {
+		adj = plan.AdjointPatchButterflies(f.KS.P)
+	}
+	return inverses*inverseButterflies(plan, banded, f.KS.P) + nk*adj
+}
+
 // batchAdjointPatches is the EngineBatch lane of the gradient's
 // amplitude-recompute path: amplitudes are regenerated through
 // MulRowsBatch/InverseColumns in chunks (bounding the live amplitude
 // memory to ~chunk·m² complex values instead of nk·m²), then each chunk's
-// adjoint patches are computed in parallel. Patch values are bit-identical
-// to the per-kernel lane — the batch reproduces its amplitude bits, and
-// the patch arithmetic is shared (adjointPatch). Reports false when the
-// batch layout does not apply.
+// output-pruned adjoint patches are computed in parallel. Patch values are
+// bit-identical to the per-kernel lane — the batch reproduces its
+// amplitude bits, and the patch arithmetic is shared (prunedPatch).
+// Reports false when the batch layout does not apply.
 func (s *Sim) batchAdjointPatches(f *Field, plan *fft.Plan2, dLdI *grid.Mat, patches []*grid.CMat, ampScale complex128, workers int) bool {
 	ks := f.KS
 	nk := len(ks.Kernels)
@@ -606,7 +664,8 @@ func (s *Sim) batchAdjointPatches(f *Field, plan *fft.Plan2, dLdI *grid.Mat, pat
 		}
 		b.InverseColumns(amps[:c1-c0], nil, nil)
 		grid.ParallelFor(workers, c1-c0, func(j int) {
-			patches[c0+j] = s.adjointPatch(f, plan, amps[j], dLdI, c0+j)
+			//lint:ignore inline one call per kernel into an O(m·P·log m) transform
+			patches[c0+j] = s.prunedPatch(f, plan, amps[j], dLdI, c0+j)
 		})
 	}
 	return true
