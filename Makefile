@@ -13,21 +13,19 @@ test:
 
 # Tier-1 concurrency lane: the full suite under the race detector. The
 # parallel SOCS loops, the plan cache, the fullchip tile pool and the
-# FFT-engine equivalence tests (band-pruned vs dense reference, tolerance 0)
-# all run here — new equivalence tests hook in by living in the suite.
+# FFT-engine equivalence tests (batch vs dense reference, tolerance 0 on
+# the same spectrum) all run here — new equivalence tests hook in by
+# living in the suite.
 race:
 	$(GO) test -race ./...
 
 # Observability lane (runs alongside race): a small end-to-end iltopt run
 # with tracing on, then tracecheck re-validates the JSONL schema, the
 # phase-timer wall-clock coverage and the run manifest.
-# -workers 1 keeps the run on the serial SOCS lane, where the alternating
-# litho.socs / litho.fft_inverse spans are recorded — so the validated trace
-# exercises the full phase vocabulary on any host.
 trace-smoke:
 	mkdir -p artifacts
 	$(GO) run ./cmd/iltopt -case 1 -n 256 -field 1024 -kernels 12 -iterdiv 10 \
-		-workers 1 -recipe exact -trace artifacts/trace_smoke.jsonl -progress \
+		-recipe exact -trace artifacts/trace_smoke.jsonl -progress \
 		-manifest artifacts/trace_smoke_manifest.json
 	$(GO) run ./cmd/tracecheck -trace artifacts/trace_smoke.jsonl \
 		-manifest artifacts/trace_smoke_manifest.json
@@ -49,7 +47,7 @@ $(TRACESTAT): FORCE
 trace-stat: $(TRACESTAT)
 	mkdir -p artifacts
 	$(GO) run ./cmd/iltopt -case 1 -n 128 -field 512 -kernels 8 -iterdiv 10 \
-		-workers 1 -recipe fast -trace artifacts/trace_stat.jsonl
+		-recipe fast -trace artifacts/trace_stat.jsonl
 	$(GO) run ./cmd/tracecheck -trace artifacts/trace_stat.jsonl -min-coverage 0
 	$(TRACESTAT) artifacts/trace_stat.jsonl | tee artifacts/trace_stat_report.txt
 	$(TRACESTAT) -compare \
@@ -139,16 +137,16 @@ bench-workers:
 		-workers 1,2,4,8 -json BENCH_WORKERS.json
 
 # FFT-engine sweep: times the exact forward simulation and one gradient per
-# FFT engine (dense reference / pruned inverses / pruned + packed forward /
-# fused batch) at workers=1 and records the speedups and exact butterfly
-# counts in BENCH_FFT.json plus a benchstat-format sidecar BENCH_FFT.txt.
+# FFT engine (the dense reference oracle and the fused, pruned batch) at
+# workers=1 and records the speedups and exact butterfly counts in
+# BENCH_FFT.json plus a benchstat-format sidecar BENCH_FFT.txt.
 bench-fft:
 	$(GO) run ./cmd/benchgen -fftsweep -sizes 256,512,1024,2048 -field 2048 \
 		-kernels 24 -reps 3 -json BENCH_FFT.json
 
-# CI smoke lane: a seconds-long sweep at tiny sizes that exercises every
-# engine (including the fused batch path) and gates against the committed
-# BENCH_FFT.smoke.json baseline via the bench-compare machinery. The 75%
+# CI smoke lane: a seconds-long sweep at tiny sizes that exercises both
+# engines (the fused batch path and the reference) and gates against the
+# committed BENCH_FFT.smoke.json baseline via the bench-compare machinery. The 75%
 # threshold is deliberately loose — shared CI hosts are noisy — it exists
 # to catch a pruning/fusion path silently falling back to dense work (a
 # 2-10× slowdown), not single-digit drift. The butterfly counts are held

@@ -42,7 +42,7 @@ func run() error {
 	sweepWorkers := flag.String("workers", "1,2,4,8", "comma-separated worker counts (with -sweep)")
 	sweepReps := flag.Int("reps", 3, "timed repetitions per sweep point (with -sweep / -fftsweep)")
 	kernels := flag.Int("kernels", 24, "number of SOCS kernels (with -sweep / -fftsweep)")
-	fftsweep := flag.Bool("fftsweep", false, "run the FFT-engine sweep (band pruning vs dense reference)")
+	fftsweep := flag.Bool("fftsweep", false, "run the FFT-engine sweep (batched pruning vs dense reference)")
 	fftSizes := flag.String("sizes", "256,512,1024", "comma-separated grid sizes (with -fftsweep)")
 	compare := flag.Bool("compare", false, "diff two FFT-sweep JSON reports")
 	oldPath := flag.String("old", "BENCH_FFT.json", "baseline report (with -compare)")
@@ -88,10 +88,10 @@ func run() error {
 			return err
 		}
 		for _, p := range s.Points {
-			fmt.Printf("m=%-5d forward   reference %8.4fs  band-inverse %8.4fs (%.2fx)  band %8.4fs (%.2fx)  batch %8.4fs (%.2fx)\n",
-				p.M, p.ReferenceSec, p.BandInverseSec, p.BandInverseGain, p.BandSec, p.BandGain, p.BatchedSec, p.BatchedGain)
-			fmt.Printf("        gradient  reference %8.4fs  band-inverse %8.4fs (%.2fx)  band %8.4fs (%.2fx)  batch %8.4fs (%.2fx)  keep-amps=%v\n",
-				p.ReferenceGradSec, p.BandInverseGradSec, p.BandInverseGradGain, p.BandGradSec, p.BandGradGain, p.BatchedGradSec, p.BatchedGradGain, p.KeepAmps)
+			fmt.Printf("m=%-5d forward   reference %8.4fs  batch %8.4fs (%.2fx)\n",
+				p.M, p.ReferenceSec, p.BatchedSec, p.BatchedGain)
+			fmt.Printf("        gradient  reference %8.4fs  batch %8.4fs (%.2fx)  keep-amps=%v\n",
+				p.ReferenceGradSec, p.BatchedGradSec, p.BatchedGradGain, p.KeepAmps)
 		}
 		fmt.Printf("→ %s + %s (%d kernels, P=%d, workers=%d)\n", *sweepJSON, txt, s.Kernels, s.P, s.Workers)
 		return nil

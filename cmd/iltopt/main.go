@@ -48,7 +48,7 @@ func run() error {
 	kernels := flag.Int("kernels", cfg.Kernels, "number of SOCS kernels")
 	iterdiv := flag.Int("iterdiv", 1, "divide recipe iteration budgets")
 	workers := flag.Int("workers", 0, "per-kernel simulation fan-out (0 = GOMAXPROCS); results are identical for every value")
-	fftEngine := flag.String("fft-engine", "", "FFT engine: batch (default) | band | band-inverse | reference")
+	fftEngine := flag.String("fft-engine", "", "FFT engine: batch (default) | reference (dense oracle)")
 	layoutPath := flag.String("layout", "", "layout file to optimize")
 	caseIdx := flag.Int("case", 0, "synthetic paper case index (1-20) instead of -layout")
 	viaIdx := flag.Int("via", 0, "synthetic via case index instead of -layout")

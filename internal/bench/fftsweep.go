@@ -27,24 +27,16 @@ import (
 // FFTPoint is one grid size's measurement (seconds per forward simulation
 // and per gradient).
 type FFTPoint struct {
-	M               int     `json:"m"`
-	ReferenceSec    float64 `json:"reference_sec"`    // dense forward + dense inverses
-	BandInverseSec  float64 `json:"band_inverse_sec"` // dense forward + pruned inverses
-	BandSec         float64 `json:"band_sec"`         // packed forward + pruned inverses
-	BatchedSec      float64 `json:"batched_sec"`      // packed forward + fused batched inverse
-	BandInverseGain float64 `json:"band_inverse_speedup"`
-	BandGain        float64 `json:"band_speedup"`
-	BatchedGain     float64 `json:"batched_speedup"`
+	M            int     `json:"m"`
+	ReferenceSec float64 `json:"reference_sec"` // dense forward + dense inverses
+	BatchedSec   float64 `json:"batched_sec"`   // packed forward + fused batched inverse
+	BatchedGain  float64 `json:"batched_speedup"`
 	// Gradient columns: dense adjoint transforms on the reference engine,
-	// output-pruned ones on the others.
-	KeepAmps            bool    `json:"keep_amps"` // amplitudes kept by the forward, not recomputed
-	ReferenceGradSec    float64 `json:"reference_grad_sec"`
-	BandInverseGradSec  float64 `json:"band_inverse_grad_sec"`
-	BandGradSec         float64 `json:"band_grad_sec"`
-	BatchedGradSec      float64 `json:"batched_grad_sec"`
-	BandInverseGradGain float64 `json:"band_inverse_grad_speedup"`
-	BandGradGain        float64 `json:"band_grad_speedup"`
-	BatchedGradGain     float64 `json:"batched_grad_speedup"`
+	// output-pruned ones on the batch engine.
+	KeepAmps         bool    `json:"keep_amps"` // amplitudes kept by the forward, not recomputed
+	ReferenceGradSec float64 `json:"reference_grad_sec"`
+	BatchedGradSec   float64 `json:"batched_grad_sec"`
+	BatchedGradGain  float64 `json:"batched_grad_speedup"`
 	// Exact transform work per engine of one Forward and of one Gradient
 	// (the simulator's litho.fft_inverse_butterflies and
 	// litho.adjoint_butterflies). Host noise cannot move them, so the gate
@@ -55,7 +47,7 @@ type FFTPoint struct {
 }
 
 // sweepEngines are the engines of a sweep, in report order.
-var sweepEngines = []litho.FFTEngine{litho.EngineReference, litho.EngineBandInverse, litho.EngineBand, litho.EngineBatch}
+var sweepEngines = []litho.FFTEngine{litho.EngineReference, litho.EngineBatch}
 
 // sweepColumn is one timed column of a point: an engine's forward or
 // gradient seconds.
@@ -67,8 +59,8 @@ type sweepColumn struct {
 // columns returns the point's timed columns: every engine's forward, then
 // every engine's gradient, each in sweepEngines order.
 func (p FFTPoint) columns() []sweepColumn {
-	fwd := []float64{p.ReferenceSec, p.BandInverseSec, p.BandSec, p.BatchedSec}
-	grad := []float64{p.ReferenceGradSec, p.BandInverseGradSec, p.BandGradSec, p.BatchedGradSec}
+	fwd := []float64{p.ReferenceSec, p.BatchedSec}
+	grad := []float64{p.ReferenceGradSec, p.BatchedGradSec}
 	cols := make([]sweepColumn, 0, 2*len(sweepEngines))
 	for i, e := range sweepEngines {
 		cols = append(cols, sweepColumn{"Forward", e.String(), fwd[i]})
@@ -130,7 +122,7 @@ func RunFFTSweep(sizes []int, fieldNM float64, kernels, reps int) (*FFTSweep, er
 		keep := m <= keepLimit
 		// Every engine's forwards run before any gradient, so no forward is
 		// timed in a heap that a gradient's amplitudes have grown.
-		var fwd, grad [4]float64
+		var fwd, grad [2]float64
 		invBF, adjBF := map[string]int64{}, map[string]int64{}
 		for i, e := range sweepEngines {
 			sim := sweepSim(model, e)
@@ -168,15 +160,12 @@ func RunFFTSweep(sizes []int, fieldNM float64, kernels, reps int) (*FFTSweep, er
 			}
 			grad[i] = time.Since(start).Seconds() / float64(reps)
 		}
-		pt := FFTPoint{
+		sweep.Points = append(sweep.Points, FFTPoint{
 			M: m, KeepAmps: keep,
-			ReferenceSec: fwd[0], BandInverseSec: fwd[1], BandSec: fwd[2], BatchedSec: fwd[3],
-			ReferenceGradSec: grad[0], BandInverseGradSec: grad[1], BandGradSec: grad[2], BatchedGradSec: grad[3],
+			ReferenceSec: fwd[0], BatchedSec: fwd[1], BatchedGain: speedup(fwd[0], fwd[1]),
+			ReferenceGradSec: grad[0], BatchedGradSec: grad[1], BatchedGradGain: speedup(grad[0], grad[1]),
 			InverseButterflies: invBF, AdjointButterflies: adjBF,
-		}
-		pt.BandInverseGain, pt.BandGain, pt.BatchedGain = speedup(fwd[0], fwd[1]), speedup(fwd[0], fwd[2]), speedup(fwd[0], fwd[3])
-		pt.BandInverseGradGain, pt.BandGradGain, pt.BatchedGradGain = speedup(grad[0], grad[1]), speedup(grad[0], grad[2]), speedup(grad[0], grad[3])
-		sweep.Points = append(sweep.Points, pt)
+		})
 	}
 	return sweep, nil
 }

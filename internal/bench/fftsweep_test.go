@@ -16,26 +16,17 @@ func TestRunFFTSweep(t *testing.T) {
 		t.Fatalf("sweep metadata incomplete: %+v", s)
 	}
 	for _, p := range s.Points {
-		if p.ReferenceSec <= 0 || p.BandInverseSec <= 0 || p.BandSec <= 0 || p.BatchedSec <= 0 {
-			t.Errorf("m=%d: non-positive timings %+v", p.M, p)
+		if p.ReferenceSec <= 0 || p.BatchedSec <= 0 || p.BatchedGain <= 0 {
+			t.Errorf("m=%d: forward timings or speedup missing %+v", p.M, p)
 		}
-		if p.BandInverseGain <= 0 || p.BandGain <= 0 || p.BatchedGain <= 0 {
-			t.Errorf("m=%d: speedups not computed %+v", p.M, p)
-		}
-		if p.ReferenceGradSec <= 0 || p.BandInverseGradSec <= 0 || p.BandGradSec <= 0 || p.BatchedGradSec <= 0 {
-			t.Errorf("m=%d: non-positive gradient timings %+v", p.M, p)
-		}
-		if p.BandInverseGradGain <= 0 || p.BandGradGain <= 0 || p.BatchedGradGain <= 0 {
-			t.Errorf("m=%d: gradient speedups not computed %+v", p.M, p)
+		if p.ReferenceGradSec <= 0 || p.BatchedGradSec <= 0 || p.BatchedGradGain <= 0 {
+			t.Errorf("m=%d: gradient timings or speedup missing %+v", p.M, p)
 		}
 		if !p.KeepAmps {
 			t.Errorf("m=%d: gradient should reuse kept amplitudes below the optimizer's limit", p.M)
 		}
-		ref := p.AdjointButterflies["reference"]
-		for _, e := range []string{"band-inverse", "band", "batch"} {
-			if inv, adj := p.InverseButterflies[e], p.AdjointButterflies[e]; inv <= 0 || adj <= 0 || adj >= ref {
-				t.Errorf("m=%d %s: butterflies inverse %d, adjoint %d; want positive and the adjoint below the dense %d", p.M, e, inv, adj, ref)
-			}
+		if inv, adj, ref := p.InverseButterflies["batch"], p.AdjointButterflies["batch"], p.AdjointButterflies["reference"]; inv <= 0 || adj <= 0 || adj >= ref {
+			t.Errorf("m=%d batch: butterflies inverse %d, adjoint %d; want positive and the adjoint below the dense %d", p.M, inv, adj, ref)
 		}
 	}
 
@@ -62,13 +53,13 @@ func TestRunFFTSweep(t *testing.T) {
 	}
 	txt := string(raw)
 	// One benchmark line per (size, engine) pair, benchstat-parseable.
-	if got := strings.Count(txt, "BenchmarkForward/"); got != 8 {
-		t.Errorf("%d benchmark lines, want 8:\n%s", got, txt)
+	if got := strings.Count(txt, "BenchmarkForward/"); got != 4 {
+		t.Errorf("%d benchmark lines, want 4:\n%s", got, txt)
 	}
-	if got := strings.Count(txt, "BenchmarkGradient/"); got != 8 {
-		t.Errorf("%d gradient benchmark lines, want 8:\n%s", got, txt)
+	if got := strings.Count(txt, "BenchmarkGradient/"); got != 4 {
+		t.Errorf("%d gradient benchmark lines, want 4:\n%s", got, txt)
 	}
-	if !strings.Contains(txt, "engine=band ") || !strings.Contains(txt, "ns/op") {
+	if !strings.Contains(txt, "engine=batch ") || !strings.Contains(txt, "ns/op") {
 		t.Errorf("benchstat format missing fields:\n%s", txt)
 	}
 
@@ -80,7 +71,7 @@ func TestRunFFTSweep(t *testing.T) {
 
 func TestGateFFTSweeps(t *testing.T) {
 	old := &FFTSweep{Points: []FFTPoint{
-		{M: 64, ReferenceSec: 1, BandInverseSec: 0.8, BandSec: 0.7, BatchedSec: 0.5},
+		{M: 64, ReferenceSec: 1, BatchedSec: 0.5},
 	}}
 	same := &FFTSweep{Points: old.Points}
 	if err := GateFFTSweeps(old, same, 25); err != nil {
@@ -88,7 +79,7 @@ func TestGateFFTSweeps(t *testing.T) {
 	}
 
 	slow := &FFTSweep{Points: []FFTPoint{
-		{M: 64, ReferenceSec: 1, BandInverseSec: 0.8, BandSec: 0.7, BatchedSec: 1.5},
+		{M: 64, ReferenceSec: 1, BatchedSec: 1.5},
 	}}
 	err := GateFFTSweeps(old, slow, 25)
 	if err == nil || !strings.Contains(err.Error(), "batch") {
@@ -98,7 +89,7 @@ func TestGateFFTSweeps(t *testing.T) {
 	// Engines absent from the baseline (zero seconds) are skipped, so the
 	// gate survives trajectory files predating a column family.
 	noBatch := &FFTSweep{Points: []FFTPoint{
-		{M: 64, ReferenceSec: 1, BandInverseSec: 0.8, BandSec: 0.7},
+		{M: 64, ReferenceSec: 1},
 	}}
 	if err := GateFFTSweeps(noBatch, slow, 25); err != nil {
 		t.Errorf("missing baseline column should be skipped: %v", err)

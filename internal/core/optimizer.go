@@ -68,8 +68,8 @@ type Options struct {
 	// one Process must agree on this value. Results are bit-identical for
 	// every setting.
 	Workers int
-	// Engine selects the simulator's FFT engine by name ("batch", "band",
-	// "band-inverse", "reference"; see litho.ParseEngine). Empty leaves
+	// Engine selects the simulator's FFT engine by name ("batch" or
+	// "reference"; see litho.ParseEngine). Empty leaves
 	// the process simulator's current setting. Like Workers, concurrent
 	// optimizers sharing one Process must agree on it.
 	Engine string

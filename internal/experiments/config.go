@@ -33,8 +33,8 @@ type Config struct {
 	// 0 selects runtime.GOMAXPROCS(0). Results are bit-identical for every
 	// value (see DESIGN.md, "Concurrency model").
 	Workers int
-	// Engine selects the simulator's FFT engine by name ("batch", "band",
-	// "band-inverse", "reference"); empty keeps the default (batch). See
+	// Engine selects the simulator's FFT engine by name ("batch" or
+	// "reference"); empty keeps the default (batch). See
 	// litho.ParseEngine and DESIGN.md, "FFT engine v2".
 	Engine string
 	// WithBaselines also measures the reimplemented baselines (pixel ILT,

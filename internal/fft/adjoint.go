@@ -10,7 +10,7 @@ import (
 // only the P×P band of F(dLdI ⊙ A_k): KernelAdjointPatch reads the cells
 // |fx|, |fy| ≤ P/2 of the m×m forward transform and discards the rest.
 // Plan2.AdjointPatch computes just that band — the transpose of the
-// input-pruned InverseBand:
+// input-pruned InverseBandNoNorm:
 //
 //   - the product dLdI ⊙ A_k is formed four rows at a time, straight into
 //     the bit-reversed slots of a 4-lane row buffer (no m×m product buffer,
@@ -34,8 +34,8 @@ import (
 // transform runs for it, on the same operands with the same twiddles; a
 // skipped butterfly only writes values no kept output reads. So each patch
 // cell has the bits KernelAdjointPatch computes from the dense Forward —
-// the property tests assert it with Float64bits — and every litho engine but
-// the dense reference runs this path without weakening its guarantees.
+// the property tests assert it with Float64bits — and the batched litho
+// engine runs this path without weakening its guarantees.
 
 // outTable is the output-pruned schedule of one (length, kept half-width
 // h): per stage, the runs of butterflies j that feed a kept output, each

@@ -58,9 +58,9 @@ func equalBits(a, b *grid.CMat) (int, bool) {
 	return 0, true
 }
 
-// The tentpole guarantee: InverseBand is bit-for-bit the dense Inverse, for
-// every kernel-support/grid combination the kernel sets produce (P = 13 at
-// test scale, 35 at paper scale) plus edge halves.
+// The tentpole guarantee: InverseBandNoNorm is bit-for-bit the dense
+// InverseNoNorm, for every kernel-support/grid combination the kernel sets
+// produce (P = 13 at test scale, 35 at paper scale) plus edge halves.
 func TestInverseBandBitIdenticalToInverse(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, m := range []int{32, 64, 128, 256} {
@@ -75,9 +75,9 @@ func TestInverseBandBitIdenticalToInverse(t *testing.T) {
 			}
 			src, band := bandSpectrum(rng, m, half)
 			want := denseCopy(src, band)
-			plan.Inverse(want)
+			plan.InverseNoNorm(want)
 
-			// dst starts as NaN-poisoned pool garbage: InverseBand must
+			// dst starts as NaN-poisoned pool garbage: InverseBandNoNorm must
 			// fully overwrite it.
 			got := grid.NewCMat(m, m)
 			nan := complex(math.NaN(), math.NaN())
@@ -85,18 +85,21 @@ func TestInverseBandBitIdenticalToInverse(t *testing.T) {
 				got.Data[i] = nan
 			}
 			srcBefore := src.Clone()
-			plan.InverseBand(got, src, band)
+			plan.InverseBandNoNorm(got, src, band)
 			if i, ok := equalBits(got, want); !ok {
-				t.Errorf("m=%d P=%d: InverseBand differs from Inverse at %d: %v vs %v",
+				t.Errorf("m=%d P=%d: InverseBandNoNorm differs from InverseNoNorm at %d: %v vs %v",
 					m, p, i, got.Data[i], want.Data[i])
 			}
 			if i, ok := equalBits(src, srcBefore); !ok {
-				t.Errorf("m=%d P=%d: InverseBand modified src at %d", m, p, i)
+				t.Errorf("m=%d P=%d: InverseBandNoNorm modified src at %d", m, p, i)
 			}
 		}
 	}
 }
 
+// A band wide enough to cover every row degrades to the dense path, and an
+// empty band (+0 in every band cell, garbage in the rows outside it)
+// inverts to an all-+0 image whatever dst held.
 func TestInverseBandFullCoverAndEmpty(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	const m = 32
@@ -104,23 +107,29 @@ func TestInverseBandFullCoverAndEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A band wide enough to cover every row degrades to the dense path.
 	src := rand2D(rng, m, m)
 	want := src.Clone()
-	plan.Inverse(want)
+	plan.InverseNoNorm(want)
 	got := grid.NewCMat(m, m)
-	plan.InverseBand(got, src, BandSpec{Half: m / 2})
+	plan.InverseBandNoNorm(got, src, BandSpec{Half: m / 2})
 	if i, ok := equalBits(got, want); !ok {
-		t.Errorf("full-cover InverseBand differs from Inverse at %d", i)
+		t.Errorf("full-cover InverseBandNoNorm differs from InverseNoNorm at %d", i)
 	}
-	// BandNone means "nothing populated": the result is the all-zero image.
+
+	empty, band := bandSpectrum(rng, m, 6)
+	for i := 0; i < band.Rows(m); i++ {
+		y := band.Row(i, m)
+		for x := 0; x < m; x++ {
+			empty.Data[y*m+x] = 0
+		}
+	}
 	for i := range got.Data {
 		got.Data[i] = complex(math.NaN(), 0)
 	}
-	plan.InverseBand(got, src, BandNone)
+	plan.InverseBandNoNorm(got, empty, band)
 	for i, v := range got.Data {
-		if v != 0 {
-			t.Fatalf("InverseBand(BandNone) left %v at %d", v, i)
+		if math.Float64bits(real(v)) != 0 || math.Float64bits(imag(v)) != 0 {
+			t.Fatalf("empty band inverted to %v at %d, want +0", v, i)
 		}
 	}
 }
@@ -136,9 +145,6 @@ func TestBandSpecRowMapping(t *testing.T) {
 		if got := b.Row(i, m); got != w {
 			t.Errorf("Row(%d) = %d, want %d", i, got, w)
 		}
-	}
-	if BandNone.Rows(m) != 0 || !BandNone.None() {
-		t.Error("BandNone should be empty")
 	}
 	if !(BandSpec{Half: 8}).Covers(m) || (BandSpec{Half: 7}).Covers(m) {
 		t.Error("Covers boundary wrong")
@@ -192,74 +198,6 @@ func TestForwardRealZeroMaskIsExactlyZero(t *testing.T) {
 		if math.Float64bits(real(v)) != 0 || math.Float64bits(imag(v)) != 0 {
 			t.Fatalf("zero mask produced %v at %d", v, i)
 		}
-	}
-}
-
-// ApplyKernelBand must leave every *band row* bitwise equal to ApplyKernel's
-// full output across reuse sequences that shrink, grow and repeat the kernel
-// support — the dirty-band clearing logic under test.
-func TestApplyKernelBandMatchesApplyKernelAcrossReuse(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	const n, m = 64, 64
-	spec := rand2D(rng, n, n)
-	kernel := func(p int) *grid.CMat {
-		k := grid.NewCMat(p, p)
-		for i := range k.Data {
-			k.Data[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-		}
-		return k
-	}
-	k5, k13 := kernel(5), kernel(13)
-	scale := complex(0.25, 0)
-
-	var dst *grid.CMat
-	dirty := BandNone
-	for step, k := range []*grid.CMat{k13, k5, k13, k13, k5, k5} {
-		dst, dirty = ApplyKernelBand(dst, dirty, spec, k, m, scale)
-		want := ApplyKernel(nil, spec, k, m, scale)
-		if dirty.Half != k.W/2 {
-			t.Fatalf("step %d: band half %d, want %d", step, dirty.Half, k.W/2)
-		}
-		rows := dirty.Rows(m)
-		for i := 0; i < rows; i++ {
-			y := dirty.Row(i, m)
-			for x := 0; x < m; x++ {
-				g, w := dst.Data[y*m+x], want.Data[y*m+x]
-				if math.Float64bits(real(g)) != math.Float64bits(real(w)) ||
-					math.Float64bits(imag(g)) != math.Float64bits(imag(w)) {
-					t.Fatalf("step %d (P=%d): band row %d col %d: %v != %v",
-						step, k.W, y, x, g, w)
-				}
-			}
-		}
-	}
-}
-
-// The combination actually used by the simulator: ApplyKernelBand into a
-// reused scratch buffer, then InverseBand — bitwise equal to the dense
-// ApplyKernel + Inverse pipeline.
-func TestApplyKernelBandPlusInverseBandPipeline(t *testing.T) {
-	rng := rand.New(rand.NewSource(15))
-	const n, m = 128, 64
-	spec := rand2D(rng, n, n)
-	plan, err := NewPlan2(m, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := grid.NewCMat(13, 13)
-	for i := range k.Data {
-		k.Data[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-	}
-	scale := complex(0.25, 0) // Eq. 7 truncation scale for s = 2
-
-	prod, band := ApplyKernelBand(nil, BandNone, spec, k, m, scale)
-	got := grid.NewCMat(m, m)
-	plan.InverseBand(got, prod, band)
-
-	want := ApplyKernel(nil, spec, k, m, scale)
-	plan.Inverse(want)
-	if i, ok := equalBits(got, want); !ok {
-		t.Fatalf("pipeline differs from dense at %d: %v vs %v", i, got.Data[i], want.Data[i])
 	}
 }
 

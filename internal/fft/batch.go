@@ -2,7 +2,6 @@ package fft
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/grid"
 )
@@ -24,25 +23,13 @@ import (
 // group g of kernel k stores rows 4g..4g+3 as buf[((k·G+g)·m + x)·4 + lane].
 // Four rows (and later four columns) advance through the transform in
 // lockstep: each butterfly loads its twiddle once and applies it to four
-// lanes sitting in one 64-byte cache line. Since every lane performs
-// exactly the per-element operation sequence of the one-kernel pruned
-// inverse, the batched result is bit-for-bit identical to the
-// ApplyKernelBand + InverseBandNoNorm pair it replaces. The column pass
-// walks blocks of four columns, so the gather from the row intermediate,
-// the scatter into the amplitude and the intensity accumulation all touch
-// full cache lines instead of one value in eight.
-//
-// Real-input symmetry: when the caller marks the spectrum Hermitian and a
-// kernel is *exactly* Hermitian (H(-f) == conj(H(f)) bit-for-bit), the
-// product rows come in conjugate pairs, so MulRowsBatch computes only the
-// fy ≥ 0 rows and mirrors the rest: row(-fy) = conj(row(fy)) after the row
-// transform. Complex multiplication commutes with conjugation exactly in
-// IEEE-754, so the mirror is exact when the spectrum is exactly Hermitian;
-// for a ForwardReal spectrum (Hermitian only to rounding) the mirrored
-// rows deviate at the ulp level — documented in DESIGN.md, "FFT engine
-// v2". Physical SOCS kernels are not exactly Hermitian (they carry
-// defocus/aberration phase), so on the production path the gate stays
-// closed and batched output is bit-identical to the band engine.
+// lanes sitting in one 64-byte cache line. Every lane performs exactly the
+// per-element operation sequence of the one-kernel pruned inverse, which
+// is bit-identical to the dense inverse, so the batched result is
+// bit-for-bit identical to the ApplyKernel + InverseNoNorm pair per kernel.
+// The column pass walks blocks of four columns, so the gather from the row
+// intermediate, the scatter into the amplitude and the intensity
+// accumulation all touch full cache lines instead of one value in eight.
 
 // BatchInverse is the retained state between MulRowsBatch and
 // InverseColumns: the row-transformed band products of every kernel. It is
@@ -65,25 +52,21 @@ type BatchInverse struct {
 // product — pass FoldInverseScale(scale, m, m) to absorb the inverse
 // normalisation) and runs the pruned inverse row transforms for the whole
 // batch, interleaved four rows at a time. spec is n×n with n ≥ m (Eq. 7
-// truncation happens through the frequency indexing, as in
-// ApplyKernelBand); kernels must share one odd support P ≤ m.
-// specHermitian declares that spec came from a real mask, enabling the
-// conjugate-mirror row halving for exactly-Hermitian kernels.
-//
-// Returns nil when the batch layout does not apply — m not a multiple of
-// four, or the kernel band covers the whole grid — and the caller should
-// fall back to the per-kernel path.
-func (p *Plan2) MulRowsBatch(spec *grid.CMat, kernels []*grid.CMat, scale complex128, specHermitian bool, workers int) *BatchInverse {
+// truncation happens through the frequency indexing, as in ApplyKernel);
+// the plan is square with m a multiple of four, and at least one kernel is
+// given, all sharing one odd support P ≤ m (so the band never covers the
+// grid).
+func (p *Plan2) MulRowsBatch(spec *grid.CMat, kernels []*grid.CMat, scale complex128, workers int) *BatchInverse {
 	m := p.w
-	if p.h != m {
-		panic(fmt.Sprintf("fft: MulRowsBatch needs a square plan, got %dx%d", p.w, p.h))
+	if p.h != m || m%4 != 0 {
+		panic(fmt.Sprintf("fft: MulRowsBatch needs a square plan with a side divisible by 4, got %dx%d", p.w, p.h))
 	}
 	if spec.W != spec.H {
 		panic(fmt.Sprintf("fft: MulRowsBatch needs a square spectrum, got %dx%d", spec.W, spec.H))
 	}
 	nk := len(kernels)
-	if nk == 0 || m%4 != 0 {
-		return nil
+	if nk == 0 {
+		panic("fft: MulRowsBatch needs at least one kernel")
 	}
 	pk := kernels[0].W
 	for _, k := range kernels {
@@ -97,9 +80,6 @@ func (p *Plan2) MulRowsBatch(spec *grid.CMat, kernels []*grid.CMat, scale comple
 	}
 	half := pk / 2
 	band := BandSpec{Half: half}
-	if band.Covers(m) {
-		return nil
-	}
 	rows := band.Rows(m) // = 2·half+1 < m
 	groups := (rows + 3) / 4
 	if workers < 1 {
@@ -111,7 +91,7 @@ func (p *Plan2) MulRowsBatch(spec *grid.CMat, kernels []*grid.CMat, scale comple
 		p: p, band: band, rows: rows, groups: groups, nk: nk, workers: workers,
 		colBT: p.colP.bandTable(half),
 	}
-	//lint:ignore scratchalias the batch API is two-phase by design: the row slab leased here is consumed and Put by InverseColumns, which every caller must invoke (or the nil-return fallback path never leases)
+	//lint:ignore scratchalias the batch API is two-phase by design: the row slab leased here is consumed and Put by InverseColumns, which every caller must invoke
 	b.bufp = p.batchBufs.Get().(*[]complex128)
 	need := nk * groups * 4 * m
 	if cap(*b.bufp) < need {
@@ -122,17 +102,11 @@ func (p *Plan2) MulRowsBatch(spec *grid.CMat, kernels []*grid.CMat, scale comple
 	b.buf = (*b.bufp)[:need]
 
 	rowBT := p.rowP.bandTable(half)
-	hermOK := specHermitian && imag(scale) == 0
 	sd := spec.Data
 	grid.ParallelFor(min(workers, nk), nk, func(k int) {
 		kd := kernels[k].Data
 		base := k * groups * 4 * m
-		herm := hermOK && kernelHermitianExact(kernels[k])
-		fillGroups := groups
-		if herm {
-			fillGroups = (half + 1 + 3) / 4 // groups holding the fy ≥ 0 rows
-		}
-		for g := 0; g < fillGroups; g++ {
+		for g := 0; g < groups; g++ {
 			slab := b.buf[base+g*4*m : base+(g+1)*4*m]
 			for i := range slab {
 				slab[i] = 0
@@ -141,9 +115,6 @@ func (p *Plan2) MulRowsBatch(spec *grid.CMat, kernels []*grid.CMat, scale comple
 				ord := g*4 + j
 				if ord >= rows {
 					break
-				}
-				if herm && ord > half {
-					continue // filled by the mirror below
 				}
 				fy := ord
 				if ord > half {
@@ -159,19 +130,6 @@ func (p *Plan2) MulRowsBatch(spec *grid.CMat, kernels []*grid.CMat, scale comple
 			}
 			p.rowP.inversePruned4(slab, rowBT)
 		}
-		if herm {
-			// After the row transform, row(-fy)[x] = conj(row(fy)[x]) for a
-			// conjugate-symmetric product. Mirror ordinal i (fy = i-rows < 0)
-			// from ordinal rows-i (fy = rows-i > 0).
-			for ord := half + 1; ord < rows; ord++ {
-				src := base + ((rows-ord)>>2)*4*m + ((rows - ord) & 3)
-				dst := base + (ord>>2)*4*m + (ord & 3)
-				for x := 0; x < m; x++ {
-					v := b.buf[src+x*4]
-					b.buf[dst+x*4] = complex(real(v), -imag(v))
-				}
-			}
-		}
 	})
 	//lint:ignore scratchalias the pooled shell is handed to the caller by contract; InverseColumns (mandatory, single-use) returns it to biPool
 	return b
@@ -184,7 +142,7 @@ func (p *Plan2) MulRowsBatch(spec *grid.CMat, kernels []*grid.CMat, scale comple
 // non-nil, fully overwriting each m×m matrix) and accumulates
 // weights[k]·|A_k|² into intensity (when non-nil). The intensity fold is
 // per element I += weights[k]·(re²+im²) in ascending k — the exact
-// AbsSqScaledInto+Add sequence of the per-kernel path, so results are
+// AbsSqScaledInto+Add sequence of a per-kernel loop, so results are
 // bit-identical to it and independent of the worker count. The batch's
 // buffer is released; b must not be used again.
 func (b *BatchInverse) InverseColumns(outs []*grid.CMat, weights []float64, intensity *grid.Mat) {
@@ -314,28 +272,4 @@ func (p *Plan) inversePruned4(x []complex128, bt *bandTable) {
 			}
 		}
 	}
-}
-
-// kernelHermitianExact reports whether K(-fy,-fx) == conj(K(fy,fx)) holds
-// bit-for-bit for every cell of the DC-centred kernel. For an odd square
-// kernel the (-fy,-fx) cell of index i is index P²-1-i.
-func kernelHermitianExact(k *grid.CMat) bool {
-	d := k.Data
-	n := len(d)
-	for i, j := 0, n-1; i <= j; i, j = i+1, j-1 {
-		a, b := d[i], d[j]
-		if i == j {
-			// Self-conjugate centre cell: its imaginary part must be a
-			// (±)zero; masking the sign bit accepts both encodings.
-			if math.Float64bits(imag(a))<<1 != 0 {
-				return false
-			}
-			continue
-		}
-		if math.Float64bits(real(a)) != math.Float64bits(real(b)) ||
-			math.Float64bits(imag(a)) != math.Float64bits(-imag(b)) {
-			return false
-		}
-	}
-	return true
 }

@@ -2,7 +2,6 @@ package fft
 
 import (
 	"math"
-	"math/cmplx"
 	"math/rand"
 	"testing"
 
@@ -17,65 +16,29 @@ func randCMatFFT(rng *rand.Rand, w, h int) *grid.CMat {
 	return m
 }
 
-// hermitize makes a DC-at-zero n×n spectrum exactly Hermitian in place:
-// S(-fy,-fx) = conj(S(fy,fx)) bit-for-bit, self-conjugate cells real.
-func hermitize(s *grid.CMat) {
-	n := s.W
-	for y := 0; y < n; y++ {
-		for x := 0; x < n; x++ {
-			my, mx := (n-y)%n, (n-x)%n
-			i, j := y*n+x, my*n+mx
-			if i < j {
-				s.Data[j] = complex(real(s.Data[i]), -imag(s.Data[i]))
-			} else if i == j {
-				s.Data[i] = complex(real(s.Data[i]), 0)
-			}
-		}
-	}
-}
-
-// hermitizeKernel makes a DC-centred odd kernel exactly Hermitian:
-// K(-fy,-fx) = conj(K(fy,fx)), i.e. cell i pairs with cell P²-1-i.
-func hermitizeKernel(k *grid.CMat) {
-	d := k.Data
-	n := len(d)
-	for i, j := 0, n-1; i < j; i, j = i+1, j-1 {
-		d[j] = complex(real(d[i]), -imag(d[i]))
-	}
-	mid := n / 2
-	d[mid] = complex(real(d[mid]), 0)
-}
-
-// perKernelFolded runs the non-batched folded path — ApplyKernelBand with
-// the folded scale, InverseBandNoNorm, AbsSqScaledInto+Add intensity fold
-// in ascending k — the sequence the batch must reproduce bit-for-bit.
+// perKernelFolded runs the dense per-kernel folded path — ApplyKernel with
+// the folded scale, InverseNoNorm, AbsSqScaledInto+Add intensity fold in
+// ascending k — the reference engine's sequence, which the batch must
+// reproduce bit-for-bit.
 func perKernelFolded(t *testing.T, plan *Plan2, spec *grid.CMat, kernels []*grid.CMat, scale complex128, weights []float64) ([]*grid.CMat, *grid.Mat) {
 	t.Helper()
 	m := plan.W()
 	outs := make([]*grid.CMat, len(kernels))
 	intensity := grid.NewMat(m, m)
 	contrib := grid.NewMat(m, m)
-	var prod *grid.CMat
-	dirty := BandNone
 	for k, kern := range kernels {
-		var band BandSpec
-		prod, band = ApplyKernelBand(prod, dirty, spec, kern, m, scale)
-		dirty = band
-		outs[k] = grid.NewCMat(m, m)
-		plan.InverseBandNoNorm(outs[k], prod, band)
+		outs[k] = ApplyKernel(nil, spec, kern, m, scale)
+		plan.InverseNoNorm(outs[k])
 		outs[k].AbsSqScaledInto(contrib, weights[k])
 		intensity.Add(contrib)
 	}
 	return outs, intensity
 }
 
-func batchRun(t *testing.T, plan *Plan2, spec *grid.CMat, kernels []*grid.CMat, scale complex128, weights []float64, specHerm bool, workers int, keepAmps bool) ([]*grid.CMat, *grid.Mat) {
+func batchRun(t *testing.T, plan *Plan2, spec *grid.CMat, kernels []*grid.CMat, scale complex128, weights []float64, workers int, keepAmps bool) ([]*grid.CMat, *grid.Mat) {
 	t.Helper()
 	m := plan.W()
-	b := plan.MulRowsBatch(spec, kernels, scale, specHerm, workers)
-	if b == nil {
-		t.Fatalf("MulRowsBatch returned nil for m=%d P=%d", m, kernels[0].W)
-	}
+	b := plan.MulRowsBatch(spec, kernels, scale, workers)
 	var outs []*grid.CMat
 	if keepAmps {
 		outs = make([]*grid.CMat, len(kernels))
@@ -101,9 +64,9 @@ func kernelSupportFor(m int) int {
 }
 
 // TestBatchMatchesPerKernelBitExact: the batched MulRowsBatch +
-// InverseColumns pair must reproduce the per-kernel folded band path
+// InverseColumns pair must reproduce the dense per-kernel folded path
 // bit-for-bit — amplitudes and the k-ordered intensity fold — across the
-// size sweep m ∈ {8…2048} with a general (non-Hermitian) spectrum.
+// size sweep m ∈ {8…2048}.
 func TestBatchMatchesPerKernelBitExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for _, m := range []int{8, 16, 32, 64, 128, 256, 512, 1024, 2048} {
@@ -126,7 +89,7 @@ func TestBatchMatchesPerKernelBitExact(t *testing.T) {
 		scale := FoldInverseScale(1, m, m)
 		wantAmps, wantI := perKernelFolded(t, plan, spec, kernels, scale, weights)
 		for _, keep := range []bool{false, true} {
-			gotAmps, gotI := batchRun(t, plan, spec, kernels, scale, weights, false, 4, keep)
+			gotAmps, gotI := batchRun(t, plan, spec, kernels, scale, weights, 4, keep)
 			if !gotI.Equal(wantI, 0) {
 				t.Errorf("m=%d P=%d keep=%v: batched intensity differs from per-kernel fold", m, pk, keep)
 			}
@@ -142,7 +105,7 @@ func TestBatchMatchesPerKernelBitExact(t *testing.T) {
 }
 
 // TestBatchEq7Spectrum: the batch consumes an n×n spectrum at reduced size
-// m < n (the Eq. 7 truncation) identically to ApplyKernelBand.
+// m < n (the Eq. 7 truncation) identically to ApplyKernel.
 func TestBatchEq7Spectrum(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	n, m, pk, nk := 256, 64, 17, 4
@@ -159,7 +122,7 @@ func TestBatchEq7Spectrum(t *testing.T) {
 	}
 	scale := FoldInverseScale(complex(0.25, 0), m, m)
 	wantAmps, wantI := perKernelFolded(t, plan, spec, kernels, scale, weights)
-	gotAmps, gotI := batchRun(t, plan, spec, kernels, scale, weights, false, 3, true)
+	gotAmps, gotI := batchRun(t, plan, spec, kernels, scale, weights, 3, true)
 	if !gotI.Equal(wantI, 0) {
 		t.Error("batched Eq7 intensity differs from per-kernel fold")
 	}
@@ -188,9 +151,9 @@ func TestBatchWorkerDeterminism(t *testing.T) {
 		weights[k] = rng.Float64() + 0.1
 	}
 	scale := FoldInverseScale(1, m, m)
-	wantAmps, wantI := batchRun(t, plan, spec, kernels, scale, weights, false, 1, true)
+	wantAmps, wantI := batchRun(t, plan, spec, kernels, scale, weights, 1, true)
 	for _, w := range []int{2, 3, 7, 16} {
-		gotAmps, gotI := batchRun(t, plan, spec, kernels, scale, weights, false, w, true)
+		gotAmps, gotI := batchRun(t, plan, spec, kernels, scale, weights, w, true)
 		if !gotI.Equal(wantI, 0) {
 			t.Errorf("workers=%d: intensity differs from serial batch", w)
 		}
@@ -202,82 +165,9 @@ func TestBatchWorkerDeterminism(t *testing.T) {
 	}
 }
 
-// TestBatchHermitianGateClosed: specHermitian=true with kernels that are
-// NOT exactly Hermitian must leave the mirror gate closed — output stays
-// bit-identical to the per-kernel path.
-func TestBatchHermitianGateClosed(t *testing.T) {
-	rng := rand.New(rand.NewSource(44))
-	m, pk, nk := 64, 9, 3
-	plan, err := NewPlan2(m, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := randCMatFFT(rng, m, m)
-	hermitize(spec)
-	kernels := make([]*grid.CMat, nk)
-	weights := make([]float64, nk)
-	for k := range kernels {
-		kernels[k] = randCMatFFT(rng, pk, pk) // generic: not Hermitian
-		weights[k] = 1
-	}
-	scale := FoldInverseScale(1, m, m)
-	wantAmps, wantI := perKernelFolded(t, plan, spec, kernels, scale, weights)
-	gotAmps, gotI := batchRun(t, plan, spec, kernels, scale, weights, true, 2, true)
-	if !gotI.Equal(wantI, 0) {
-		t.Error("closed Hermitian gate: intensity differs from per-kernel fold")
-	}
-	for k := range kernels {
-		if gotAmps[k].MaxAbsDiff(wantAmps[k]) != 0 {
-			t.Errorf("closed Hermitian gate: amplitude %d differs", k)
-		}
-	}
-}
-
-// TestBatchHermitianMirror: with an exactly Hermitian spectrum AND exactly
-// Hermitian kernels the conjugate-mirror row halving engages. The mirrored
-// rows take a different (but algebraically equal) arithmetic route, so the
-// comparison is at documented ulp-level relative tolerance, and the result
-// must also be (exactly) real-valued amplitude symmetry: A = conj-symmetric
-// product of Hermitian spectra is real, checked loosely too.
-func TestBatchHermitianMirror(t *testing.T) {
-	rng := rand.New(rand.NewSource(45))
-	for _, m := range []int{32, 128} {
-		pk, nk := 11, 3
-		plan, err := NewPlan2(m, m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		spec := randCMatFFT(rng, m, m)
-		hermitize(spec)
-		kernels := make([]*grid.CMat, nk)
-		weights := make([]float64, nk)
-		for k := range kernels {
-			kernels[k] = randCMatFFT(rng, pk, pk)
-			hermitizeKernel(kernels[k])
-			if !kernelHermitianExact(kernels[k]) {
-				t.Fatal("hermitizeKernel did not produce an exactly Hermitian kernel")
-			}
-			weights[k] = 1
-		}
-		scale := FoldInverseScale(1, m, m)
-		wantAmps, _ := perKernelFolded(t, plan, spec, kernels, scale, weights)
-		gotAmps, _ := batchRun(t, plan, spec, kernels, scale, weights, true, 2, true)
-		for k := range kernels {
-			ref := 0.0
-			for _, v := range wantAmps[k].Data {
-				if a := cmplx.Abs(v); a > ref {
-					ref = a
-				}
-			}
-			if d := gotAmps[k].MaxAbsDiff(wantAmps[k]); d > 1e-12*ref {
-				t.Errorf("m=%d: mirrored amplitude %d deviates %g (ref %g) beyond ulp tolerance", m, k, d, ref)
-			}
-		}
-	}
-}
-
-// TestBatchFallbacks: layouts the batch cannot take return nil so callers
-// fall back to the per-kernel path.
+// TestBatchFallbacks: the widest band the batch takes — P = m−1, one short
+// of covering — stays on the batched path and bit-identical to the dense
+// per-kernel path. (An odd P ≤ m can never cover a power-of-two m ≥ 4.)
 func TestBatchFallbacks(t *testing.T) {
 	plan, err := NewPlan2(16, 16)
 	if err != nil {
@@ -285,16 +175,11 @@ func TestBatchFallbacks(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(46))
 	spec := randCMatFFT(rng, 16, 16)
-	if b := plan.MulRowsBatch(spec, nil, 1, false, 1); b != nil {
-		t.Error("empty kernel set should return nil")
-	}
-	// A band one short of covering (P = 15 on m = 16 — an odd P ≤ m can
-	// never actually cover a power-of-two m) still takes the batch path.
 	nearly := []*grid.CMat{randCMatFFT(rng, 15, 15)}
 	weights := []float64{1}
 	scale := FoldInverseScale(1, 16, 16)
 	wantAmps, wantI := perKernelFolded(t, plan, spec, nearly, scale, weights)
-	gotAmps, gotI := batchRun(t, plan, spec, nearly, scale, weights, false, 2, true)
+	gotAmps, gotI := batchRun(t, plan, spec, nearly, scale, weights, 2, true)
 	if !gotI.Equal(wantI, 0) || gotAmps[0].MaxAbsDiff(wantAmps[0]) != 0 {
 		t.Error("near-covering band batch differs from per-kernel path")
 	}

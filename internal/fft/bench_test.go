@@ -65,11 +65,11 @@ func BenchmarkApplyKernel(b *testing.B) {
 }
 
 // bandProduct builds a P-band-limited m×m spectrum the way the simulator
-// does (ApplyKernelBand output over pool scratch).
+// does (the ApplyKernel product).
 func bandProduct(m, p int) (*grid.CMat, BandSpec) {
 	spec := benchMatrix(m)
 	ker := benchMatrix(p)
-	return ApplyKernelBand(nil, BandNone, spec, ker, m, 1)
+	return ApplyKernel(nil, spec, ker, m, 1), BandSpec{Half: p / 2}
 }
 
 func benchmarkInverseBand(b *testing.B, m, p int) {
@@ -82,7 +82,7 @@ func benchmarkInverseBand(b *testing.B, m, p int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		plan.InverseBand(dst, src, band)
+		plan.InverseBandNoNorm(dst, src, band)
 	}
 }
 
@@ -98,12 +98,12 @@ func benchmarkInverseDense(b *testing.B, m, p int) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		dst = ApplyKernel(dst, spec, ker, m, 1)
-		plan.Inverse(dst)
+		plan.InverseNoNorm(dst)
 	}
 }
 
-// The pruned per-kernel inverse vs the dense reference pipeline it replaces
-// (product + inverse, since the band path folds the clear into the product).
+// The pruned per-kernel inverse vs the dense reference pipeline (product +
+// inverse: the dense path pays ApplyKernel's m² clear on every reuse).
 func BenchmarkInverseBand_1024_P35(b *testing.B)  { benchmarkInverseBand(b, 1024, 35) }
 func BenchmarkInverseDense_1024_P35(b *testing.B) { benchmarkInverseDense(b, 1024, 35) }
 func BenchmarkInverseBand_256_P13(b *testing.B)   { benchmarkInverseBand(b, 256, 13) }
@@ -142,31 +142,5 @@ func BenchmarkForwardDense_1024(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		dst := grid.ComplexFromReal(mask)
 		plan.Forward(dst)
-	}
-}
-
-// The satellite fix: ApplyKernel's reuse path pays a full m² memset per
-// kernel (visible at m = 2048), ApplyKernelBand's same-band reuse clears
-// nothing and a band change clears only P rows.
-func BenchmarkApplyKernelReuseFull_2048(b *testing.B) {
-	spec := benchMatrix(2048)
-	ker := benchMatrix(35)
-	var dst *grid.CMat
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dst = ApplyKernel(dst, spec, ker, 2048, 1)
-	}
-}
-
-func BenchmarkApplyKernelReuseBand_2048(b *testing.B) {
-	spec := benchMatrix(2048)
-	ker := benchMatrix(35)
-	var dst *grid.CMat
-	dirty := BandNone
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dst, dirty = ApplyKernelBand(dst, dirty, spec, ker, 2048, 1)
 	}
 }

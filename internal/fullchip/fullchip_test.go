@@ -359,31 +359,37 @@ func TestRecorderTileEventsRowMajor(t *testing.T) {
 }
 
 // TestBandEngineFlowsThroughTiles: the tile pool shares one Process, so the
-// Sim's FFT engine selection must reach every tile — and the pruning-only
-// engine must stitch a mask bit-identical to the dense reference engine.
+// Sim's FFT engine selection must reach every tile — the batch engine's
+// tiles run band-pruned inverses, fewer butterflies than the dense
+// reference's — and the batch must stitch the reference engine's mask.
 func TestBandEngineFlowsThroughTiles(t *testing.T) {
 	tgt := grid.NewMat(192, 160)
 	geom.FillRect(tgt, geom.Rect{X0: 30, Y0: 40, X1: 90, Y1: 60}, 1)
 	geom.FillRect(tgt, geom.Rect{X0: 110, Y0: 90, X1: 170, Y1: 110}, 1)
 
-	run := func(e litho.FFTEngine) *Result {
+	run := func(e litho.FFTEngine) (*Result, int64) {
 		proc := litho.NewProcess(process(t).Sim.Model)
 		proc.Sim.Engine = e
+		rec := telemetry.New()
 		res, err := Optimize(Options{
 			Process: proc, TileSize: 128, Halo: HaloFor(proc, 4),
 			Stages: []core.Stage{{Scale: 4, Iters: 6}}, SkipEmpty: true, Workers: 2,
+			Recorder: rec,
 		}, tgt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
+		return res, rec.Counters()["litho.fft_inverse_butterflies"]
 	}
-	ref := run(litho.EngineReference)
-	band := run(litho.EngineBandInverse)
-	if !band.Mask.Equal(ref.Mask, 0) {
-		t.Error("pruned-inverse engine stitched a different mask than the reference engine")
+	ref, refBF := run(litho.EngineReference)
+	batch, batchBF := run(litho.EngineBatch)
+	if !batch.Mask.Equal(ref.Mask, 0) {
+		t.Error("batch engine stitched a different mask than the reference engine")
 	}
-	if band.TilesRun != ref.TilesRun {
-		t.Errorf("tile accounting differs: %d vs %d", band.TilesRun, ref.TilesRun)
+	if batch.TilesRun != ref.TilesRun {
+		t.Errorf("tile accounting differs: %d vs %d", batch.TilesRun, ref.TilesRun)
+	}
+	if batchBF <= 0 || batchBF >= refBF {
+		t.Errorf("inverse butterflies: batch %d, reference %d; the batch tiles should run fewer", batchBF, refBF)
 	}
 }

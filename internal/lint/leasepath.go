@@ -27,8 +27,8 @@ import (
 //
 // The analysis is a branch-sensitive must-release walk over each function,
 // consulting per-function summaries (summary.go) at call sites so release
-// helpers and pass-through functions (fft.ApplyKernelBand returning its
-// dst) are followed through the call graph. A lease acquired on only one
+// helpers and pass-through functions (fft.ApplyKernel returning its dst)
+// are followed through the call graph. A lease acquired on only one
 // arm of a conditional stops being tracked at the join — path correlation
 // like `if banded { prod = Get } … if prod != nil { Put(prod) }` is beyond
 // a linter, and a false positive here would train people to ignore the
@@ -427,7 +427,7 @@ func (w *leaseWalker) call(call *ast.CallExpr, st *leaseState) int {
 			w.escape(id, st)
 		case sum.Returns[si]:
 			// Pass-through: the result aliases the same lease (the
-			// fft.ApplyKernelBand shape). The argument keeps it too.
+			// fft.ApplyKernel shape). The argument keeps it too.
 			result = id
 		}
 	}

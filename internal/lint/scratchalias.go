@@ -10,9 +10,8 @@ import (
 // ScratchAlias flags pool-leased scratch buffers that escape the scope of
 // the function that leased them.
 //
-// The parallel SOCS loops (PR 1) and the dirty-band FFT paths (PR 3) stay
-// zero-alloc by leasing scratch from grid.CMatPool / grid.MatPool (and
-// sync.Pool inside the FFT plans). The lease contract is strictly scoped:
+// The SOCS loops and the FFT plans stay zero-alloc by leasing scratch from
+// grid.CMatPool / grid.MatPool (and sync.Pool inside the FFT plans). The lease contract is strictly scoped:
 // Get, use, Put — all within one call. A leased buffer that is returned,
 // stored in a struct field or package variable, or sent on a channel
 // aliases memory the pool will hand to another goroutine, which is a
@@ -20,7 +19,7 @@ import (
 //
 // The analysis is a branch-sensitive taint walk: a variable assigned from
 // a pool Get (directly or through a call that received leased scratch as
-// an argument, like fft.ApplyKernelBand returning its dst) is tainted;
+// an argument, like fft.ApplyKernel returning its dst) is tainted;
 // reassigning it from a clean source clears the taint on that path, so
 // `if keepAmps { amp = grid.NewCMat(...); f.Amps[k] = amp }` is correctly
 // accepted while the pooled branch stays guarded.
@@ -143,7 +142,7 @@ func (w *aliasWalker) expr(e ast.Expr, st taintState) bool {
 		}
 		w.expr(e.Fun, st) // func literals called inline, selector bases
 		// A call that received leased scratch may return it (e.g.
-		// fft.ApplyKernelBand returns its dst); propagate only when a
+		// fft.ApplyKernel returns its dst); propagate only when a
 		// result can alias. Multi-value results surface as a tuple here
 		// and assignTo filters per-target by refLike.
 		if !tainted {

@@ -26,11 +26,10 @@
 // multiply, the mask spectrum from the two-for-one real-input forward
 // (identical to rounding), and the intensity fold fused into the column
 // transforms. The gradient's per-kernel adjoint transforms are output
-// pruned on every engine but the reference: only the butterflies feeding
-// the P×P kernel band run (fft.Plan2.AdjointPatch, bit-identical to the
-// dense transform). Sim.Engine selects between this default, the
-// per-kernel EngineBand, the pruning-only EngineBandInverse, and the dense
-// EngineReference.
+// pruned: only the butterflies feeding the P×P kernel band run
+// (fft.Plan2.AdjointPatch, bit-identical to the dense transform).
+// Sim.Engine selects between this default and the dense EngineReference,
+// the oracle the batch reproduces bit for bit on the same spectrum.
 package litho
 
 import (
@@ -46,34 +45,26 @@ import (
 )
 
 // FFTEngine selects the FFT execution paths of a Sim. The kernels populate
-// only a P×P band of each product spectrum, so the per-kernel inverse
-// transforms can prune the rows and butterfly blocks that are structurally
-// zero; the mask itself is real, so its forward transform can pack row pairs
-// two-for-one. The engines expose those two optimisations separately
-// because their equivalence guarantees differ: pruning is bit-identical to
-// the dense reference, the real-input packing is identical only to rounding.
+// only a P×P band of each product spectrum, so the production engine prunes
+// the per-kernel transforms to the rows and butterfly blocks that can carry
+// data, and packs the real mask's forward transform two-for-one. The dense
+// reference engine runs every transform in full; it is the oracle the
+// equivalence tests compare against. Pruning is bit-identical to the dense
+// transforms, the real-input packing only to rounding.
 type FFTEngine int
 
 const (
 	// EngineBatch (the default) runs the whole kernel set through one
 	// batched multiply + pruned inverse (fft.MulRowsBatch/InverseColumns):
 	// shared twiddle loads, four rows/columns in lockstep, the intensity
-	// fold fused into the column pass. Produces the same bits as EngineBand
-	// for every output (each lane performs EngineBand's exact operation
-	// sequence), hence agrees with EngineReference to rounding; see
-	// DESIGN.md, "FFT engine v2".
+	// fold fused into the column pass; its adjoint patches are output
+	// pruned (fft.Plan2.AdjointPatch). On the same mask spectrum every
+	// output has EngineReference's bits; the ForwardReal mask spectrum
+	// agrees with the dense one to rounding. See DESIGN.md, "FFT engine v2".
 	EngineBatch FFTEngine = iota
-	// EngineBand applies the two structural optimisations kernel by
-	// kernel: ForwardReal for the mask spectrum and InverseBand for every
-	// per-kernel inverse. Agrees with EngineReference to rounding
-	// (~ulp-level relative error, from the forward packing only).
-	EngineBand
-	// EngineBandInverse keeps the dense reference forward transform and
-	// prunes only the per-kernel inverses — bit-identical to
-	// EngineReference for every output, at most of EngineBand's speed.
-	EngineBandInverse
-	// EngineReference is the dense pre-band engine, retained as the
-	// reference implementation the equivalence tests compare against.
+	// EngineReference is the dense engine: the dense mask forward, a serial
+	// per-kernel ApplyKernel + InverseNoNorm loop with an ascending-k
+	// intensity fold, and the dense adjoint transforms.
 	EngineReference
 )
 
@@ -82,10 +73,6 @@ func (e FFTEngine) String() string {
 	switch e {
 	case EngineBatch:
 		return "batch"
-	case EngineBand:
-		return "band"
-	case EngineBandInverse:
-		return "band-inverse"
 	case EngineReference:
 		return "reference"
 	}
@@ -99,14 +86,10 @@ func ParseEngine(s string) (FFTEngine, error) {
 	switch s {
 	case "", "batch":
 		return EngineBatch, nil
-	case "band":
-		return EngineBand, nil
-	case "band-inverse":
-		return EngineBandInverse, nil
 	case "reference":
 		return EngineReference, nil
 	}
-	return 0, fmt.Errorf("litho: unknown FFT engine %q (want batch, band, band-inverse or reference)", s)
+	return 0, fmt.Errorf("litho: unknown FFT engine %q (want batch or reference)", s)
 }
 
 // Sim owns the FFT plan cache and runs forward/adjoint simulations for one
@@ -118,7 +101,7 @@ type Sim struct {
 	// Set it before sharing the Sim across goroutines.
 	Workers int
 	// Engine selects the FFT execution paths; the zero value is the
-	// band-aware default. Set it before sharing the Sim across goroutines.
+	// batched default. Set it before sharing the Sim across goroutines.
 	Engine FFTEngine
 	// Recorder receives phase timers (litho.fft_forward, litho.socs,
 	// litho.fft_inverse, litho.adjoint) and simulation counters. Nil (the
@@ -200,6 +183,10 @@ type Field struct {
 	KS        *optics.KernelSet
 }
 
+// minGrid is the smallest grid the simulator accepts: the batched engine
+// transforms rows and columns in groups of four.
+const minGrid = 4
+
 func (s *Sim) checkMask(mask *grid.Mat, p int) error {
 	if mask.W != mask.H {
 		return fmt.Errorf("litho: mask must be square, got %dx%d", mask.W, mask.H)
@@ -207,179 +194,104 @@ func (s *Sim) checkMask(mask *grid.Mat, p int) error {
 	if mask.W&(mask.W-1) != 0 {
 		return fmt.Errorf("litho: mask size %d is not a power of two", mask.W)
 	}
+	if mask.W < minGrid {
+		return fmt.Errorf("litho: mask size %d below the minimum grid %d", mask.W, minGrid)
+	}
 	if mask.W < p {
 		return fmt.Errorf("litho: mask size %d smaller than kernel support %d", mask.W, p)
 	}
 	return nil
 }
 
-// maskSpectrum computes the unnormalised FFT of the mask under the active
-// engine: the band engine packs the real input two-for-one (ForwardReal),
-// the others run the dense reference transform.
+// maskSpectrum computes the unnormalised FFT of the mask: the batch engine
+// packs the real input two-for-one (ForwardReal), the reference runs the
+// dense transform.
 func (s *Sim) maskSpectrum(plan *fft.Plan2, mask *grid.Mat) *grid.CMat {
 	sp := s.Recorder.StartSpan("litho.fft_forward")
 	defer sp.End()
-	if s.Engine == EngineBatch || s.Engine == EngineBand {
-		spec := grid.NewCMat(mask.W, mask.H)
-		plan.ForwardReal(spec, mask)
+	if s.Engine == EngineReference {
+		spec := grid.ComplexFromReal(mask)
+		plan.Forward(spec)
 		return spec
 	}
-	spec := grid.ComplexFromReal(mask)
-	plan.Forward(spec)
+	spec := grid.NewCMat(mask.W, mask.H)
+	plan.ForwardReal(spec, mask)
 	return spec
 }
 
-// accumulateSOCS runs the per-kernel SOCS loop shared by Forward and
-// ForwardEq7: amplitude A_k = F⁻¹(scale·H_k ⊙ spec) at size m, intensity
-// += dose·w_k·|A_k|². The inverse-FFT 1/m² normalisation is folded into
-// the kernel multiply (fft.FoldInverseScale) on every engine, so each
-// amplitude buffer is touched one fewer time; all engines fold through the
-// same expression, preserving their cross-engine equivalences.
+// accumulateSOCS runs the SOCS sum shared by Forward and ForwardEq7:
+// amplitude A_k = F⁻¹(scale·H_k ⊙ spec) at size m, intensity
+// += dose·w_k·|A_k|². Both engines fold the inverse-FFT 1/m² normalisation
+// into the kernel multiply through the same expression
+// (fft.FoldInverseScale), so each amplitude buffer is touched one fewer
+// time and the engines' products agree bit for bit.
 //
-// Engines: EngineBatch hands the whole kernel set to fft.MulRowsBatch /
-// InverseColumns — one cache-blocked pass with the intensity fold fused
-// into the column transforms, bit-identical to the per-kernel band path.
-// The per-kernel engines fan the amplitude work across kernelWorkers
-// goroutines; each kernel's intensity contribution lands in a pooled
-// private buffer and the final fold into f.Intensity runs on the calling
-// goroutine in ascending k — the floating-point reduction order is fixed
-// (the batch fuses the same ascending-k fold into its disjoint column
-// blocks), so any worker count produces the same bits on every engine.
+// EngineBatch hands the whole kernel set to fft.MulRowsBatch /
+// InverseColumns: one cache-blocked pass whose workers split the kernels
+// (row pass) and disjoint column blocks (column pass), with the intensity
+// fold fused into the column transforms in ascending k — so every worker
+// count produces the same bits, and they are the reference's bits for the
+// same spectrum. EngineReference is the oracle: a serial loop of
+// ApplyKernel, InverseNoNorm and the ascending-k AbsSqScaledInto + Add fold.
 //
-// Under the band engines the kernel product lives in a band-limited scratch
-// buffer (ApplyKernelBand clears only the previously dirty rows) and the
-// inverse is the pruned out-of-place InverseBandNoNorm — bit-identical to
-// the dense ApplyKernel + InverseNoNorm pair it replaces.
-//
-// Telemetry: the serial lane alternates non-overlapping litho.socs /
-// litho.fft_inverse spans so traces show the inverse-transform share of the
-// SOCS loop; the parallel lane records one caller-side litho.socs span
-// (per-worker spans would double-count wall time and break tracecheck's
-// phase-coverage bound). The batch records one litho.socs span around the
-// row pass and one litho.fft_inverse span around the column pass. Every lane
-// adds the butterflies of its inverse transforms to
-// litho.fft_inverse_butterflies, an exact, host-independent work count.
+// Telemetry: litho.socs covers the kernel multiply (on the batch, with the
+// row transforms) and litho.fft_inverse the inverse transforms (on the
+// batch, the column pass with the fused intensity fold), both recorded on
+// the calling goroutine at any worker count. The butterflies of the
+// inverse transforms go to litho.fft_inverse_butterflies, an exact,
+// host-independent work count.
 func (s *Sim) accumulateSOCS(f *Field, plan *fft.Plan2, spec *grid.CMat, m int, scale complex128, keepAmps bool) {
 	ks := f.KS
 	nk := len(ks.Kernels)
-	workers := s.kernelWorkers(nk)
-	banded := s.Engine != EngineReference
 	scale = fft.FoldInverseScale(scale, m, m)
 	//lint:ignore inline work accounting, once per SOCS call
-	s.Recorder.Add("litho.fft_inverse_butterflies", int64(nk)*inverseButterflies(plan, banded, ks.P))
-
-	if s.Engine == EngineBatch && s.batchSOCS(f, plan, spec, m, scale, keepAmps, workers) {
-		s.Recorder.Add("litho.kernel_ffts", int64(nk))
-		return
-	}
-
-	if workers <= 1 {
-		// Serial fast path: one amplitude buffer and one contribution buffer
-		// recycled across all kernels — O(1) scratch at any grid size.
-		contrib := s.mscratch.Get(m, m)
-		var prod *grid.CMat
-		dirty := fft.BandNone
-		if banded {
-			prod = s.cscratch.Get(m, m)
-		}
-		var buf *grid.CMat
-		if !keepAmps {
-			buf = s.cscratch.Get(m, m)
-		}
-		for k, h := range ks.Kernels {
-			amp := buf
-			if keepAmps {
-				amp = grid.NewCMat(m, m)
-				f.Amps[k] = amp
-			}
-			sp := s.Recorder.StartSpan("litho.socs")
-			if banded {
-				prod, dirty = fft.ApplyKernelBand(prod, dirty, spec, h, m, scale)
-			} else {
-				fft.ApplyKernel(amp, spec, h, m, scale)
-			}
-			sp.End()
-			spi := s.Recorder.StartSpan("litho.fft_inverse")
-			if banded {
-				plan.InverseBandNoNorm(amp, prod, dirty)
-			} else {
-				plan.InverseNoNorm(amp)
-			}
-			spi.End()
-			sp = s.Recorder.StartSpan("litho.socs")
-			amp.AbsSqScaledInto(contrib, f.Dose*ks.Weights[k])
-			f.Intensity.Add(contrib)
-			sp.End()
-		}
-		if prod != nil {
-			s.cscratch.Put(prod)
-		}
-		if buf != nil {
-			s.cscratch.Put(buf)
-		}
-		s.mscratch.Put(contrib)
-		s.Recorder.Add("litho.kernel_ffts", int64(nk))
-		return
-	}
-
-	sp := s.Recorder.StartSpan("litho.socs")
-	contribs := make([]*grid.Mat, nk)
-	grid.ParallelFor(workers, nk, func(k int) {
-		h := ks.Kernels[k]
-		var amp *grid.CMat
-		if banded {
-			prod, band := fft.ApplyKernelBand(s.cscratch.Get(m, m), fft.BandNone, spec, h, m, scale)
-			if keepAmps {
-				amp = grid.NewCMat(m, m)
-				f.Amps[k] = amp
-			} else {
-				amp = s.cscratch.Get(m, m)
-			}
-			plan.InverseBandNoNorm(amp, prod, band)
-			s.cscratch.Put(prod)
-		} else {
-			if keepAmps {
-				amp = fft.ApplyKernel(nil, spec, h, m, scale)
-				f.Amps[k] = amp
-			} else {
-				amp = fft.ApplyKernel(s.cscratch.Get(m, m), spec, h, m, scale)
-			}
-			plan.InverseNoNorm(amp)
-		}
-		c := s.mscratch.Get(m, m)
-		amp.AbsSqScaledInto(c, f.Dose*ks.Weights[k])
-		contribs[k] = c
-		if !keepAmps {
-			s.cscratch.Put(amp)
-		}
-	})
-	for _, c := range contribs {
-		f.Intensity.Add(c)
-		s.mscratch.Put(c)
-	}
-	sp.End()
+	s.Recorder.Add("litho.fft_inverse_butterflies", int64(nk)*inverseButterflies(plan, s.Engine != EngineReference, ks.P))
 	s.Recorder.Add("litho.kernel_ffts", int64(nk))
+
+	if s.Engine != EngineReference {
+		s.batchSOCS(f, plan, spec, m, scale, keepAmps, s.kernelWorkers(nk))
+		return
+	}
+
+	// The reference: one amplitude buffer and one contribution buffer
+	// recycled across all kernels — O(1) scratch at any grid size.
+	contrib := s.mscratch.Get(m, m)
+	var buf *grid.CMat
+	if !keepAmps {
+		buf = s.cscratch.Get(m, m)
+	}
+	for k, h := range ks.Kernels {
+		amp := buf
+		if keepAmps {
+			amp = grid.NewCMat(m, m)
+			f.Amps[k] = amp
+		}
+		sp := s.Recorder.StartSpan("litho.socs")
+		fft.ApplyKernel(amp, spec, h, m, scale)
+		sp.End()
+		spi := s.Recorder.StartSpan("litho.fft_inverse")
+		plan.InverseNoNorm(amp)
+		spi.End()
+		sp = s.Recorder.StartSpan("litho.socs")
+		amp.AbsSqScaledInto(contrib, f.Dose*ks.Weights[k])
+		f.Intensity.Add(contrib)
+		sp.End()
+	}
+	if buf != nil {
+		s.cscratch.Put(buf)
+	}
+	s.mscratch.Put(contrib)
 }
 
 // batchSOCS is the EngineBatch lane of accumulateSOCS: the kernel multiply
 // and pruned inverse row transforms for all kernels run in one batched pass
 // (litho.socs span), then the column transforms with the fused ascending-k
 // intensity fold (litho.fft_inverse span). scale must already carry the
-// folded 1/m² (accumulateSOCS does this). Reports false when the batch
-// layout does not apply so the caller falls back to the per-kernel band
-// lane.
-func (s *Sim) batchSOCS(f *Field, plan *fft.Plan2, spec *grid.CMat, m int, scale complex128, keepAmps bool, workers int) bool {
+// folded 1/m² (accumulateSOCS does this).
+func (s *Sim) batchSOCS(f *Field, plan *fft.Plan2, spec *grid.CMat, m int, scale complex128, keepAmps bool, workers int) {
 	ks := f.KS
 	sp := s.Recorder.StartSpan("litho.socs")
-	// The mask spectrum comes from a real mask, so it is Hermitian (to
-	// rounding) — the batch halves the row work for any exactly-Hermitian
-	// kernel; physical kernels carry defocus phase and keep the gate
-	// closed, so this path stays bit-identical to EngineBand.
-	b := plan.MulRowsBatch(spec, ks.Kernels, scale, true, workers)
-	if b == nil {
-		sp.End()
-		return false
-	}
+	b := plan.MulRowsBatch(spec, ks.Kernels, scale, workers)
 	weights := make([]float64, len(ks.Kernels))
 	for k := range weights {
 		weights[k] = f.Dose * ks.Weights[k]
@@ -395,7 +307,6 @@ func (s *Sim) batchSOCS(f *Field, plan *fft.Plan2, spec *grid.CMat, m int, scale
 	spi := s.Recorder.StartSpan("litho.fft_inverse")
 	b.InverseColumns(outs, weights, f.Intensity)
 	spi.End()
-	return true
 }
 
 // Forward runs the exact SOCS simulation (Eq. 3) of the mask at its own
@@ -440,6 +351,9 @@ func (s *Sim) ForwardEq7(mask *grid.Mat, scale int, ks *optics.KernelSet, dose f
 		return nil, fmt.Errorf("litho: mask size %d not divisible by scale %d", n, scale)
 	}
 	m := n / scale
+	if m < minGrid {
+		return nil, fmt.Errorf("litho: reduced size %d below the minimum grid %d", m, minGrid)
+	}
 	if m < ks.P {
 		return nil, fmt.Errorf("litho: reduced size %d smaller than kernel support %d", m, ks.P)
 	}
@@ -470,15 +384,16 @@ func (s *Sim) ForwardEq7(mask *grid.Mat, scale int, ks *optics.KernelSet, dose f
 //
 // Amplitudes are taken from the field when kept, otherwise recomputed from
 // the retained mask spectrum. Each kernel contributes only the P×P band of
-// F(dLdI ⊙ A_k): every engine but the reference computes that patch with
-// the output-pruned fft.Plan2.AdjointPatch, which forms the product row by
-// row and runs only the butterflies the patch reads; EngineReference keeps
-// the dense product, m×m transform and KernelAdjointPatch (adjointPatch) as
-// the oracle, with the same bits. The patches are computed in parallel and
-// folded into the frequency-domain accumulator in ascending k, so only one
-// final inverse FFT is needed and the result is bit-identical for every
-// worker count. The call adds its transform butterflies to
-// litho.adjoint_butterflies.
+// F(dLdI ⊙ A_k): the batch engine computes that patch with the
+// output-pruned fft.Plan2.AdjointPatch, which forms the product row by row
+// and runs only the butterflies the patch reads, and recomputes amplitudes
+// through the batched inverse (batchAdjointPatches); EngineReference
+// recomputes each amplitude densely and keeps the dense product, m×m
+// transform and KernelAdjointPatch (adjointPatch) as the oracle, with the
+// same bits. The patches are computed in parallel and folded into the
+// frequency-domain accumulator in ascending k, so only one final inverse
+// FFT is needed and the result is bit-identical for every worker count.
+// The call adds its transform butterflies to litho.adjoint_butterflies.
 func (s *Sim) Gradient(f *Field, dLdI *grid.Mat) (*grid.Mat, error) {
 	if dLdI.W != f.M || dLdI.H != f.M {
 		//lint:ignore escape error-path boxing of the size operands into the fmt args; never reached by a converging optimization
@@ -496,9 +411,8 @@ func (s *Sim) Gradient(f *Field, dLdI *grid.Mat) (*grid.Mat, error) {
 	sp := s.Recorder.StartSpan("litho.adjoint")
 	defer sp.End()
 	s.Recorder.Add("litho.adjoint_calls", 1)
-	banded := s.Engine != EngineReference
+	reference := s.Engine == EngineReference
 	nk := len(f.KS.Kernels)
-	p := f.KS.P
 	workers := s.kernelWorkers(nk)
 	// The amplitude recompute (fields without kept amps) folds the inverse
 	// normalisation into the kernel multiply, like the forward pass; the
@@ -510,49 +424,41 @@ func (s *Sim) Gradient(f *Field, dLdI *grid.Mat) (*grid.Mat, error) {
 	//lint:ignore inline work accounting, once per gradient
 	s.Recorder.Add("litho.adjoint_butterflies", s.adjointButterflies(plan, f))
 	patchesp, patches := s.kscratch.Get(nk)
-	if f.Amps == nil && s.Engine == EngineBatch && s.batchAdjointPatches(f, plan, dLdI, patches, ampScale, workers) {
+	if f.Amps == nil && !reference {
 		// Amplitudes recomputed in batched chunks, patches filled.
+		s.batchAdjointPatches(f, plan, dLdI, patches, ampScale, workers)
 	} else {
 		grid.ParallelFor(workers, nk, func(k int) {
-			h := f.KS.Kernels[k]
 			var amp *grid.CMat
-			recomputed := false
 			if f.Amps != nil {
 				amp = f.Amps[k]
-			} else if banded {
-				kprod, band := fft.ApplyKernelBand(s.cscratch.Get(f.M, f.M), fft.BandNone, f.Spec, h, f.M, ampScale)
-				amp = s.cscratch.Get(f.M, f.M)
-				plan.InverseBandNoNorm(amp, kprod, band)
-				s.cscratch.Put(kprod)
-				recomputed = true
 			} else {
-				amp = fft.ApplyKernel(s.cscratch.Get(f.M, f.M), f.Spec, h, f.M, ampScale)
+				// The reference recomputes each amplitude densely.
+				amp = fft.ApplyKernel(s.cscratch.Get(f.M, f.M), f.Spec, f.KS.Kernels[k], f.M, ampScale)
 				plan.InverseNoNorm(amp)
-				recomputed = true
 			}
 			var patch *grid.CMat
-			if banded {
+			if reference {
+				patch = s.adjointPatch(f, plan, amp, dLdI, k)
+			} else {
 				//lint:ignore inline one call per kernel into an O(m·P·log m) transform
 				patch = s.prunedPatch(f, plan, amp, dLdI, k)
-			} else {
-				patch = s.adjointPatch(f, plan, amp, dLdI, k)
 			}
 			patches[k] = patch
-			if recomputed {
+			if f.Amps == nil {
 				s.cscratch.Put(amp)
 			}
 		})
 	}
-	// The patch fold only populates the P×P band of acc, so the band
-	// engines clear just those rows and run the pruned out-of-place inverse
-	// — bit-identical to the dense Zero + Inverse below.
-	accBand := fft.BandSpec{Half: p / 2}
+	// The patch fold only populates the P×P band of acc, so the batch
+	// engine clears just those rows and runs the pruned out-of-place
+	// inverse — bit-identical to the reference's dense Zero + InverseNoNorm.
+	accBand := fft.BandSpec{Half: f.KS.P / 2}
 	acc := s.cscratch.Get(f.M, f.M)
-	useBand := banded && !accBand.Covers(f.M)
-	if useBand {
-		accBand.ZeroRows(acc)
-	} else {
+	if reference {
 		acc.Zero()
+	} else {
+		accBand.ZeroRows(acc)
 	}
 	for _, patch := range patches {
 		fft.AddKernelPatch(acc, patch)
@@ -560,22 +466,23 @@ func (s *Sim) Gradient(f *Field, dLdI *grid.Mat) (*grid.Mat, error) {
 	}
 	s.kscratch.Put(patchesp)
 	var out *grid.Mat
-	if useBand {
+	if reference {
+		plan.InverseNoNorm(acc)
+		out = acc.Real()
+	} else {
 		img := s.cscratch.Get(f.M, f.M)
 		plan.InverseBandNoNorm(img, acc, accBand)
 		out = img.Real()
 		s.cscratch.Put(img)
-	} else {
-		plan.InverseNoNorm(acc)
-		out = acc.Real()
 	}
 	s.cscratch.Put(acc)
 	return out, nil
 }
 
-// adjointPatch computes one kernel's adjoint contribution: B_k = dLdI ⊙ A_k,
-// its forward transform, and the P×P frequency patch weighted by
-// 2·w_k·dose with the final inverse's 1/m² folded in.
+// adjointPatch computes one kernel's adjoint contribution on the reference
+// engine: B_k = dLdI ⊙ A_k, its dense forward transform, and the P×P
+// frequency patch weighted by 2·w_k·dose with the final inverse's 1/m²
+// folded in.
 func (s *Sim) adjointPatch(f *Field, plan *fft.Plan2, amp *grid.CMat, dLdI *grid.Mat, k int) *grid.CMat {
 	prod := s.cscratch.Get(f.M, f.M)
 	for i, v := range amp.Data {
@@ -589,10 +496,10 @@ func (s *Sim) adjointPatch(f *Field, plan *fft.Plan2, amp *grid.CMat, dLdI *grid
 	return patch
 }
 
-// prunedPatch is adjointPatch on the output-pruned path of every engine but
-// the reference: fft.Plan2.AdjointPatch forms dLdI ⊙ A_k row by row and
-// transforms only what the P×P patch reads — the same patch bits, without
-// the m×m product buffer or the dense transform.
+// prunedPatch is adjointPatch on the batch engine's output-pruned path:
+// fft.Plan2.AdjointPatch forms dLdI ⊙ A_k row by row and transforms only
+// what the P×P patch reads — the same patch bits, without the m×m product
+// buffer or the dense transform.
 func (s *Sim) prunedPatch(f *Field, plan *fft.Plan2, amp *grid.CMat, dLdI *grid.Mat, k int) *grid.CMat {
 	w := fft.FoldInverseScale(complex(2*f.KS.Weights[k]*f.Dose, 0), f.M, f.M)
 	//lint:ignore scratchalias the returned patch is pool-leased on purpose, like adjointPatch's: Gradient Puts every entry of patches right after AddKernelPatch
@@ -600,7 +507,7 @@ func (s *Sim) prunedPatch(f *Field, plan *fft.Plan2, amp *grid.CMat, dLdI *grid.
 }
 
 // inverseButterflies is the transform work of one kernel's SOCS inverse:
-// band-pruned on every engine but the dense reference.
+// band-pruned on the batch engine, dense on the reference.
 func inverseButterflies(plan *fft.Plan2, banded bool, support int) int64 {
 	if !banded {
 		return plan.Butterflies()
@@ -625,15 +532,13 @@ func (s *Sim) adjointButterflies(plan *fft.Plan2, f *Field) int64 {
 	return inverses*inverseButterflies(plan, banded, f.KS.P) + nk*adj
 }
 
-// batchAdjointPatches is the EngineBatch lane of the gradient's
-// amplitude-recompute path: amplitudes are regenerated through
-// MulRowsBatch/InverseColumns in chunks (bounding the live amplitude
-// memory to ~chunk·m² complex values instead of nk·m²), then each chunk's
-// output-pruned adjoint patches are computed in parallel. Patch values are
-// bit-identical to the per-kernel lane — the batch reproduces its
-// amplitude bits, and the patch arithmetic is shared (prunedPatch).
-// Reports false when the batch layout does not apply.
-func (s *Sim) batchAdjointPatches(f *Field, plan *fft.Plan2, dLdI *grid.Mat, patches []*grid.CMat, ampScale complex128, workers int) bool {
+// batchAdjointPatches is the batch engine's amplitude-recompute lane of
+// Gradient: amplitudes are regenerated through MulRowsBatch/InverseColumns
+// in chunks (bounding the live amplitude memory to ~chunk·m² complex values
+// instead of nk·m²), then each chunk's output-pruned adjoint patches are
+// computed in parallel. The batch reproduces the dense amplitude bits, and
+// the patch arithmetic is the kept-amplitude lane's (prunedPatch).
+func (s *Sim) batchAdjointPatches(f *Field, plan *fft.Plan2, dLdI *grid.Mat, patches []*grid.CMat, ampScale complex128, workers int) {
 	ks := f.KS
 	nk := len(ks.Kernels)
 	chunk := workers
@@ -647,26 +552,19 @@ func (s *Sim) batchAdjointPatches(f *Field, plan *fft.Plan2, dLdI *grid.Mat, pat
 	for i := range amps {
 		amps[i] = s.cscratch.Get(f.M, f.M)
 	}
-	defer func() {
-		for i := range amps {
-			s.cscratch.Put(amps[i])
-		}
-		s.kscratch.Put(ampsp)
-	}()
 	for c0 := 0; c0 < nk; c0 += chunk {
 		c1 := c0 + chunk
 		if c1 > nk {
 			c1 = nk
 		}
-		b := plan.MulRowsBatch(f.Spec, ks.Kernels[c0:c1], ampScale, true, workers)
-		if b == nil {
-			return false // layout constraint: fails on the first chunk or never
-		}
-		b.InverseColumns(amps[:c1-c0], nil, nil)
+		plan.MulRowsBatch(f.Spec, ks.Kernels[c0:c1], ampScale, workers).InverseColumns(amps[:c1-c0], nil, nil)
 		grid.ParallelFor(workers, c1-c0, func(j int) {
 			//lint:ignore inline one call per kernel into an O(m·P·log m) transform
 			patches[c0+j] = s.prunedPatch(f, plan, amps[j], dLdI, c0+j)
 		})
 	}
-	return true
+	for i := range amps {
+		s.cscratch.Put(amps[i])
+	}
+	s.kscratch.Put(ampsp)
 }

@@ -104,6 +104,24 @@ func TestForwardValidation(t *testing.T) {
 	if _, err := sim.Forward(grid.NewMat(8, 8), ks, 1, false); err == nil {
 		t.Error("mask smaller than kernel support accepted")
 	}
+	// A 1×1 kernel fits any grid, but the batched engine works in groups of
+	// four rows: 4 is the smallest grid either engine takes.
+	for _, e := range []FFTEngine{EngineBatch, EngineReference} {
+		sim.Engine = e
+		for _, n := range []int{1, 2} {
+			if _, err := sim.Forward(grid.NewMat(n, n), tinyKernels(), 1, false); err == nil {
+				t.Errorf("%v: %d×%d mask accepted", e, n, n)
+			}
+		}
+		if _, err := sim.Forward(grid.NewMat(4, 4), tinyKernels(), 1, false); err != nil {
+			t.Errorf("%v: 4×4 mask rejected: %v", e, err)
+		}
+	}
+}
+
+// tinyKernels is a single 1×1 kernel, small enough for any grid.
+func tinyKernels() *optics.KernelSet {
+	return &optics.KernelSet{P: 1, Kernels: []*grid.CMat{grid.NewCMat(1, 1)}, Weights: []float64{1}}
 }
 
 // TestEq7EqualsSampledEq3 is the core multi-level identity: the truncated
@@ -187,6 +205,9 @@ func TestForwardEq7Validation(t *testing.T) {
 	}
 	if _, err := sim.ForwardEq7(grid.NewMat(96, 96), 3, ks, 1); err == nil {
 		t.Error("non-power-of-two input accepted")
+	}
+	if _, err := sim.ForwardEq7(grid.NewMat(8, 8), 4, tinyKernels(), 1); err == nil {
+		t.Error("reduced size below 4 accepted")
 	}
 }
 

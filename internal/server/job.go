@@ -85,8 +85,9 @@ type JobRequest struct {
 	// (0 = GOMAXPROCS). Results are bit-identical for every value.
 	Workers int `json:"workers,omitempty"`
 	// Engine selects the simulator's FFT engine by name: "batch" (the
-	// default, also selected by ""), "band", "band-inverse" or
-	// "reference". See litho.ParseEngine.
+	// default, also selected by "") or "reference", the dense oracle. Any
+	// other spelling fails the request at submit time. See
+	// litho.ParseEngine.
 	Engine string `json:"engine,omitempty"`
 	// Priority is "batch" (default) or "interactive".
 	Priority string `json:"priority,omitempty"`
