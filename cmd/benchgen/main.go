@@ -117,7 +117,8 @@ func run() error {
 			fmt.Printf("workers=%-2d  forward %8.4fs (%.2fx)  gradient %8.4fs (%.2fx)\n",
 				p.Workers, p.ForwardSec, p.ForwardSpeedup, p.GradientSec, p.GradientSpeedup)
 		}
-		fmt.Printf("→ %s (%d² clip, %d kernels, %d CPUs)\n", *sweepJSON, s.N, s.Kernels, s.NumCPU)
+		fmt.Printf("→ %s (%d² clip, %d kernels, %d CPUs, model build %.2fs)\n",
+			*sweepJSON, s.N, s.Kernels, s.NumCPU, s.ModelBuildSec)
 		return nil
 	}
 

@@ -35,6 +35,10 @@ type WorkersSweep struct {
 	FieldNM float64 `json:"field_nm"`
 	Kernels int     `json:"kernels"`
 	Reps    int     `json:"reps"`
+	// ModelBuildSec is the wall time of the sweep's optics.BuildModel call:
+	// the cold kernel synthesis when the sweep is its process's first build
+	// of this configuration, as under benchgen -sweep.
+	ModelBuildSec float64 `json:"model_build_sec"`
 	// Host context: speedups above NumCPU are not expected. NumCPU and
 	// GOMAXPROCS predate the Host block and are kept for artifact
 	// compatibility; Host is the run-manifest host schema, making the
@@ -57,10 +61,12 @@ func RunWorkersSweep(n int, fieldNM float64, kernels, reps int, workersList []in
 	oc := optics.Default()
 	oc.FieldNM = fieldNM
 	oc.NumKernels = kernels
+	start := time.Now()
 	model, err := optics.BuildModel(oc)
 	if err != nil {
 		return nil, err
 	}
+	build := time.Since(start).Seconds()
 	cs, err := M1Case(n, fieldNM, 1, PaperM1Areas[0], m1Params())
 	if err != nil {
 		return nil, err
@@ -71,7 +77,7 @@ func RunWorkersSweep(n int, fieldNM float64, kernels, reps int, workersList []in
 	sweep := &WorkersSweep{
 		N: n, FieldNM: fieldNM, Kernels: len(model.Nominal.Kernels), Reps: reps,
 		NumCPU: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Host: telemetry.Host(),
+		Host: telemetry.Host(), ModelBuildSec: build,
 	}
 	for _, w := range workersList {
 		if w < 1 {
@@ -85,7 +91,7 @@ func RunWorkersSweep(n int, fieldNM float64, kernels, reps int, workersList []in
 		if err != nil {
 			return nil, err
 		}
-		start := time.Now()
+		start = time.Now()
 		for r := 0; r < reps; r++ {
 			if f, err = sim.Forward(mask, model.Nominal, 1, false); err != nil {
 				return nil, err

@@ -15,7 +15,7 @@ func TestRunWorkersSweep(t *testing.T) {
 	if len(s.Points) != 2 {
 		t.Fatalf("%d sweep points, want 2", len(s.Points))
 	}
-	if s.N != 128 || s.Kernels < 1 || s.NumCPU < 1 {
+	if s.N != 128 || s.Kernels < 1 || s.NumCPU < 1 || s.ModelBuildSec <= 0 {
 		t.Errorf("sweep metadata incomplete: %+v", s)
 	}
 	for _, p := range s.Points {
@@ -43,7 +43,7 @@ func TestRunWorkersSweep(t *testing.T) {
 	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatalf("written JSON does not round-trip: %v", err)
 	}
-	if len(back.Points) != 2 || back.N != 128 {
+	if len(back.Points) != 2 || back.N != 128 || back.ModelBuildSec <= 0 {
 		t.Errorf("round-tripped sweep lost data: %+v", back)
 	}
 }

@@ -14,12 +14,18 @@ func BenchmarkBuildTCC(b *testing.B) {
 }
 
 func BenchmarkKernelSetBuild(b *testing.B) {
-	c := TestScale()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := buildKernelSet(c, 0); err != nil {
-			b.Fatal(err)
-		}
+	for _, sc := range []struct {
+		name string
+		c    Config
+	}{{"TestScale", TestScale()}, {"iltbench", iltbenchScale()}} {
+		b.Run(sc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := buildKernelSet(sc.c, 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -138,3 +138,28 @@ func TestMetricsContentNegotiation(t *testing.T) {
 		t.Errorf("Accept: application/json got Content-Type %q", ct)
 	}
 }
+
+// TestModelBuildPhase: a job looks up its kernel model under a
+// setup.optics span, so after the first job the model build has a name in
+// the /metrics phases instead of hiding inside server.run.
+func TestModelBuildPhase(t *testing.T) {
+	_, base := newTestServer(t, server.Config{Executors: 1})
+	code, id, _ := submit(t, base, smallJob)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: HTTP %d", code)
+	}
+	waitState(t, base, id, "done", 30*time.Second)
+	m := getMetrics(t, base)
+	if m.Counters["server.model_builds"] != 1 {
+		t.Errorf("server.model_builds = %d, want 1", m.Counters["server.model_builds"])
+	}
+	for _, p := range m.Phases {
+		if p.Name == "setup.optics" {
+			if p.Count != 1 {
+				t.Errorf("setup.optics ran %d times after one job, want 1", p.Count)
+			}
+			return
+		}
+	}
+	t.Errorf("/metrics phases lack setup.optics after the first job: %+v", m.Phases)
+}

@@ -300,7 +300,12 @@ func (s *Server) runJob(j *Job) {
 		"n": spec.Target.W, "field_nm": spec.Optics.FieldNM, "kernels": spec.Optics.NumKernels,
 	})
 
+	// The first job of a configuration builds its kernel model; the span
+	// names that cost in the job's trace and the /metrics phases instead of
+	// folding it into server.run.
+	sp := rec.StartSpan("setup.optics")
 	model, built, err := s.models.get(spec.Optics)
+	sp.End()
 	if err != nil {
 		s.finishJob(j, StateFailed, fmt.Sprintf("optics: %v", err), nil, nil)
 		return

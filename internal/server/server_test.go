@@ -44,6 +44,10 @@ type metricsDoc struct {
 	CachedModels int              `json:"cached_models"`
 	CachedPlans  int              `json:"cached_fft_plans"`
 	Counters     map[string]int64 `json:"counters"`
+	Phases       []struct {
+		Name  string `json:"name"`
+		Count int64  `json:"count"`
+	} `json:"phases"`
 }
 
 // newTestServer starts a Server behind httptest and tears both down in the
