@@ -1,7 +1,7 @@
 GO ?= go
 BIN_DIR := bin
 
-.PHONY: all build test race trace-smoke trace-stat server-smoke server-race bench bench-workers bench-fft bench-fft-smoke bench-compare vet lint lint-perf lint-perf-baseline lint-conc bench-lint check
+.PHONY: all build test race trace-smoke trace-stat server-smoke server-race bench bench-workers bench-fft bench-fft-smoke bench-compare bench-e2e vet lint lint-perf lint-perf-baseline lint-conc bench-lint check
 
 all: build test
 
@@ -156,6 +156,13 @@ bench-fft-smoke:
 	$(GO) run ./cmd/benchgen -fftsweep -sizes 64,128 -field 2048 \
 		-kernels 8 -reps 2 -json BENCH_FFT.smoke.new.json
 	$(MAKE) bench-compare OLD=BENCH_FFT.smoke.json NEW=BENCH_FFT.smoke.new.json GATE=75
+
+# End-to-end trajectory: the repository benchmark (iltbench/run.py, 35 s,
+# one seed) on the fast and exact workloads, each with tracing off (the
+# end-to-end metrics) and on (the per-layer metrics), recorded with the
+# host block in BENCH_E2E.json. Takes about five minutes.
+bench-e2e:
+	$(GO) run ./cmd/benchgen -e2e -json BENCH_E2E.json
 
 # Diff two bench-fft runs: OLD is the checked-in trajectory artifact, NEW a
 # fresh run (make bench-fft with -json BENCH_FFT.new.json, or copy). Uses

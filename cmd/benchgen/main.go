@@ -8,12 +8,14 @@
 //	benchgen -sweep -json BENCH_WORKERS.json  # parallel-SOCS speedup curve
 //	benchgen -fftsweep -json BENCH_FFT.json   # FFT-engine sweep: forward + gradient
 //	benchgen -compare -old BENCH_FFT.json -new BENCH_FFT.new.json
+//	benchgen -e2e -json BENCH_E2E.json      # iltbench fast + exact, trace off + on
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -38,7 +40,7 @@ func run() error {
 	out := flag.String("out", "testdata", "output directory")
 	png := flag.Bool("png", true, "also write preview PNGs")
 	sweep := flag.Bool("sweep", false, "run the workers sweep instead of generating a suite")
-	sweepJSON := flag.String("json", "BENCH_WORKERS.json", "sweep output file (with -sweep / -fftsweep)")
+	sweepJSON := flag.String("json", "BENCH_WORKERS.json", "report output file (with -sweep / -fftsweep / -e2e)")
 	sweepWorkers := flag.String("workers", "1,2,4,8", "comma-separated worker counts (with -sweep)")
 	sweepReps := flag.Int("reps", 3, "timed repetitions per sweep point (with -sweep / -fftsweep)")
 	kernels := flag.Int("kernels", 24, "number of SOCS kernels (with -sweep / -fftsweep)")
@@ -49,7 +51,31 @@ func run() error {
 	newPath := flag.String("new", "BENCH_FFT.new.json", "candidate report (with -compare)")
 	gate := flag.Float64("gate", 0, "with -compare: fail if any engine regressed by more than this percent (0 disables)")
 	manifestPath := flag.String("manifest", "", "write a run manifest (suite config + host + git revision) to this path")
+	e2e := flag.Bool("e2e", false, "run the end-to-end benchmark (python3 iltbench/run.py) on fast and exact, tracing off and on, into -json")
 	flag.Parse()
+
+	if *e2e {
+		r, err := bench.RunE2E(func(workload string, trace int) ([]byte, error) {
+			cmd := exec.Command("python3", "iltbench/run.py", "--workload", workload,
+				"--seed", strconv.Itoa(bench.E2ESeed), "--seconds", strconv.Itoa(bench.E2ESeconds),
+				"--trace", strconv.Itoa(trace))
+			cmd.Stderr = os.Stderr
+			fmt.Fprintln(os.Stderr, "benchgen:", strings.Join(cmd.Args, " "))
+			return cmd.Output()
+		})
+		if err != nil {
+			return err
+		}
+		if err := r.WriteJSON(*sweepJSON); err != nil {
+			return err
+		}
+		for _, run := range r.Runs {
+			fmt.Printf("%-5s trace=%d  correct=%v  %d attempted, %d failed\n",
+				run.Workload, run.Trace, run.Correct, run.Attempted, run.Failed)
+		}
+		fmt.Printf("→ %s (%d CPUs, GOMAXPROCS %d)\n", *sweepJSON, r.NumCPU, r.GOMAXPROCS)
+		return nil
+	}
 
 	if *compare {
 		oldS, err := bench.LoadFFTSweep(*oldPath)

@@ -92,6 +92,7 @@ func LevelSetILT(opt LevelSetOptions, target *grid.Mat) (*LevelSetResult, error)
 	best := phi.Clone()
 	bestLoss := math.Inf(1)
 	ztFull := target
+	corners := []litho.Corner{p.Inner(), p.Outer()}
 
 	for it := 0; it < opt.Iters; it++ {
 		iterStart := time.Now()
@@ -100,14 +101,13 @@ func LevelSetILT(opt LevelSetOptions, target *grid.Mat) (*LevelSetResult, error)
 		}
 		m := maskFromPhi(phi, eps)
 
-		fIn, zIn, err := p.PrintSigmoid(m, p.Inner(), false)
+		fields, err := p.Simulate(m, corners, true)
 		if err != nil {
 			return nil, err
 		}
-		fOut, zOut, err := p.PrintSigmoid(m, p.Outer(), false)
-		if err != nil {
-			return nil, err
-		}
+		fIn, fOut := fields[0], fields[1]
+		zIn := litho.ResistSigmoid(fIn.Intensity, p.Threshold, p.Alpha)
+		zOut := litho.ResistSigmoid(fOut.Intensity, p.Threshold, p.Alpha)
 		terms, gZIn, gZOut := core.Loss(zIn, zOut, ztFull)
 		res.History = append(res.History, terms)
 		res.Iterations++
@@ -126,12 +126,14 @@ func LevelSetILT(opt LevelSetOptions, target *grid.Mat) (*LevelSetResult, error)
 		dIin := litho.ResistSigmoidGrad(zIn, p.Alpha)
 		dIin.MulElem(gZIn)
 		gIn, err := p.Sim.Gradient(fIn, dIin)
+		p.Sim.Release(fIn)
 		if err != nil {
 			return nil, err
 		}
 		dIout := litho.ResistSigmoidGrad(zOut, p.Alpha)
 		dIout.MulElem(gZOut)
 		gOut, err := p.Sim.Gradient(fOut, dIout)
+		p.Sim.Release(fOut)
 		if err != nil {
 			return nil, err
 		}

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/litho"
 	"repro/internal/optics"
 	"repro/internal/telemetry"
@@ -19,10 +18,10 @@ import (
 // exact forward simulation (Eq. 3) and one Gradient of it per FFT engine
 // at a fixed worker count of 1 — the single-threaded column is what the
 // pruning claims are about, and it is comparable across hosts with
-// different core counts. The gradient reuses kept amplitudes at m ≤ 256
-// and recomputes them above, as the optimizer does (core's default
-// KeepAmpsLimit). Speedups are relative to the reference (dense) engine of
-// the same run.
+// different core counts. The gradient reuses the amplitudes the forward
+// kept and recomputes them where the simulator's byte budget (nk·m²·16 B ≤
+// 64 MiB) declines to keep them, as in the optimizer. Speedups are relative
+// to the reference (dense) engine of the same run.
 
 // FFTPoint is one grid size's measurement (seconds per forward simulation
 // and per gradient).
@@ -109,7 +108,6 @@ func RunFFTSweep(sizes []int, fieldNM float64, kernels, reps int) (*FFTSweep, er
 		NumCPU: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Host: telemetry.Host(),
 	}
-	keepLimit := core.DefaultOptions(nil).KeepAmpsLimit
 	for _, m := range sizes {
 		cs, err := M1Case(m, fieldNM, 1, PaperM1Areas[0], m1Params())
 		if err != nil {
@@ -119,7 +117,7 @@ func RunFFTSweep(sizes []int, fieldNM float64, kernels, reps int) (*FFTSweep, er
 		// A fixed, mask-shaped dL/dI: the adjoint's cost does not depend
 		// on its values.
 		dLdI := mask.Clone()
-		keep := m <= keepLimit
+		keep := false
 		// Every engine's forwards run before any gradient, so no forward is
 		// timed in a heap that a gradient's amplitudes have grown.
 		var fwd, grad [2]float64
@@ -142,10 +140,11 @@ func RunFFTSweep(sizes []int, fieldNM float64, kernels, reps int) (*FFTSweep, er
 			sim := sweepSim(model, e)
 			rec := telemetry.New() // counts the untimed calls' transform work
 			sim.Recorder = rec
-			f, err := sim.Forward(mask, model.Nominal, 1, keep)
+			f, err := sim.Forward(mask, model.Nominal, 1, true)
 			if err != nil {
 				return nil, err
 			}
+			keep = f.Amps != nil
 			if _, err := sim.Gradient(f, dLdI); err != nil { // warm-up
 				return nil, err
 			}
@@ -159,6 +158,7 @@ func RunFFTSweep(sizes []int, fieldNM float64, kernels, reps int) (*FFTSweep, er
 				}
 			}
 			grad[i] = time.Since(start).Seconds() / float64(reps)
+			sim.Release(f)
 		}
 		sweep.Points = append(sweep.Points, FFTPoint{
 			M: m, KeepAmps: keep,

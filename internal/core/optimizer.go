@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/grid"
@@ -51,9 +53,6 @@ type Options struct {
 	// Z_norm (nominal dose) to the target, costing a third simulation per
 	// iteration. The paper's shortcut (off) uses Z_out instead.
 	UseNominalL2 bool
-	// KeepAmpsLimit caches per-kernel amplitudes for gradient reuse when
-	// the working grid is at most this size (memory/speed trade-off).
-	KeepAmpsLimit int
 	// GradHook, when set, can reshape the raw dL/dM′ in place before the
 	// region mask and the update are applied. Baselines use it to inject
 	// their gradient conditioning (e.g. A2-ILT's spatial attention).
@@ -91,9 +90,12 @@ func DefaultOptions(p *litho.Process) Options {
 		FinalThreshold: mask.DefaultFinalThreshold,
 		LearningRate:   1,
 		SmoothWindow:   3,
-		KeepAmpsLimit:  256,
 	}
 }
+
+// ErrNonFinite reports that an optimization stage met a NaN or infinite
+// loss or gradient. Run stops at the first one and returns it wrapped.
+var ErrNonFinite = errors.New("core: non-finite loss or gradient")
 
 // Stage is one level of the multi-level schedule.
 type Stage struct {
@@ -212,6 +214,10 @@ func New(opts Options, target *grid.Mat) (*Optimizer, error) {
 // ctx.Err() (wrapped) in that case. Batch callers pass
 // context.Background(); the ILT server threads each job's request context
 // through here.
+//
+// A NaN or infinite loss or gradient stops the run at that iteration (the
+// iter.nonfinite event and core.nonfinite counter name it), and Run
+// returns an error wrapping ErrNonFinite.
 func (o *Optimizer) Run(ctx context.Context, stages []Stage) (*Result, error) {
 	if len(stages) == 0 {
 		return nil, fmt.Errorf("core: no stages")
@@ -329,6 +335,7 @@ func (o *Optimizer) runStage(ctx context.Context, mp *grid.Mat, st Stage, stageI
 	// allocation-free (and a nil no-op when telemetry is off).
 	hIter := rec.Histogram("core.iter", telemetry.HistDuration)
 
+	var nonFinite error
 	for it := 0; it < st.Iters; it++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -337,6 +344,10 @@ func (o *Optimizer) runStage(ctx context.Context, mp *grid.Mat, st Stage, stageI
 		terms, g, err := o.step(mp, st, ztS, true)
 		if err != nil {
 			return nil, err
+		}
+		if !finite(terms.Total()) {
+			nonFinite = o.nonFinite(stageIdx, it, "loss")
+			break
 		}
 		if o.opts.GradHook != nil {
 			o.opts.GradHook(g, st)
@@ -348,6 +359,10 @@ func (o *Optimizer) runStage(ctx context.Context, mp *grid.Mat, st Stage, stageI
 			velocity.Scale(o.opts.Momentum)
 			velocity.Add(g)
 			g = velocity
+		}
+		if !allFinite(g) {
+			nonFinite = o.nonFinite(stageIdx, it, "gradient")
+			break
 		}
 		step := o.opts.LearningRate
 		retries := 0
@@ -395,19 +410,48 @@ func (o *Optimizer) runStage(ctx context.Context, mp *grid.Mat, st Stage, stageI
 		"stage": stageIdx, "iters_run": itersRun, "best_loss": bestLoss,
 		"sec": time.Since(stageStart).Seconds(),
 	})
+	if nonFinite != nil {
+		return nil, nonFinite
+	}
 	if !haveBest {
 		return mp, nil
 	}
 	return best, nil
 }
 
+// nonFinite records a non-finite loss or gradient at a stage iteration (the
+// iter.nonfinite event and the core.nonfinite counter) and returns the
+// error that ends the run.
+func (o *Optimizer) nonFinite(stage, iter int, what string) error {
+	rec := o.opts.Recorder
+	rec.Add("core.nonfinite", 1)
+	rec.Emit("iter.nonfinite", telemetry.Fields{"stage": stage, "iter": iter, "what": what})
+	return fmt.Errorf("%w: %s at iteration %d", ErrNonFinite, what, iter)
+}
+
+// finite reports whether v is neither NaN nor infinite.
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
+// allFinite reports whether every element of g is finite.
+func allFinite(g *grid.Mat) bool {
+	for _, v := range g.Data {
+		if !finite(v) {
+			return false
+		}
+	}
+	return true
+}
+
 // lineSearchStep applies the backtracking rule of [12]: starting from the
 // configured learning rate, halve the step until the loss at the candidate
 // parameters drops below the current loss (up to 4 halvings); the final
-// candidate is committed either way. It returns the committed step size
-// and the number of halvings taken (for the iteration trace). The context
-// is checked before each retry so a cancelled job exits the search without
-// paying for the remaining halvings.
+// candidate is committed either way, unless its loss is non-finite. A
+// non-finite candidate counts as no decrease and is never committed: when
+// the last try is non-finite, mp is left unchanged and the committed step
+// is 0. It returns the committed step size and the number of halvings
+// taken (for the iteration trace). The context is checked before each
+// retry so a cancelled job exits the search without paying for the
+// remaining halvings.
 func (o *Optimizer) lineSearchStep(ctx context.Context, mp, g *grid.Mat, st Stage, ztS *grid.Mat, curLoss float64) (float64, int, error) {
 	step := o.opts.LearningRate
 	cand := mp.Clone()
@@ -421,9 +465,13 @@ func (o *Optimizer) lineSearchStep(ctx context.Context, mp, g *grid.Mat, st Stag
 		if err != nil {
 			return 0, try, err
 		}
-		if terms.Total() < curLoss || try >= 4 {
+		ok := finite(terms.Total())
+		if ok && (terms.Total() < curLoss || try >= 4) {
 			mp.CopyFrom(cand)
 			return step, try, nil
+		}
+		if try >= 4 {
+			return 0, try, nil
 		}
 		step /= 2
 	}
@@ -450,9 +498,7 @@ func (o *Optimizer) step(mp *grid.Mat, st Stage, ztS *grid.Mat, wantGrad bool) (
 		sim = grid.SmoothPool(ms, o.opts.SmoothWindow)
 		smoothed = true
 	}
-	keep := wantGrad && sim.W <= o.opts.KeepAmpsLimit
-
-	terms, corners, err := o.simulateLoss(sim, ztS, keep)
+	terms, corners, err := o.simulateLoss(sim, ztS, 1, wantGrad)
 	if err != nil {
 		return LossTerms{}, nil, err
 	}
@@ -487,12 +533,11 @@ func (o *Optimizer) stepHighRes(mp, ms *grid.Mat, st Stage, ztS *grid.Mat, wantG
 
 	// Line 7: M = Upsample(M_s).
 	m := grid.UpsampleNearest(ms, s)
-	keep := wantGrad && m.W <= o.opts.KeepAmpsLimit
 
 	// Lines 8–9 fold into simulateLoss: exact simulation at full size with
 	// the wafer images pooled down before the loss; the pooling adjoint is
 	// applied to the per-corner dL/dZ before the Hopkins adjoint.
-	terms, corners, err := o.simulateLossPooled(m, ztS, s, keep)
+	terms, corners, err := o.simulateLoss(m, ztS, s, wantGrad)
 	if err != nil {
 		return LossTerms{}, nil, err
 	}
@@ -526,83 +571,58 @@ type cornerTerm struct {
 	gZ    *grid.Mat // dL/dZ at the field's resolution (post pooling adjoint)
 }
 
-// simulateLoss runs the corner set of Eq. (5) on a mask at its own
-// resolution and returns the loss terms plus the per-corner adjoint inputs.
-func (o *Optimizer) simulateLoss(sim *grid.Mat, ztS *grid.Mat, keep bool) (LossTerms, []cornerTerm, error) {
+// simulateLoss runs the corner set of Eq. (5) on a mask through one
+// Process.Simulate call — one mask spectrum, one SOCS pass per kernel set —
+// and returns the loss terms plus the per-corner adjoint inputs, in the
+// order maskGradient sums them. With s > 1 (the high-resolution branch) the
+// wafer images are pooled down by s before the loss and each dL/dZ is
+// lifted back to the field's resolution with the pooling adjoint. Set
+// wantGrad when maskGradient follows: the fields then keep their
+// amplitudes (within the simulator's budget) until it releases them.
+func (o *Optimizer) simulateLoss(m, ztS *grid.Mat, s int, wantGrad bool) (LossTerms, []cornerTerm, error) {
 	p := o.opts.Process
-	fIn, zIn, err := p.PrintSigmoid(sim, p.Inner(), keep)
-	if err != nil {
-		return LossTerms{}, nil, err
-	}
-	fOut, zOut, err := p.PrintSigmoid(sim, p.Outer(), keep)
-	if err != nil {
-		return LossTerms{}, nil, err
-	}
+	corners := []litho.Corner{p.Inner(), p.Outer()}
 	if o.opts.UseNominalL2 {
-		fNom, zNom, err := p.PrintSigmoid(sim, p.Nominal(), keep)
-		if err != nil {
-			return LossTerms{}, nil, err
-		}
-		terms, gZNorm, gZIn, gZOut := Loss3(zNom, zIn, zOut, ztS)
-		return terms, []cornerTerm{
-			{fNom, zNom, gZNorm}, {fIn, zIn, gZIn}, {fOut, zOut, gZOut},
-		}, nil
+		corners = []litho.Corner{p.Nominal(), p.Inner(), p.Outer()}
 	}
-	terms, gZIn, gZOut := Loss(zIn, zOut, ztS)
-	return terms, []cornerTerm{{fIn, zIn, gZIn}, {fOut, zOut, gZOut}}, nil
-}
-
-// simulateLossPooled is the high-resolution variant: simulate at full size,
-// pool the wafer images by s before the loss, and lift each dL/dZ back to
-// full resolution with the pooling adjoint.
-func (o *Optimizer) simulateLossPooled(m *grid.Mat, ztS *grid.Mat, s int, keep bool) (LossTerms, []cornerTerm, error) {
-	terms, corners, err := o.simulateLossAt(m, ztS, s, keep)
-	return terms, corners, err
-}
-
-func (o *Optimizer) simulateLossAt(m *grid.Mat, ztS *grid.Mat, s int, keep bool) (LossTerms, []cornerTerm, error) {
-	p := o.opts.Process
-	type sim struct {
-		field *litho.Field
-		z     *grid.Mat
-		zS    *grid.Mat
-	}
-	runCorner := func(c litho.Corner) (sim, error) {
-		f, z, err := p.PrintSigmoid(m, c, keep)
-		if err != nil {
-			return sim{}, err
-		}
-		return sim{f, z, grid.AvgPoolDown(z, s)}, nil
-	}
-	in, err := runCorner(p.Inner())
+	fields, err := p.Simulate(m, corners, wantGrad)
 	if err != nil {
 		return LossTerms{}, nil, err
 	}
-	out, err := runCorner(p.Outer())
-	if err != nil {
-		return LossTerms{}, nil, err
+	cts := make([]cornerTerm, len(fields))
+	zS := make([]*grid.Mat, len(fields))
+	for i, f := range fields {
+		z := litho.ResistSigmoid(f.Intensity, p.Threshold, p.Alpha)
+		cts[i] = cornerTerm{field: f, z: z}
+		zS[i] = z
+		if s > 1 {
+			zS[i] = grid.AvgPoolDown(z, s)
+		}
 	}
+	var loss LossTerms
+	var gZ []*grid.Mat
 	if o.opts.UseNominalL2 {
-		nom, err := runCorner(p.Nominal())
-		if err != nil {
-			return LossTerms{}, nil, err
-		}
-		terms, gN, gI, gO := Loss3(nom.zS, in.zS, out.zS, ztS)
-		return terms, []cornerTerm{
-			{nom.field, nom.z, grid.AvgPoolDownAdjoint(gN, s)},
-			{in.field, in.z, grid.AvgPoolDownAdjoint(gI, s)},
-			{out.field, out.z, grid.AvgPoolDownAdjoint(gO, s)},
-		}, nil
+		var gN, gI, gO *grid.Mat
+		loss, gN, gI, gO = Loss3(zS[0], zS[1], zS[2], ztS)
+		gZ = []*grid.Mat{gN, gI, gO}
+	} else {
+		var gI, gO *grid.Mat
+		loss, gI, gO = Loss(zS[0], zS[1], ztS)
+		gZ = []*grid.Mat{gI, gO}
 	}
-	terms, gI, gO := Loss(in.zS, out.zS, ztS)
-	return terms, []cornerTerm{
-		{in.field, in.z, grid.AvgPoolDownAdjoint(gI, s)},
-		{out.field, out.z, grid.AvgPoolDownAdjoint(gO, s)},
-	}, nil
+	for i, g := range gZ {
+		if s > 1 {
+			g = grid.AvgPoolDownAdjoint(g, s)
+		}
+		cts[i].gZ = g
+	}
+	return loss, cts, nil
 }
 
 // maskGradient chains each corner's dL/dZ through the sigmoid resist and
-// the Hopkins adjoint and sums the contributions.
+// the Hopkins adjoint and sums the contributions in corner order. Each
+// corner's field is released right after its gradient, so its kept
+// amplitudes return to the pool.
 func (o *Optimizer) maskGradient(corners []cornerTerm) (*grid.Mat, error) {
 	p := o.opts.Process
 	var total *grid.Mat
@@ -610,6 +630,7 @@ func (o *Optimizer) maskGradient(corners []cornerTerm) (*grid.Mat, error) {
 		dI := litho.ResistSigmoidGrad(c.z, p.Alpha)
 		dI.MulElem(c.gZ)
 		g, err := p.Sim.Gradient(c.field, dI)
+		p.Sim.Release(c.field)
 		if err != nil {
 			return nil, err
 		}

@@ -1,9 +1,14 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"errors"
+	"math"
+	"strings"
 	"testing"
 
+	"repro/internal/grid"
 	"repro/internal/telemetry"
 )
 
@@ -94,5 +99,114 @@ func TestRunWithoutRecorder(t *testing.T) {
 	}
 	if len(res.History) != 2 {
 		t.Fatalf("history %d, want 2", len(res.History))
+	}
+}
+
+// nanPenalty is a penalty whose value is NaN: it poisons every loss it is
+// added to while leaving the gradient finite.
+type nanPenalty struct{}
+
+func (nanPenalty) Name() string { return "nan" }
+func (nanPenalty) Eval(m *grid.Mat) (float64, *grid.Mat) {
+	return math.NaN(), grid.NewMat(m.W, m.H)
+}
+
+// A non-finite loss or gradient stops the run: Run returns an error
+// wrapping ErrNonFinite, core.nonfinite counts the hit, and the trace
+// carries iter.nonfinite followed by the stage.end that closes the stage,
+// so the trace still validates — whether the hit comes at a stage's first
+// iteration or later, with and without line search.
+func TestRunStopsOnNonFinite(t *testing.T) {
+	p := process(t)
+	for _, tc := range []struct {
+		name       string
+		lineSearch bool
+		nanAt      int  // iteration whose gradient GradHook poisons; -1: none
+		nanLoss    bool // a NaN penalty poisons the loss instead
+		what       string
+		wantIters  int // iter events before the hit
+	}{
+		{"gradient", false, 1, false, "gradient", 1},
+		{"gradient-first-iter", false, 0, false, "gradient", 0},
+		{"gradient-linesearch", true, 1, false, "gradient", 1},
+		{"loss", false, -1, true, "loss", 0},
+	} {
+		var trace bytes.Buffer
+		sink := &eventSink{}
+		rec := telemetry.New(telemetry.WithSink(sink), telemetry.WithTrace(&trace))
+		opts := DefaultOptions(p)
+		opts.Recorder = rec
+		opts.LineSearch = tc.lineSearch
+		calls := 0
+		opts.GradHook = func(g *grid.Mat, _ Stage) {
+			if calls == tc.nanAt {
+				g.Data[len(g.Data)/2] = math.NaN()
+			}
+			calls++
+		}
+		if tc.nanLoss {
+			opts.Penalties = []Penalty{nanPenalty{}}
+		}
+		o, err := New(opts, testTarget())
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = o.Run(context.Background(), []Stage{{Scale: 4, Iters: 4}, {Scale: 4, HighRes: true, Iters: 2}})
+		if !errors.Is(err, ErrNonFinite) {
+			t.Fatalf("%s: Run returned %v, want an error wrapping ErrNonFinite", tc.name, err)
+		}
+		var order []string
+		for _, e := range sink.events {
+			order = append(order, e.Name)
+			if e.Name == "iter.nonfinite" && (e.Fields["what"] != tc.what || e.Fields["iter"] != tc.wantIters) {
+				t.Errorf("%s: iter.nonfinite fields %v, want what=%s iter=%d", tc.name, e.Fields, tc.what, tc.wantIters)
+			}
+		}
+		want := []string{"stage.start"}
+		for i := 0; i < tc.wantIters; i++ {
+			want = append(want, "iter")
+		}
+		want = append(want, "iter.nonfinite", "stage.end")
+		if strings.Join(order, " ") != strings.Join(want, " ") {
+			t.Errorf("%s: events %v, want %v", tc.name, order, want)
+		}
+		if got := rec.Counters()["core.nonfinite"]; got != 1 {
+			t.Errorf("%s: core.nonfinite = %d, want 1", tc.name, got)
+		}
+		if err := rec.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := telemetry.ValidateTrace(&trace); err != nil {
+			t.Errorf("%s: trace does not validate: %v", tc.name, err)
+		}
+	}
+}
+
+// lineSearchStep never commits a non-finite candidate: a NaN loss counts
+// as no decrease, and when the last try is NaN too, the parameters are left
+// unchanged and the committed step is 0.
+func TestLineSearchSkipsNonFiniteCandidates(t *testing.T) {
+	opts := DefaultOptions(process(t))
+	opts.LineSearch = true
+	opts.Penalties = []Penalty{nanPenalty{}}
+	o, err := New(opts, testTarget())
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := Stage{Scale: 4, Iters: 1}
+	ztS := grid.AvgPoolDown(o.target, st.Scale)
+	mp := ztS.Clone()
+	before := mp.Clone()
+	g := grid.NewMat(mp.W, mp.H)
+	g.Fill(0.1)
+	step, retries, err := o.lineSearchStep(context.Background(), mp, g, st, ztS, math.MaxFloat64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if step != 0 || retries != 4 {
+		t.Errorf("step %g after %d retries, want 0 after 4", step, retries)
+	}
+	if !mp.Equal(before, 0) {
+		t.Error("a non-finite candidate was committed")
 	}
 }

@@ -228,6 +228,13 @@ func (p *Plan2) Butterflies() int64 {
 	return int64(p.h*p.rowP.tab.denseBF + p.w*p.colP.tab.denseBF)
 }
 
+// ForwardRealButterflies returns the butterflies of one ForwardReal call:
+// one dense row transform per packed row pair (plus an odd tail row), then
+// the dense column pass.
+func (p *Plan2) ForwardRealButterflies() int64 {
+	return int64((p.h/2+p.h%2)*p.rowP.tab.denseBF + p.w*p.colP.tab.denseBF)
+}
+
 // InverseBandButterflies returns the butterflies one InverseBandNoNorm
 // call runs for band: the pruned transforms of the band rows, then every
 // column pruned to the band rows. MulRowsBatch + InverseColumns run the

@@ -16,7 +16,8 @@ import (
 //	MulRowsBatch      kernel multiply (scale folded, see FoldInverseScale)
 //	                  + the pruned inverse ROW transforms, for all K kernels
 //	BatchInverse.     the pruned inverse COLUMN transforms, fused with the
-//	InverseColumns    |A_k|² intensity accumulation and/or amplitude output
+//	InverseColumns    |A_k|² accumulation of one intensity per dose (Fold)
+//	                  and/or amplitude output
 //
 // Memory layout: the intermediate holds only the band rows (R = 2·Half+1
 // of them) of each kernel's product, interleaved in groups of four rows —
@@ -135,41 +136,57 @@ func (p *Plan2) MulRowsBatch(spec *grid.CMat, kernels []*grid.CMat, scale comple
 	return b
 }
 
+// Fold is one intensity that InverseColumns accumulates over the batch:
+// Intensity += Weights[k]·|A_k|² for every kernel k, in ascending k.
+// Several folds of one batch share its transforms — the SOCS pass of one
+// kernel set at several doses.
+type Fold struct {
+	Weights   []float64
+	Intensity *grid.Mat
+}
+
 // InverseColumns finishes the batched inverse: for each block of four
 // columns it gathers every kernel's band rows from the row intermediate,
 // runs the pruned column transforms in lockstep, and — fused in the same
 // L2-resident pass — scatters amplitudes into outs[k] (when outs is
-// non-nil, fully overwriting each m×m matrix) and accumulates
-// weights[k]·|A_k|² into intensity (when non-nil). The intensity fold is
-// per element I += weights[k]·(re²+im²) in ascending k — the exact
-// AbsSqScaledInto+Add sequence of a per-kernel loop, so results are
-// bit-identical to it and independent of the worker count. The batch's
-// buffer is released; b must not be used again.
-func (b *BatchInverse) InverseColumns(outs []*grid.CMat, weights []float64, intensity *grid.Mat) {
+// non-nil, fully overwriting each m×m matrix) and accumulates every fold.
+// Each fold is per element I += Weights[k]·(re²+im²) in ascending k — the
+// exact AbsSqScaledInto+Add sequence of a per-kernel loop, so every
+// intensity is bit-identical to it, to one pass per fold, and independent
+// of the worker count. The batch's buffer is released; b must not be used
+// again.
+func (b *BatchInverse) InverseColumns(outs []*grid.CMat, folds []Fold) {
 	p := b.p
 	m := p.w
 	if outs != nil && len(outs) != b.nk {
 		panic(fmt.Sprintf("fft: %d outs for %d batched kernels", len(outs), b.nk))
 	}
-	if (weights == nil) != (intensity == nil) {
-		panic("fft: InverseColumns needs weights and intensity together")
-	}
-	if weights != nil && len(weights) != b.nk {
-		panic(fmt.Sprintf("fft: %d weights for %d batched kernels", len(weights), b.nk))
+	for _, f := range folds {
+		if len(f.Weights) != b.nk {
+			panic(fmt.Sprintf("fft: %d weights for %d batched kernels", len(f.Weights), b.nk))
+		}
 	}
 	half := b.band.Half
 	blocks := m / 4
+	span := 4 * m // one fold's slice of the intensity block buffer
 	grid.ParallelFor(min(b.workers, blocks), blocks, func(bx int) {
 		x0 := bx * 4
 		cbp := p.colBufs4.Get().(*[]complex128)
 		cb := *cbp
 		var ib []float64
 		var ibp *[]float64
-		if intensity != nil {
+		if len(folds) > 0 {
 			ibp = p.intBufs.Get().(*[]float64)
-			ib = *ibp
-			for y := 0; y < m; y++ {
-				copy(ib[y*4:y*4+4], intensity.Data[y*m+x0:y*m+x0+4])
+			if cap(*ibp) < len(folds)*span {
+				//lint:ignore escape grow-on-miss of the pooled intensity block for a multi-dose pass; amortized to zero once the plan is warm
+				*ibp = make([]float64, len(folds)*span)
+			}
+			ib = (*ibp)[:len(folds)*span]
+			for f, fold := range folds {
+				fb := ib[f*span : (f+1)*span]
+				for y := 0; y < m; y++ {
+					copy(fb[y*4:y*4+4], fold.Intensity.Data[y*m+x0:y*m+x0+4])
+				}
 			}
 		}
 		for k := 0; k < b.nk; k++ {
@@ -192,18 +209,22 @@ func (b *BatchInverse) InverseColumns(outs []*grid.CMat, weights []float64, inte
 					copy(od[y*m+x0:y*m+x0+4], cb[y*4:y*4+4])
 				}
 			}
-			if intensity != nil {
-				wk := weights[k]
-				for i := 0; i < 4*m; i++ {
+			for f, fold := range folds {
+				wk := fold.Weights[k]
+				fb := ib[f*span : (f+1)*span]
+				for i := range fb {
 					re, im := real(cb[i]), imag(cb[i])
-					ib[i] += wk * (re*re + im*im)
+					fb[i] += wk * (re*re + im*im)
 				}
 			}
 		}
-		if intensity != nil {
+		for f, fold := range folds {
+			fb := ib[f*span : (f+1)*span]
 			for y := 0; y < m; y++ {
-				copy(intensity.Data[y*m+x0:y*m+x0+4], ib[y*4:y*4+4])
+				copy(fold.Intensity.Data[y*m+x0:y*m+x0+4], fb[y*4:y*4+4])
 			}
+		}
+		if ibp != nil {
 			p.intBufs.Put(ibp)
 		}
 		p.colBufs4.Put(cbp)

@@ -47,7 +47,7 @@ func batchRun(t *testing.T, plan *Plan2, spec *grid.CMat, kernels []*grid.CMat, 
 		}
 	}
 	intensity := grid.NewMat(m, m)
-	b.InverseColumns(outs, weights, intensity)
+	b.InverseColumns(outs, []Fold{{Weights: weights, Intensity: intensity}})
 	return outs, intensity
 }
 
@@ -99,6 +99,56 @@ func TestBatchMatchesPerKernelBitExact(t *testing.T) {
 						t.Errorf("m=%d P=%d: batched amplitude %d differs from per-kernel", m, pk, k)
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestBatchTwoFoldsMatchOnePassPerFold: one pass folding two intensities
+// (one kernel set at two doses, as the nominal and outer corners are)
+// gives each intensity the bits of its own one-fold pass, on top of a
+// non-zero starting intensity and at several worker counts.
+func TestBatchTwoFoldsMatchOnePassPerFold(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	m, pk, nk := 64, 13, 5
+	plan, err := NewPlan2(m, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := randCMatFFT(rng, m, m)
+	kernels := make([]*grid.CMat, nk)
+	base := make([]float64, nk)
+	for k := range kernels {
+		kernels[k] = randCMatFFT(rng, pk, pk)
+		base[k] = rng.Float64() + 0.1
+	}
+	doses := []float64{1, 1.02}
+	start := grid.NewMat(m, m)
+	for i := range start.Data {
+		start.Data[i] = rng.Float64()
+	}
+	scale := FoldInverseScale(1, m, m)
+	weightsAt := func(dose float64) []float64 {
+		w := make([]float64, nk)
+		for k := range w {
+			w[k] = dose * base[k]
+		}
+		return w
+	}
+	want := make([]*grid.Mat, len(doses))
+	for d, dose := range doses {
+		want[d] = start.Clone()
+		plan.MulRowsBatch(spec, kernels, scale, 1).InverseColumns(nil, []Fold{{Weights: weightsAt(dose), Intensity: want[d]}})
+	}
+	for _, w := range []int{1, 3} {
+		folds := make([]Fold, len(doses))
+		for d, dose := range doses {
+			folds[d] = Fold{Weights: weightsAt(dose), Intensity: start.Clone()}
+		}
+		plan.MulRowsBatch(spec, kernels, scale, w).InverseColumns(nil, folds)
+		for d := range doses {
+			if !folds[d].Intensity.Equal(want[d], 0) {
+				t.Errorf("workers=%d: fold %d differs from its one-fold pass", w, d)
 			}
 		}
 	}

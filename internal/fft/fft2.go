@@ -24,8 +24,10 @@ type Plan2 struct {
 	// grow on demand (see batchLease).
 	batchBufs sync.Pool
 	// colBufs4 and intBufs recycle the 4-column gather scratch of
-	// BatchInverse.InverseColumns (complex amplitudes and real intensity);
-	// AdjointPatch reuses colBufs4 for its 4-row buffer (square plans only).
+	// BatchInverse.InverseColumns (complex amplitudes and real intensities,
+	// 4·h values per fold; intBufs entries grow on demand for several
+	// folds); AdjointPatch reuses colBufs4 for its 4-row buffer (square
+	// plans only).
 	colBufs4 sync.Pool
 	intBufs  sync.Pool
 	// adjBufs recycles AdjointPatch's kept-column slab, ⌈P/4⌉·4·m values;

@@ -3,6 +3,7 @@ package litho
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/grid"
@@ -132,6 +133,40 @@ func TestForwardSteadyStateAllocs(t *testing.T) {
 	// plus pool-refill noise when a GC empties the arenas mid-measurement.
 	if allocs > 12 {
 		t.Errorf("Forward allocates %.1f objects/run in steady state, want ≤ 12 (kernel loop must be allocation-free)", allocs)
+	}
+
+	// Kept-amplitude lane: a Forward(keep) → Gradient → Release cycle leases
+	// its nk amplitudes from the pool, so once warm it allocates its outputs
+	// (spectrum 16·m² B, intensity and gradient 8·m² B each) and less than
+	// one more m×m complex buffer — fresh amplitudes would be nk of them.
+	const m = 128
+	dLdI := randMask(rng, m)
+	cycle := func() {
+		f, err := sim.Forward(mask, sim.Model.Nominal, 1, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.Amps == nil {
+			t.Fatal("Forward(keep) at m = 128 kept no amplitudes")
+		}
+		if _, err := sim.Gradient(f, dLdI); err != nil {
+			t.Fatal(err)
+		}
+		sim.Release(f)
+	}
+	for i := 0; i < 3; i++ {
+		cycle()
+	}
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		cycle()
+	}
+	runtime.ReadMemStats(&after)
+	perRun := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	if outputs := float64(32 * m * m); perRun >= outputs+16*m*m {
+		t.Errorf("a kept-amplitude cycle allocates %.0f B/run, want < %.0f B (outputs plus less than one m×m complex buffer)", perRun, outputs+16*m*m)
 	}
 }
 

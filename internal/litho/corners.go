@@ -67,12 +67,16 @@ func (p *Process) Print(mask *grid.Mat, c Corner) (*grid.Mat, error) {
 	return ResistBinary(f.Intensity, p.Threshold), nil
 }
 
-// PrintSigmoid runs the differentiable print pipeline at one corner and
-// returns both the field (for the adjoint) and the sigmoid wafer image.
-func (p *Process) PrintSigmoid(mask *grid.Mat, c Corner, keepAmps bool) (*Field, *grid.Mat, error) {
-	f, err := p.Sim.Forward(mask, c.KS, c.Dose, keepAmps)
+// Simulate runs the exact forward simulation of one mask at several
+// corners through one Sim.ForwardCorners call — one mask spectrum and one
+// SOCS pass per distinct kernel set — and returns the fields in corner
+// order. Every multi-corner print of one mask goes through it; callers
+// apply the resist model they need to each field's Intensity. With
+// keepAmps (a gradient follows), Release each field after its gradient.
+func (p *Process) Simulate(mask *grid.Mat, corners []Corner, keepAmps bool) ([]*Field, error) {
+	fields, err := p.Sim.ForwardCorners(mask, corners, keepAmps)
 	if err != nil {
-		return nil, nil, fmt.Errorf("litho: sigmoid print at %s corner: %w", c.Name, err)
+		return nil, fmt.Errorf("litho: print: %w", err)
 	}
-	return f, ResistSigmoid(f.Intensity, p.Threshold, p.Alpha), nil
+	return fields, nil
 }

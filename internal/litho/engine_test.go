@@ -36,10 +36,7 @@ func socsOn(t *testing.T, sim *Sim, spec *grid.CMat, m int, scale complex128, do
 	}
 	ks := sim.Model.Nominal
 	f := &Field{M: m, Spec: spec, Dose: dose, KS: ks, Intensity: grid.NewMat(m, m)}
-	if keep {
-		f.Amps = make([]*grid.CMat, len(ks.Kernels))
-	}
-	sim.accumulateSOCS(f, plan, spec, m, scale, keep)
+	sim.accumulateSOCS([]*Field{f}, plan, spec, m, scale, keep)
 	return f
 }
 
@@ -96,6 +93,71 @@ func TestEngineBatchBitIdenticalToReference(t *testing.T) {
 				if !got.Intensity.Equal(want.Intensity, 0) {
 					t.Errorf("n=%d scale=%d workers=%d: batched Eq7 intensity differs from reference", n, scale, w)
 				}
+			}
+		}
+	}
+}
+
+// TestForwardCornersMatchesForward: one mask spectrum and one SOCS pass per
+// kernel set give every corner the bits of its own Forward on both engines
+// — intensities and kept amplitudes — with the nominal and outer corners
+// folded into one pass of the nominal kernel set. The work counters show
+// the sharing: one spectrum and 2·nk kernel transforms for three corner
+// images.
+func TestForwardCornersMatchesForward(t *testing.T) {
+	mdl := model(t)
+	rng := rand.New(rand.NewSource(33))
+	mask := randMask(rng, 64)
+	corners := []Corner{
+		{Name: "nominal", KS: mdl.Nominal, Dose: 1},
+		{Name: "inner", KS: mdl.Defocus, Dose: 0.98},
+		{Name: "outer", KS: mdl.Nominal, Dose: 1.02},
+	}
+	nk := len(mdl.Nominal.Kernels)
+	for _, e := range []FFTEngine{EngineBatch, EngineReference} {
+		for _, keep := range []bool{false, true} {
+			sim := newEngineSim(t, e, 2)
+			rec := telemetry.New()
+			sim.Recorder = rec
+			got, err := sim.ForwardCorners(mask, corners, keep)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := rec.Counters()
+			spectra := int64(0)
+			for _, ph := range rec.Phases() {
+				if ph.Name == "litho.fft_forward" {
+					spectra = ph.Count
+				}
+			}
+			if spectra != 1 || c["litho.kernel_ffts"] != int64(2*nk) || c["litho.forward_sims"] != 3 {
+				t.Errorf("%v keep=%v: %d spectra, %d kernel FFTs, %d forward sims; want 1, %d, 3",
+					e, keep, spectra, c["litho.kernel_ffts"], c["litho.forward_sims"], 2*nk)
+			}
+			sim.Recorder = nil
+			for i, cn := range corners {
+				want, err := sim.Forward(mask, cn.KS, cn.Dose, keep)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got[i].Spec != got[0].Spec {
+					t.Errorf("%v: corner %s does not share the mask spectrum", e, cn.Name)
+				}
+				if !got[i].Intensity.Equal(want.Intensity, 0) {
+					t.Errorf("%v keep=%v: corner %s intensity differs from its own Forward", e, keep, cn.Name)
+				}
+				if len(got[i].Amps) != len(want.Amps) {
+					t.Fatalf("%v keep=%v: corner %s kept %d amplitudes, Forward %d", e, keep, cn.Name, len(got[i].Amps), len(want.Amps))
+				}
+				for k := range want.Amps {
+					if got[i].Amps[k].MaxAbsDiff(want.Amps[k]) != 0 {
+						t.Errorf("%v: corner %s amplitude %d differs from its own Forward", e, cn.Name, k)
+					}
+				}
+				sim.Release(want)
+			}
+			for _, f := range got {
+				sim.Release(f)
 			}
 		}
 	}

@@ -118,11 +118,23 @@ type Sim struct {
 
 	ownPlans   fft.PlanCache
 	planBuilds atomic.Int32
+}
 
-	cscratch grid.CMatPool      // complex per-worker scratch (amplitudes, spectra)
+// Scratch pools shared by every Sim in the process. The ILT server builds
+// one Sim per job, so per-Sim pools would lease every job fresh buffers and
+// leave the previous job's to the GC. The pools are keyed by size, their
+// contents are undefined, and they are safe for concurrent use.
+var (
+	cscratch grid.CMatPool      // complex scratch and kept amplitudes
 	mscratch grid.MatPool       // real per-kernel intensity contributions
 	kscratch grid.CMatSlicePool // per-call []*CMat work lists (patches, amp chunks)
-}
+)
+
+// keepAmpsBudget caps the amplitudes one kernel set's SOCS pass keeps for a
+// following gradient: nk·m²·16 B. Twelve kernels at m = 512 (48 MiB) are
+// kept; m = 1024 (192 MiB at 12 kernels) and 24 kernels at m = 512
+// (96 MiB) recompute them in the gradient instead.
+const keepAmpsBudget = 64 << 20
 
 // NewSim creates a simulator over a built kernel model.
 func NewSim(model *optics.Model) *Sim {
@@ -171,9 +183,12 @@ func (s *Sim) kernelWorkers(k int) int {
 }
 
 // Field is the retained state of one forward simulation, sufficient to run
-// the adjoint pass. Amps is only populated when the forward call was asked
-// to keep per-kernel amplitudes (cheaper gradients at the cost of memory);
-// otherwise the gradient pass recomputes each amplitude from Spec.
+// the adjoint pass. The fields of one ForwardCorners call share Spec,
+// read-only. Amps is populated only when the forward was told a gradient
+// follows and the amplitudes fit the simulator's budget (keepAmpsBudget);
+// they are leased from a process-wide pool, shared by the fields of one
+// kernel set, and returned by Sim.Release. Without them the gradient pass
+// recomputes each amplitude from Spec, with the same bits.
 type Field struct {
 	M         int          // working grid size
 	Spec      *grid.CMat   // unnormalised FFT of the input mask, m×m
@@ -181,6 +196,49 @@ type Field struct {
 	Intensity *grid.Mat    // aerial image including the dose factor
 	Dose      float64
 	KS        *optics.KernelSet
+
+	lease *ampLease // the pooled Amps, shared with same-kernel-set fields
+}
+
+// ampLease is one kernel set's kept amplitudes from one ForwardCorners
+// call: A_k does not depend on dose, so every corner of the kernel set
+// reads the same buffers, and the last Release returns them.
+type ampLease struct {
+	amps []*grid.CMat
+	refs atomic.Int32 // fields still holding amps
+}
+
+// leaseAmps leases nk m×m amplitude buffers and hands them to fields.
+func leaseAmps(fields []*Field, nk, m int) []*grid.CMat {
+	l := &ampLease{amps: make([]*grid.CMat, nk)}
+	for k := range l.amps {
+		//lint:ignore scratchalias kept amplitudes are pool-leased on purpose: the fields hold them until Sim.Release, whose contract is that nobody reads a released field's amplitudes
+		l.amps[k] = cscratch.Get(m, m)
+	}
+	l.refs.Store(int32(len(fields)))
+	for _, f := range fields {
+		f.Amps, f.lease = l.amps, l
+	}
+	return l.amps
+}
+
+// Release returns the field's kept amplitudes to the pool and sets Amps to
+// nil. The fields of one kernel set from one ForwardCorners call share
+// their amplitudes; the last of them to be released returns the buffers.
+// The caller must not keep references to a released field's amplitudes.
+// Releasing a field without amplitudes, or a second time, does nothing; a
+// later Gradient of a released field recomputes the amplitudes from Spec
+// with the same bits.
+func (s *Sim) Release(f *Field) {
+	l := f.lease
+	f.Amps, f.lease = nil, nil
+	if l == nil || l.refs.Add(-1) != 0 {
+		return
+	}
+	for k, a := range l.amps {
+		cscratch.Put(a)
+		l.amps[k] = nil
+	}
 }
 
 // minGrid is the smallest grid the simulator accepts: the batched engine
@@ -205,11 +263,18 @@ func (s *Sim) checkMask(mask *grid.Mat, p int) error {
 
 // maskSpectrum computes the unnormalised FFT of the mask: the batch engine
 // packs the real input two-for-one (ForwardReal), the reference runs the
-// dense transform.
+// dense transform. Its butterflies go to litho.fft_forward_butterflies.
 func (s *Sim) maskSpectrum(plan *fft.Plan2, mask *grid.Mat) *grid.CMat {
 	sp := s.Recorder.StartSpan("litho.fft_forward")
 	defer sp.End()
-	if s.Engine == EngineReference {
+	reference := s.Engine == EngineReference
+	bf := plan.ForwardRealButterflies()
+	if reference {
+		bf = plan.Butterflies()
+	}
+	//lint:ignore inline work accounting, once per mask spectrum
+	s.Recorder.Add("litho.fft_forward_butterflies", bf)
+	if reference {
 		spec := grid.ComplexFromReal(mask)
 		plan.Forward(spec)
 		return spec
@@ -219,52 +284,63 @@ func (s *Sim) maskSpectrum(plan *fft.Plan2, mask *grid.Mat) *grid.CMat {
 	return spec
 }
 
-// accumulateSOCS runs the SOCS sum shared by Forward and ForwardEq7:
-// amplitude A_k = F⁻¹(scale·H_k ⊙ spec) at size m, intensity
-// += dose·w_k·|A_k|². Both engines fold the inverse-FFT 1/m² normalisation
-// into the kernel multiply through the same expression
+// accumulateSOCS runs one SOCS pass of a kernel set, shared by
+// ForwardCorners and ForwardEq7: amplitude A_k = F⁻¹(scale·H_k ⊙ spec) at
+// size m, and for every field (one dose each, all of the same kernel set)
+// intensity += dose·w_k·|A_k|². Both engines fold the inverse-FFT 1/m²
+// normalisation into the kernel multiply through the same expression
 // (fft.FoldInverseScale), so each amplitude buffer is touched one fewer
-// time and the engines' products agree bit for bit.
+// time and the engines' products agree bit for bit. Each intensity is
+// folded per element in ascending k, exactly as a pass of its own would
+// fold it, so sharing the pass between doses keeps every bit. With
+// keepAmps the amplitudes are leased (leaseAmps) and shared by the fields.
 //
 // EngineBatch hands the whole kernel set to fft.MulRowsBatch /
 // InverseColumns: one cache-blocked pass whose workers split the kernels
 // (row pass) and disjoint column blocks (column pass), with the intensity
-// fold fused into the column transforms in ascending k — so every worker
+// folds fused into the column transforms in ascending k — so every worker
 // count produces the same bits, and they are the reference's bits for the
 // same spectrum. EngineReference is the oracle: a serial loop of
-// ApplyKernel, InverseNoNorm and the ascending-k AbsSqScaledInto + Add fold.
+// ApplyKernel, InverseNoNorm and, per field, the ascending-k
+// AbsSqScaledInto + Add fold.
 //
 // Telemetry: litho.socs covers the kernel multiply (on the batch, with the
 // row transforms) and litho.fft_inverse the inverse transforms (on the
-// batch, the column pass with the fused intensity fold), both recorded on
-// the calling goroutine at any worker count. The butterflies of the
-// inverse transforms go to litho.fft_inverse_butterflies, an exact,
+// batch, the column pass with the fused intensity folds), both recorded on
+// the calling goroutine at any worker count. litho.kernel_ffts counts the
+// kernel transforms run, once per pass whatever the number of doses, and
+// their butterflies go to litho.fft_inverse_butterflies, an exact,
 // host-independent work count.
-func (s *Sim) accumulateSOCS(f *Field, plan *fft.Plan2, spec *grid.CMat, m int, scale complex128, keepAmps bool) {
-	ks := f.KS
+func (s *Sim) accumulateSOCS(fields []*Field, plan *fft.Plan2, spec *grid.CMat, m int, scale complex128, keepAmps bool) {
+	ks := fields[0].KS
 	nk := len(ks.Kernels)
 	scale = fft.FoldInverseScale(scale, m, m)
 	//lint:ignore inline work accounting, once per SOCS call
 	s.Recorder.Add("litho.fft_inverse_butterflies", int64(nk)*inverseButterflies(plan, s.Engine != EngineReference, ks.P))
 	s.Recorder.Add("litho.kernel_ffts", int64(nk))
+	var amps []*grid.CMat
+	if keepAmps {
+		//lint:ignore inline once per SOCS pass that keeps its amplitudes
+		amps = leaseAmps(fields, nk, m)
+	}
 
 	if s.Engine != EngineReference {
-		s.batchSOCS(f, plan, spec, m, scale, keepAmps, s.kernelWorkers(nk))
+		s.batchSOCS(fields, plan, spec, scale, amps, s.kernelWorkers(nk))
 		return
 	}
 
-	// The reference: one amplitude buffer and one contribution buffer
-	// recycled across all kernels — O(1) scratch at any grid size.
-	contrib := s.mscratch.Get(m, m)
+	// The reference: one amplitude buffer (unless kept) and one
+	// contribution buffer recycled across all kernels — O(1) scratch at
+	// any grid size.
+	contrib := mscratch.Get(m, m)
 	var buf *grid.CMat
-	if !keepAmps {
-		buf = s.cscratch.Get(m, m)
+	if amps == nil {
+		buf = cscratch.Get(m, m)
 	}
 	for k, h := range ks.Kernels {
 		amp := buf
-		if keepAmps {
-			amp = grid.NewCMat(m, m)
-			f.Amps[k] = amp
+		if k < len(amps) {
+			amp = amps[k]
 		}
 		sp := s.Recorder.StartSpan("litho.socs")
 		fft.ApplyKernel(amp, spec, h, m, scale)
@@ -273,50 +349,76 @@ func (s *Sim) accumulateSOCS(f *Field, plan *fft.Plan2, spec *grid.CMat, m int, 
 		plan.InverseNoNorm(amp)
 		spi.End()
 		sp = s.Recorder.StartSpan("litho.socs")
-		amp.AbsSqScaledInto(contrib, f.Dose*ks.Weights[k])
-		f.Intensity.Add(contrib)
+		for _, f := range fields {
+			amp.AbsSqScaledInto(contrib, f.Dose*ks.Weights[k])
+			f.Intensity.Add(contrib)
+		}
 		sp.End()
 	}
 	if buf != nil {
-		s.cscratch.Put(buf)
+		cscratch.Put(buf)
 	}
-	s.mscratch.Put(contrib)
+	mscratch.Put(contrib)
 }
 
 // batchSOCS is the EngineBatch lane of accumulateSOCS: the kernel multiply
 // and pruned inverse row transforms for all kernels run in one batched pass
-// (litho.socs span), then the column transforms with the fused ascending-k
-// intensity fold (litho.fft_inverse span). scale must already carry the
-// folded 1/m² (accumulateSOCS does this).
-func (s *Sim) batchSOCS(f *Field, plan *fft.Plan2, spec *grid.CMat, m int, scale complex128, keepAmps bool, workers int) {
-	ks := f.KS
+// (litho.socs span), then the column transforms with one fused ascending-k
+// intensity fold per field (litho.fft_inverse span), writing the amplitudes
+// into amps when non-nil. scale must already carry the folded 1/m²
+// (accumulateSOCS does this).
+func (s *Sim) batchSOCS(fields []*Field, plan *fft.Plan2, spec *grid.CMat, scale complex128, amps []*grid.CMat, workers int) {
+	ks := fields[0].KS
 	sp := s.Recorder.StartSpan("litho.socs")
 	b := plan.MulRowsBatch(spec, ks.Kernels, scale, workers)
-	weights := make([]float64, len(ks.Kernels))
-	for k := range weights {
-		weights[k] = f.Dose * ks.Weights[k]
-	}
-	var outs []*grid.CMat
-	if keepAmps {
-		for k := range f.Amps {
-			f.Amps[k] = grid.NewCMat(m, m)
+	folds := make([]fft.Fold, len(fields))
+	for i, f := range fields {
+		weights := make([]float64, len(ks.Kernels))
+		for k := range weights {
+			weights[k] = f.Dose * ks.Weights[k]
 		}
-		outs = f.Amps
+		folds[i] = fft.Fold{Weights: weights, Intensity: f.Intensity}
 	}
 	sp.End()
 	spi := s.Recorder.StartSpan("litho.fft_inverse")
-	b.InverseColumns(outs, weights, f.Intensity)
+	b.InverseColumns(amps, folds)
 	spi.End()
 }
 
 // Forward runs the exact SOCS simulation (Eq. 3) of the mask at its own
 // resolution: I = dose · Σ_k w_k |F⁻¹(H_k ⊙ F(M))|². With a mask already
 // downsampled by the caller this is exactly Eq. (8) of the paper — the
-// approximation the low-resolution ILT optimises against. Set keepAmps when
-// a gradient pass will follow and memory allows (24 complex fields).
+// approximation the low-resolution ILT optimises against. It is the
+// one-corner case of ForwardCorners; keepAmps means a gradient will follow.
 func (s *Sim) Forward(mask *grid.Mat, ks *optics.KernelSet, dose float64, keepAmps bool) (*Field, error) {
-	if err := s.checkMask(mask, ks.P); err != nil {
+	fields, err := s.ForwardCorners(mask, []Corner{{KS: ks, Dose: dose}}, keepAmps)
+	if err != nil {
 		return nil, err
+	}
+	return fields[0], nil
+}
+
+// ForwardCorners runs the exact SOCS simulation of one mask at several
+// process corners and returns one field per corner, in order. It computes
+// the mask spectrum once (the fields share it, read-only) and runs one SOCS
+// pass per distinct kernel set, folding one intensity per corner dose — the
+// nominal and outer corners share the nominal kernel set, and a dose
+// ladder shares one pass. Every field has the bits a Forward of its corner
+// alone would give it.
+//
+// Set keepAmps when a gradient will follow. Each kernel set's amplitudes
+// are then kept, leased from the pool and shared by its fields, if they fit
+// the budget nk·m²·16 B ≤ 64 MiB; above it the gradient recomputes them.
+// Release every field once its gradients are done, so the lease returns to
+// the pool. litho.forward_sims counts one per corner image.
+func (s *Sim) ForwardCorners(mask *grid.Mat, corners []Corner, keepAmps bool) ([]*Field, error) {
+	if len(corners) == 0 {
+		return nil, fmt.Errorf("litho: no corners to simulate")
+	}
+	for _, c := range corners {
+		if err := s.checkMask(mask, c.KS.P); err != nil {
+			return nil, err
+		}
 	}
 	m := mask.W
 	plan, err := s.Plan(m)
@@ -325,13 +427,31 @@ func (s *Sim) Forward(mask *grid.Mat, ks *optics.KernelSet, dose float64, keepAm
 	}
 	spec := s.maskSpectrum(plan, mask)
 
-	f := &Field{M: m, Spec: spec, Dose: dose, KS: ks, Intensity: grid.NewMat(m, m)}
-	if keepAmps {
-		f.Amps = make([]*grid.CMat, len(ks.Kernels))
+	fields := make([]*Field, len(corners))
+	for i, c := range corners {
+		fields[i] = &Field{M: m, Spec: spec, Dose: c.Dose, KS: c.KS, Intensity: grid.NewMat(m, m)}
 	}
-	s.accumulateSOCS(f, plan, spec, m, 1, keepAmps)
-	s.Recorder.Add("litho.forward_sims", 1)
-	return f, nil
+next:
+	for i, c := range corners {
+		for _, e := range corners[:i] {
+			if e.KS == c.KS {
+				continue next // folded into the pass of e's kernel set
+			}
+		}
+		// Capacity 1: a second field of the kernel set copies the group
+		// out of fields instead of overwriting it.
+		group := fields[i : i+1 : i+1]
+		for j := i + 1; j < len(corners); j++ {
+			if corners[j].KS == c.KS {
+				group = append(group, fields[j])
+			}
+		}
+		nk := len(c.KS.Kernels)
+		keep := keepAmps && int64(nk)*int64(m)*int64(m)*16 <= keepAmpsBudget
+		s.accumulateSOCS(group, plan, spec, m, 1, keep)
+	}
+	s.Recorder.Add("litho.forward_sims", int64(len(corners)))
+	return fields, nil
 }
 
 // ForwardEq7 runs the frequency-truncated low-resolution simulation of
@@ -372,7 +492,7 @@ func (s *Sim) ForwardEq7(mask *grid.Mat, scale int, ks *optics.KernelSet, dose f
 
 	f := &Field{M: m, Spec: spec, Dose: dose, KS: ks, Intensity: grid.NewMat(m, m)}
 	sc := complex(1/float64(scale*scale), 0)
-	s.accumulateSOCS(f, planM, spec, m, sc, false)
+	s.accumulateSOCS([]*Field{f}, planM, spec, m, sc, false)
 	s.Recorder.Add("litho.eq7_sims", 1)
 	return f, nil
 }
@@ -383,7 +503,9 @@ func (s *Sim) ForwardEq7(mask *grid.Mat, scale int, ks *optics.KernelSet, dose f
 //	dL/dM = Σ_k 2·w_k·dose · Re[ F⁻¹( conj(H_k) ⊙ F( dLdI ⊙ A_k ) ) ].
 //
 // Amplitudes are taken from the field when kept, otherwise recomputed from
-// the retained mask spectrum. Each kernel contributes only the P×P band of
+// the retained mask spectrum with the same bits. Gradient does not consume
+// the field: it may run any number of times on one field, before or after
+// Release. Each kernel contributes only the P×P band of
 // F(dLdI ⊙ A_k): the batch engine computes that patch with the
 // output-pruned fft.Plan2.AdjointPatch, which forms the product row by row
 // and runs only the butterflies the patch reads, and recomputes amplitudes
@@ -423,7 +545,7 @@ func (s *Sim) Gradient(f *Field, dLdI *grid.Mat) (*grid.Mat, error) {
 	}
 	//lint:ignore inline work accounting, once per gradient
 	s.Recorder.Add("litho.adjoint_butterflies", s.adjointButterflies(plan, f))
-	patchesp, patches := s.kscratch.Get(nk)
+	patchesp, patches := kscratch.Get(nk)
 	if f.Amps == nil && !reference {
 		// Amplitudes recomputed in batched chunks, patches filled.
 		s.batchAdjointPatches(f, plan, dLdI, patches, ampScale, workers)
@@ -434,7 +556,7 @@ func (s *Sim) Gradient(f *Field, dLdI *grid.Mat) (*grid.Mat, error) {
 				amp = f.Amps[k]
 			} else {
 				// The reference recomputes each amplitude densely.
-				amp = fft.ApplyKernel(s.cscratch.Get(f.M, f.M), f.Spec, f.KS.Kernels[k], f.M, ampScale)
+				amp = fft.ApplyKernel(cscratch.Get(f.M, f.M), f.Spec, f.KS.Kernels[k], f.M, ampScale)
 				plan.InverseNoNorm(amp)
 			}
 			var patch *grid.CMat
@@ -446,7 +568,7 @@ func (s *Sim) Gradient(f *Field, dLdI *grid.Mat) (*grid.Mat, error) {
 			}
 			patches[k] = patch
 			if f.Amps == nil {
-				s.cscratch.Put(amp)
+				cscratch.Put(amp)
 			}
 		})
 	}
@@ -454,7 +576,7 @@ func (s *Sim) Gradient(f *Field, dLdI *grid.Mat) (*grid.Mat, error) {
 	// engine clears just those rows and runs the pruned out-of-place
 	// inverse — bit-identical to the reference's dense Zero + InverseNoNorm.
 	accBand := fft.BandSpec{Half: f.KS.P / 2}
-	acc := s.cscratch.Get(f.M, f.M)
+	acc := cscratch.Get(f.M, f.M)
 	if reference {
 		acc.Zero()
 	} else {
@@ -462,20 +584,20 @@ func (s *Sim) Gradient(f *Field, dLdI *grid.Mat) (*grid.Mat, error) {
 	}
 	for _, patch := range patches {
 		fft.AddKernelPatch(acc, patch)
-		s.cscratch.Put(patch)
+		cscratch.Put(patch)
 	}
-	s.kscratch.Put(patchesp)
+	kscratch.Put(patchesp)
 	var out *grid.Mat
 	if reference {
 		plan.InverseNoNorm(acc)
 		out = acc.Real()
 	} else {
-		img := s.cscratch.Get(f.M, f.M)
+		img := cscratch.Get(f.M, f.M)
 		plan.InverseBandNoNorm(img, acc, accBand)
 		out = img.Real()
-		s.cscratch.Put(img)
+		cscratch.Put(img)
 	}
-	s.cscratch.Put(acc)
+	cscratch.Put(acc)
 	return out, nil
 }
 
@@ -484,14 +606,14 @@ func (s *Sim) Gradient(f *Field, dLdI *grid.Mat) (*grid.Mat, error) {
 // frequency patch weighted by 2·w_k·dose with the final inverse's 1/m²
 // folded in.
 func (s *Sim) adjointPatch(f *Field, plan *fft.Plan2, amp *grid.CMat, dLdI *grid.Mat, k int) *grid.CMat {
-	prod := s.cscratch.Get(f.M, f.M)
+	prod := cscratch.Get(f.M, f.M)
 	for i, v := range amp.Data {
 		prod.Data[i] = v * complex(dLdI.Data[i], 0)
 	}
 	plan.Forward(prod)
 	w := fft.FoldInverseScale(complex(2*f.KS.Weights[k]*f.Dose, 0), f.M, f.M)
-	patch := fft.KernelAdjointPatch(s.cscratch.Get(f.KS.P, f.KS.P), prod, f.KS.Kernels[k], w)
-	s.cscratch.Put(prod)
+	patch := fft.KernelAdjointPatch(cscratch.Get(f.KS.P, f.KS.P), prod, f.KS.Kernels[k], w)
+	cscratch.Put(prod)
 	//lint:ignore scratchalias the returned patch is pool-leased on purpose: Gradient owns it for the duration of the fold loop and Puts every entry of patches right after AddKernelPatch
 	return patch
 }
@@ -503,7 +625,7 @@ func (s *Sim) adjointPatch(f *Field, plan *fft.Plan2, amp *grid.CMat, dLdI *grid
 func (s *Sim) prunedPatch(f *Field, plan *fft.Plan2, amp *grid.CMat, dLdI *grid.Mat, k int) *grid.CMat {
 	w := fft.FoldInverseScale(complex(2*f.KS.Weights[k]*f.Dose, 0), f.M, f.M)
 	//lint:ignore scratchalias the returned patch is pool-leased on purpose, like adjointPatch's: Gradient Puts every entry of patches right after AddKernelPatch
-	return plan.AdjointPatch(s.cscratch.Get(f.KS.P, f.KS.P), dLdI, amp, f.KS.Kernels[k], w)
+	return plan.AdjointPatch(cscratch.Get(f.KS.P, f.KS.P), dLdI, amp, f.KS.Kernels[k], w)
 }
 
 // inverseButterflies is the transform work of one kernel's SOCS inverse:
@@ -548,23 +670,23 @@ func (s *Sim) batchAdjointPatches(f *Field, plan *fft.Plan2, dLdI *grid.Mat, pat
 	if chunk > nk {
 		chunk = nk
 	}
-	ampsp, amps := s.kscratch.Get(chunk)
+	ampsp, amps := kscratch.Get(chunk)
 	for i := range amps {
-		amps[i] = s.cscratch.Get(f.M, f.M)
+		amps[i] = cscratch.Get(f.M, f.M)
 	}
 	for c0 := 0; c0 < nk; c0 += chunk {
 		c1 := c0 + chunk
 		if c1 > nk {
 			c1 = nk
 		}
-		plan.MulRowsBatch(f.Spec, ks.Kernels[c0:c1], ampScale, workers).InverseColumns(amps[:c1-c0], nil, nil)
+		plan.MulRowsBatch(f.Spec, ks.Kernels[c0:c1], ampScale, workers).InverseColumns(amps[:c1-c0], nil)
 		grid.ParallelFor(workers, c1-c0, func(j int) {
 			//lint:ignore inline one call per kernel into an O(m·P·log m) transform
 			patches[c0+j] = s.prunedPatch(f, plan, amps[j], dLdI, c0+j)
 		})
 	}
 	for i := range amps {
-		s.cscratch.Put(amps[i])
+		cscratch.Put(amps[i])
 	}
-	s.kscratch.Put(ampsp)
+	kscratch.Put(ampsp)
 }

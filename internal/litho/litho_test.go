@@ -252,33 +252,107 @@ func TestGradientFiniteDifference(t *testing.T) {
 	}
 }
 
+// kernels12 is a 12-kernel set at the test model's support (its 8 nominal
+// kernels and 4 defocus ones), the kernel count of the iltbench workloads.
+func kernels12(t testing.TB) *optics.KernelSet {
+	mdl := model(t)
+	ks := &optics.KernelSet{P: mdl.Nominal.P}
+	ks.Kernels = append(append(ks.Kernels, mdl.Nominal.Kernels...), mdl.Defocus.Kernels[:4]...)
+	ks.Weights = append(append(ks.Weights, mdl.Nominal.Weights...), mdl.Defocus.Weights[:4]...)
+	return ks
+}
+
 // TestGradientKeepAmpsEquivalence: the memory-saving recompute path must
-// produce the same gradient as the cached-amplitude path.
+// produce the gradient of the kept-amplitude path bit for bit, up to the
+// iltbench exact shape (m = 512, 12 kernels: 48 MiB, kept under the
+// budget). Above the budget (m = 1024, 12 kernels: 192 MiB) a forward
+// asked to keep its amplitudes keeps none.
 func TestGradientKeepAmpsEquivalence(t *testing.T) {
 	sim := NewSim(model(t))
 	rng := rand.New(rand.NewSource(5))
-	const n = 32
-	mask := randMask(rng, n)
-	dLdI := randMask(rng, n)
+	for _, tc := range []struct {
+		n  int
+		ks *optics.KernelSet
+	}{{32, sim.Model.Nominal}, {512, kernels12(t)}} {
+		mask := randMask(rng, tc.n)
+		dLdI := randMask(rng, tc.n)
+		fKeep, err := sim.Forward(mask, tc.ks, 0.98, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(fKeep.Amps) != len(tc.ks.Kernels) {
+			t.Fatalf("n=%d: forward kept %d amplitudes, want %d", tc.n, len(fKeep.Amps), len(tc.ks.Kernels))
+		}
+		gKeep, err := sim.Gradient(fKeep, dLdI)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim.Release(fKeep)
+		fRe, err := sim.Forward(mask, tc.ks, 0.98, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gRe, err := sim.Gradient(fRe, dLdI)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !gKeep.Equal(gRe, 0) {
+			t.Errorf("n=%d: gradient differs between keepAmps and recompute paths", tc.n)
+		}
+	}
+	over, err := sim.Forward(grid.NewMat(1024, 1024), kernels12(t), 1, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if over.Amps != nil {
+		t.Errorf("m=1024 with 12 kernels kept %d amplitudes over the %d MiB budget", len(over.Amps), keepAmpsBudget>>20)
+	}
+}
 
-	fKeep, err := sim.Forward(mask, sim.Model.Nominal, 0.98, true)
+// TestReleaseContract: Release returns the kept amplitudes and sets Amps
+// to nil; a second Release does nothing; a Gradient of the released field
+// recomputes the amplitudes with the kept path's bits. Fields of one
+// kernel set share one lease, which survives until the last is released.
+func TestReleaseContract(t *testing.T) {
+	p := NewProcess(model(t))
+	rng := rand.New(rand.NewSource(9))
+	mask := randMask(rng, 64)
+	dLdI := randMask(rng, 64)
+	fields, err := p.Simulate(mask, []Corner{p.Nominal(), p.Inner(), p.Outer()}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gKeep, err := sim.Gradient(fKeep, dLdI)
+	nom, in, out := fields[0], fields[1], fields[2]
+	if &nom.Amps[0] != &out.Amps[0] || &nom.Amps[0] == &in.Amps[0] {
+		t.Fatal("the nominal and outer corners must share one amplitude lease, the inner its own")
+	}
+	want, err := p.Sim.Gradient(out, dLdI)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fRe, err := sim.Forward(mask, sim.Model.Nominal, 0.98, false)
+	kept := out.Amps[0].Clone()
+	p.Sim.Release(nom)
+	if nom.Amps != nil {
+		t.Error("Release left Amps set")
+	}
+	if out.Amps == nil || out.Amps[0].MaxAbsDiff(kept) != 0 {
+		t.Error("releasing one field of a kernel set disturbed the other's amplitudes")
+	}
+	p.Sim.Release(nom) // a second Release is a no-op
+	if out.Amps == nil {
+		t.Error("a second Release of one field returned the shared lease")
+	}
+	p.Sim.Release(out)
+	p.Sim.Release(in)
+	if out.Amps != nil || in.Amps != nil {
+		t.Error("Release left Amps set")
+	}
+	got, err := p.Sim.Gradient(out, dLdI)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gRe, err := sim.Gradient(fRe, dLdI)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !gKeep.Equal(gRe, 1e-10) {
-		t.Error("gradient differs between keepAmps and recompute paths")
+	if !got.Equal(want, 0) {
+		t.Error("gradient of a released field differs from the kept-amplitude gradient")
 	}
 }
 
@@ -400,10 +474,11 @@ func TestPrintSigmoidMatchesBinaryFarFromEdge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, zs, err := p.PrintSigmoid(mask, p.Nominal(), false)
+	fs, err := p.Simulate(mask, []Corner{p.Nominal()}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
+	zs := ResistSigmoid(fs[0].Intensity, p.Threshold, p.Alpha)
 	// Deep inside the feature and far outside, the two must agree.
 	if zb.At(64, 64) != 1 || zs.At(64, 64) < 0.95 {
 		t.Errorf("center: binary %v sigmoid %v", zb.At(64, 64), zs.At(64, 64))

@@ -163,18 +163,22 @@ func TestPlanSingleflight(t *testing.T) {
 	}
 }
 
-// TestConcurrentForwardStress hammers one shared Sim from many goroutines
-// with mixed sizes and keepAmps modes — primarily a race-detector target
-// for the plan cache and the scratch arenas — and checks every result
-// against serial references.
+// TestConcurrentForwardStress hammers two Sims — which share the
+// process-wide scratch pools — from many goroutines with mixed sizes and
+// keepAmps modes, running Gradient and Release on the kept fields: a
+// race-detector target for the plan cache, the scratch arenas and the
+// amplitude leases. Every result is checked against serial references.
 func TestConcurrentForwardStress(t *testing.T) {
 	mdl := model(t)
-	sim := NewSim(mdl)
-	sim.Workers = 2
+	sims := []*Sim{NewSim(mdl), NewSim(mdl)}
+	for _, sim := range sims {
+		sim.Workers = 2
+	}
 
 	rng := rand.New(rand.NewSource(14))
 	masks := map[int]*grid.Mat{64: randMask(rng, 64), 128: randMask(rng, 128)}
 	refs := make(map[int]*grid.Mat)
+	refGrads := make(map[int]*grid.Mat)
 	for n, m := range masks {
 		ref := NewSim(mdl)
 		ref.Workers = 1
@@ -183,6 +187,9 @@ func TestConcurrentForwardStress(t *testing.T) {
 			t.Fatal(err)
 		}
 		refs[n] = f.Intensity
+		if refGrads[n], err = ref.Gradient(f, m); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	const goroutines = 16
@@ -191,6 +198,7 @@ func TestConcurrentForwardStress(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			sim := sims[g/2%len(sims)]
 			n := 64
 			if g%2 == 1 {
 				n = 128
@@ -205,6 +213,18 @@ func TestConcurrentForwardStress(t *testing.T) {
 				if !f.Intensity.Equal(refs[n], 0) {
 					t.Errorf("goroutine %d: concurrent forward at n=%d diverged", g, n)
 					return
+				}
+				if keep {
+					grad, err := sim.Gradient(f, masks[n])
+					sim.Release(f)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if !grad.Equal(refGrads[n], 0) {
+						t.Errorf("goroutine %d: concurrent gradient at n=%d diverged", g, n)
+						return
+					}
 				}
 				if _, err := sim.Plan(256); err != nil {
 					t.Error(err)

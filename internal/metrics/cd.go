@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/grid"
 	"repro/internal/litho"
+	"repro/internal/optics"
 )
 
 // Critical-dimension measurement: the printed width of a feature along a
@@ -60,31 +61,34 @@ type BossungPoint struct {
 
 // CDThroughDose prints the mask across the dose ladder at nominal focus
 // and defocus and measures the CD at the cut — the Bossung data for one
-// measurement site.
+// measurement site. All prints share one mask spectrum and one SOCS pass
+// per focus state.
 func CDThroughDose(p *litho.Process, maskImg *grid.Mat, cut CutLine, doses []float64) ([]BossungPoint, error) {
 	if len(doses) == 0 {
 		return nil, fmt.Errorf("metrics: empty dose ladder")
 	}
-	var out []BossungPoint
-	for _, defocused := range []bool{false, true} {
-		ks := p.Sim.Model.Nominal
-		if defocused {
-			ks = p.Sim.Model.Defocus
+	for _, d := range doses {
+		if d <= 0 {
+			return nil, fmt.Errorf("metrics: non-positive dose %g", d)
 		}
+	}
+	corners := make([]litho.Corner, 0, 2*len(doses))
+	for _, ks := range []*optics.KernelSet{p.Sim.Model.Nominal, p.Sim.Model.Defocus} {
 		for _, d := range doses {
-			if d <= 0 {
-				return nil, fmt.Errorf("metrics: non-positive dose %g", d)
-			}
-			z, err := p.Print(maskImg, litho.Corner{Name: "bossung", KS: ks, Dose: d})
-			if err != nil {
-				return nil, err
-			}
-			cd, err := CD(z, cut)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, BossungPoint{Dose: d, Defocused: defocused, CDPx: cd})
+			corners = append(corners, litho.Corner{Name: "bossung", KS: ks, Dose: d})
 		}
+	}
+	zs, err := prints(p, maskImg, corners)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]BossungPoint, len(zs))
+	for i, z := range zs {
+		cd, err := CD(z, cut)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = BossungPoint{Dose: corners[i].Dose, Defocused: i >= len(doses), CDPx: cd}
 	}
 	return out, nil
 }

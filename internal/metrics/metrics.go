@@ -110,26 +110,34 @@ func (r Report) Scale(pixelNM float64) Report {
 }
 
 // Evaluate runs the full contest evaluation of a finished binary mask
-// against a target: exact lithography at the three corners, then all four
-// metrics. EPE geometry parameters are in pixels; pass the nm-scaled values
+// against a target: exact lithography at the three corners (one mask
+// spectrum; the nominal and outer corners share one SOCS pass), then all
+// four metrics. EPE geometry parameters are in pixels; pass the nm-scaled values
 // when running below paper resolution.
 func Evaluate(p *litho.Process, maskOut, target *grid.Mat, epeSpacingPx, epeThrPx int) (Report, error) {
 	var r Report
-	zNorm, err := p.Print(maskOut, p.Nominal())
+	zs, err := prints(p, maskOut, p.Corners())
 	if err != nil {
-		return r, fmt.Errorf("metrics: nominal print: %w", err)
+		return r, err
 	}
-	zIn, err := p.Print(maskOut, p.Inner())
-	if err != nil {
-		return r, fmt.Errorf("metrics: inner print: %w", err)
-	}
-	zOut, err := p.Print(maskOut, p.Outer())
-	if err != nil {
-		return r, fmt.Errorf("metrics: outer print: %w", err)
-	}
+	zNorm, zIn, zOut := zs[0], zs[1], zs[2]
 	r.L2 = L2(zNorm, target)
 	r.PVB = PVBand(zIn, zOut)
 	r.EPE = EPE(target, zNorm, epeSpacingPx, epeThrPx)
 	r.Shots = Shots(maskOut)
 	return r, nil
+}
+
+// prints simulates one mask at every corner through one Process.Simulate
+// call and returns the constant-threshold resist images in corner order.
+func prints(p *litho.Process, mask *grid.Mat, corners []litho.Corner) ([]*grid.Mat, error) {
+	fields, err := p.Simulate(mask, corners, false)
+	if err != nil {
+		return nil, fmt.Errorf("metrics: %w", err)
+	}
+	zs := make([]*grid.Mat, len(fields))
+	for i, f := range fields {
+		zs[i] = litho.ResistBinary(f.Intensity, p.Threshold)
+	}
+	return zs, nil
 }

@@ -29,46 +29,40 @@ type WindowPoint struct {
 
 // DoseWindow prints the mask at every dose in the ladder (at nominal focus
 // and, when withDefocus is set, also defocused) and evaluates each
-// condition against the target.
+// condition against the target. All conditions share one mask spectrum and
+// one SOCS pass per focus state.
 func DoseWindow(p *litho.Process, maskImg, target *grid.Mat, doses []float64, withDefocus bool, epeSpacingPx, epeThrPx int) ([]WindowPoint, error) {
 	if len(doses) == 0 {
 		return nil, fmt.Errorf("metrics: empty dose ladder")
 	}
-	var out []WindowPoint
-	kernelSets := []struct {
-		ks        *litho.Corner
-		defocused bool
-	}{}
-	nom := p.Nominal()
-	kernelSets = append(kernelSets, struct {
-		ks        *litho.Corner
-		defocused bool
-	}{&nom, false})
-	if withDefocus {
-		def := p.Inner()
-		def.Dose = 1 // the ladder supplies the dose
-		kernelSets = append(kernelSets, struct {
-			ks        *litho.Corner
-			defocused bool
-		}{&def, true})
+	for _, dose := range doses {
+		if dose <= 0 {
+			return nil, fmt.Errorf("metrics: non-positive dose %g", dose)
+		}
 	}
-	for _, set := range kernelSets {
+	focus := []litho.Corner{p.Nominal()}
+	if withDefocus {
+		focus = append(focus, p.Inner())
+	}
+	corners := make([]litho.Corner, 0, len(focus)*len(doses))
+	for _, c := range focus {
 		for _, dose := range doses {
-			if dose <= 0 {
-				return nil, fmt.Errorf("metrics: non-positive dose %g", dose)
-			}
-			c := litho.Corner{Name: set.ks.Name, KS: set.ks.KS, Dose: dose}
-			z, err := p.Print(maskImg, c)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, WindowPoint{
-				Dose:      dose,
-				Defocused: set.defocused,
-				Area:      z.Sum(),
-				L2:        L2(z, target),
-				EPE:       EPE(target, z, epeSpacingPx, epeThrPx),
-			})
+			c.Dose = dose // the ladder supplies the dose
+			corners = append(corners, c)
+		}
+	}
+	zs, err := prints(p, maskImg, corners)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]WindowPoint, len(corners))
+	for i, z := range zs {
+		out[i] = WindowPoint{
+			Dose:      corners[i].Dose,
+			Defocused: i >= len(doses),
+			Area:      z.Sum(),
+			L2:        L2(z, target),
+			EPE:       EPE(target, z, epeSpacingPx, epeThrPx),
 		}
 	}
 	return out, nil
@@ -77,24 +71,28 @@ func DoseWindow(p *litho.Process, maskImg, target *grid.Mat, doses []float64, wi
 // PVBandLadder generalises Definition 2 to a ladder of dose excursions:
 // for each delta it returns the XOR area between the (defocus, 1−delta)
 // and (nominal focus, 1+delta) prints. The paper's PVB is the delta = 0.02
-// rung.
+// rung. Every rung shares one mask spectrum and one SOCS pass per focus
+// state.
 func PVBandLadder(p *litho.Process, maskImg *grid.Mat, deltas []float64) ([]float64, error) {
-	out := make([]float64, 0, len(deltas))
+	corners := make([]litho.Corner, 0, 2*len(deltas))
 	for _, d := range deltas {
 		if d < 0 || d >= 1 {
 			return nil, fmt.Errorf("metrics: dose delta %g outside [0, 1)", d)
 		}
-		inner := litho.Corner{Name: "inner", KS: p.Sim.Model.Defocus, Dose: 1 - d}
-		outer := litho.Corner{Name: "outer", KS: p.Sim.Model.Nominal, Dose: 1 + d}
-		zIn, err := p.Print(maskImg, inner)
-		if err != nil {
-			return nil, err
-		}
-		zOut, err := p.Print(maskImg, outer)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, PVBand(zIn, zOut))
+		corners = append(corners,
+			litho.Corner{Name: "inner", KS: p.Sim.Model.Defocus, Dose: 1 - d},
+			litho.Corner{Name: "outer", KS: p.Sim.Model.Nominal, Dose: 1 + d})
+	}
+	out := make([]float64, 0, len(deltas))
+	if len(deltas) == 0 {
+		return out, nil
+	}
+	zs, err := prints(p, maskImg, corners)
+	if err != nil {
+		return nil, err
+	}
+	for i := range deltas {
+		out = append(out, PVBand(zs[2*i], zs[2*i+1]))
 	}
 	return out, nil
 }

@@ -13,7 +13,7 @@ type TraceStats struct {
 	Events       int
 	Iters        int
 	Tiles        int         // tile events seen (all sweeps)
-	StageIters   map[int]int // stage index → iteration events seen
+	StageIters   map[int]int // stage index → iter and iter.nonfinite events seen
 	StagesOpened map[int]int // stage index → budget from stage.start
 	WallSec      float64     // from the run.end event (0 if absent)
 	PhaseSec     float64     // summed phase seconds from the phases event
@@ -43,7 +43,9 @@ func (s *TraceStats) Coverage() float64 {
 //     executor promises: tiles may run concurrently, but the trace must
 //     read as if they ran serially;
 //   - every stage opened by a stage.start with a positive budget is
-//     covered by at least one iter event.
+//     covered by at least one iter event, or ended by an "iter.nonfinite"
+//     event (stage/iter), which stops a run at the iteration that met a
+//     non-finite loss or gradient.
 //
 // It returns aggregate stats so callers can apply run-level invariants
 // (e.g. the phase-timer wall-clock coverage bound).
@@ -116,6 +118,15 @@ func ValidateTrace(r io.Reader) (*TraceStats, error) {
 			}
 			stats.StageIters[stage]++
 			stats.Iters++
+		case "iter.nonfinite":
+			stage, err := requireInt(obj, "stage", line, name)
+			if err != nil {
+				return nil, err
+			}
+			if _, err := requireInt(obj, "iter", line, name); err != nil {
+				return nil, err
+			}
+			stats.StageIters[stage]++
 		case "tile":
 			tx, err := requireInt(obj, "tx", line, name)
 			if err != nil {
