@@ -91,38 +91,18 @@ func (p *Plan) outTable(half int) *outTable {
 // forwardPruned4 is the output-pruned forward transform over four
 // interleaved lanes, x[4·i+lane] (the layout of inversePruned4). x must
 // already be in bit-reversed order: AdjointPatch gathers straight into
-// those slots. Every butterfly ot schedules runs exactly as in Forward, so
-// each lane's outputs at the kept frequencies (k ∈ [−half, half] mod N)
-// have Forward's bits; the other outputs are garbage.
+// those slots. Every butterfly ot schedules runs exactly as in Forward —
+// one stage4 call per run; the butterflies of one stage touch disjoint
+// pairs, so running a stage run by run keeps every bit — and each lane's
+// outputs at the kept frequencies (k ∈ [−half, half] mod N) have Forward's
+// bits; the other outputs are garbage.
 func (p *Plan) forwardPruned4(x []complex128, ot *outTable) {
 	if len(x) != 4*p.n {
 		panic(fmt.Sprintf("fft: buffer length %d != 4×plan length %d", len(x), p.n))
 	}
 	for i, runs := range ot.stages {
-		m := 1 << i // half block of stage i+1
-		blk := m << 1
-		for k := 0; k < p.n; k += blk {
-			for _, r := range runs {
-				for jr, twj := range r.tw {
-					a := 4 * (k + r.j0 + jr)
-					b := a + 4*m
-					//lint:ignore bce length-capped reslices, the inversePruned4 idiom: one slice check per 4-lane operand
-					xa, xb := x[a:a+4:a+4], x[b:b+4:b+4]
-					t0 := twj * xb[0]
-					t1 := twj * xb[1]
-					t2 := twj * xb[2]
-					t3 := twj * xb[3]
-					u0, u1, u2, u3 := xa[0], xa[1], xa[2], xa[3]
-					xa[0] = u0 + t0
-					xa[1] = u1 + t1
-					xa[2] = u2 + t2
-					xa[3] = u3 + t3
-					xb[0] = u0 - t0
-					xb[1] = u1 - t1
-					xb[2] = u2 - t2
-					xb[3] = u3 - t3
-				}
-			}
+		for _, r := range runs {
+			stage4(x, 1<<i, r.j0, r.tw, nil)
 		}
 	}
 }

@@ -24,13 +24,16 @@ import (
 // group g of kernel k stores rows 4g..4g+3 as buf[((k·G+g)·m + x)·4 + lane].
 // Four rows (and later four columns) advance through the transform in
 // lockstep: each butterfly loads its twiddle once and applies it to four
-// lanes sitting in one 64-byte cache line. Every lane performs exactly the
-// per-element operation sequence of the one-kernel pruned inverse, which
-// is bit-identical to the dense inverse, so the batched result is
-// bit-for-bit identical to the ApplyKernel + InverseNoNorm pair per kernel.
-// The column pass walks blocks of four columns, so the gather from the row
-// intermediate, the scatter into the amplitude and the intensity
-// accumulation all touch full cache lines instead of one value in eight.
+// lanes sitting in one 64-byte cache line — one stage4 call per stage
+// (stage4.go), AVX assembly where the CPU has it. Both passes write their
+// band values straight into bit-reversed slots, so no permutation pass
+// runs. Every lane performs exactly the per-element operation sequence of
+// the one-kernel pruned inverse, which is bit-identical to the dense
+// inverse, so the batched result is bit-for-bit identical to the
+// ApplyKernel + InverseNoNorm pair per kernel. The column pass walks blocks
+// of four columns, so the gather from the row intermediate, the scatter
+// into the amplitude and the intensity accumulation all touch full cache
+// lines instead of one value in eight.
 
 // BatchInverse is the retained state between MulRowsBatch and
 // InverseColumns: the row-transformed band products of every kernel. It is
@@ -52,11 +55,12 @@ type BatchInverse struct {
 // MulRowsBatch multiplies spec by every kernel (scale folded into the
 // product — pass FoldInverseScale(scale, m, m) to absorb the inverse
 // normalisation) and runs the pruned inverse row transforms for the whole
-// batch, interleaved four rows at a time. spec is n×n with n ≥ m (Eq. 7
-// truncation happens through the frequency indexing, as in ApplyKernel);
-// the plan is square with m a multiple of four, and at least one kernel is
-// given, all sharing one odd support P ≤ m (so the band never covers the
-// grid).
+// batch, interleaved four rows at a time; each product lands in its row's
+// bit-reversed slot, the order the transform reads. spec is n×n with
+// n ≥ m (Eq. 7 truncation happens through the frequency indexing, as in
+// ApplyKernel); the plan is square with m a multiple of four, and at least
+// one kernel is given, all sharing one odd support P ≤ m (so the band
+// never covers the grid).
 func (p *Plan2) MulRowsBatch(spec *grid.CMat, kernels []*grid.CMat, scale complex128, workers int) *BatchInverse {
 	m := p.w
 	if p.h != m || m%4 != 0 {
@@ -103,6 +107,7 @@ func (p *Plan2) MulRowsBatch(spec *grid.CMat, kernels []*grid.CMat, scale comple
 	b.buf = (*b.bufp)[:need]
 
 	rowBT := p.rowP.bandTable(half)
+	rev := p.rowP.tab.rev
 	sd := spec.Data
 	grid.ParallelFor(min(workers, nk), nk, func(k int) {
 		kd := kernels[k].Data
@@ -126,7 +131,7 @@ func (p *Plan2) MulRowsBatch(spec *grid.CMat, kernels []*grid.CMat, scale comple
 				for fx := -half; fx <= half; fx++ {
 					sx := (fx + n) % n
 					ox := (fx + m) % m
-					slab[ox*4+j] = scale * kd[ky+fx+half] * sd[sy*n+sx]
+					slab[4*int(rev[ox])+j] = scale * kd[ky+fx+half] * sd[sy*n+sx]
 				}
 			}
 			p.rowP.inversePruned4(slab, rowBT)
@@ -146,10 +151,11 @@ type Fold struct {
 }
 
 // InverseColumns finishes the batched inverse: for each block of four
-// columns it gathers every kernel's band rows from the row intermediate,
-// runs the pruned column transforms in lockstep, and — fused in the same
-// L2-resident pass — scatters amplitudes into outs[k] (when outs is
-// non-nil, fully overwriting each m×m matrix) and accumulates every fold.
+// columns it gathers every kernel's band rows from the row intermediate
+// into the bit-reversed slots of a cleared column buffer, runs the pruned
+// column transforms in lockstep, and — fused in the same L2-resident pass
+// — scatters amplitudes into outs[k] (when outs is non-nil, fully
+// overwriting each m×m matrix) and accumulates every fold.
 // Each fold is per element I += Weights[k]·(re²+im²) in ascending k — the
 // exact AbsSqScaledInto+Add sequence of a per-kernel loop, so every
 // intensity is bit-identical to it, to one pass per fold, and independent
@@ -166,7 +172,7 @@ func (b *BatchInverse) InverseColumns(outs []*grid.CMat, folds []Fold) {
 			panic(fmt.Sprintf("fft: %d weights for %d batched kernels", len(f.Weights), b.nk))
 		}
 	}
-	half := b.band.Half
+	rev := p.colP.tab.rev
 	blocks := m / 4
 	span := 4 * m // one fold's slice of the intensity block buffer
 	grid.ParallelFor(min(b.workers, blocks), blocks, func(bx int) {
@@ -191,16 +197,14 @@ func (b *BatchInverse) InverseColumns(outs []*grid.CMat, folds []Fold) {
 		}
 		for k := 0; k < b.nk; k++ {
 			kbase := k*b.groups*4*m + x0*4
+			clear(cb)
 			for ord := 0; ord < b.rows; ord++ {
-				y := b.band.Row(ord, m)
+				y := 4 * int(rev[b.band.Row(ord, m)])
 				src := kbase + (ord>>2)*4*m + (ord & 3)
-				cb[y*4] = b.buf[src]
-				cb[y*4+1] = b.buf[src+4]
-				cb[y*4+2] = b.buf[src+8]
-				cb[y*4+3] = b.buf[src+12]
-			}
-			for y := half + 1; y < m-half; y++ {
-				cb[y*4], cb[y*4+1], cb[y*4+2], cb[y*4+3] = 0, 0, 0, 0
+				cb[y] = b.buf[src]
+				cb[y+1] = b.buf[src+4]
+				cb[y+2] = b.buf[src+8]
+				cb[y+3] = b.buf[src+12]
 			}
 			p.colP.inversePruned4(cb, b.colBT)
 			if outs != nil {
@@ -234,63 +238,25 @@ func (b *BatchInverse) InverseColumns(outs []*grid.CMat, folds []Fold) {
 	p.biPool.Put(b)
 }
 
-// inversePruned4 is inversePruned over four interleaved lanes: x holds 4·N
-// values laid out x[4·i+lane], and each lane undergoes exactly the
-// per-element operation sequence of the one-lane transform — same stage
-// order, same twiddles, same skipped blocks — so each lane's result is
-// bit-identical to inversePruned on that lane alone. No normalisation
-// (batch callers fold it via FoldInverseScale). A nil bt runs all blocks.
+// inversePruned4 is inversePruned over four interleaved lanes, x[4·i+lane],
+// with the input already in bit-reversed order — lane's element i sits in
+// slot x[4·rev(i)+lane]; MulRowsBatch and InverseColumns gather straight
+// into those slots. Each stage is one stage4 call, so each lane undergoes
+// exactly the per-element operation sequence of the one-lane transform —
+// same stage order, same twiddles, same skipped blocks — and each lane's
+// result is bit-identical to inversePruned on that lane alone. No
+// normalisation (batch callers fold it via FoldInverseScale). A nil bt
+// runs all blocks.
 func (p *Plan) inversePruned4(x []complex128, bt *bandTable) {
 	if len(x) != 4*p.n {
 		panic(fmt.Sprintf("fft: buffer length %d != 4×plan length %d", len(x), p.n))
 	}
-	for i, r := range p.tab.rev {
-		if int32(i) < r {
-			// Length-4-capped reslices: the compiler proves xa[0..3]/xb[0..3]
-			// in bounds, so each lane swap costs one slice check instead of
-			// eight element checks (bce ratchet).
-			a, b := 4*i, 4*int(r)
-			xa := x[a : a+4 : a+4]
-			xb := x[b : b+4 : b+4]
-			xa[0], xb[0] = xb[0], xa[0]
-			xa[1], xb[1] = xb[1], xa[1]
-			xa[2], xb[2] = xb[2], xa[2]
-			xa[3], xb[3] = xb[3], xa[3]
-		}
-	}
 	for s := 1; s <= p.logN; s++ {
-		m := 1 << (s - 1) // half block
-		blk := m << 1
-		tw := p.tab.twidI[p.tab.stageAt[s] : p.tab.stageAt[s]+m]
-		var sm *stageMask
+		half := 1 << (s - 1)
+		var nz []bool // nil for a dense stage
 		if bt != nil {
-			sm = &bt.stages[s-1]
+			nz = bt.stages[s-1].nz
 		}
-		for k := 0; k < p.n; k += blk {
-			if sm != nil && !sm.dense && !sm.nz[k>>uint(s)] {
-				continue
-			}
-			for j := 0; j < m; j++ {
-				twj := tw[j]
-				// Same reslice trick as the bit-reverse pass: two slice
-				// checks per butterfly instead of sixteen element checks.
-				a, b := 4*(k+j), 4*(k+j+m)
-				xa := x[a : a+4 : a+4]
-				xb := x[b : b+4 : b+4]
-				t0 := twj * xb[0]
-				t1 := twj * xb[1]
-				t2 := twj * xb[2]
-				t3 := twj * xb[3]
-				u0, u1, u2, u3 := xa[0], xa[1], xa[2], xa[3]
-				xa[0] = u0 + t0
-				xa[1] = u1 + t1
-				xa[2] = u2 + t2
-				xa[3] = u3 + t3
-				xb[0] = u0 - t0
-				xb[1] = u1 - t1
-				xb[2] = u2 - t2
-				xb[3] = u3 - t3
-			}
-		}
+		stage4(x, half, 0, p.tab.twidI[p.tab.stageAt[s]:p.tab.stageAt[s]+half], nz)
 	}
 }

@@ -1,0 +1,32 @@
+package fft
+
+// useAVX reports whether the CPU has AVX and the OS saves its YMM state:
+// CPUID leaf 1 ECX bits 27 (OSXSAVE) and 28 (AVX), then XCR0 bits 1 (SSE)
+// and 2 (AVX). The kernel needs nothing beyond AVX — no AVX2, no FMA.
+var useAVX = func() bool {
+	const osxsave, avx = 1 << 27, 1 << 28
+	if cpuid1ECX()&(osxsave|avx) != osxsave|avx {
+		return false
+	}
+	return xcr0()&6 == 6
+}()
+
+func bflyStage4(x []complex128, half, j0 int, tw []complex128, nz []bool) {
+	if useAVX {
+		stage4AVX(x, half, j0, tw, nz)
+		return
+	}
+	stage4Generic(x, half, j0, tw, nz)
+}
+
+// stage4AVX is stage4 in 256-bit AVX (stage4_amd64.s). It trusts its
+// arguments: stage4 checks the schedule, and x and tw are non-empty.
+//
+//go:noescape
+func stage4AVX(x []complex128, half, j0 int, tw []complex128, nz []bool)
+
+// cpuid1ECX returns ECX of CPUID leaf 1.
+func cpuid1ECX() uint32
+
+// xcr0 returns the low word of extended control register 0 (XGETBV).
+func xcr0() uint32

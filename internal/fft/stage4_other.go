@@ -1,0 +1,9 @@
+//go:build !amd64
+
+package fft
+
+const useAVX = false
+
+func bflyStage4(x []complex128, half, j0 int, tw []complex128, nz []bool) {
+	stage4Generic(x, half, j0, tw, nz)
+}

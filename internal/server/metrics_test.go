@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fft"
 	"repro/internal/server"
 )
 
@@ -113,6 +114,8 @@ func TestMetricsContentNegotiation(t *testing.T) {
 		"ilt_goroutines",
 		"ilt_heap_inuse_bytes",
 		"ilt_gc_pause_seconds_total",
+		"# TYPE ilt_fft_kernel_info gauge",
+		`ilt_fft_kernel_info{kernel="` + fft.Kernel() + `"} 1`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Prometheus exposition missing %q", want)

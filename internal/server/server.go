@@ -613,6 +613,7 @@ func (s *Server) writePrometheusMetrics(w http.ResponseWriter) {
 	telemetry.WriteGauge(&buf, "ilt_cached_fft_plans", float64(s.plans.Sizes()))
 	telemetry.WriteGauge(&buf, "ilt_fft_table_bytes", float64(fft.TableBytes()))
 	fmt.Fprintf(&buf, "# TYPE ilt_fft_table_reuse_total counter\nilt_fft_table_reuse_total %d\n", fft.TableReuse())
+	fmt.Fprintf(&buf, "# TYPE ilt_fft_kernel_info gauge\nilt_fft_kernel_info{kernel=%q} 1\n", fft.Kernel())
 	telemetry.WriteGauge(&buf, "ilt_elapsed_seconds", s.rec.Elapsed())
 	fmt.Fprint(&buf, "# TYPE ilt_jobs gauge\n")
 	for _, st := range []JobState{StateQueued, StateRunning, StateDone, StateFailed, StateCanceled} {

@@ -6,11 +6,15 @@ import (
 	"runtime"
 	"runtime/debug"
 	"strings"
+
+	"repro/internal/fft"
 )
 
 // HostInfo is the host/CPU block of a run manifest. Benchmark artifacts
-// (BENCH_WORKERS.json) embed the same block so timing files stay
-// self-describing across machines.
+// (BENCH_*.json) embed the same block so timing files stay
+// self-describing across machines. FFTKernel names the butterfly kernel
+// the batch FFT engine runs on this host (fft.Kernel: "avx" or
+// "generic"), so a timing taken on the portable fallback says so.
 type HostInfo struct {
 	OS         string `json:"os"`
 	Arch       string `json:"arch"`
@@ -19,6 +23,7 @@ type HostInfo struct {
 	GoVersion  string `json:"go_version"`
 	CPUModel   string `json:"cpu_model,omitempty"`
 	Hostname   string `json:"hostname,omitempty"`
+	FFTKernel  string `json:"fft_kernel"`
 }
 
 // Host snapshots the current host.
@@ -30,6 +35,7 @@ func Host() HostInfo {
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		GoVersion:  runtime.Version(),
 		CPUModel:   cpuModel(),
+		FFTKernel:  fft.Kernel(),
 	}
 	if name, err := os.Hostname(); err == nil {
 		h.Hostname = name

@@ -394,4 +394,7 @@ func TestHostInfoPopulated(t *testing.T) {
 	if h.OS == "" || h.Arch == "" || h.NumCPU < 1 || h.GOMAXPROCS < 1 || h.GoVersion == "" {
 		t.Errorf("host info incomplete: %+v", h)
 	}
+	if h.FFTKernel != "avx" && h.FFTKernel != "generic" {
+		t.Errorf("host info names FFT kernel %q, want avx or generic", h.FFTKernel)
+	}
 }
