@@ -60,9 +60,13 @@ func TestProcessGridTooSmallForS8(t *testing.T) {
 	}
 }
 
+// TestForwardTimingShape times 50 simulations per variant: the totals are
+// rounded to 1 ms, and at n = 128 one simulation takes a fraction of a
+// millisecond, so a window of a few simulations cannot order Eq. 3 and
+// Eq. 7 reliably.
 func TestForwardTimingShape(t *testing.T) {
 	c := tiny(t)
-	tb, err := ForwardTiming(c, 5)
+	tb, err := ForwardTiming(c, 50)
 	if err != nil {
 		t.Fatal(err)
 	}

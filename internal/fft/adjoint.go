@@ -12,9 +12,9 @@ import (
 // Plan2.AdjointPatch computes just that band — the transpose of the
 // input-pruned InverseBandNoNorm:
 //
-//   - the product dLdI ⊙ A_k is formed four rows at a time, straight into
-//     the bit-reversed slots of a 4-lane row buffer (no m×m product buffer,
-//     no permutation pass);
+//   - the product dLdI ⊙ A_k is formed sixteen rows at a time from the
+//     tiled amplitude (batch.go), straight into the bit-reversed slots of
+//     four 4-lane row buffers (no m×m product buffer, no permutation pass);
 //   - output-pruned row transforms run only the butterflies that feed the
 //     P band columns, and only those columns are kept, in a ⌈P/4⌉·4·m slab;
 //   - output-pruned column transforms on those columns run only the
@@ -127,11 +127,13 @@ func (p *Plan) prunedButterflies(half int) int {
 // column group are not counted). The dense adjoint transform it replaces
 // runs Butterflies().
 func (p *Plan2) AdjointPatchButterflies(support int) int64 {
-	if p.w < 4 {
-		return p.Butterflies()
-	}
 	return int64((p.h + support) * p.rowP.prunedButterflies(support/2))
 }
+
+// gatherRows is the height of the row band AdjointPatch gathers from the
+// tiled amplitude in one go: each column block contributes 16 rows, 1 KiB
+// contiguous, and the band fills four 4-lane row buffers.
+const gatherRows = 16
 
 // AdjointPatch computes one SOCS kernel's P×P adjoint patch from its
 // amplitude and dL/dI:
@@ -140,14 +142,17 @@ func (p *Plan2) AdjointPatchButterflies(support int) int64 {
 //
 // with the bits of KernelAdjointPatch(dst, Forward(dLdI ⊙ amp), kernel,
 // scale), but without forming the m×m product or running the butterflies
-// no patch cell reads (see the top of this file). The plan must be square;
-// dLdI and amp are m×m and kernel is odd P×P with P ≤ m. dst is reused if
-// it is P×P; pass nil to allocate. Safe for concurrent use: the scratch
-// comes from the plan's pools.
+// no patch cell reads (see the top of this file). amp is in the tiled
+// layout InverseColumns keeps (batch.go; Tile4 converts a row-major one);
+// dLdI is row-major. The plan must be square with a side m divisible by 4
+// (AdjointPatch panics otherwise, as MulRowsBatch does); dLdI and amp are
+// m×m and kernel is odd P×P with P ≤ m. dst is reused if it is P×P; pass
+// nil to allocate. Safe for concurrent use: the scratch comes from the
+// plan's pools.
 func (p *Plan2) AdjointPatch(dst *grid.CMat, dLdI *grid.Mat, amp, kernel *grid.CMat, scale complex128) *grid.CMat {
 	m := p.w
-	if p.h != m || dLdI.W != m || dLdI.H != m || amp.W != m || amp.H != m {
-		panic(fmt.Sprintf("fft: AdjointPatch needs a square plan and matching fields, got plan %dx%d, dLdI %dx%d, amp %dx%d",
+	if p.h != m || m%4 != 0 || dLdI.W != m || dLdI.H != m || amp.W != m || amp.H != m {
+		panic(fmt.Sprintf("fft: AdjointPatch needs a square plan with a side divisible by 4 and matching fields, got plan %dx%d, dLdI %dx%d, amp %dx%d",
 			p.w, p.h, dLdI.W, dLdI.H, amp.W, amp.H))
 	}
 	pk := kernel.W
@@ -157,19 +162,11 @@ func (p *Plan2) AdjointPatch(dst *grid.CMat, dLdI *grid.Mat, amp, kernel *grid.C
 	if dst == nil || dst.W != pk || dst.H != pk {
 		dst = grid.NewCMat(pk, pk)
 	}
-	if m < 4 {
-		// Too small for four-row groups: transform densely (same bits).
-		prod := grid.NewCMat(m, m)
-		for i, v := range amp.Data {
-			prod.Data[i] = v * complex(dLdI.Data[i], 0)
-		}
-		p.Forward(prod)
-		return KernelAdjointPatch(dst, prod, kernel, scale)
-	}
 	ot := p.rowP.outTable(pk / 2) // square: the column plan shares the tables
 	groups := (pk + 3) / 4
-	rbp := p.colBufs4.Get().(*[]complex128) // 4·m, square plan
-	rows := *rbp
+	rows := min(gatherRows, m) // m is a power of two ≥ 4, so rows divides it
+	bbp := p.adjBands.Get().(*[]complex128)
+	band := (*bbp)[:rows*m]
 	sbp := p.adjBufs.Get().(*[]complex128)
 	need := groups * 4 * m
 	if cap(*sbp) < need {
@@ -178,10 +175,14 @@ func (p *Plan2) AdjointPatch(dst *grid.CMat, dLdI *grid.Mat, amp, kernel *grid.C
 	slab := (*sbp)[:need]
 
 	rev := p.rowP.tab.rev
-	for y0 := 0; y0 < m; y0 += 4 {
-		p.rowP.gatherProduct4(rows, amp.Data[y0*m:(y0+4)*m], dLdI.Data[y0*m:(y0+4)*m])
-		p.rowP.forwardPruned4(rows, ot)
-		p.colP.keepColumns4(slab, rows, [4]int32{rev[y0], rev[y0+1], rev[y0+2], rev[y0+3]}, pk)
+	for y0 := 0; y0 < m; y0 += rows {
+		p.rowP.gatherTiles(band, amp.Data, dLdI.Data, y0)
+		for g := 0; g < rows/4; g++ {
+			x := band[g*4*m : (g+1)*4*m]
+			y := y0 + 4*g
+			p.rowP.forwardPruned4(x, ot)
+			p.colP.keepColumns4(slab, x, [4]int32{rev[y], rev[y+1], rev[y+2], rev[y+3]}, pk)
+		}
 	}
 	// Unused lanes of the last column group: zero them so the column
 	// transform never runs on stale values (no lane reads another).
@@ -198,30 +199,56 @@ func (p *Plan2) AdjointPatch(dst *grid.CMat, dLdI *grid.Mat, amp, kernel *grid.C
 		p.colP.patchEpilogue4(dst.Data, col, kernel.Data, pk, c0, min(c0+4, pk), scale)
 	}
 	p.adjBufs.Put(sbp)
-	p.colBufs4.Put(rbp)
+	p.adjBands.Put(bbp)
 	return dst
 }
 
-// gatherProduct4 is the row pass's fused gather: amp and d hold four rows
-// of the amplitude and of dL/dI back to back, and their products land in
-// the bit-reversed slots of the 4-lane buffer x,
-// x[4·rev(i)+lane] = amp[lane·N+i]·d[lane·N+i] — the product expression of
-// the dense adjoint, so Forward's bit-reversal pass is already done. Each
-// slot's four lanes fill one cache line in one go.
-func (p *Plan) gatherProduct4(x, amp []complex128, d []float64) {
+// gatherTiles is the row pass's fused gather for the band of len(band)/N
+// rows starting at row y0: for each column block of the tiled amplitude
+// amp it reads the band's rows (contiguous), multiplies them by the same
+// cells of the row-major d, and writes each product into the bit-reversed
+// slot of its row's 4-lane buffer — row y0+4g+lane, column i lands in
+// band[g·4N + 4·rev(i) + lane], the layout forwardPruned4 reads. Per
+// four-row group it transposes a 4×4 block: tile row lane, column c goes
+// to lane lane of column c's slot, so each slot's four lanes fill one
+// cache line in one go. The product is amp·complex(d, 0), the expression
+// of the dense adjoint, so Forward's bit-reversal pass is already done.
+func (p *Plan) gatherTiles(band, amp []complex128, d []float64, y0 int) {
+	n := p.n
+	groups := len(band) / (4 * n)
 	rev := p.tab.rev
-	n := len(rev)
-	//lint:ignore bce one reslice per row, so the loop below reads the rows check-free
-	a0, a1, a2, a3 := amp[:n], amp[n:][:n], amp[2*n:][:n], amp[3*n:][:n]
-	//lint:ignore bce one reslice per row, as for the amplitude rows
-	d0, d1, d2, d3 := d[:n], d[n:][:n], d[2*n:][:n], d[3*n:][:n]
-	for i, r := range rev {
-		//lint:ignore bce length-capped reslice of the bit-reversed slot: one check per four products
-		xs := x[4*int(r) : 4*int(r)+4 : 4*int(r)+4]
-		xs[0] = a0[i] * complex(d0[i], 0)
-		xs[1] = a1[i] * complex(d1[i], 0)
-		xs[2] = a2[i] * complex(d2[i], 0)
-		xs[3] = a3[i] * complex(d3[i], 0)
+	for x0 := 0; x0 < n; x0 += 4 {
+		tile := amp[x0*n+4*y0:][:16*groups]
+		rv := rev[x0 : x0+4 : x0+4]
+		r0, r1, r2, r3 := 4*int(rv[0]), 4*int(rv[1]), 4*int(rv[2]), 4*int(rv[3])
+		for g := 0; g < groups; g++ {
+			// Length-capped reslices: the constant indices below run
+			// check-free.
+			t := tile[16*g : 16*g+16 : 16*g+16]
+			bg := band[4*n*g : 4*n*(g+1)]
+			dd := d[(y0+4*g)*n+x0:]
+			d0, d1, d2, d3 := dd[:4:4], dd[n:n+4:n+4], dd[2*n:2*n+4:2*n+4], dd[3*n:3*n+4:3*n+4]
+			x := bg[r0 : r0+4 : r0+4]
+			x[0] = t[0] * complex(d0[0], 0)
+			x[1] = t[4] * complex(d1[0], 0)
+			x[2] = t[8] * complex(d2[0], 0)
+			x[3] = t[12] * complex(d3[0], 0)
+			x = bg[r1 : r1+4 : r1+4]
+			x[0] = t[1] * complex(d0[1], 0)
+			x[1] = t[5] * complex(d1[1], 0)
+			x[2] = t[9] * complex(d2[1], 0)
+			x[3] = t[13] * complex(d3[1], 0)
+			x = bg[r2 : r2+4 : r2+4]
+			x[0] = t[2] * complex(d0[2], 0)
+			x[1] = t[6] * complex(d1[2], 0)
+			x[2] = t[10] * complex(d2[2], 0)
+			x[3] = t[14] * complex(d3[2], 0)
+			x = bg[r3 : r3+4 : r3+4]
+			x[0] = t[3] * complex(d0[3], 0)
+			x[1] = t[7] * complex(d1[3], 0)
+			x[2] = t[11] * complex(d2[3], 0)
+			x[3] = t[15] * complex(d3[3], 0)
+		}
 	}
 }
 

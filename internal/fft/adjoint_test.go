@@ -198,12 +198,34 @@ func denseAdjointPatch(plan *Plan2, d *grid.Mat, amp, kernel *grid.CMat, scale c
 	return KernelAdjointPatch(nil, prod, kernel, scale)
 }
 
-// The 2-D patch equals KernelAdjointPatch(Forward(dLdI ⊙ A)) at tolerance
-// 0 (raw bits) across grid sizes, kernel supports (every lane count of the
-// last column group), reused and poisoned destinations.
+// tiledCopy returns amp in the tiled layout AdjointPatch reads (Tile4).
+func tiledCopy(amp *grid.CMat) *grid.CMat {
+	out := grid.NewCMat(amp.W, amp.H)
+	Tile4(out, amp)
+	return out
+}
+
+// The 2-D patch from the tiled amplitude equals
+// KernelAdjointPatch(Forward(dLdI ⊙ A)) of the row-major one at tolerance
+// 0 (raw bits) across grid sizes (one band of up to sixteen rows and
+// many), kernel supports (every lane count of the last column group),
+// reused and poisoned destinations. A side not divisible by 4 panics.
 func TestAdjointPatchBitIdenticalToDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
-	for _, m := range []int{2, 4, 8, 16, 32, 64, 128, 256, 512} {
+	func() {
+		plan, err := NewPlan2(2, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		amp, d, kernel := adjointFields(rng, 2, 1)
+		defer func() {
+			if recover() == nil {
+				t.Error("AdjointPatch accepted m=2, a side not divisible by 4")
+			}
+		}()
+		plan.AdjointPatch(nil, d, amp, kernel, 1)
+	}()
+	for _, m := range []int{4, 8, 16, 32, 64, 128, 256, 512} {
 		plan, err := NewPlan2(m, m)
 		if err != nil {
 			t.Fatal(err)
@@ -220,7 +242,7 @@ func TestAdjointPatchBitIdenticalToDense(t *testing.T) {
 			for i := range dst.Data {
 				dst.Data[i] = complex(math.NaN(), math.Inf(1))
 			}
-			got := plan.AdjointPatch(dst, d, amp, kernel, scale)
+			got := plan.AdjointPatch(dst, d, tiledCopy(amp), kernel, scale)
 			if got != dst {
 				t.Fatalf("m=%d P=%d: a P×P destination was not reused", m, pk)
 			}
@@ -231,7 +253,7 @@ func TestAdjointPatchBitIdenticalToDense(t *testing.T) {
 	}
 }
 
-// Stale NaN in the pooled scratch — the row buffer and the kept-column
+// Stale NaN in the pooled scratch — the row band and the kept-column
 // slab, including the unused lanes of the last column group — never
 // reaches the patch.
 func TestAdjointPatchIgnoresPoisonedScratch(t *testing.T) {
@@ -240,19 +262,20 @@ func TestAdjointPatchIgnoresPoisonedScratch(t *testing.T) {
 	plan, _ := NewPlan2(m, m)
 	amp, d, kernel := adjointFields(rng, m, pk)
 	want := denseAdjointPatch(plan, d, amp, kernel, 1)
+	tiled := tiledCopy(amp)
 	nan := complex(math.NaN(), math.NaN())
 	for rep := 0; rep < 3; rep++ {
-		rbp := plan.colBufs4.Get().(*[]complex128)
+		bbp := plan.adjBands.Get().(*[]complex128)
 		sbp := plan.adjBufs.Get().(*[]complex128)
 		*sbp = make([]complex128, ((pk+3)/4)*4*m)
-		for _, b := range [][]complex128{*rbp, *sbp} {
+		for _, b := range [][]complex128{*bbp, *sbp} {
 			for i := range b {
 				b[i] = nan
 			}
 		}
 		plan.adjBufs.Put(sbp)
-		plan.colBufs4.Put(rbp)
-		got := plan.AdjointPatch(nil, d, amp, kernel, 1)
+		plan.adjBands.Put(bbp)
+		got := plan.AdjointPatch(nil, d, tiled, kernel, 1)
 		if i, ok := equalBits(got, want); !ok {
 			t.Fatalf("rep %d: patch cell %d = %v after poisoning scratch, want %v", rep, i, got.Data[i], want.Data[i])
 		}

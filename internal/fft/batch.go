@@ -31,9 +31,18 @@ import (
 // the one-kernel pruned inverse, which is bit-identical to the dense
 // inverse, so the batched result is bit-for-bit identical to the
 // ApplyKernel + InverseNoNorm pair per kernel. The column pass walks blocks
-// of four columns, so the gather from the row intermediate, the scatter
-// into the amplitude and the intensity accumulation all touch full cache
-// lines instead of one value in eight.
+// of four columns, so the gather from the row intermediate and the
+// intensity accumulation touch full cache lines instead of one value in
+// eight, and a kept amplitude is the column pass's own buffer: the tiled
+// layout below stores each four-column block as the pass leaves it, so
+// no amplitude is copied after its transform.
+//
+// Tiled amplitudes. An m×m amplitude InverseColumns keeps is stored as m/4
+// column blocks: block b holds columns 4b…4b+3 row by row, so element
+// (x, y) sits at index (x/4)·4m + 4y + x%4 — the four-lane column buffer
+// of the column pass. InverseColumns is its one writer and AdjointPatch its
+// one reader; Tile4 and Untile4 convert to and from row-major for code
+// that works row by row.
 
 // BatchInverse is the retained state between MulRowsBatch and
 // InverseColumns: the row-transformed band products of every kernel. It is
@@ -154,18 +163,25 @@ type Fold struct {
 // columns it gathers every kernel's band rows from the row intermediate
 // into the bit-reversed slots of a cleared column buffer, runs the pruned
 // column transforms in lockstep, and — fused in the same L2-resident pass
-// — scatters amplitudes into outs[k] (when outs is non-nil, fully
-// overwriting each m×m matrix) and accumulates every fold.
-// Each fold is per element I += Weights[k]·(re²+im²) in ascending k — the
-// exact AbsSqScaledInto+Add sequence of a per-kernel loop, so every
-// intensity is bit-identical to it, to one pass per fold, and independent
-// of the worker count. The batch's buffer is released; b must not be used
-// again.
+// — accumulates every fold. When outs is non-nil the column buffer of
+// block x0/4 is outs[k].Data[x0·m : x0·m+4m] itself, so each m×m amplitude
+// is fully overwritten in the tiled layout (see the top of this file) and
+// nothing is copied; otherwise the buffer is pooled scratch.
+// Each fold is per element I += Weights[k]·(re²+im²) in ascending k
+// (fold4) — the exact AbsSqScaledInto+Add sequence of a per-kernel loop, so
+// every intensity is bit-identical to it, to one pass per fold, and
+// independent of the worker count. The batch's buffer is released; b must
+// not be used again.
 func (b *BatchInverse) InverseColumns(outs []*grid.CMat, folds []Fold) {
 	p := b.p
 	m := p.w
 	if outs != nil && len(outs) != b.nk {
 		panic(fmt.Sprintf("fft: %d outs for %d batched kernels", len(outs), b.nk))
+	}
+	for _, o := range outs {
+		if o.W != m || o.H != m {
+			panic(fmt.Sprintf("fft: amplitude %dx%d for a %dx%d batch", o.W, o.H, m, m))
+		}
 	}
 	for _, f := range folds {
 		if len(f.Weights) != b.nk {
@@ -174,11 +190,15 @@ func (b *BatchInverse) InverseColumns(outs []*grid.CMat, folds []Fold) {
 	}
 	rev := p.colP.tab.rev
 	blocks := m / 4
-	span := 4 * m // one fold's slice of the intensity block buffer
+	span := 4 * m // one column block: of an amplitude, or of a fold's intensity
 	grid.ParallelFor(min(b.workers, blocks), blocks, func(bx int) {
 		x0 := bx * 4
-		cbp := p.colBufs4.Get().(*[]complex128)
-		cb := *cbp
+		var cb []complex128
+		var cbp *[]complex128
+		if outs == nil {
+			cbp = p.colBufs4.Get().(*[]complex128)
+			cb = *cbp
+		}
 		var ib []float64
 		var ibp *[]float64
 		if len(folds) > 0 {
@@ -196,6 +216,9 @@ func (b *BatchInverse) InverseColumns(outs []*grid.CMat, folds []Fold) {
 			}
 		}
 		for k := 0; k < b.nk; k++ {
+			if outs != nil {
+				cb = outs[k].Data[x0*m : x0*m+span]
+			}
 			kbase := k*b.groups*4*m + x0*4
 			clear(cb)
 			for ord := 0; ord < b.rows; ord++ {
@@ -207,19 +230,8 @@ func (b *BatchInverse) InverseColumns(outs []*grid.CMat, folds []Fold) {
 				cb[y+3] = b.buf[src+12]
 			}
 			p.colP.inversePruned4(cb, b.colBT)
-			if outs != nil {
-				od := outs[k].Data
-				for y := 0; y < m; y++ {
-					copy(od[y*m+x0:y*m+x0+4], cb[y*4:y*4+4])
-				}
-			}
 			for f, fold := range folds {
-				wk := fold.Weights[k]
-				fb := ib[f*span : (f+1)*span]
-				for i := range fb {
-					re, im := real(cb[i]), imag(cb[i])
-					fb[i] += wk * (re*re + im*im)
-				}
+				fold4(ib[f*span:(f+1)*span], cb, fold.Weights[k])
 			}
 		}
 		for f, fold := range folds {
@@ -231,11 +243,48 @@ func (b *BatchInverse) InverseColumns(outs []*grid.CMat, folds []Fold) {
 		if ibp != nil {
 			p.intBufs.Put(ibp)
 		}
-		p.colBufs4.Put(cbp)
+		if cbp != nil {
+			p.colBufs4.Put(cbp)
+		}
 	})
 	p.batchBufs.Put(b.bufp)
 	*b = BatchInverse{}
 	p.biPool.Put(b)
+}
+
+// Tile4 writes the row-major m×m matrix src into dst in the tiled layout
+// InverseColumns keeps amplitudes in (see the top of this file): element
+// (x, y) goes to dst.Data[(x/4)·4m + 4y + x%4]. Both matrices must be
+// square with one side divisible by 4, and must not overlap.
+func Tile4(dst, src *grid.CMat) {
+	m := tileSide("Tile4", dst, src)
+	for y := 0; y < m; y++ {
+		row := src.Data[y*m : (y+1)*m]
+		for x0 := 0; x0 < m; x0 += 4 {
+			copy(dst.Data[x0*m+4*y:x0*m+4*y+4], row[x0:x0+4])
+		}
+	}
+}
+
+// Untile4 is the inverse of Tile4: it writes the tiled m×m matrix src into
+// dst row-major, with the same shape rules.
+func Untile4(dst, src *grid.CMat) {
+	m := tileSide("Untile4", dst, src)
+	for y := 0; y < m; y++ {
+		row := dst.Data[y*m : (y+1)*m]
+		for x0 := 0; x0 < m; x0 += 4 {
+			copy(row[x0:x0+4], src.Data[x0*m+4*y:x0*m+4*y+4])
+		}
+	}
+}
+
+// tileSide checks the shapes Tile4 and Untile4 accept and returns the side.
+func tileSide(op string, dst, src *grid.CMat) int {
+	m := src.W
+	if src.H != m || dst.W != m || dst.H != m || m%4 != 0 {
+		panic(fmt.Sprintf("fft: %s needs two square matrices of one side divisible by 4, got %dx%d and %dx%d", op, dst.W, dst.H, src.W, src.H))
+	}
+	return m
 }
 
 // inversePruned4 is inversePruned over four interleaved lanes, x[4·i+lane],

@@ -51,6 +51,14 @@ func batchRun(t *testing.T, plan *Plan2, spec *grid.CMat, kernels []*grid.CMat, 
 	return outs, intensity
 }
 
+// untiled returns the row-major copy of a tiled amplitude (Untile4), the
+// layout the dense oracle computes.
+func untiled(a *grid.CMat) *grid.CMat {
+	out := grid.NewCMat(a.W, a.H)
+	Untile4(out, a)
+	return out
+}
+
 // kernelSupportFor picks an odd kernel support that does not cover size m.
 func kernelSupportFor(m int) int {
 	p := 35
@@ -65,8 +73,9 @@ func kernelSupportFor(m int) int {
 
 // TestBatchMatchesPerKernelBitExact: the batched MulRowsBatch +
 // InverseColumns pair must reproduce the dense per-kernel folded path
-// bit-for-bit — amplitudes and the k-ordered intensity fold — across the
-// size sweep m ∈ {8…2048}.
+// bit-for-bit — amplitudes (kept tiled, compared row-major through
+// Untile4) and the k-ordered intensity fold — across the size sweep
+// m ∈ {8…2048}.
 func TestBatchMatchesPerKernelBitExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for _, m := range []int{8, 16, 32, 64, 128, 256, 512, 1024, 2048} {
@@ -95,7 +104,7 @@ func TestBatchMatchesPerKernelBitExact(t *testing.T) {
 			}
 			if keep {
 				for k := range kernels {
-					if gotAmps[k].MaxAbsDiff(wantAmps[k]) != 0 {
+					if untiled(gotAmps[k]).MaxAbsDiff(wantAmps[k]) != 0 {
 						t.Errorf("m=%d P=%d: batched amplitude %d differs from per-kernel", m, pk, k)
 					}
 				}
@@ -177,7 +186,7 @@ func TestBatchEq7Spectrum(t *testing.T) {
 		t.Error("batched Eq7 intensity differs from per-kernel fold")
 	}
 	for k := range kernels {
-		if gotAmps[k].MaxAbsDiff(wantAmps[k]) != 0 {
+		if untiled(gotAmps[k]).MaxAbsDiff(wantAmps[k]) != 0 {
 			t.Errorf("batched Eq7 amplitude %d differs", k)
 		}
 	}
@@ -230,8 +239,53 @@ func TestBatchFallbacks(t *testing.T) {
 	scale := FoldInverseScale(1, 16, 16)
 	wantAmps, wantI := perKernelFolded(t, plan, spec, nearly, scale, weights)
 	gotAmps, gotI := batchRun(t, plan, spec, nearly, scale, weights, 2, true)
-	if !gotI.Equal(wantI, 0) || gotAmps[0].MaxAbsDiff(wantAmps[0]) != 0 {
+	if !gotI.Equal(wantI, 0) || untiled(gotAmps[0]).MaxAbsDiff(wantAmps[0]) != 0 {
 		t.Error("near-covering band batch differs from per-kernel path")
+	}
+}
+
+// TestTile4RoundTrip: Untile4(Tile4(x)) is x bit for bit, Tile4 puts
+// element (x, y) at (x/4)·4m + 4y + x%4, and both helpers reject a
+// non-square matrix, a side not divisible by 4 and mismatched sides.
+func TestTile4RoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(48))
+	for m := 4; m <= 2048; m *= 2 {
+		src := randCMatFFT(rng, m, m)
+		tiled := grid.NewCMat(m, m)
+		Tile4(tiled, src)
+		for _, c := range [][2]int{{0, 0}, {m - 1, 0}, {0, m - 1}, {m - 1, m - 1}, {m / 2, m/4 + 1}} {
+			x, y := c[0], c[1]
+			if !sameBits(tiled.Data[(x/4)*4*m+4*y+x%4], src.Data[y*m+x]) {
+				t.Fatalf("m=%d: Tile4 put element (%d, %d) outside its slot", m, x, y)
+			}
+		}
+		back := grid.NewCMat(m, m)
+		Untile4(back, tiled)
+		if i, ok := equalBits(back, src); !ok {
+			t.Fatalf("m=%d: round trip changed element %d: %v → %v", m, i, src.Data[i], back.Data[i])
+		}
+	}
+	for _, c := range []struct {
+		name     string
+		dst, src *grid.CMat
+	}{
+		{"non-square", grid.NewCMat(8, 8), grid.NewCMat(8, 4)},
+		{"side not divisible by 4", grid.NewCMat(2, 2), grid.NewCMat(2, 2)},
+		{"mismatched sides", grid.NewCMat(4, 4), grid.NewCMat(8, 8)},
+	} {
+		for _, h := range []struct {
+			name string
+			op   func(dst, src *grid.CMat)
+		}{{"Tile4", Tile4}, {"Untile4", Untile4}} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s accepted a %s shape", h.name, c.name)
+					}
+				}()
+				h.op(c.dst, c.src)
+			}()
+		}
 	}
 }
 

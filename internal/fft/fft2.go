@@ -24,15 +24,16 @@ type Plan2 struct {
 	// grow on demand (see batchLease).
 	batchBufs sync.Pool
 	// colBufs4 and intBufs recycle the 4-column gather scratch of
-	// BatchInverse.InverseColumns (complex amplitudes and real intensities,
-	// 4·h values per fold; intBufs entries grow on demand for several
-	// folds); AdjointPatch reuses colBufs4 for its 4-row buffer (square
-	// plans only).
+	// BatchInverse.InverseColumns (complex amplitudes when no amplitude is
+	// kept, and real intensities, 4·h values per fold; intBufs entries grow
+	// on demand for several folds).
 	colBufs4 sync.Pool
 	intBufs  sync.Pool
-	// adjBufs recycles AdjointPatch's kept-column slab, ⌈P/4⌉·4·m values;
-	// entries grow on demand like batchBufs.
-	adjBufs sync.Pool
+	// adjBands recycles AdjointPatch's row band, min(gatherRows, h)·h
+	// values (square plans only); adjBufs its kept-column slab,
+	// ⌈P/4⌉·4·m values, whose entries grow on demand like batchBufs.
+	adjBands sync.Pool
+	adjBufs  sync.Pool
 	// biPool recycles the BatchInverse shell itself: the struct is
 	// single-use by contract, so InverseColumns returns it here and the
 	// chunked gradient's repeated MulRowsBatch calls stop allocating it.
@@ -61,6 +62,7 @@ func NewPlan2(w, h int) (*Plan2, error) {
 	p.batchBufs.New = func() any { b := []complex128(nil); return &b }
 	p.colBufs4.New = func() any { b := make([]complex128, 4*h); return &b }
 	p.intBufs.New = func() any { b := make([]float64, 4*h); return &b }
+	p.adjBands.New = func() any { b := make([]complex128, min(gatherRows, h)*h); return &b }
 	p.biPool.New = func() any { return new(BatchInverse) }
 	p.adjBufs.New = func() any { b := []complex128(nil); return &b }
 	return p, nil

@@ -19,11 +19,16 @@ import "fmt"
 // multiplication and addition are commutative, so operand order inside an
 // instruction changes no bit; the kernel must never use an FMA.
 // TestStage4MatchesGeneric holds the two paths to tolerance 0.
+//
+// The intensity fold behind the column pass, fold4, follows the same
+// discipline: Go evaluates fb[i] += w·(re² + im²) as two products, a sum,
+// a product and a sum, each rounded on its own, and foldAVX performs those
+// five operations four values at a time (TestFoldMatchesGeneric).
 
-// Kernel names the butterfly kernel the four-lane transforms run on this
-// host: "avx" (256-bit assembly) or "generic" (the portable Go loop, on
-// other platforms and on CPUs without OS-enabled AVX). It is fixed at
-// package init.
+// Kernel names the kernel the four-lane transforms and the intensity fold
+// run on this host: "avx" (256-bit assembly) or "generic" (the portable Go
+// loops, on other platforms and on CPUs without OS-enabled AVX). It is
+// fixed at package init.
 func Kernel() string {
 	if useAVX {
 		return "avx"
@@ -85,5 +90,29 @@ func stage4Generic(x []complex128, half, j0 int, tw []complex128, nz []bool) {
 			xb[2] = u2 - t2
 			xb[3] = u3 - t3
 		}
+	}
+}
+
+// fold4 adds w·|cb[i]|² to fb[i] for every i < len(fb): one kernel's share
+// of a four-column intensity block, fb[i] += w·(re² + im²). The shape is
+// checked here; the kernel behind it has no bounds checks.
+func fold4(fb []float64, cb []complex128, w float64) {
+	if len(cb) < len(fb) || len(fb)%4 != 0 {
+		panic(fmt.Sprintf("fft: fold of %d intensities from %d amplitudes (want a multiple of 4 and at least as many amplitudes)", len(fb), len(cb)))
+	}
+	if len(fb) == 0 {
+		return
+	}
+	foldBlock(fb, cb, w)
+}
+
+// foldGeneric is fold4's portable loop: the only path on hosts without the
+// assembly kernel, and the oracle the kernel is tested against.
+func foldGeneric(fb []float64, cb []complex128, w float64) {
+	//lint:ignore bce one reslice per call, so the loop below indexes fb check-free
+	cb = cb[:len(fb)]
+	for i, c := range cb {
+		re, im := real(c), imag(c)
+		fb[i] += w * (re*re + im*im)
 	}
 }

@@ -19,11 +19,26 @@ func bflyStage4(x []complex128, half, j0 int, tw []complex128, nz []bool) {
 	stage4Generic(x, half, j0, tw, nz)
 }
 
+func foldBlock(fb []float64, cb []complex128, w float64) {
+	if useAVX {
+		foldAVX(fb, cb, w)
+		return
+	}
+	foldGeneric(fb, cb, w)
+}
+
 // stage4AVX is stage4 in 256-bit AVX (stage4_amd64.s). It trusts its
 // arguments: stage4 checks the schedule, and x and tw are non-empty.
 //
 //go:noescape
 func stage4AVX(x []complex128, half, j0 int, tw []complex128, nz []bool)
+
+// foldAVX is fold4 in 256-bit AVX (stage4_amd64.s), four values per pass.
+// It trusts its arguments: fold4 checks that len(fb) is a non-zero multiple
+// of 4 and that cb holds at least as many values.
+//
+//go:noescape
+func foldAVX(fb []float64, cb []complex128, w float64)
 
 // cpuid1ECX returns ECX of CPUID leaf 1.
 func cpuid1ECX() uint32

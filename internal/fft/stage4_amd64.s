@@ -75,6 +75,43 @@ next:
 	VZEROUPPER
 	RET
 
+// func foldAVX(fb []float64, cb []complex128, w float64)
+//
+// Four values per pass: two YMM registers of amplitudes (c0 c1, c2 c3)
+// are squared, regrouped into re² and im² of the four values, summed,
+// scaled by the broadcast w and added to the intensities:
+//
+//	fb[i] += w·(re² + im²)
+//
+// the five operations of the Go loop, each rounded on its own. No FMA.
+TEXT ·foldAVX(SB), NOSPLIT, $0-56
+	MOVQ         fb_base+0(FP), DI
+	MOVQ         fb_len+8(FP), CX
+	SHLQ         $3, CX                 // bytes of fb: 32 per four values
+	LEAQ         (DI)(CX*1), R8         // one past the last intensity
+	MOVQ         cb_base+24(FP), SI
+	VBROADCASTSD w+48(FP), Y0
+
+fold:
+	VMOVUPD    (SI), Y1                 // re0 im0 | re1 im1
+	VMOVUPD    32(SI), Y2               // re2 im2 | re3 im3
+	VMULPD     Y1, Y1, Y1
+	VMULPD     Y2, Y2, Y2
+	VPERM2F128 $0x20, Y2, Y1, Y3        // re0² im0² | re2² im2²
+	VPERM2F128 $0x31, Y2, Y1, Y4        // re1² im1² | re3² im3²
+	VUNPCKLPD  Y4, Y3, Y5               // re0² re1² | re2² re3²
+	VUNPCKHPD  Y4, Y3, Y6               // im0² im1² | im2² im3²
+	VADDPD     Y6, Y5, Y5               // re² + im²
+	VMULPD     Y0, Y5, Y5               // w·(re² + im²)
+	VADDPD     (DI), Y5, Y5             // fb + w·(re² + im²)
+	VMOVUPD    Y5, (DI)
+	ADDQ       $64, SI
+	ADDQ       $32, DI
+	CMPQ       DI, R8
+	JCS        fold
+	VZEROUPPER
+	RET
+
 // func cpuid1ECX() uint32
 TEXT ·cpuid1ECX(SB), NOSPLIT, $0-4
 	MOVL $1, AX

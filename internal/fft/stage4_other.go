@@ -7,3 +7,7 @@ const useAVX = false
 func bflyStage4(x []complex128, half, j0 int, tw []complex128, nz []bool) {
 	stage4Generic(x, half, j0, tw, nz)
 }
+
+func foldBlock(fb []float64, cb []complex128, w float64) {
+	foldGeneric(fb, cb, w)
+}

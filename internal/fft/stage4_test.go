@@ -190,3 +190,100 @@ func TestStage4RejectsBadSchedule(t *testing.T) {
 		})
 	}
 }
+
+// foldWeights lists the weights the fold properties run at: zero, both
+// signs, a subnormal and ordinary magnitudes.
+var foldWeights = []float64{0, math.Copysign(0, -1), 1, -2.5, 0.37, math.SmallestNonzeroFloat64 * 3, 1e-300, 1e300}
+
+// The assembly fold performs exactly foldGeneric's IEEE-754 operations, so
+// on every length 4 … 8192 (multiples of 4), on inputs from ±0, subnormals
+// and magnitudes 1e−300 … 1e300, at zero, negative and subnormal weights,
+// the two agree to the bit; poisoned with NaN and Inf, both give
+// non-finite values in the same slots. foldGeneric itself is the Go
+// expression fb[i] += w·(re² + im²). Where the host has no assembly kernel
+// only the generic half runs.
+func TestFoldMatchesGeneric(t *testing.T) {
+	t.Logf("fold kernel: %s (GOARCH=%s)", Kernel(), runtime.GOARCH)
+	asm := Kernel() == "avx"
+	if !asm {
+		t.Logf("assembly half skipped: no AVX kernel on GOARCH=%s or the CPU/OS lacks AVX", runtime.GOARCH)
+	}
+	rng := rand.New(rand.NewSource(19))
+	var lengths []int
+	for n := 4; n <= 64; n += 4 {
+		lengths = append(lengths, n)
+	}
+	lengths = append(lengths, 100, 512, 1020, 2048, 4096, 8192)
+	for _, n := range lengths {
+		for _, w := range foldWeights {
+			for _, poison := range []bool{false, true} {
+				fb := make([]float64, n)
+				cb := make([]complex128, n+rng.Intn(3)) // cb may be longer than fb
+				for i := range fb {
+					fb[i] = stage4Input(rng)
+				}
+				for i := range cb {
+					cb[i] = complex(stage4Input(rng), stage4Input(rng))
+				}
+				if poison {
+					cb[rng.Intn(n)] = complex(math.NaN(), 1)
+					cb[rng.Intn(n)] = complex(0, math.Inf(-1))
+					fb[rng.Intn(n)] = math.Inf(1)
+					fb[rng.Intn(n)] = math.NaN()
+				}
+				gen := append([]float64(nil), fb...)
+				foldGeneric(gen, cb, w)
+				for i, c := range cb[:n] {
+					re, im := real(c), imag(c)
+					want := fb[i] + w*(re*re+im*im)
+					if !sameFloat(gen[i], want) {
+						t.Fatalf("n=%d w=%g slot %d: generic %v, the expression gives %v", n, w, i, gen[i], want)
+					}
+				}
+				if !asm {
+					continue
+				}
+				avx := append([]float64(nil), fb...)
+				fold4(avx, cb, w)
+				for i := range avx {
+					if !sameFloat(avx[i], gen[i]) {
+						t.Fatalf("n=%d w=%g poison=%v slot %d: avx %v (%#x), generic %v (%#x)", n, w, poison, i,
+							avx[i], math.Float64bits(avx[i]), gen[i], math.Float64bits(gen[i]))
+					}
+				}
+			}
+		}
+	}
+}
+
+// fold4 rejects a shape the kernel cannot run before touching anything:
+// fewer amplitudes than intensities, or a length not a multiple of 4.
+func TestFoldRejectsBadShape(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		nf, nc int
+	}{
+		{"short amplitudes", 8, 4},
+		{"length not a multiple of 4", 6, 6},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			fb := make([]float64, c.nf)
+			cb := make([]complex128, c.nc)
+			for i := range cb {
+				cb[i] = 1
+			}
+			defer func() {
+				if recover() == nil {
+					t.Fatal("fold4 accepted the shape")
+				}
+				for i, v := range fb {
+					if v != 0 {
+						t.Fatalf("slot %d changed to %v before the panic", i, v)
+					}
+				}
+			}()
+			fold4(fb, cb, 1)
+		})
+	}
+	fold4(nil, nil, 1) // an empty block is an empty fold
+}

@@ -188,11 +188,14 @@ func (s *Sim) kernelWorkers(k int) int {
 // follows and the amplitudes fit the simulator's budget (keepAmpsBudget);
 // they are leased from a process-wide pool, shared by the fields of one
 // kernel set, and returned by Sim.Release. Without them the gradient pass
-// recomputes each amplitude from Spec, with the same bits.
+// recomputes each amplitude from Spec, with the same bits. Every kept
+// amplitude is in fft's tiled layout, the one fft.BatchInverse.
+// InverseColumns writes and fft.Plan2.AdjointPatch reads, on both engines;
+// fft.Untile4 gives it row-major.
 type Field struct {
 	M         int          // working grid size
 	Spec      *grid.CMat   // unnormalised FFT of the input mask, m×m
-	Amps      []*grid.CMat // per-kernel amplitude fields A_k, or nil
+	Amps      []*grid.CMat // per-kernel amplitude fields A_k (tiled), or nil
 	Intensity *grid.Mat    // aerial image including the dose factor
 	Dose      float64
 	KS        *optics.KernelSet
@@ -302,7 +305,8 @@ func (s *Sim) maskSpectrum(plan *fft.Plan2, mask *grid.Mat) *grid.CMat {
 // count produces the same bits, and they are the reference's bits for the
 // same spectrum. EngineReference is the oracle: a serial loop of
 // ApplyKernel, InverseNoNorm and, per field, the ascending-k
-// AbsSqScaledInto + Add fold.
+// AbsSqScaledInto + Add fold, row-major, tiling (fft.Tile4) only the
+// amplitudes it keeps.
 //
 // Telemetry: litho.socs covers the kernel multiply (on the batch, with the
 // row transforms) and litho.fft_inverse the inverse transforms (on the
@@ -329,19 +333,11 @@ func (s *Sim) accumulateSOCS(fields []*Field, plan *fft.Plan2, spec *grid.CMat, 
 		return
 	}
 
-	// The reference: one amplitude buffer (unless kept) and one
-	// contribution buffer recycled across all kernels — O(1) scratch at
-	// any grid size.
+	// The reference: one row-major amplitude buffer and one contribution
+	// buffer recycled across all kernels — O(1) scratch at any grid size.
 	contrib := mscratch.Get(m, m)
-	var buf *grid.CMat
-	if amps == nil {
-		buf = cscratch.Get(m, m)
-	}
+	amp := cscratch.Get(m, m)
 	for k, h := range ks.Kernels {
-		amp := buf
-		if k < len(amps) {
-			amp = amps[k]
-		}
 		sp := s.Recorder.StartSpan("litho.socs")
 		fft.ApplyKernel(amp, spec, h, m, scale)
 		sp.End()
@@ -353,11 +349,12 @@ func (s *Sim) accumulateSOCS(fields []*Field, plan *fft.Plan2, spec *grid.CMat, 
 			amp.AbsSqScaledInto(contrib, f.Dose*ks.Weights[k])
 			f.Intensity.Add(contrib)
 		}
+		if k < len(amps) {
+			fft.Tile4(amps[k], amp)
+		}
 		sp.End()
 	}
-	if buf != nil {
-		cscratch.Put(buf)
-	}
+	cscratch.Put(amp)
 	mscratch.Put(contrib)
 }
 
@@ -507,14 +504,15 @@ func (s *Sim) ForwardEq7(mask *grid.Mat, scale int, ks *optics.KernelSet, dose f
 // the field: it may run any number of times on one field, before or after
 // Release. Each kernel contributes only the P×P band of
 // F(dLdI ⊙ A_k): the batch engine computes that patch with the
-// output-pruned fft.Plan2.AdjointPatch, which forms the product row by row
-// and runs only the butterflies the patch reads, and recomputes amplitudes
-// through the batched inverse (batchAdjointPatches); EngineReference
-// recomputes each amplitude densely and keeps the dense product, m×m
-// transform and KernelAdjointPatch (adjointPatch) as the oracle, with the
-// same bits. The patches are computed in parallel and folded into the
-// frequency-domain accumulator in ascending k, so only one final inverse
-// FFT is needed and the result is bit-identical for every worker count.
+// output-pruned fft.Plan2.AdjointPatch, which forms the product from the
+// tiled amplitude sixteen rows at a time and runs only the butterflies the
+// patch reads, and recomputes amplitudes through the batched inverse
+// (batchAdjointPatches); EngineReference untiles a kept amplitude or
+// recomputes it densely, and keeps the dense product, m×m transform and
+// KernelAdjointPatch (adjointPatch) as the oracle, with the same bits. The
+// patches are computed in parallel and folded into the frequency-domain
+// accumulator in ascending k, so only one final inverse FFT is needed and
+// the result is bit-identical for every worker count.
 // The call adds its transform butterflies to litho.adjoint_butterflies.
 func (s *Sim) Gradient(f *Field, dLdI *grid.Mat) (*grid.Mat, error) {
 	if dLdI.W != f.M || dLdI.H != f.M {
@@ -551,25 +549,28 @@ func (s *Sim) Gradient(f *Field, dLdI *grid.Mat) (*grid.Mat, error) {
 		s.batchAdjointPatches(f, plan, dLdI, patches, ampScale, workers)
 	} else {
 		grid.ParallelFor(workers, nk, func(k int) {
-			var amp *grid.CMat
+			var kept *grid.CMat // tiled
 			if f.Amps != nil {
-				amp = f.Amps[k]
-			} else {
-				// The reference recomputes each amplitude densely.
-				amp = fft.ApplyKernel(cscratch.Get(f.M, f.M), f.Spec, f.KS.Kernels[k], f.M, ampScale)
-				plan.InverseNoNorm(amp)
+				kept = f.Amps[k]
 			}
 			var patch *grid.CMat
 			if reference {
+				// The reference works row-major: it untiles a kept
+				// amplitude and recomputes a missing one densely.
+				amp := cscratch.Get(f.M, f.M)
+				if kept != nil {
+					fft.Untile4(amp, kept)
+				} else {
+					fft.ApplyKernel(amp, f.Spec, f.KS.Kernels[k], f.M, ampScale)
+					plan.InverseNoNorm(amp)
+				}
 				patch = s.adjointPatch(f, plan, amp, dLdI, k)
+				cscratch.Put(amp)
 			} else {
 				//lint:ignore inline one call per kernel into an O(m·P·log m) transform
-				patch = s.prunedPatch(f, plan, amp, dLdI, k)
+				patch = s.prunedPatch(f, plan, kept, dLdI, k)
 			}
 			patches[k] = patch
-			if f.Amps == nil {
-				cscratch.Put(amp)
-			}
 		})
 	}
 	// The patch fold only populates the P×P band of acc, so the batch
@@ -619,9 +620,9 @@ func (s *Sim) adjointPatch(f *Field, plan *fft.Plan2, amp *grid.CMat, dLdI *grid
 }
 
 // prunedPatch is adjointPatch on the batch engine's output-pruned path:
-// fft.Plan2.AdjointPatch forms dLdI ⊙ A_k row by row and transforms only
-// what the P×P patch reads — the same patch bits, without the m×m product
-// buffer or the dense transform.
+// fft.Plan2.AdjointPatch forms dLdI ⊙ A_k from the tiled amplitude and
+// transforms only what the P×P patch reads — the same patch bits, without
+// the m×m product buffer or the dense transform.
 func (s *Sim) prunedPatch(f *Field, plan *fft.Plan2, amp *grid.CMat, dLdI *grid.Mat, k int) *grid.CMat {
 	w := fft.FoldInverseScale(complex(2*f.KS.Weights[k]*f.Dose, 0), f.M, f.M)
 	//lint:ignore scratchalias the returned patch is pool-leased on purpose, like adjointPatch's: Gradient Puts every entry of patches right after AddKernelPatch
