@@ -158,8 +158,8 @@ bench-fft:
 # threshold is deliberately loose — shared CI hosts are noisy — it exists
 # to catch a pruning/fusion path silently falling back to dense work (a
 # 2-10× slowdown), not single-digit drift. The butterfly counts are held
-# exactly, so a dense fallback of the pruned inverse or adjoint fails even
-# where the tiny sizes hide it in the wall clock.
+# exactly, so a dense fallback of the band mask spectrum, the pruned inverse
+# or the adjoint fails even where the tiny sizes hide it in the wall clock.
 bench-fft-smoke:
 	$(GO) run ./cmd/benchgen -fftsweep -sizes 64,128 -field 2048 \
 		-kernels 8 -reps 2 -json BENCH_FFT.smoke.new.json

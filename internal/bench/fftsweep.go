@@ -36,11 +36,13 @@ type FFTPoint struct {
 	ReferenceGradSec float64 `json:"reference_grad_sec"`
 	BatchedGradSec   float64 `json:"batched_grad_sec"`
 	BatchedGradGain  float64 `json:"batched_grad_speedup"`
-	// Exact transform work per engine of one Forward and of one Gradient
-	// (the simulator's litho.fft_inverse_butterflies and
+	// Exact transform work per engine of one Forward — its mask spectrum
+	// and its SOCS inverses — and of one Gradient (the simulator's
+	// litho.fft_forward_butterflies, litho.fft_inverse_butterflies and
 	// litho.adjoint_butterflies). Host noise cannot move them, so the gate
 	// holds them exactly: a pruned path falling back to dense transforms
 	// fails it at any size.
+	ForwardButterflies map[string]int64 `json:"forward_butterflies,omitempty"`
 	InverseButterflies map[string]int64 `json:"inverse_butterflies,omitempty"`
 	AdjointButterflies map[string]int64 `json:"adjoint_butterflies,omitempty"`
 }
@@ -121,7 +123,7 @@ func RunFFTSweep(sizes []int, fieldNM float64, kernels, reps int) (*FFTSweep, er
 		// Every engine's forwards run before any gradient, so no forward is
 		// timed in a heap that a gradient's amplitudes have grown.
 		var fwd, grad [2]float64
-		invBF, adjBF := map[string]int64{}, map[string]int64{}
+		fwdBF, invBF, adjBF := map[string]int64{}, map[string]int64{}, map[string]int64{}
 		for i, e := range sweepEngines {
 			sim := sweepSim(model, e)
 			// Warm-up builds the plan, band tables and scratch pools.
@@ -149,6 +151,7 @@ func RunFFTSweep(sizes []int, fieldNM float64, kernels, reps int) (*FFTSweep, er
 				return nil, err
 			}
 			c := rec.Counters()
+			fwdBF[e.String()] = c["litho.fft_forward_butterflies"]
 			invBF[e.String()], adjBF[e.String()] = c["litho.fft_inverse_butterflies"], c["litho.adjoint_butterflies"]
 			sim.Recorder = nil
 			start := time.Now()
@@ -164,7 +167,7 @@ func RunFFTSweep(sizes []int, fieldNM float64, kernels, reps int) (*FFTSweep, er
 			M: m, KeepAmps: keep,
 			ReferenceSec: fwd[0], BatchedSec: fwd[1], BatchedGain: speedup(fwd[0], fwd[1]),
 			ReferenceGradSec: grad[0], BatchedGradSec: grad[1], BatchedGradGain: speedup(grad[0], grad[1]),
-			InverseButterflies: invBF, AdjointButterflies: adjBF,
+			ForwardButterflies: fwdBF, InverseButterflies: invBF, AdjointButterflies: adjBF,
 		})
 	}
 	return sweep, nil
@@ -278,7 +281,11 @@ func GateFFTSweeps(old, new *FFTSweep, maxRegressPct float64) error {
 		for _, c := range []struct {
 			phase    string
 			old, new map[string]int64
-		}{{"inverse", op.InverseButterflies, np.InverseButterflies}, {"adjoint", op.AdjointButterflies, np.AdjointButterflies}} {
+		}{
+			{"forward", op.ForwardButterflies, np.ForwardButterflies},
+			{"inverse", op.InverseButterflies, np.InverseButterflies},
+			{"adjoint", op.AdjointButterflies, np.AdjointButterflies},
+		} {
 			for _, e := range sweepEngines {
 				if o, n := c.old[e.String()], c.new[e.String()]; o > 0 && n > o {
 					fails = append(fails, fmt.Sprintf("m=%d %s %s butterflies %d → %d", np.M, e, c.phase, o, n))

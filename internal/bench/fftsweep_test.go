@@ -28,6 +28,9 @@ func TestRunFFTSweep(t *testing.T) {
 		if inv, adj, ref := p.InverseButterflies["batch"], p.AdjointButterflies["batch"], p.AdjointButterflies["reference"]; inv <= 0 || adj <= 0 || adj >= ref {
 			t.Errorf("m=%d batch: butterflies inverse %d, adjoint %d; want positive and the adjoint below the dense %d", p.M, inv, adj, ref)
 		}
+		if fwd, ref := p.ForwardButterflies["batch"], p.ForwardButterflies["reference"]; fwd <= 0 || fwd >= ref {
+			t.Errorf("m=%d batch: mask spectrum butterflies %d; want positive and below the dense %d", p.M, fwd, ref)
+		}
 	}
 
 	dir := t.TempDir()
@@ -123,5 +126,15 @@ func TestGateFFTSweeps(t *testing.T) {
 	}
 	if err := GateFFTSweeps(fallback, counted, 25); err != nil {
 		t.Errorf("a smaller butterfly count should pass: %v", err)
+	}
+	// The mask spectrum's count is held the same way: a band spectrum
+	// falling back to the dense transform fails the gate.
+	band := &FFTSweep{Points: []FFTPoint{{M: 64, BatchedSec: 0.5,
+		ForwardButterflies: map[string]int64{"batch": 11033}}}}
+	dense := &FFTSweep{Points: []FFTPoint{{M: 64, BatchedSec: 0.5,
+		ForwardButterflies: map[string]int64{"batch": 24576}}}}
+	err = GateFFTSweeps(band, dense, 1000)
+	if err == nil || !strings.Contains(err.Error(), "batch forward butterflies 11033 → 24576") {
+		t.Errorf("a dense mask spectrum should fail the gate, got %v", err)
 	}
 }

@@ -2,6 +2,11 @@ package experiments
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/bench"
@@ -31,21 +36,38 @@ var ledgerCounters = []string{
 // exact: 3 iterations (two at m = 128, one at m = 512), the 512-px
 // amplitudes kept within the 64 MiB budget (12·512²·16 B = 48 MiB), so no
 // gradient recomputes them; Evaluate at 512 as above.
+//
+// A mask spectrum is the P×P kernel band alone (P = 27, h = 13):
+// (m/2 + P)·prunedButterflies(13) butterflies, m/2 output-pruned row pair
+// transforms and P output-pruned columns. A pruned transform runs every
+// butterfly of the stages whose half-block 2^(s−1) is at most 27, and 27
+// per block after that: 5·32 + 27 = 187 at m = 64, 5·64 + 54 + 27 = 401
+// at 128, 5·128 + 108 + 54 + 27 = 829 at 256 and 1685 at 512. fast takes
+// one spectrum at 64 and two at 256: 59·187 + 2·155·829 = 268023; exact
+// two at 128 and two at 512: 2·91·401 + 2·283·1685 = 1026692.
+//
+// The same runs pin the flow's bits: the final parameters, mask and
+// Evaluate report of each recipe must hash to its digest (flowDigest).
+// Every FFT-engine change so far kept them; a change that moves them on
+// purpose updates them and says why. They are amd64 bits, like the kernel
+// digests of TestKernelBitsPinned: targets that fuse multiply-adds compute
+// other, equally valid masks, so the digest is checked only on amd64.
 func TestWorkLedger(t *testing.T) {
 	for _, tc := range []struct {
 		recipe string
 		cfg    Config
 		stages []core.Stage
 		want   map[string]int64
+		digest string
 	}{
 		{"fast", Config{N: 256, FieldNM: 1024, Kernels: 12, IterDiv: 35}, core.FastM1(), map[string]int64{
 			"litho.kernel_ffts": 72, "litho.forward_sims": 7, "litho.adjoint_calls": 4,
-			"litho.fft_forward_butterflies": 804864, "litho.fft_inverse_butterflies": 11669544, "litho.adjoint_butterflies": 6542224,
-		}},
+			"litho.fft_forward_butterflies": 268023, "litho.fft_inverse_butterflies": 11669544, "litho.adjoint_butterflies": 6542224,
+		}, "d052db2d2f15af1d80e6165c57a70fe1692784d497868d289e9e3b17ae2d7f79"},
 		{"exact", Config{N: 512, FieldNM: 1024, Kernels: 12, IterDiv: 40}, core.ExactM1(), map[string]int64{
 			"litho.kernel_ffts": 96, "litho.forward_sims": 9, "litho.adjoint_calls": 6,
-			"litho.fft_forward_butterflies": 3710976, "litho.fft_inverse_butterflies": 46577760, "litho.adjoint_butterflies": 26845650,
-		}},
+			"litho.fft_forward_butterflies": 1026692, "litho.fft_inverse_butterflies": 46577760, "litho.adjoint_butterflies": 26845650,
+		}, "c3504dd4a817332bfa9bbe1869086ff06fdd24631827f7aed753a20ea10c008d"},
 	} {
 		rec := telemetry.New()
 		tc.cfg.Recorder = rec
@@ -68,8 +90,14 @@ func TestWorkLedger(t *testing.T) {
 			t.Fatal(err)
 		}
 		spacing, thr := tc.cfg.EPEParams()
-		if _, err := metrics.Evaluate(p, res.Mask, cs.Target, spacing, thr); err != nil {
+		rep, err := metrics.Evaluate(p, res.Mask, cs.Target, spacing, thr)
+		if err != nil {
 			t.Fatal(err)
+		}
+		if runtime.GOARCH == "amd64" {
+			if got := flowDigest(res, rep); got != tc.digest {
+				t.Errorf("%s: flow digest %s, want %s", tc.recipe, got, tc.digest)
+			}
 		}
 		got := rec.Counters()
 		for _, name := range ledgerCounters {
@@ -78,4 +106,27 @@ func TestWorkLedger(t *testing.T) {
 			}
 		}
 	}
+}
+
+// flowDigest returns a SHA-256 over a flow's final parameters and mask
+// (every value as little-endian float64 bits, row-major) and its Evaluate
+// report: L2 and PVB as float64 bits, then EPE and Shots as int64. The
+// report's TAT is a wall time and stays out.
+func flowDigest(res *core.Result, rep metrics.Report) string {
+	h := sha256.New()
+	var b [8]byte
+	put := func(u uint64) {
+		binary.LittleEndian.PutUint64(b[:], u)
+		h.Write(b[:])
+	}
+	for _, m := range [][]float64{res.Params.Data, res.Mask.Data} {
+		for _, v := range m {
+			put(math.Float64bits(v))
+		}
+	}
+	put(math.Float64bits(rep.L2))
+	put(math.Float64bits(rep.PVB))
+	put(uint64(int64(rep.EPE)))
+	put(uint64(int64(rep.Shots)))
+	return hex.EncodeToString(h.Sum(nil))
 }

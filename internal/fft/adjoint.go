@@ -10,7 +10,7 @@ import (
 // only the P×P band of F(dLdI ⊙ A_k): KernelAdjointPatch reads the cells
 // |fx|, |fy| ≤ P/2 of the m×m forward transform and discards the rest.
 // Plan2.AdjointPatch computes just that band — the transpose of the
-// input-pruned InverseBandNoNorm:
+// input-pruned InverseBandReal:
 //
 //   - the product dLdI ⊙ A_k is formed sixteen rows at a time from the
 //     tiled amplitude (batch.go), straight into the bit-reversed slots of
@@ -108,7 +108,7 @@ func (p *Plan) forwardPruned4(x []complex128, ot *outTable) {
 }
 
 // prunedButterflies returns the butterflies of one transform pruned to the
-// band |f| ≤ half, input pruned (inversePruned) or output pruned
+// band |f| ≤ half, input pruned (inversePruned4) or output pruned
 // (forwardPruned4). The two flow graphs are transposes of each other, so
 // they run the same number of butterflies — stage s of one as many as
 // stage log₂N+1−s of the other — and the output schedule's precomputed
@@ -167,12 +167,7 @@ func (p *Plan2) AdjointPatch(dst *grid.CMat, dLdI *grid.Mat, amp, kernel *grid.C
 	rows := min(gatherRows, m) // m is a power of two ≥ 4, so rows divides it
 	bbp := p.adjBands.Get().(*[]complex128)
 	band := (*bbp)[:rows*m]
-	sbp := p.adjBufs.Get().(*[]complex128)
-	need := groups * 4 * m
-	if cap(*sbp) < need {
-		*sbp = make([]complex128, need)
-	}
-	slab := (*sbp)[:need]
+	sbp, slab := p.slabLease(groups * 4 * m)
 
 	rev := p.rowP.tab.rev
 	for y0 := 0; y0 < m; y0 += rows {
@@ -184,21 +179,14 @@ func (p *Plan2) AdjointPatch(dst *grid.CMat, dLdI *grid.Mat, amp, kernel *grid.C
 			p.colP.keepColumns4(slab, x, [4]int32{rev[y], rev[y+1], rev[y+2], rev[y+3]}, pk)
 		}
 	}
-	// Unused lanes of the last column group: zero them so the column
-	// transform never runs on stale values (no lane reads another).
-	last := slab[(groups-1)*4*m:]
-	for lane := pk - (groups-1)*4; lane < 4; lane++ {
-		for y := 0; y < m; y++ {
-			last[4*y+lane] = 0
-		}
-	}
+	clearPadLanes(slab, pk)
 	for g := 0; g < groups; g++ {
 		col := slab[g*4*m : (g+1)*4*m]
 		p.colP.forwardPruned4(col, ot)
 		c0 := 4 * g
 		p.colP.patchEpilogue4(dst.Data, col, kernel.Data, pk, c0, min(c0+4, pk), scale)
 	}
-	p.adjBufs.Put(sbp)
+	p.slabBufs.Put(sbp)
 	p.adjBands.Put(bbp)
 	return dst
 }
@@ -213,10 +201,25 @@ func (p *Plan2) AdjointPatch(dst *grid.CMat, dLdI *grid.Mat, amp, kernel *grid.C
 // to lane lane of column c's slot, so each slot's four lanes fill one
 // cache line in one go. The product is amp·complex(d, 0), the expression
 // of the dense adjoint, so Forward's bit-reversal pass is already done.
+// The shapes are checked here; the kernel behind it (gatherAVX where the
+// CPU has AVX, else gatherGeneric) has no bounds checks.
 func (p *Plan) gatherTiles(band, amp []complex128, d []float64, y0 int) {
 	n := p.n
 	groups := len(band) / (4 * n)
-	rev := p.tab.rev
+	if n%4 != 0 || groups == 0 || len(band) != 4*n*groups || y0 < 0 || y0+4*groups > n ||
+		len(amp) < n*n || len(d) < n*n {
+		panic(fmt.Sprintf("fft: gather of %d values at row %d from %d amplitudes and %d weights does not fit length %d",
+			len(band), y0, len(amp), len(d), n))
+	}
+	gatherBlock(band, amp, d, p.tab.rev, y0)
+}
+
+// gatherGeneric is gatherTiles' portable loop, n = len(rev): the only path
+// on hosts without the assembly kernel, and the oracle the kernel is
+// tested against.
+func gatherGeneric(band, amp []complex128, d []float64, rev []int32, y0 int) {
+	n := len(rev)
+	groups := len(band) / (4 * n)
 	for x0 := 0; x0 < n; x0 += 4 {
 		tile := amp[x0*n+4*y0:][:16*groups]
 		rv := rev[x0 : x0+4 : x0+4]
@@ -248,6 +251,19 @@ func (p *Plan) gatherTiles(band, amp []complex128, d []float64, y0 int) {
 			x[1] = t[7] * complex(d1[3], 0)
 			x[2] = t[11] * complex(d2[3], 0)
 			x[3] = t[15] * complex(d3[3], 0)
+		}
+	}
+}
+
+// clearPadLanes zeroes the unused lanes of the last column group of a band
+// slab of ⌈P/4⌉ four-lane columns, so the column transform never runs on
+// stale values (no lane reads another).
+func clearPadLanes(slab []complex128, pk int) {
+	groups := (pk + 3) / 4
+	last := slab[(groups-1)*len(slab)/groups:]
+	for lane := pk - (groups-1)*4; lane < 4; lane++ {
+		for y := lane; y < len(last); y += 4 {
+			last[y] = 0
 		}
 	}
 }

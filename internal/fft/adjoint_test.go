@@ -266,14 +266,14 @@ func TestAdjointPatchIgnoresPoisonedScratch(t *testing.T) {
 	nan := complex(math.NaN(), math.NaN())
 	for rep := 0; rep < 3; rep++ {
 		bbp := plan.adjBands.Get().(*[]complex128)
-		sbp := plan.adjBufs.Get().(*[]complex128)
+		sbp := plan.slabBufs.Get().(*[]complex128)
 		*sbp = make([]complex128, ((pk+3)/4)*4*m)
 		for _, b := range [][]complex128{*bbp, *sbp} {
 			for i := range b {
 				b[i] = nan
 			}
 		}
-		plan.adjBufs.Put(sbp)
+		plan.slabBufs.Put(sbp)
 		plan.adjBands.Put(bbp)
 		got := plan.AdjointPatch(nil, d, tiled, kernel, 1)
 		if i, ok := equalBits(got, want); !ok {

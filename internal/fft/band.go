@@ -6,29 +6,36 @@ import (
 	"repro/internal/grid"
 )
 
-// Band-limited transforms. ApplyKernel fills only the P×P kernel-support
-// band of an m×m spectrum — at production sizes (P = 35, m = 1024) about 97%
-// of the rows handed to the per-kernel inverse FFT are exact zeros. The code
-// in this file makes that structure explicit: a BandSpec describes the
-// populated band, and the pruned inverses (Plan2.InverseBandNoNorm, and the
-// batched MulRowsBatch/InverseColumns) transform only the rows (and, inside
-// each row and column, only the butterfly blocks) that can carry data.
+// Band-limited transforms. The kernels read only the P×P band |fx|, |fy| ≤
+// P/2 of the mask spectrum, and the gradient's frequency-domain
+// accumulator holds only that band, so both ends of the SOCS pipeline
+// carry the band alone, as a centered P×P matrix — cell (fy+h, fx+h) holds
+// frequency (fx, fy), h = P/2, the layout of the kernels themselves:
 //
-// Bit-exactness: a skipped butterfly block would only ever combine inputs
-// that are structurally +0. IEEE-754 evaluates those butterflies to exactly
-// +0 again (u ± tw·0 with u = +0 yields +0 for every twiddle), so leaving
-// the zeros untouched produces the same bits the dense transform would have
-// written. InverseBandNoNorm is therefore bit-for-bit identical to
-// InverseNoNorm on a densely zero-padded copy of the same band — the
-// equivalence the property tests in band_test.go assert with Float64bits.
+//	ForwardRealBand   the mask spectrum: output-pruned two-for-one row
+//	                  transforms, then output-pruned columns, band only
+//	InverseBandReal   the gradient's final inverse: input-pruned rows and
+//	                  columns, the real part written straight out
+//
+// Both run four rows or columns in lockstep through stage4 (stage4.go), as
+// the batched SOCS inverse and the adjoint do. A BandSpec describes the
+// band of an m-length axis, and the band tables below let an input-pruned
+// inverse skip the butterfly blocks that can only hold zeros.
+//
+// Bit-exactness, input pruned: a skipped butterfly block would only ever
+// combine inputs that are structurally +0. IEEE-754 evaluates those
+// butterflies to exactly +0 again (u ± tw·0 with u = +0 yields +0 for every
+// twiddle), so leaving the zeros untouched produces the same bits the dense
+// transform would have written. InverseBandReal is therefore bit-for-bit
+// the real part of InverseNoNorm on the zero-embedded band. Output pruned:
+// every kept output is produced by the butterflies the dense transform
+// runs for it, on the same operands (adjoint.go), so every band cell of
+// ForwardRealBand has the bits of the full two-for-one spectrum. The
+// property tests in band_test.go assert both with Float64bits.
 
 // BandSpec describes the populated band of a DC-at-zero spectrum: rows and
 // columns with signed frequency |f| ≤ Half — indices [0, Half] and
-// [m-Half, m-1] — may carry data. The consumer contract is asymmetric in
-// the two axes: populated *rows* must be exactly +0 outside the band
-// *columns*, while rows outside the band are never read at all and may hold
-// garbage (which is what lets a band accumulator clear only its band rows,
-// ZeroRows, instead of the whole buffer).
+// [m-Half, m-1] — may carry data.
 type BandSpec struct {
 	Half int
 }
@@ -53,21 +60,6 @@ func (b BandSpec) Row(i, m int) int {
 		return i
 	}
 	return m - (b.Rows(m) - i)
-}
-
-// ZeroRows writes +0 to every cell of the band's rows of m (full rows, all
-// columns). Accumulators that are filled by band-cell += updates (e.g.
-// AddKernelPatch) and then handed to InverseBandNoNorm only need this P·m
-// clear instead of a full m² Zero.
-func (b BandSpec) ZeroRows(m *grid.CMat) {
-	rows := b.Rows(m.H)
-	for i := 0; i < rows; i++ {
-		y := b.Row(i, m.H)
-		row := m.Data[y*m.W : (y+1)*m.W]
-		for x := range row {
-			row[x] = 0
-		}
-	}
 }
 
 // bandTable caches, per butterfly stage, which blocks can hold nonzero data
@@ -128,98 +120,6 @@ func (p *Plan) bandTable(half int) *bandTable {
 	return v.(*bandTable)
 }
 
-// inversePruned is the unnormalised inverse transform for inputs that are
-// exactly +0 outside the band positions [0, half] ∪ [n-half, n-1] encoded
-// in bt: butterfly blocks whose inputs are all structural zeros are
-// skipped. Bit-for-bit identical to InverseNoNorm on the same input (the
-// skipped butterflies would have recomputed the same +0s). A nil bt falls
-// back to the dense transform.
-func (p *Plan) inversePruned(x []complex128, bt *bandTable) {
-	if bt == nil {
-		p.InverseNoNorm(x)
-		return
-	}
-	if len(x) != p.n {
-		panic(fmt.Sprintf("fft: buffer length %d != plan length %d", len(x), p.n))
-	}
-	for i, r := range p.tab.rev {
-		if int32(i) < r {
-			x[i], x[r] = x[r], x[i]
-		}
-	}
-	for s := 1; s <= p.logN; s++ {
-		m := 1 << (s - 1) // half block
-		blk := m << 1
-		tw := p.tab.twidI[p.tab.stageAt[s] : p.tab.stageAt[s]+m]
-		sm := &bt.stages[s-1]
-		for k := 0; k < p.n; k += blk {
-			if !sm.dense && !sm.nz[k>>uint(s)] {
-				continue
-			}
-			for j := 0; j < m; j++ {
-				t := tw[j] * x[k+j+m]
-				u := x[k+j]
-				x[k+j] = u + t
-				x[k+j+m] = u - t
-			}
-		}
-	}
-}
-
-// InverseBandNoNorm computes the inverse 2-D DFT of the band-limited
-// spectrum src into dst without the 1/(W·H) normalisation — for spectra
-// whose scale was folded at multiply time (FoldInverseScale). It works out
-// of place: src is left untouched, dst is fully overwritten. src must
-// satisfy the BandSpec contract: band rows exactly +0 outside the band
-// columns, rows outside the band ignored entirely. The row pass runs only
-// the Rows(h) populated rows — every other row inverts to zeros, which the
-// column pass injects structurally — and both passes skip butterfly blocks
-// whose inputs are all structural zeros. The result is bit-for-bit
-// identical to InverseNoNorm on a dense copy of the band.
-func (p *Plan2) InverseBandNoNorm(dst, src *grid.CMat, band BandSpec) {
-	if src.W != p.w || src.H != p.h || dst.W != p.w || dst.H != p.h {
-		panic(fmt.Sprintf("fft: matrices %dx%d/%dx%d do not match plan %dx%d",
-			src.W, src.H, dst.W, dst.H, p.w, p.h))
-	}
-	if band.Covers(p.h) && band.Covers(p.w) {
-		copy(dst.Data, src.Data)
-		p.transform(dst, true, false)
-		return
-	}
-	rowBT := p.rowP.bandTable(band.Half) // prune inside each populated row
-	colBT := p.colP.bandTable(band.Half) // prune each column over the band rows
-	rows := band.Rows(p.h)
-	workers := p.workersFor(p.h)
-
-	if workers <= 1 {
-		for i := 0; i < rows; i++ {
-			y := band.Row(i, p.h)
-			row := dst.Data[y*p.w : (y+1)*p.w]
-			copy(row, src.Data[y*p.w:(y+1)*p.w])
-			p.rowP.inversePruned(row, rowBT)
-		}
-		bp := p.colBufs.Get().(*[]complex128)
-		buf := *bp
-		for x := 0; x < p.w; x++ {
-			p.inverseBandColumn(dst, buf, x, band, colBT)
-		}
-		p.colBufs.Put(bp)
-		return
-	}
-
-	grid.ParallelFor(workers, rows, func(i int) {
-		y := band.Row(i, p.h)
-		row := dst.Data[y*p.w : (y+1)*p.w]
-		copy(row, src.Data[y*p.w:(y+1)*p.w])
-		p.rowP.inversePruned(row, rowBT)
-	})
-	grid.ParallelFor(workers, p.w, func(x int) {
-		bp := p.colBufs.Get().(*[]complex128)
-		p.inverseBandColumn(dst, *bp, x, band, colBT)
-		p.colBufs.Put(bp)
-	})
-}
-
 // Butterflies returns the radix-2 butterflies of one dense 2-D transform
 // (Forward, Inverse or their NoNorm variants): n/2·log₂ n per row and per
 // column. The litho layer adds transform counts like this one to its work
@@ -228,18 +128,21 @@ func (p *Plan2) Butterflies() int64 {
 	return int64(p.h*p.rowP.tab.denseBF + p.w*p.colP.tab.denseBF)
 }
 
-// ForwardRealButterflies returns the butterflies of one ForwardReal call:
-// one dense row transform per packed row pair (plus an odd tail row), then
-// the dense column pass.
-func (p *Plan2) ForwardRealButterflies() int64 {
-	return int64((p.h/2+p.h%2)*p.rowP.tab.denseBF + p.w*p.colP.tab.denseBF)
+// ForwardRealBandButterflies returns the butterflies of one
+// ForwardRealBand call for a P×P band (P = support): one output-pruned row
+// transform per packed row pair, then P output-pruned column transforms —
+// (m/2 + P)·prunedButterflies(P/2); the zero padding lanes are not
+// counted. The dense transform of the whole spectrum runs Butterflies().
+func (p *Plan2) ForwardRealBandButterflies(support int) int64 {
+	return int64((p.h/2 + support) * p.rowP.prunedButterflies(support/2))
 }
 
-// InverseBandButterflies returns the butterflies one InverseBandNoNorm
-// call runs for band: the pruned transforms of the band rows, then every
-// column pruned to the band rows. MulRowsBatch + InverseColumns run the
-// same transforms kernel by kernel, so for K kernels the batch's count is
-// K times this one (its zero padding lanes are not counted).
+// InverseBandButterflies returns the butterflies of one input-pruned
+// inverse of band: the pruned transforms of the band rows, then every
+// column pruned to the band rows. InverseBandReal runs it for its P×P band,
+// and MulRowsBatch + InverseColumns run it kernel by kernel, so for K
+// kernels the batch's count is K times this one (zero padding lanes are
+// not counted).
 func (p *Plan2) InverseBandButterflies(band BandSpec) int64 {
 	if band.Covers(p.h) && band.Covers(p.w) {
 		return p.Butterflies()
@@ -248,93 +151,178 @@ func (p *Plan2) InverseBandButterflies(band BandSpec) int64 {
 		p.w*p.colP.prunedButterflies(band.Half))
 }
 
-// inverseBandColumn gathers column x's band rows from m (zero-filling the
-// structurally empty middle), runs the pruned column inverse and scatters
-// all h values back — fully initialising the column, whatever dst held.
-func (p *Plan2) inverseBandColumn(m *grid.CMat, buf []complex128, x int, band BandSpec, colBT *bandTable) {
-	for y := 0; y <= band.Half; y++ {
-		buf[y] = m.Data[y*p.w+x]
+// bandSide checks the shapes ForwardRealBand and InverseBandReal accept —
+// a square plan with a side m divisible by 4, an m×m real matrix and an
+// odd P×P band with P < m — and returns m.
+func (p *Plan2) bandSide(op string, real *grid.Mat, band *grid.CMat) int {
+	m := p.w
+	if p.h != m || m%4 != 0 || real.W != m || real.H != m ||
+		band.W != band.H || band.W%2 == 0 || band.W >= m {
+		panic(fmt.Sprintf("fft: %s needs a square plan with a side m divisible by 4, an m×m image and an odd P×P band with P < m, got plan %dx%d, image %dx%d, band %dx%d",
+			op, p.w, p.h, real.W, real.H, band.W, band.H))
 	}
-	for y := band.Half + 1; y < p.h-band.Half; y++ {
-		buf[y] = 0
-	}
-	for y := p.h - band.Half; y < p.h; y++ {
-		buf[y] = m.Data[y*p.w+x]
-	}
-	p.colP.inversePruned(buf, colBT)
-	for y := 0; y < p.h; y++ {
-		m.Data[y*p.w+x] = buf[y]
-	}
+	return m
 }
 
-// ForwardReal computes the unnormalised 2-D DFT of the real matrix src into
-// dst, exploiting realness with the classic two-for-one trick: row pairs
-// (2i, 2i+1) are packed as a + i·b into one complex row transform and the
-// two spectra are separated afterwards through Hermitian symmetry
-// (F(a)[k] = (Z[k] + conj(Z[-k]))/2, F(b)[k] = (Z[k] − conj(Z[-k]))/(2i)),
-// halving the row pass. The column pass is the ordinary dense forward pass.
+// slabLease leases a band slab of need values from the plan's pool,
+// growing its entry on a miss.
+func (p *Plan2) slabLease(need int) (*[]complex128, []complex128) {
+	sbp := p.slabBufs.Get().(*[]complex128)
+	if cap(*sbp) < need {
+		*sbp = make([]complex128, need)
+	}
+	//lint:ignore scratchalias the slab is leased to the caller, which Puts sbp once its passes are done
+	return sbp, (*sbp)[:need]
+}
+
+// ForwardRealBand writes the band |fx|, |fy| ≤ h = P/2 of the unnormalised
+// 2-D DFT of the real m×m src into the P×P dst, centered: dst cell
+// (fy+h, fx+h) holds frequency (fx, fy). The plan must be square with a
+// side m divisible by 4, and P odd with P < m; ForwardRealBand panics
+// otherwise, as MulRowsBatch does.
 //
-// Unlike the pruned inverses this is NOT bit-identical to
-// ComplexFromReal+Forward: the packed transform associates the same
-// arithmetic differently, so results agree only to rounding (relative error
-// at the few-ulp level). It is the only non-bit-exact substitution of the
-// default litho engine; see DESIGN.md, "FFT engine".
-func (p *Plan2) ForwardReal(dst *grid.CMat, src *grid.Mat) {
-	if src.W != p.w || src.H != p.h || dst.W != p.w || dst.H != p.h {
-		panic(fmt.Sprintf("fft: matrices %dx%d/%dx%d do not match plan %dx%d",
-			src.W, src.H, dst.W, dst.H, p.w, p.h))
-	}
-	pairs := p.h / 2
-	workers := p.workersFor(pairs)
+// It is the two-for-one real transform computed only where the kernels
+// read it:
+//
+//   - row pass: row pairs (2i, 2i+1) are packed as a + i·b, four pairs per
+//     four-lane buffer, straight into bit-reversed slots, and transformed
+//     output-pruned to the band columns (forwardPruned4);
+//   - unpack: the two spectra are separated through Hermitian symmetry,
+//     F(a)[k] = (Z[k] + conj(Z[−k]))/2, F(b)[k] = (Z[k] − conj(Z[−k]))/(2i),
+//     on the band columns only (the band holds both k and −k), each value
+//     written at its row's bit-reversed slot of a ⌈P/4⌉·4·m column slab;
+//   - column pass: each group of four band columns is transformed
+//     output-pruned to the band rows, and the band rows are copied to dst.
+//
+// Every band cell has the bits of the full two-for-one spectrum (row
+// transforms of the packed pairs, the unpack, then dense column
+// transforms), which agrees with ComplexFromReal + Forward to rounding
+// only: the packing associates the same arithmetic differently. One call
+// runs (m/2 + P)·prunedButterflies(h) butterflies
+// (ForwardRealBandButterflies). The passes fan out over up to workers
+// goroutines; the result does not depend on the count.
+func (p *Plan2) ForwardRealBand(dst *grid.CMat, src *grid.Mat, workers int) {
+	m := p.bandSide("ForwardRealBand", src, dst)
+	workers = max(workers, 1) // ParallelFor reads ≤ 0 as GOMAXPROCS
+	pk := dst.W
+	half := pk / 2
+	ot := p.rowP.outTable(half) // square: the column plan shares the tables
+	groups := (pk + 3) / 4
+	sbp, slab := p.slabLease(groups * 4 * m)
+	pairGroups := (m/2 + 3) / 4
+	grid.ParallelFor(workers, pairGroups, func(q int) {
+		bp := p.colBufs4.Get().(*[]complex128)
+		p.forwardRealRows(slab, *bp, src.Data, q, half, ot)
+		p.colBufs4.Put(bp)
+	})
+	clearPadLanes(slab, pk)
+	grid.ParallelFor(workers, groups, func(g int) {
+		col := slab[g*4*m : (g+1)*4*m]
+		p.colP.forwardPruned4(col, ot)
+		c0 := 4 * g
+		w := min(c0+4, pk) - c0
+		for fy := -half; fy <= half; fy++ {
+			s := 4 * ((fy + m) & (m - 1))
+			copy(dst.Data[(fy+half)*pk+c0:][:w], col[s:s+w])
+		}
+	})
+	p.slabBufs.Put(sbp)
+}
 
-	if workers <= 1 {
-		bp := p.rowBufs.Get().(*[]complex128)
-		buf := *bp
-		for i := 0; i < pairs; i++ {
-			p.forwardRealPair(dst, src, buf, i)
-		}
-		p.rowBufs.Put(bp)
-	} else {
-		grid.ParallelFor(workers, pairs, func(i int) {
-			bp := p.rowBufs.Get().(*[]complex128)
-			p.forwardRealPair(dst, src, *bp, i)
-			p.rowBufs.Put(bp)
-		})
+// forwardRealRows runs ForwardRealBand's row pass for the four row pairs
+// of group q — rows 8q … 8q+7 of src, fewer at m = 4 — in the four-lane
+// buffer x: pack, output-pruned transform, then the unpack of the band
+// columns into the slab, at each row's bit-reversed slot of its column's
+// lane.
+func (p *Plan2) forwardRealRows(slab, x []complex128, src []float64, q, half int, ot *outTable) {
+	m := p.w
+	rev := p.rowP.tab.rev
+	lanes := min(4, m/2-4*q) // row pairs in this group
+	y0 := 8 * q
+	if lanes < 4 {
+		clear(x) // padding lanes: nothing stale reaches a transform
 	}
-	if p.h%2 == 1 {
-		// Odd-height tail row has no partner: dense row transform.
-		y := p.h - 1
-		row := dst.Data[y*p.w : (y+1)*p.w]
-		for x := 0; x < p.w; x++ {
-			row[x] = complex(src.Data[y*p.w+x], 0)
+	for l := 0; l < lanes; l++ {
+		a, b := src[(y0+2*l)*m:][:len(rev)], src[(y0+2*l+1)*m:][:len(rev)]
+		for c, r := range rev {
+			x[4*int(r)+l] = complex(a[c], b[c])
 		}
-		p.rowP.Forward(row)
 	}
-	if workers <= 1 {
-		p.colPassSerial(dst, false, false)
-	} else {
-		p.colPassParallel(dst, false, false, p.workersFor(p.w))
+	p.rowP.forwardPruned4(x, ot)
+	pk := 2*half + 1
+	for c := 0; c < pk; c++ {
+		zk := x[4*((c-half+m)&(m-1)):][:4]
+		zm := x[4*((half-c+m)&(m-1)):][:4]
+		dst := slab[(c>>2)*4*m+c&3:]
+		for l := 0; l < lanes; l++ {
+			zmc := complex(real(zm[l]), -imag(zm[l]))
+			ya := y0 + 2*l
+			dst[4*int(rev[ya])] = (zk[l] + zmc) * 0.5
+			dst[4*int(rev[ya+1])] = (zk[l] - zmc) * complex(0, -0.5)
+		}
 	}
 }
 
-// forwardRealPair transforms source rows 2i and 2i+1 through one packed
-// complex row transform and unpacks the two spectra into dst.
-func (p *Plan2) forwardRealPair(dst *grid.CMat, src *grid.Mat, buf []complex128, i int) {
-	ya, yb := 2*i, 2*i+1
-	ra := src.Data[ya*p.w : (ya+1)*p.w]
-	rb := src.Data[yb*p.w : (yb+1)*p.w]
-	for x := 0; x < p.w; x++ {
-		buf[x] = complex(ra[x], rb[x])
-	}
-	p.rowP.Forward(buf)
-	da := dst.Data[ya*p.w : (ya+1)*p.w]
-	db := dst.Data[yb*p.w : (yb+1)*p.w]
-	mask := p.w - 1 // p.w is a power of two: -k mod w == (w-k) & (w-1)
-	for k := 0; k < p.w; k++ {
-		zk := buf[k]
-		zm := buf[(p.w-k)&mask]
-		zmc := complex(real(zm), -imag(zm))
-		da[k] = (zk + zmc) * 0.5
-		db[k] = (zk - zmc) * complex(0, -0.5)
-	}
+// InverseBandReal writes into the m×m dst the real part of the
+// unnormalised inverse 2-D DFT of the P×P band src (centered, as
+// ForwardRealBand writes it) zero-embedded in an m×m spectrum — for
+// spectra whose scale was folded at multiply time (FoldInverseScale). The
+// shape rules are ForwardRealBand's. src is left untouched; dst is fully
+// overwritten.
+//
+//   - row pass: the P band rows, four per buffer, are gathered into the
+//     bit-reversed slots of a cleared four-lane buffer and transformed
+//     input-pruned (inversePruned4) with the row band table;
+//   - column pass: each block of four columns gathers the band rows into
+//     the bit-reversed slots of a cleared buffer, runs the input-pruned
+//     column transforms and writes the real parts into dst.
+//
+// The rows outside the band would invert to zeros, which the cleared
+// column buffer holds already; and each lane runs the one-lane pruned
+// transform's operations, so dst is bit for bit Re(InverseNoNorm) of the
+// zero-embedded band. The passes fan out over up to workers goroutines;
+// the result does not depend on the count.
+func (p *Plan2) InverseBandReal(dst *grid.Mat, src *grid.CMat, workers int) {
+	m := p.bandSide("InverseBandReal", dst, src)
+	workers = max(workers, 1) // ParallelFor reads ≤ 0 as GOMAXPROCS
+	pk := src.W
+	half := pk / 2
+	bt := p.rowP.bandTable(half) // square: the column plan shares the tables
+	rev := p.rowP.tab.rev
+	groups := (pk + 3) / 4
+	sbp, rows := p.slabLease(groups * 4 * m)
+	grid.ParallelFor(workers, groups, func(g int) {
+		x := rows[g*4*m : (g+1)*4*m]
+		clear(x)
+		for l := 0; l < 4 && 4*g+l < pk; l++ {
+			r := 4*g + l
+			for c, v := range src.Data[r*pk : (r+1)*pk] {
+				x[4*int(rev[(c-half+m)&(m-1)])+l] = v
+			}
+		}
+		p.rowP.inversePruned4(x, bt)
+	})
+	blocks := m / 4
+	grid.ParallelFor(workers, blocks, func(bx int) {
+		cbp := p.colBufs4.Get().(*[]complex128)
+		cb := *cbp
+		clear(cb)
+		x0 := 4 * bx
+		for r := 0; r < pk; r++ {
+			y := 4 * int(rev[(r-half+m)&(m-1)])
+			s := rows[(r>>2)*4*m+4*x0+r&3:][:13]
+			cb[y] = s[0]
+			cb[y+1] = s[4]
+			cb[y+2] = s[8]
+			cb[y+3] = s[12]
+		}
+		p.colP.inversePruned4(cb, bt)
+		for y := 0; y < m; y++ {
+			d := dst.Data[y*m+x0 : y*m+x0+4 : y*m+x0+4]
+			v := cb[4*y : 4*y+4 : 4*y+4]
+			d[0], d[1], d[2], d[3] = real(v[0]), real(v[1]), real(v[2]), real(v[3])
+		}
+		p.colBufs4.Put(cbp)
+	})
+	p.slabBufs.Put(sbp)
 }

@@ -61,22 +61,25 @@ type BatchInverse struct {
 	buf     []complex128
 }
 
-// MulRowsBatch multiplies spec by every kernel (scale folded into the
-// product — pass FoldInverseScale(scale, m, m) to absorb the inverse
-// normalisation) and runs the pruned inverse row transforms for the whole
-// batch, interleaved four rows at a time; each product lands in its row's
-// bit-reversed slot, the order the transform reads. spec is n×n with
-// n ≥ m (Eq. 7 truncation happens through the frequency indexing, as in
-// ApplyKernel); the plan is square with m a multiple of four, and at least
-// one kernel is given, all sharing one odd support P ≤ m (so the band
-// never covers the grid).
+// MulRowsBatch multiplies the band spectrum spec by every kernel (scale
+// folded into the product — pass FoldInverseScale(scale, m, m) to absorb
+// the inverse normalisation) and runs the pruned inverse row transforms for
+// the whole batch, interleaved four rows at a time; each product lands in
+// its row's bit-reversed slot, the order the transform reads. spec is a
+// centered S×S band, S odd and at least the kernel support P (the layout
+// ForwardRealBand writes): cell (fy+S/2, fx+S/2) holds frequency (fx, fy),
+// and the kernels read its centered P×P sub-band at (fy+S/2)·S + fx+S/2.
+// The band of a spectrum is the same at every grid size it fits, so a
+// band taken at n > m is Eq. 7's truncated spectrum as it stands. The plan
+// is square with m a multiple of four, and at least one kernel is given,
+// all sharing one odd support P ≤ m (so the band never covers the grid).
 func (p *Plan2) MulRowsBatch(spec *grid.CMat, kernels []*grid.CMat, scale complex128, workers int) *BatchInverse {
 	m := p.w
 	if p.h != m || m%4 != 0 {
 		panic(fmt.Sprintf("fft: MulRowsBatch needs a square plan with a side divisible by 4, got %dx%d", p.w, p.h))
 	}
-	if spec.W != spec.H {
-		panic(fmt.Sprintf("fft: MulRowsBatch needs a square spectrum, got %dx%d", spec.W, spec.H))
+	if spec.W != spec.H || spec.W%2 == 0 {
+		panic(fmt.Sprintf("fft: MulRowsBatch needs an odd square band spectrum, got %dx%d", spec.W, spec.H))
 	}
 	nk := len(kernels)
 	if nk == 0 {
@@ -88,10 +91,11 @@ func (p *Plan2) MulRowsBatch(spec *grid.CMat, kernels []*grid.CMat, scale comple
 			panic(fmt.Sprintf("fft: batch kernels must share one odd square support, got %dx%d vs %d", k.W, k.H, pk))
 		}
 	}
-	n := spec.W
-	if pk > m || m > n {
-		panic(fmt.Sprintf("fft: MulRowsBatch sizes P=%d m=%d n=%d violate P ≤ m ≤ n", pk, m, n))
+	ps := spec.W
+	if pk > m || pk > ps {
+		panic(fmt.Sprintf("fft: MulRowsBatch sizes P=%d m=%d S=%d violate P ≤ m and P ≤ S", pk, m, ps))
 	}
+	hs := ps / 2
 	half := pk / 2
 	band := BandSpec{Half: half}
 	rows := band.Rows(m) // = 2·half+1 < m
@@ -135,12 +139,11 @@ func (p *Plan2) MulRowsBatch(spec *grid.CMat, kernels []*grid.CMat, scale comple
 				if ord > half {
 					fy = ord - rows // the negative frequencies
 				}
-				sy := (fy + n) % n
+				sy := (fy+hs)*ps + hs
 				ky := (fy + half) * pk
 				for fx := -half; fx <= half; fx++ {
-					sx := (fx + n) % n
 					ox := (fx + m) % m
-					slab[4*int(rev[ox])+j] = scale * kd[ky+fx+half] * sd[sy*n+sx]
+					slab[4*int(rev[ox])+j] = scale * kd[ky+fx+half] * sd[sy+fx]
 				}
 			}
 			p.rowP.inversePruned4(slab, rowBT)
@@ -287,15 +290,17 @@ func tileSide(op string, dst, src *grid.CMat) int {
 	return m
 }
 
-// inversePruned4 is inversePruned over four interleaved lanes, x[4·i+lane],
-// with the input already in bit-reversed order — lane's element i sits in
-// slot x[4·rev(i)+lane]; MulRowsBatch and InverseColumns gather straight
-// into those slots. Each stage is one stage4 call, so each lane undergoes
-// exactly the per-element operation sequence of the one-lane transform —
-// same stage order, same twiddles, same skipped blocks — and each lane's
-// result is bit-identical to inversePruned on that lane alone. No
-// normalisation (batch callers fold it via FoldInverseScale). A nil bt
-// runs all blocks.
+// inversePruned4 is the unnormalised inverse transform over four
+// interleaved lanes, x[4·i+lane], for inputs that are exactly +0 outside
+// the band encoded in bt: butterfly blocks whose inputs are all structural
+// zeros are skipped (see the top of band.go). The input is already in
+// bit-reversed order — lane's element i sits in slot x[4·rev(i)+lane];
+// MulRowsBatch, InverseColumns and InverseBandReal gather straight into
+// those slots. Each stage is one stage4 call, so each lane undergoes
+// exactly the per-element operation sequence of the one-lane
+// InverseNoNorm, minus the skipped blocks, and each lane's result is
+// bit-identical to InverseNoNorm on that lane alone. No normalisation
+// (callers fold it via FoldInverseScale). A nil bt runs all blocks.
 func (p *Plan) inversePruned4(x []complex128, bt *bandTable) {
 	if len(x) != 4*p.n {
 		panic(fmt.Sprintf("fft: buffer length %d != 4×plan length %d", len(x), p.n))

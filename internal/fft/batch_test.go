@@ -88,7 +88,7 @@ func TestBatchMatchesPerKernelBitExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		spec := randCMatFFT(rng, m, m)
+		spec := randCMatFFT(rng, pk, pk)
 		kernels := make([]*grid.CMat, nk)
 		weights := make([]float64, nk)
 		for k := range kernels {
@@ -124,7 +124,7 @@ func TestBatchTwoFoldsMatchOnePassPerFold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := randCMatFFT(rng, m, m)
+	spec := randCMatFFT(rng, pk, pk)
 	kernels := make([]*grid.CMat, nk)
 	base := make([]float64, nk)
 	for k := range kernels {
@@ -163,8 +163,10 @@ func TestBatchTwoFoldsMatchOnePassPerFold(t *testing.T) {
 	}
 }
 
-// TestBatchEq7Spectrum: the batch consumes an n×n spectrum at reduced size
-// m < n (the Eq. 7 truncation) identically to ApplyKernel.
+// TestBatchEq7Spectrum: the batch consumes the band of an n×n spectrum at
+// reduced size m < n (the Eq. 7 truncation) identically to ApplyKernel,
+// from a band wider than the kernels (S = 21, P = 17): they read its
+// centered sub-band.
 func TestBatchEq7Spectrum(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	n, m, pk, nk := 256, 64, 17, 4
@@ -172,7 +174,8 @@ func TestBatchEq7Spectrum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := randCMatFFT(rng, n, n)
+	spec := grid.NewCMat(21, 21)
+	CropBand(spec, randCMatFFT(rng, n, n))
 	kernels := make([]*grid.CMat, nk)
 	weights := make([]float64, nk)
 	for k := range kernels {
@@ -202,7 +205,7 @@ func TestBatchWorkerDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := randCMatFFT(rng, m, m)
+	spec := randCMatFFT(rng, pk, pk)
 	kernels := make([]*grid.CMat, nk)
 	weights := make([]float64, nk)
 	for k := range kernels {
@@ -233,7 +236,7 @@ func TestBatchFallbacks(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(46))
-	spec := randCMatFFT(rng, 16, 16)
+	spec := randCMatFFT(rng, 15, 15)
 	nearly := []*grid.CMat{randCMatFFT(rng, 15, 15)}
 	weights := []float64{1}
 	scale := FoldInverseScale(1, 16, 16)

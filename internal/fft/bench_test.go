@@ -54,7 +54,7 @@ func BenchmarkFFT1D_4096(b *testing.B) {
 }
 
 func BenchmarkApplyKernel(b *testing.B) {
-	spec := benchMatrix(256)
+	spec := benchMatrix(35)
 	ker := benchMatrix(35)
 	var dst *grid.CMat
 	b.ReportAllocs()
@@ -64,25 +64,17 @@ func BenchmarkApplyKernel(b *testing.B) {
 	}
 }
 
-// bandProduct builds a P-band-limited m×m spectrum the way the simulator
-// does (the ApplyKernel product).
-func bandProduct(m, p int) (*grid.CMat, BandSpec) {
-	spec := benchMatrix(m)
-	ker := benchMatrix(p)
-	return ApplyKernel(nil, spec, ker, m, 1), BandSpec{Half: p / 2}
-}
-
 func benchmarkInverseBand(b *testing.B, m, p int) {
 	plan, err := NewPlan2(m, m)
 	if err != nil {
 		b.Fatal(err)
 	}
-	src, band := bandProduct(m, p)
-	dst := grid.NewCMat(m, m)
+	src := benchMatrix(p)
+	dst := grid.NewMat(m, m)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		plan.InverseBandNoNorm(dst, src, band)
+		plan.InverseBandReal(dst, src, 1)
 	}
 }
 
@@ -91,39 +83,45 @@ func benchmarkInverseDense(b *testing.B, m, p int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	spec := benchMatrix(m)
+	src := benchMatrix(p)
 	ker := benchMatrix(p)
 	var dst *grid.CMat
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dst = ApplyKernel(dst, spec, ker, m, 1)
+		dst = ApplyKernel(dst, src, ker, m, 1)
 		plan.InverseNoNorm(dst)
 	}
 }
 
-// The pruned per-kernel inverse vs the dense reference pipeline (product +
-// inverse: the dense path pays ApplyKernel's m² clear on every reuse).
+// The gradient's final inverse of a P×P band vs the dense reference
+// pipeline (product + inverse: the dense path pays ApplyKernel's m² clear
+// on every reuse).
 func BenchmarkInverseBand_1024_P35(b *testing.B)  { benchmarkInverseBand(b, 1024, 35) }
 func BenchmarkInverseDense_1024_P35(b *testing.B) { benchmarkInverseDense(b, 1024, 35) }
 func BenchmarkInverseBand_256_P13(b *testing.B)   { benchmarkInverseBand(b, 256, 13) }
 func BenchmarkInverseDense_256_P13(b *testing.B)  { benchmarkInverseDense(b, 256, 13) }
 
-func BenchmarkForwardReal_1024(b *testing.B) {
-	plan, err := NewPlan2(1024, 1024)
-	if err != nil {
-		b.Fatal(err)
-	}
+func benchMask(m int) *grid.Mat {
 	rng := rand.New(rand.NewSource(3))
-	mask := grid.NewMat(1024, 1024)
+	mask := grid.NewMat(m, m)
 	for i := range mask.Data {
 		mask.Data[i] = rng.Float64()
 	}
-	dst := grid.NewCMat(1024, 1024)
+	return mask
+}
+
+func BenchmarkForwardRealBand_512_P35(b *testing.B) {
+	plan, err := NewPlan2(512, 512)
+	if err != nil {
+		b.Fatal(err)
+	}
+	mask := benchMask(512)
+	dst := grid.NewCMat(35, 35)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		plan.ForwardReal(dst, mask)
+		plan.ForwardRealBand(dst, mask, 1)
 	}
 }
 
@@ -132,15 +130,31 @@ func BenchmarkForwardDense_1024(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(3))
-	mask := grid.NewMat(1024, 1024)
-	for i := range mask.Data {
-		mask.Data[i] = rng.Float64()
-	}
+	mask := benchMask(1024)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		dst := grid.ComplexFromReal(mask)
 		plan.Forward(dst)
+	}
+}
+
+// One gradient amplitude's gather at 512 px: every 16-row band of a tiled
+// amplitude times dL/dI, on the kernel this host runs.
+func BenchmarkGatherTiles_512(b *testing.B) {
+	const m = 512
+	plan, err := NewPlan(m)
+	if err != nil {
+		b.Fatal(err)
+	}
+	amp := benchMatrix(m)
+	d := benchMask(m)
+	band := make([]complex128, gatherRows*m)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for y0 := 0; y0 < m; y0 += gatherRows {
+			plan.gatherTiles(band, amp.Data, d.Data, y0)
+		}
 	}
 }

@@ -9,31 +9,33 @@ import (
 )
 
 // Plan2 performs 2-D transforms on W×H complex matrices whose dimensions are
-// powers of two. Row and column passes are parallelised across
-// runtime.GOMAXPROCS workers. A Plan2 is safe for concurrent use.
+// powers of two. The dense transforms (Forward, Inverse, InverseNoNorm)
+// parallelise their row and column passes across runtime.GOMAXPROCS
+// workers; the band and batch passes take the caller's worker count. A
+// Plan2 is safe for concurrent use.
 type Plan2 struct {
 	w, h       int
 	rowP, colP *Plan
 	// colBufs recycles column-gather scratch across transforms (and across
 	// the workers of one transform), so a warm plan performs no allocation.
 	colBufs sync.Pool
-	// rowBufs recycles the row-pair packing scratch of ForwardReal.
-	rowBufs sync.Pool
 	// batchBufs recycles the interleaved row-product buffer of
 	// MulRowsBatch; sizes vary with the kernel count and band, so entries
 	// grow on demand (see batchLease).
 	batchBufs sync.Pool
-	// colBufs4 and intBufs recycle the 4-column gather scratch of
+	// colBufs4 and intBufs recycle the four-lane scratch of
 	// BatchInverse.InverseColumns (complex amplitudes when no amplitude is
 	// kept, and real intensities, 4·h values per fold; intBufs entries grow
-	// on demand for several folds).
+	// on demand for several folds); colBufs4 also holds ForwardRealBand's
+	// packed row pairs and InverseBandReal's column blocks.
 	colBufs4 sync.Pool
 	intBufs  sync.Pool
 	// adjBands recycles AdjointPatch's row band, min(gatherRows, h)·h
-	// values (square plans only); adjBufs its kept-column slab,
-	// ⌈P/4⌉·4·m values, whose entries grow on demand like batchBufs.
+	// values (square plans only); slabBufs the ⌈P/4⌉·4·m band slabs of
+	// AdjointPatch, ForwardRealBand and InverseBandReal, whose entries
+	// grow on demand like batchBufs (slabLease).
 	adjBands sync.Pool
-	adjBufs  sync.Pool
+	slabBufs sync.Pool
 	// biPool recycles the BatchInverse shell itself: the struct is
 	// single-use by contract, so InverseColumns returns it here and the
 	// chunked gradient's repeated MulRowsBatch calls stop allocating it.
@@ -58,17 +60,17 @@ func NewPlan2(w, h int) (*Plan2, error) {
 	// its header on every Put, which alone dominated the transform's
 	// allocation profile.
 	p.colBufs.New = func() any { b := make([]complex128, h); return &b }
-	p.rowBufs.New = func() any { b := make([]complex128, w); return &b }
 	p.batchBufs.New = func() any { b := []complex128(nil); return &b }
 	p.colBufs4.New = func() any { b := make([]complex128, 4*h); return &b }
 	p.intBufs.New = func() any { b := make([]float64, 4*h); return &b }
 	p.adjBands.New = func() any { b := make([]complex128, min(gatherRows, h)*h); return &b }
 	p.biPool.New = func() any { return new(BatchInverse) }
-	p.adjBufs.New = func() any { b := []complex128(nil); return &b }
+	p.slabBufs.New = func() any { b := []complex128(nil); return &b }
 	return p, nil
 }
 
-// workersFor resolves the worker count for a pass over `limit` units.
+// workersFor resolves the worker count of a dense transform's pass over
+// `limit` units.
 func (p *Plan2) workersFor(limit int) int {
 	workers := runtime.GOMAXPROCS(0)
 	if workers > limit {

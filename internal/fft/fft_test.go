@@ -294,12 +294,22 @@ func TestTruncationEqualsSubsampling(t *testing.T) {
 	}
 }
 
+// bandOf returns the centered P×P band of the n×n spectrum (CropBand).
+func bandOf(spec *grid.CMat, p int) *grid.CMat {
+	out := grid.NewCMat(p, p)
+	CropBand(out, spec)
+	return out
+}
+
+// ApplyKernel's product from a band wider than the kernel (S = 9, P = 5)
+// is the kernel times the full spectrum inside the support and exact +0
+// outside it.
 func TestApplyKernelMatchesManualProduct(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	const n, p = 16, 5
 	spec := rand2D(rng, n, n)
 	ker := rand2D(rng, p, p)
-	out := ApplyKernel(nil, spec, ker, n, 1)
+	out := ApplyKernel(nil, bandOf(spec, 9), ker, n, 1)
 	h := p / 2
 	for fy := -n / 2; fy < n/2; fy++ {
 		for fx := -n / 2; fx < n/2; fx++ {
@@ -315,16 +325,23 @@ func TestApplyKernelMatchesManualProduct(t *testing.T) {
 	}
 }
 
+// Eq. 7's truncation is implicit in the band: the band of the n×n
+// spectrum is the band of its truncation to m, and the product at m
+// equals the truncation of the product at n, bit for bit.
 func TestApplyKernelTruncatedEqualsTruncateOfProduct(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	const n, m, p = 32, 8, 5
 	spec := rand2D(rng, n, n)
 	ker := rand2D(rng, p, p)
-	direct := ApplyKernel(nil, spec, ker, m, complex(0.25, 0))
-	fullProduct := ApplyKernel(nil, spec, ker, n, complex(0.25, 0))
+	band := bandOf(spec, p)
+	if i, ok := equalBits(bandOf(TruncateCentered(spec, m), p), band); !ok {
+		t.Fatalf("the band of the truncated spectrum differs at %d", i)
+	}
+	direct := ApplyKernel(nil, band, ker, m, complex(0.25, 0))
+	fullProduct := ApplyKernel(nil, band, ker, n, complex(0.25, 0))
 	viaTrunc := TruncateCentered(fullProduct, m)
-	if d := direct.MaxAbsDiff(viaTrunc); d > 1e-12 {
-		t.Errorf("truncated ApplyKernel differs from Truncate(product): %g", d)
+	if i, ok := equalBits(direct, viaTrunc); !ok {
+		t.Errorf("truncated ApplyKernel differs from Truncate(product) at %d", i)
 	}
 }
 
@@ -336,7 +353,7 @@ func TestApplyKernelAdjointProperty(t *testing.T) {
 	x := rand2D(rng, n, n)
 	y := rand2D(rng, m, m)
 	ker := rand2D(rng, p, p)
-	kx := ApplyKernel(nil, x, ker, m, 1)
+	kx := ApplyKernel(nil, bandOf(x, p), ker, m, 1)
 	// ⟨Kx, y⟩ = Σ conj(Kx)·y
 	var lhs complex128
 	for i := range kx.Data {

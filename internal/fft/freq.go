@@ -60,42 +60,62 @@ func EmbedCentered(spec *grid.CMat, n int) *grid.CMat {
 	return out
 }
 
-// ApplyKernel multiplies a centered P×P kernel into an n×n spectrum and
-// writes the product into an m×m spectrum (all square), zeroing everything
-// outside the kernel support:
+// CropBand writes the centered P×P band of the n×n DC-at-zero spectrum
+// spec into dst (P = dst.W, odd, P ≤ n): dst[fy+h, fx+h] = spec[fy mod n,
+// fx mod n] for |fx|, |fy| ≤ h = P/2 — the layout of the kernels and of
+// ForwardRealBand. It moves values and computes nothing.
+func CropBand(dst, spec *grid.CMat) {
+	n, p := spec.W, dst.W
+	if spec.H != n || dst.H != p || p%2 == 0 || p > n {
+		panic(fmt.Sprintf("fft: CropBand needs an odd square band no larger than the square spectrum, got %dx%d from %dx%d", dst.W, dst.H, spec.W, spec.H))
+	}
+	h := p / 2
+	for fy := -h; fy <= h; fy++ {
+		sy := (fy + n) % n
+		for fx := -h; fx <= h; fx++ {
+			dst.Data[(fy+h)*p+fx+h] = spec.Data[sy*n+(fx+n)%n]
+		}
+	}
+}
+
+// ApplyKernel multiplies a centered P×P kernel into a centered S×S band
+// spectrum (S odd, S ≥ P; ForwardRealBand or CropBand writes one) and
+// writes the product into an m×m DC-at-zero spectrum (square), zeroing
+// everything outside the kernel support:
 //
 //	out[f] = scale · K[f] · spec[f]   for |f_x|,|f_y| ≤ P/2, else 0.
 //
-// With m == n this is the per-kernel product of Eq. (3); with m == n/s and
-// scale = 1/s² it is exactly Eq. (7)'s truncated product (the kernel support
-// already lies inside the retained band, so nothing is lost). dst is reused
-// if it has the right size; pass nil to allocate. P must be odd and ≤ m.
+// The band is the same whatever grid the spectrum was taken at: with the
+// band of the m×m mask spectrum this is the per-kernel product of Eq. (3);
+// with the band of the n×n one, m = n/s and scale = 1/s² it is exactly
+// Eq. (7)'s truncated product (the kernel support lies inside the retained
+// band, so nothing is lost). dst is reused if it has the right size; pass
+// nil to allocate. P must be odd and ≤ m.
 func ApplyKernel(dst *grid.CMat, spec *grid.CMat, kernel *grid.CMat, m int, scale complex128) *grid.CMat {
-	if spec.W != spec.H {
-		panic(fmt.Sprintf("fft: ApplyKernel needs a square spectrum, got %dx%d", spec.W, spec.H))
+	if spec.W != spec.H || spec.W%2 == 0 {
+		panic(fmt.Sprintf("fft: ApplyKernel needs an odd square band spectrum, got %dx%d", spec.W, spec.H))
 	}
 	if kernel.W != kernel.H || kernel.W%2 == 0 {
 		panic(fmt.Sprintf("fft: kernel must be odd square, got %dx%d", kernel.W, kernel.H))
 	}
-	n := spec.W
+	ps := spec.W
 	p := kernel.W
-	if p > m || m > n {
-		panic(fmt.Sprintf("fft: ApplyKernel sizes P=%d m=%d n=%d violate P ≤ m ≤ n", p, m, n))
+	if p > m || p > ps {
+		panic(fmt.Sprintf("fft: ApplyKernel sizes P=%d m=%d S=%d violate P ≤ m and P ≤ S", p, m, ps))
 	}
 	if dst == nil || dst.W != m || dst.H != m {
 		dst = grid.NewCMat(m, m)
 	} else {
 		dst.Zero()
 	}
-	h := p / 2
+	h, hs := p/2, ps/2
 	for fy := -h; fy <= h; fy++ {
-		sy := (fy + n) % n
+		sy := (fy+hs)*ps + hs
 		oy := (fy + m) % m
 		ky := (fy + h) * p
 		for fx := -h; fx <= h; fx++ {
-			sx := (fx + n) % n
 			ox := (fx + m) % m
-			dst.Data[oy*m+ox] = scale * kernel.Data[ky+fx+h] * spec.Data[sy*n+sx]
+			dst.Data[oy*m+ox] = scale * kernel.Data[ky+fx+h] * spec.Data[sy+fx]
 		}
 	}
 	return dst

@@ -23,12 +23,17 @@ import "fmt"
 // The intensity fold behind the column pass, fold4, follows the same
 // discipline: Go evaluates fb[i] += w·(re² + im²) as two products, a sum,
 // a product and a sum, each rounded on its own, and foldAVX performs those
-// five operations four values at a time (TestFoldMatchesGeneric).
+// five operations four values at a time (TestFoldMatchesGeneric). So does
+// the adjoint's tile gather (gatherTiles in adjoint.go): Go evaluates
+// t·complex(d, 0) as re = t.re·d − t.im·0 and im = t.re·0 + t.im·d, and
+// gatherAVX forms the same four products, the products by zero included
+// (they carry NaN, Inf and −0), and the two sums with one VADDSUBPD
+// (TestGatherMatchesGeneric).
 
-// Kernel names the kernel the four-lane transforms and the intensity fold
-// run on this host: "avx" (256-bit assembly) or "generic" (the portable Go
-// loops, on other platforms and on CPUs without OS-enabled AVX). It is
-// fixed at package init.
+// Kernel names the kernel the four-lane transforms, the intensity fold and
+// the tile gather run on this host: "avx" (256-bit assembly) or "generic"
+// (the portable Go loops, on other platforms and on CPUs without
+// OS-enabled AVX). It is fixed at package init.
 func Kernel() string {
 	if useAVX {
 		return "avx"

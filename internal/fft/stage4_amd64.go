@@ -27,6 +27,14 @@ func foldBlock(fb []float64, cb []complex128, w float64) {
 	foldGeneric(fb, cb, w)
 }
 
+func gatherBlock(band, amp []complex128, d []float64, rev []int32, y0 int) {
+	if useAVX {
+		gatherAVX(band, amp, d, rev, y0)
+		return
+	}
+	gatherGeneric(band, amp, d, rev, y0)
+}
+
 // stage4AVX is stage4 in 256-bit AVX (stage4_amd64.s). It trusts its
 // arguments: stage4 checks the schedule, and x and tw are non-empty.
 //
@@ -39,6 +47,14 @@ func stage4AVX(x []complex128, half, j0 int, tw []complex128, nz []bool)
 //
 //go:noescape
 func foldAVX(fb []float64, cb []complex128, w float64)
+
+// gatherAVX is gatherTiles' gather in 256-bit AVX (stage4_amd64.s), one
+// 4×4 block per pass. It trusts its arguments: gatherTiles checks that
+// band holds whole four-row groups inside the grid and that amp and d
+// cover it.
+//
+//go:noescape
+func gatherAVX(band, amp []complex128, d []float64, rev []int32, y0 int)
 
 // cpuid1ECX returns ECX of CPUID leaf 1.
 func cpuid1ECX() uint32

@@ -112,6 +112,148 @@ fold:
 	VZEROUPPER
 	RET
 
+// func gatherAVX(band, amp []complex128, d []float64, rev []int32, y0 int)
+//
+// n = len(rev). For each column block x0 (rev, tile and d advance by one
+// block) and each four-row group g of the band, one 4×4 block: row lane's
+// four tile values t are two YMM registers, its four d values are
+// broadcast across their complex slots (d0 d0 | d1 d1, d2 d2 | d3 d3),
+// and
+//
+//	p = VADDSUBPD(t·d, swap(t)·(+0))   even: t.re·d − t.im·0
+//	                                   odd:  t.im·d + t.re·0
+//
+// the four products and two sums of Go's t·complex(d, 0). The products by
+// zero stay: they carry NaN, Inf and −0 as the Go expression does. The
+// block is then transposed with VPERM2F128 and column c's four lanes
+// (64 B) are stored at band[g·4n + 4·rev(x0+c)]. No FMA.
+TEXT ·gatherAVX(SB), NOSPLIT, $0-104
+	MOVQ  band_base+0(FP), DI
+	MOVQ  band_len+8(FP), R8
+	SHLQ  $4, R8
+	ADDQ  DI, R8                   // one past the band's last group
+	MOVQ  amp_base+24(FP), BX
+	MOVQ  d_base+48(FP), CX
+	MOVQ  rev_base+72(FP), R9
+	MOVQ  rev_len+80(FP), R10      // n
+	MOVQ  y0+96(FP), AX
+	LEAQ  (R9)(R10*4), R12         // one past the last rev entry
+	MOVQ  R10, R11
+	SHLQ  $3, R11                  // bytes per d row: 8n
+	MOVQ  AX, R13
+	SHLQ  $6, R13
+	ADDQ  R13, BX                  // tile: block 0, row y0
+	IMULQ R10, AX
+	LEAQ  (CX)(AX*8), CX           // d: row y0, column 0
+	SHLQ  $6, R10                  // bytes per band group and per tile block: 64n
+	VXORPD Y15, Y15, Y15           // +0
+
+block:
+	MOVQ band_base+0(FP), DI
+	MOVQ BX, SI                    // tile of group 0
+	MOVQ CX, DX                    // d of group 0
+
+group:
+	LEAQ           (DX)(R11*2), R13       // d row 2 of the group
+	VBROADCASTF128 (DX), Y0
+	VBROADCASTF128 16(DX), Y1
+	VPERMILPD      $12, Y0, Y0            // d0 d0 | d1 d1
+	VPERMILPD      $12, Y1, Y1            // d2 d2 | d3 d3
+	VMOVUPD        (SI), Y6               // row lane 0: t0 t1
+	VMOVUPD        32(SI), Y7             //             t2 t3
+	VPERMILPD      $5, Y6, Y2
+	VPERMILPD      $5, Y7, Y3
+	VMULPD         Y0, Y6, Y6
+	VMULPD         Y1, Y7, Y7
+	VMULPD         Y15, Y2, Y2
+	VMULPD         Y15, Y3, Y3
+	VADDSUBPD      Y2, Y6, Y6             // p00 p01
+	VADDSUBPD      Y3, Y7, Y7             // p02 p03
+
+	VBROADCASTF128 (DX)(R11*1), Y0
+	VBROADCASTF128 16(DX)(R11*1), Y1
+	VPERMILPD      $12, Y0, Y0
+	VPERMILPD      $12, Y1, Y1
+	VMOVUPD        64(SI), Y8             // row lane 1
+	VMOVUPD        96(SI), Y9
+	VPERMILPD      $5, Y8, Y2
+	VPERMILPD      $5, Y9, Y3
+	VMULPD         Y0, Y8, Y8
+	VMULPD         Y1, Y9, Y9
+	VMULPD         Y15, Y2, Y2
+	VMULPD         Y15, Y3, Y3
+	VADDSUBPD      Y2, Y8, Y8             // p10 p11
+	VADDSUBPD      Y3, Y9, Y9             // p12 p13
+
+	VBROADCASTF128 (R13), Y0
+	VBROADCASTF128 16(R13), Y1
+	VPERMILPD      $12, Y0, Y0
+	VPERMILPD      $12, Y1, Y1
+	VMOVUPD        128(SI), Y10           // row lane 2
+	VMOVUPD        160(SI), Y11
+	VPERMILPD      $5, Y10, Y2
+	VPERMILPD      $5, Y11, Y3
+	VMULPD         Y0, Y10, Y10
+	VMULPD         Y1, Y11, Y11
+	VMULPD         Y15, Y2, Y2
+	VMULPD         Y15, Y3, Y3
+	VADDSUBPD      Y2, Y10, Y10           // p20 p21
+	VADDSUBPD      Y3, Y11, Y11           // p22 p23
+
+	VBROADCASTF128 (R13)(R11*1), Y0
+	VBROADCASTF128 16(R13)(R11*1), Y1
+	VPERMILPD      $12, Y0, Y0
+	VPERMILPD      $12, Y1, Y1
+	VMOVUPD        192(SI), Y12           // row lane 3
+	VMOVUPD        224(SI), Y13
+	VPERMILPD      $5, Y12, Y2
+	VPERMILPD      $5, Y13, Y3
+	VMULPD         Y0, Y12, Y12
+	VMULPD         Y1, Y13, Y13
+	VMULPD         Y15, Y2, Y2
+	VMULPD         Y15, Y3, Y3
+	VADDSUBPD      Y2, Y12, Y12           // p30 p31
+	VADDSUBPD      Y3, Y13, Y13           // p32 p33
+
+	MOVLQZX    (R9), AX
+	SHLQ       $6, AX
+	VPERM2F128 $0x20, Y8, Y6, Y4          // column 0: p00 | p10
+	VPERM2F128 $0x20, Y12, Y10, Y5        //           p20 | p30
+	VMOVUPD    Y4, (DI)(AX*1)
+	VMOVUPD    Y5, 32(DI)(AX*1)
+	MOVLQZX    4(R9), AX
+	SHLQ       $6, AX
+	VPERM2F128 $0x31, Y8, Y6, Y4          // column 1: p01 | p11
+	VPERM2F128 $0x31, Y12, Y10, Y5        //           p21 | p31
+	VMOVUPD    Y4, (DI)(AX*1)
+	VMOVUPD    Y5, 32(DI)(AX*1)
+	MOVLQZX    8(R9), AX
+	SHLQ       $6, AX
+	VPERM2F128 $0x20, Y9, Y7, Y4          // column 2: p02 | p12
+	VPERM2F128 $0x20, Y13, Y11, Y5        //           p22 | p32
+	VMOVUPD    Y4, (DI)(AX*1)
+	VMOVUPD    Y5, 32(DI)(AX*1)
+	MOVLQZX    12(R9), AX
+	SHLQ       $6, AX
+	VPERM2F128 $0x31, Y9, Y7, Y4          // column 3: p03 | p13
+	VPERM2F128 $0x31, Y13, Y11, Y5        //           p23 | p33
+	VMOVUPD    Y4, (DI)(AX*1)
+	VMOVUPD    Y5, 32(DI)(AX*1)
+
+	ADDQ $256, SI                         // next group: four tile rows
+	LEAQ (DX)(R11*4), DX                  //             four d rows
+	ADDQ R10, DI                          //             one band group
+	CMPQ DI, R8
+	JCS  group
+
+	ADDQ $16, R9                          // next block: four rev entries
+	ADDQ R10, BX                          //             4n tile values
+	ADDQ $32, CX                          //             four d columns
+	CMPQ R9, R12
+	JCS  block
+	VZEROUPPER
+	RET
+
 // func cpuid1ECX() uint32
 TEXT ·cpuid1ECX(SB), NOSPLIT, $0-4
 	MOVL $1, AX

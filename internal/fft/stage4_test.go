@@ -287,3 +287,102 @@ func TestFoldRejectsBadShape(t *testing.T) {
 	}
 	fold4(nil, nil, 1) // an empty block is an empty fold
 }
+
+// gatherInput draws one float like stage4Input, or, one time in eight, an
+// infinity or a NaN.
+func gatherInput(rng *rand.Rand) float64 {
+	switch rng.Intn(16) {
+	case 0:
+		return math.Inf(1 - 2*rng.Intn(2))
+	case 1:
+		return math.NaN()
+	}
+	return stage4Input(rng)
+}
+
+// The assembly gather performs exactly gatherGeneric's IEEE-754
+// operations, so on every 16-row band of every grid m = 4 … 1024, with
+// ±0, subnormals, magnitudes 1e−300 … 1e300, Inf and NaN in both the
+// amplitude and dL/dI, the two agree to the bit (non-finite in both where
+// a product is); and gatherGeneric itself writes amp·complex(d, 0) of
+// tiled element (x, y) into lane (y − y0) % 4 of slot rev(x) of group
+// (y − y0) / 4. Where the host has no assembly kernel only the generic
+// half runs.
+func TestGatherMatchesGeneric(t *testing.T) {
+	t.Logf("gather kernel: %s (GOARCH=%s)", Kernel(), runtime.GOARCH)
+	asm := Kernel() == "avx"
+	if !asm {
+		t.Logf("assembly half skipped: no AVX kernel on GOARCH=%s or the CPU/OS lacks AVX", runtime.GOARCH)
+	}
+	rng := rand.New(rand.NewSource(20))
+	for m := 4; m <= 1024; m *= 2 {
+		p, _ := NewPlan(m)
+		amp := make([]complex128, m*m) // tiled
+		d := make([]float64, m*m)
+		for i := range amp {
+			amp[i] = complex(gatherInput(rng), gatherInput(rng))
+			d[i] = gatherInput(rng)
+		}
+		rows := min(gatherRows, m)
+		for y0 := 0; y0 < m; y0 += rows {
+			gen := make([]complex128, rows*m)
+			gatherGeneric(gen, amp, d, p.tab.rev, y0)
+			for y := y0; y < y0+rows; y++ {
+				for x := 0; x < m; x++ {
+					g, lane := (y-y0)/4, (y-y0)%4
+					got := gen[4*m*g+4*int(p.tab.rev[x])+lane]
+					want := amp[(x/4)*4*m+4*y+x%4] * complex(d[y*m+x], 0)
+					if !stage4Same(got, want) {
+						t.Fatalf("m=%d y0=%d: generic product (%d, %d) = %v, the expression gives %v", m, y0, x, y, got, want)
+					}
+				}
+			}
+			if !asm {
+				continue
+			}
+			avx := make([]complex128, rows*m)
+			for i := range avx {
+				avx[i] = complex(math.NaN(), math.NaN())
+			}
+			p.gatherTiles(avx, amp, d, y0)
+			for i := range avx {
+				if !stage4Same(avx[i], gen[i]) {
+					t.Fatalf("m=%d y0=%d slot %d: avx %v, generic %v", m, y0, i, avx[i], gen[i])
+				}
+			}
+		}
+	}
+}
+
+// gatherTiles rejects a band the kernel cannot fill before touching
+// anything: a partial four-row group, rows past the grid, or a short
+// amplitude.
+func TestGatherRejectsBadShape(t *testing.T) {
+	const m = 16
+	p, _ := NewPlan(m)
+	for _, c := range []struct {
+		name      string
+		band, amp int
+		y0        int
+	}{
+		{"partial group", 4*m + 1, m * m, 0},
+		{"rows past the grid", 8 * m, m * m, 12},
+		{"short amplitude", 4 * m, m*m - 1, 0},
+		{"empty band", 0, m * m, 0},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			band := make([]complex128, c.band)
+			defer func() {
+				if recover() == nil {
+					t.Fatal("gatherTiles accepted the shape")
+				}
+				for i, v := range band {
+					if v != 0 {
+						t.Fatalf("slot %d changed to %v before the panic", i, v)
+					}
+				}
+			}()
+			p.gatherTiles(band, make([]complex128, c.amp), make([]float64, m*m), c.y0)
+		})
+	}
+}

@@ -23,11 +23,13 @@
 // the simulator runs the batched engine — all kernel products and pruned
 // inverse transforms of one SOCS call advance through a single cache-blocked
 // pass, with the inverse normalisation and SOCS scale folded into the
-// multiply, the mask spectrum from the two-for-one real-input forward
-// (identical to rounding), and the intensity fold fused into the column
-// transforms. The gradient's per-kernel adjoint transforms are output
-// pruned: only the butterflies feeding the P×P kernel band run
-// (fft.Plan2.AdjointPatch, bit-identical to the dense transform).
+// multiply, the mask spectrum's P×P kernel band from the two-for-one
+// real-input forward (identical to rounding), and the intensity fold fused
+// into the column transforms. The gradient's per-kernel adjoint transforms
+// are output pruned: only the butterflies feeding the P×P kernel band run
+// (fft.Plan2.AdjointPatch, bit-identical to the dense transform), and its
+// final inverse is input pruned from the P×P band
+// (fft.Plan2.InverseBandReal).
 // Sim.Engine selects between this default and the dense EngineReference,
 // the oracle the batch reproduces bit for bit on the same spectrum.
 package litho
@@ -59,7 +61,7 @@ const (
 	// shared twiddle loads, four rows/columns in lockstep, the intensity
 	// fold fused into the column pass; its adjoint patches are output
 	// pruned (fft.Plan2.AdjointPatch). On the same mask spectrum every
-	// output has EngineReference's bits; the ForwardReal mask spectrum
+	// output has EngineReference's bits; the ForwardRealBand mask spectrum
 	// agrees with the dense one to rounding. See DESIGN.md, "FFT engine v2".
 	EngineBatch FFTEngine = iota
 	// EngineReference is the dense engine: the dense mask forward, a serial
@@ -170,21 +172,22 @@ func (s *Sim) Plan(m int) (*fft.Plan2, error) {
 	return plan, err
 }
 
-// kernelWorkers resolves the effective fan-out for a k-kernel loop.
-func (s *Sim) kernelWorkers(k int) int {
-	w := s.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
+// workers resolves the simulator's fan-out: Workers, or
+// runtime.GOMAXPROCS(0) when that is ≤ 0.
+func (s *Sim) workers() int {
+	if s.Workers <= 0 {
+		return runtime.GOMAXPROCS(0)
 	}
-	if w > k {
-		w = k
-	}
-	return w
+	return s.Workers
 }
 
 // Field is the retained state of one forward simulation, sufficient to run
-// the adjoint pass. The fields of one ForwardCorners call share Spec,
-// read-only. Amps is populated only when the forward was told a gradient
+// the adjoint pass. Spec is the P×P kernel band of the mask spectrum
+// (centered: cell (fy+h, fx+h) holds frequency (fx, fy), h = P/2), the
+// only part of the spectrum a kernel reads, on both engines; P is the
+// largest kernel support of the call, and a kernel set with a smaller one
+// reads its centered sub-band. The fields of one ForwardCorners call share
+// Spec, read-only. Amps is populated only when the forward was told a gradient
 // follows and the amplitudes fit the simulator's budget (keepAmpsBudget);
 // they are leased from a process-wide pool, shared by the fields of one
 // kernel set, and returned by Sim.Release. Without them the gradient pass
@@ -194,13 +197,14 @@ func (s *Sim) kernelWorkers(k int) int {
 // fft.Untile4 gives it row-major.
 type Field struct {
 	M         int          // working grid size
-	Spec      *grid.CMat   // unnormalised FFT of the input mask, m×m
+	Spec      *grid.CMat   // P×P band of the unnormalised mask FFT, centered
 	Amps      []*grid.CMat // per-kernel amplitude fields A_k (tiled), or nil
 	Intensity *grid.Mat    // aerial image including the dose factor
 	Dose      float64
 	KS        *optics.KernelSet
 
-	lease *ampLease // the pooled Amps, shared with same-kernel-set fields
+	lease     *ampLease // the pooled Amps, shared with same-kernel-set fields
+	truncated bool      // from ForwardEq7 at a scale above 1: no adjoint
 }
 
 // ampLease is one kernel set's kept amplitudes from one ForwardCorners
@@ -264,26 +268,31 @@ func (s *Sim) checkMask(mask *grid.Mat, p int) error {
 	return nil
 }
 
-// maskSpectrum computes the unnormalised FFT of the mask: the batch engine
-// packs the real input two-for-one (ForwardReal), the reference runs the
-// dense transform. Its butterflies go to litho.fft_forward_butterflies.
-func (s *Sim) maskSpectrum(plan *fft.Plan2, mask *grid.Mat) *grid.CMat {
+// maskSpectrum computes the support×support kernel band of the mask's
+// unnormalised FFT (the Field.Spec layout): the batch engine computes only
+// the band, packing the real input two-for-one (ForwardRealBand, on the
+// simulator's workers), and the reference runs the dense transform and
+// crops the band. Its butterflies go to litho.fft_forward_butterflies.
+func (s *Sim) maskSpectrum(plan *fft.Plan2, mask *grid.Mat, support int) *grid.CMat {
 	sp := s.Recorder.StartSpan("litho.fft_forward")
 	defer sp.End()
 	reference := s.Engine == EngineReference
-	bf := plan.ForwardRealButterflies()
+	bf := plan.ForwardRealBandButterflies(support)
 	if reference {
 		bf = plan.Butterflies()
 	}
 	//lint:ignore inline work accounting, once per mask spectrum
 	s.Recorder.Add("litho.fft_forward_butterflies", bf)
+	spec := grid.NewCMat(support, support)
 	if reference {
-		spec := grid.ComplexFromReal(mask)
-		plan.Forward(spec)
+		dense := cscratch.Get(mask.W, mask.H)
+		dense.SetReal(mask)
+		plan.Forward(dense)
+		fft.CropBand(spec, dense)
+		cscratch.Put(dense)
 		return spec
 	}
-	spec := grid.NewCMat(mask.W, mask.H)
-	plan.ForwardReal(spec, mask)
+	plan.ForwardRealBand(spec, mask, s.workers())
 	return spec
 }
 
@@ -329,7 +338,7 @@ func (s *Sim) accumulateSOCS(fields []*Field, plan *fft.Plan2, spec *grid.CMat, 
 	}
 
 	if s.Engine != EngineReference {
-		s.batchSOCS(fields, plan, spec, scale, amps, s.kernelWorkers(nk))
+		s.batchSOCS(fields, plan, spec, scale, amps, min(s.workers(), nk))
 		return
 	}
 
@@ -422,7 +431,11 @@ func (s *Sim) ForwardCorners(mask *grid.Mat, corners []Corner, keepAmps bool) ([
 	if err != nil {
 		return nil, err
 	}
-	spec := s.maskSpectrum(plan, mask)
+	support := 0
+	for _, c := range corners {
+		support = max(support, c.KS.P)
+	}
+	spec := s.maskSpectrum(plan, mask, support)
 
 	fields := make([]*Field, len(corners))
 	for i, c := range corners {
@@ -456,6 +469,8 @@ next:
 // by each kernel, truncated to m = n/s with the 1/s² scale, and
 // inverse-transformed at size m. The result equals the exact aerial image
 // sampled every s pixels (the kernel support lies inside the retained band).
+// The truncation needs no step of its own: the P×P kernel band of the n×n
+// spectrum is all the kernels read, at m as at n.
 func (s *Sim) ForwardEq7(mask *grid.Mat, scale int, ks *optics.KernelSet, dose float64) (*Field, error) {
 	if err := s.checkMask(mask, ks.P); err != nil {
 		return nil, err
@@ -485,9 +500,9 @@ func (s *Sim) ForwardEq7(mask *grid.Mat, scale int, ks *optics.KernelSet, dose f
 	if err != nil {
 		return nil, err
 	}
-	spec := s.maskSpectrum(planN, mask)
+	spec := s.maskSpectrum(planN, mask, ks.P)
 
-	f := &Field{M: m, Spec: spec, Dose: dose, KS: ks, Intensity: grid.NewMat(m, m)}
+	f := &Field{M: m, Spec: spec, Dose: dose, KS: ks, Intensity: grid.NewMat(m, m), truncated: scale > 1}
 	sc := complex(1/float64(scale*scale), 0)
 	s.accumulateSOCS([]*Field{f}, planM, spec, m, sc, false)
 	s.Recorder.Add("litho.eq7_sims", 1)
@@ -500,7 +515,7 @@ func (s *Sim) ForwardEq7(mask *grid.Mat, scale int, ks *optics.KernelSet, dose f
 //	dL/dM = Σ_k 2·w_k·dose · Re[ F⁻¹( conj(H_k) ⊙ F( dLdI ⊙ A_k ) ) ].
 //
 // Amplitudes are taken from the field when kept, otherwise recomputed from
-// the retained mask spectrum with the same bits. Gradient does not consume
+// the retained band spectrum with the same bits. Gradient does not consume
 // the field: it may run any number of times on one field, before or after
 // Release. Each kernel contributes only the P×P band of
 // F(dLdI ⊙ A_k): the batch engine computes that patch with the
@@ -512,16 +527,20 @@ func (s *Sim) ForwardEq7(mask *grid.Mat, scale int, ks *optics.KernelSet, dose f
 // KernelAdjointPatch (adjointPatch) as the oracle, with the same bits. The
 // patches are computed in parallel and folded into the frequency-domain
 // accumulator in ascending k, so only one final inverse FFT is needed and
-// the result is bit-identical for every worker count.
+// the result is bit-identical for every worker count. On the batch engine
+// the accumulator is the P×P band itself and the final inverse is
+// fft.Plan2.InverseBandReal, input pruned, on the simulator's workers; the
+// reference zero-embeds the band in an m×m accumulator and inverts it
+// densely.
 // The call adds its transform butterflies to litho.adjoint_butterflies.
 func (s *Sim) Gradient(f *Field, dLdI *grid.Mat) (*grid.Mat, error) {
 	if dLdI.W != f.M || dLdI.H != f.M {
 		//lint:ignore escape error-path boxing of the size operands into the fmt args; never reached by a converging optimization
 		return nil, fmt.Errorf("litho: dLdI size %dx%d != field size %d", dLdI.W, dLdI.H, f.M)
 	}
-	if f.Amps == nil && (f.Spec.W != f.M || f.Spec.H != f.M) {
-		// Fields from ForwardEq7 keep the full-size spectrum; their adjoint
-		// is not implemented (the optimizer only differentiates Forward).
+	if f.truncated {
+		// The adjoint of Eq. 7's truncation is not implemented (the
+		// optimizer only differentiates Forward).
 		return nil, fmt.Errorf("litho: gradient of a truncated (Eq. 7) field is not supported")
 	}
 	plan, err := s.Plan(f.M)
@@ -533,7 +552,7 @@ func (s *Sim) Gradient(f *Field, dLdI *grid.Mat) (*grid.Mat, error) {
 	s.Recorder.Add("litho.adjoint_calls", 1)
 	reference := s.Engine == EngineReference
 	nk := len(f.KS.Kernels)
-	workers := s.kernelWorkers(nk)
+	workers := min(s.workers(), nk)
 	// The amplitude recompute (fields without kept amps) folds the inverse
 	// normalisation into the kernel multiply, like the forward pass; the
 	// adjoint patch weight likewise absorbs the final inverse's 1/m².
@@ -573,18 +592,26 @@ func (s *Sim) Gradient(f *Field, dLdI *grid.Mat) (*grid.Mat, error) {
 			patches[k] = patch
 		})
 	}
-	// The patch fold only populates the P×P band of acc, so the batch
-	// engine clears just those rows and runs the pruned out-of-place
-	// inverse — bit-identical to the reference's dense Zero + InverseNoNorm.
-	accBand := fft.BandSpec{Half: f.KS.P / 2}
-	acc := cscratch.Get(f.M, f.M)
+	// The patch fold only populates the P×P band of the accumulator, so
+	// the batch engine folds the patches into a P×P one and runs the
+	// input-pruned inverse from it, writing the real part straight out:
+	// every band cell sees the same adds in the same order, and the output
+	// is bit-identical to the reference's dense Zero, AddKernelPatch,
+	// InverseNoNorm and Real.
+	side := f.KS.P
 	if reference {
-		acc.Zero()
-	} else {
-		accBand.ZeroRows(acc)
+		side = f.M
 	}
+	acc := cscratch.Get(side, side)
+	acc.Zero()
 	for _, patch := range patches {
-		fft.AddKernelPatch(acc, patch)
+		if reference {
+			fft.AddKernelPatch(acc, patch)
+		} else {
+			for i, v := range patch.Data {
+				acc.Data[i] += v
+			}
+		}
 		cscratch.Put(patch)
 	}
 	kscratch.Put(patchesp)
@@ -593,10 +620,8 @@ func (s *Sim) Gradient(f *Field, dLdI *grid.Mat) (*grid.Mat, error) {
 		plan.InverseNoNorm(acc)
 		out = acc.Real()
 	} else {
-		img := cscratch.Get(f.M, f.M)
-		plan.InverseBandNoNorm(img, acc, accBand)
-		out = img.Real()
-		cscratch.Put(img)
+		out = grid.NewMat(f.M, f.M)
+		plan.InverseBandReal(out, acc, s.workers())
 	}
 	cscratch.Put(acc)
 	return out, nil

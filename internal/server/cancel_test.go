@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
+	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -182,5 +183,59 @@ func TestDrainDeadlineCancelsStragglers(t *testing.T) {
 	// terminal now — no polling needed.
 	if st := getStatus(t, base, id); st.State != "canceled" {
 		t.Errorf("straggler state %q, want canceled", st.State)
+	}
+}
+
+// metricsNow reads /metrics in-process, without a network round trip, so
+// it runs as close as possible to the moment a test observes a job's end.
+func metricsNow(t *testing.T, s *server.Server) metricsDoc {
+	t.Helper()
+	rr := httptest.NewRecorder()
+	s.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	var m metricsDoc
+	if err := json.NewDecoder(rr.Body).Decode(&m); err != nil {
+		t.Fatalf("metrics: decode: %v", err)
+	}
+	return m
+}
+
+// TestTerminalStateIsCounted: a client that sees a job's terminal state
+// sees it counted. For completed jobs and for canceled running jobs,
+// /metrics is read the moment Done() closes and must already include the
+// job in server.jobs_completed or server.jobs_canceled.
+func TestTerminalStateIsCounted(t *testing.T) {
+	const rounds = 4
+	s, base := newTestServer(t, server.Config{Executors: 1})
+	done := func(id string) <-chan struct{} {
+		j, ok := s.Job(id)
+		if !ok {
+			t.Fatalf("job %s vanished", id)
+		}
+		return j.Done()
+	}
+	for i := 1; i <= rounds; i++ {
+		_, id, _ := submit(t, base, smallJob)
+		select {
+		case <-done(id):
+		case <-time.After(time.Minute):
+			t.Fatalf("job %s did not finish", id)
+		}
+		if got := metricsNow(t, s).Counters["server.jobs_completed"]; got != int64(i) {
+			t.Fatalf("completed job %d: jobs_completed = %d when Done() closed, want %d", i, got, i)
+		}
+	}
+	for i := 1; i <= rounds; i++ {
+		_, id, _ := submit(t, base, longJob)
+		waitState(t, base, id, "running", time.Minute)
+		ch := done(id)
+		cancelJob(t, base, id)
+		select {
+		case <-ch:
+		case <-time.After(30 * time.Second):
+			t.Fatalf("canceled job %s did not end", id)
+		}
+		if got := metricsNow(t, s).Counters["server.jobs_canceled"]; got != int64(i) {
+			t.Fatalf("canceled job %d: jobs_canceled = %d when Done() closed, want %d", i, got, i)
+		}
 	}
 }

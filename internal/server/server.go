@@ -388,7 +388,9 @@ func (s *Server) finishJob(j *Job, state JobState, errMsg string, res *JobResult
 	if started := j.startedAt(); !started.IsZero() {
 		s.histRun.ObserveDuration(time.Since(started))
 	}
-	j.finish(state, errMsg, res, m)
+	// Count before publishing: a client that sees the terminal state (or
+	// Done closing) must find the job in the counters. Only the executor
+	// finishes a running job, so this count cannot double up.
 	switch state {
 	case StateDone:
 		s.rec.Add("server.jobs_completed", 1)
@@ -397,6 +399,7 @@ func (s *Server) finishJob(j *Job, state JobState, errMsg string, res *JobResult
 	case StateCanceled:
 		s.rec.Add("server.jobs_canceled", 1)
 	}
+	j.finish(state, errMsg, res, m)
 }
 
 func epeParams(pixelNM float64) (spacingPx, thrPx int) {
