@@ -49,7 +49,7 @@ func run() error {
 	compare := flag.Bool("compare", false, "diff two FFT-sweep JSON reports")
 	oldPath := flag.String("old", "BENCH_FFT.json", "baseline report (with -compare)")
 	newPath := flag.String("new", "BENCH_FFT.new.json", "candidate report (with -compare)")
-	gate := flag.Float64("gate", 0, "with -compare: fail if any engine regressed by more than this percent (0 disables)")
+	gate := flag.Float64("gate", 0, "with -compare: fail if the new report's batch forward or gradient speedup over the reference is below this, or a butterfly count grew (0 disables)")
 	manifestPath := flag.String("manifest", "", "write a run manifest (suite config + host + git revision) to this path")
 	e2e := flag.Bool("e2e", false, "run the end-to-end benchmark (python3 iltbench/run.py) on fast and exact, tracing off and on, into -json")
 	flag.Parse()

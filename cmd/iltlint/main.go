@@ -2,28 +2,19 @@
 // (internal/lint) over the module: the determinism, aliasing, zero-alloc
 // and multi-level-resolution invariants the perf PRs proved by hand,
 // enforced mechanically — including the interprocedural rules that follow
-// pool leases and grid resolutions through the call graph, and the
-// compiler-fact ratchets (bce, escape, inline) that re-run the compiler's
-// -m/-d=ssa/check_bce diagnostics over the hot regions declared in the
-// checked-in lint.hot manifest.
+// pool leases and grid resolutions through the call graph.
 //
 //	iltlint ./...                    # run every rule, text output
 //	iltlint -json ./...              # stable machine-readable output
 //	iltlint -rules floatcmp ./...    # a subset of rules
-//	iltlint -fix ./...               # apply suggested fixes, then re-check
-//	iltlint -diff ./...              # preview suggested fixes as unified diffs
 //	iltlint -workers 8 ./...         # parallel load/analyze (0 = GOMAXPROCS)
-//	iltlint -hot lint.hot ./...      # hot-region manifest for bce/escape/inline
-//	iltlint -baseline-write b.json   # record current findings as the ratchet
-//	iltlint -baseline b.json ./...   # fail only on findings beyond the baseline
-//	iltlint -selfbench out.json      # time the suite at workers 1 vs N
 //	iltlint -list                    # describe the rules
 //
 // Exit codes: 0 clean, 1 findings remain, 2 usage or load/type error.
 // The JSON schema is {"count": N, "diagnostics": [{"file", "line",
-// "col", "rule", "message", "fixable"}]}, ordered by file, line, column,
-// rule, message — byte-identical across runs over the same tree at any
-// worker count.
+// "col", "rule", "message"}]}, ordered by file, line, column, rule,
+// message — byte-identical across runs over the same tree at any worker
+// count.
 //
 // Findings are suppressed line-by-line with a mandatory-reason directive:
 //
@@ -33,13 +24,9 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"sort"
-	"time"
 
 	"repro/internal/lint"
 )
@@ -50,20 +37,12 @@ func main() {
 
 func run() int {
 	jsonOut := flag.Bool("json", false, "emit diagnostics as JSON (stable order)")
-	fix := flag.Bool("fix", false, "apply suggested fixes in place, then re-run the analysis")
-	diff := flag.Bool("diff", false, "print suggested fixes as unified diffs without writing them")
 	rules := flag.String("rules", "all", "comma-separated rule subset to run")
 	workers := flag.Int("workers", 0, "load/analyze parallelism (0 = GOMAXPROCS)")
-	hot := flag.String("hot", "", "hot-region manifest for bce/escape/inline (default: lint.hot in the target dir, skipped if absent)")
-	baseline := flag.String("baseline", "", "filter findings through a recorded baseline file")
-	baselineWrite := flag.String("baseline-write", "", "record current findings to a baseline file and exit 0")
-	selfbench := flag.String("selfbench", "", "time the suite at workers 1 vs N, write JSON to this file, and exit")
 	list := flag.Bool("list", false, "list the registered rules and exit")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(),
-			"usage: iltlint [-json] [-fix] [-diff] [-rules r1,r2] [-workers n]\n"+
-				"               [-hot manifest] [-baseline file] [-baseline-write file]\n"+
-				"               [-selfbench file] [-list] [packages]\n\n"+
+			"usage: iltlint [-json] [-rules r1,r2] [-workers n] [-list] [packages]\n\n"+
 				"Runs the repo's static-analysis suite (default patterns: ./...).\n"+
 				"Exit codes: 0 clean, 1 findings, 2 load error.\n\n")
 		flag.PrintDefaults()
@@ -82,76 +61,10 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "iltlint:", err)
 		return 2
 	}
-	opts := lint.Options{Patterns: flag.Args(), Analyzers: analyzers, Workers: *workers, HotManifest: *hot}
-
-	if *selfbench != "" {
-		return runSelfbench(opts, *selfbench)
-	}
-
-	res, err := lint.Run(opts)
+	res, err := lint.Run(lint.Options{Patterns: flag.Args(), Analyzers: analyzers, Workers: *workers})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "iltlint:", err)
 		return 2
-	}
-
-	if *diff {
-		out, err := lint.FormatFixDiffs(res.Fset, res.Diags)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "iltlint:", err)
-			return 2
-		}
-		fmt.Print(out)
-		if len(res.Diags) > 0 {
-			return 1
-		}
-		return 0
-	}
-
-	if *fix && res.Fixable() > 0 {
-		counts, err := lint.ApplyFixes(res.Fset, res.Diags)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "iltlint: applying fixes:", err)
-			return 2
-		}
-		files := make([]string, 0, len(counts))
-		total := 0
-		for f, n := range counts {
-			files = append(files, f)
-			total += n
-		}
-		sort.Strings(files)
-		for _, f := range files {
-			fmt.Fprintf(os.Stderr, "iltlint: fixed %d finding(s) in %s\n", counts[f], f)
-		}
-		if total > 0 {
-			// Re-analyze so the report reflects the tree as fixed.
-			res, err = lint.Run(opts)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "iltlint:", err)
-				return 2
-			}
-		}
-	}
-
-	if *baselineWrite != "" {
-		if err := lint.WriteBaselineFile(*baselineWrite, res.Diags); err != nil {
-			fmt.Fprintln(os.Stderr, "iltlint:", err)
-			return 2
-		}
-		fmt.Fprintf(os.Stderr, "iltlint: recorded %d finding(s) to %s\n", len(res.Diags), *baselineWrite)
-		return 0
-	}
-	if *baseline != "" {
-		b, err := lint.ReadBaselineFile(*baseline)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "iltlint:", err)
-			return 2
-		}
-		fresh, absorbed := b.Filter(res.Diags)
-		if absorbed > 0 {
-			fmt.Fprintf(os.Stderr, "iltlint: baseline %s absorbed %d finding(s)\n", *baseline, absorbed)
-		}
-		res.Diags = fresh
 	}
 
 	if *jsonOut {
@@ -178,10 +91,8 @@ func ruleCounts(diags []lint.Diagnostic) string {
 	for _, d := range diags {
 		counts[d.Rule]++
 	}
-	names := append([]string(nil), lint.RuleNames()...)
-	names = append(names, "hotmanifest", "ignore")
 	out := ""
-	for _, name := range names {
+	for _, name := range append(lint.RuleNames(), "ignore") {
 		if counts[name] == 0 {
 			continue
 		}
@@ -194,73 +105,4 @@ func ruleCounts(diags []lint.Diagnostic) string {
 		return ""
 	}
 	return " (" + out + ")"
-}
-
-// selfbenchResult is the BENCH_LINT.json schema: wall time for the full
-// suite at workers=1 and workers=GOMAXPROCS, the medians of three runs
-// each, plus enough context to compare across commits.
-type selfbenchResult struct {
-	GOMAXPROCS  int     `json:"gomaxprocs"`
-	Runs        int     `json:"runs"`
-	Diagnostics int     `json:"diagnostics"`
-	Workers1Ms  float64 `json:"workers_1_ms"`
-	WorkersNMs  float64 `json:"workers_n_ms"`
-	Speedup     float64 `json:"speedup"`
-}
-
-func runSelfbench(opts lint.Options, outPath string) int {
-	const runs = 3
-	time3 := func(workers int) (float64, int, error) {
-		o := opts
-		o.Workers = workers
-		var times []float64
-		diags := 0
-		for i := 0; i < runs; i++ {
-			start := time.Now()
-			res, err := lint.Run(o)
-			if err != nil {
-				return 0, 0, err
-			}
-			times = append(times, float64(time.Since(start).Microseconds())/1000.0)
-			diags = len(res.Diags)
-		}
-		sort.Float64s(times)
-		return times[len(times)/2], diags, nil
-	}
-	w1, diags, err := time3(1)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "iltlint: selfbench:", err)
-		return 2
-	}
-	wn, _, err := time3(0)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "iltlint: selfbench:", err)
-		return 2
-	}
-	result := selfbenchResult{
-		GOMAXPROCS:  runtime.GOMAXPROCS(0),
-		Runs:        runs,
-		Diagnostics: diags,
-		Workers1Ms:  w1,
-		WorkersNMs:  wn,
-		Speedup:     w1 / wn,
-	}
-	f, err := os.Create(outPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "iltlint: selfbench:", err)
-		return 2
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	werr := enc.Encode(result)
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		fmt.Fprintln(os.Stderr, "iltlint: selfbench:", werr)
-		return 2
-	}
-	fmt.Fprintf(os.Stderr, "iltlint: selfbench workers=1 %.1fms, workers=%d %.1fms (speedup %.2fx) -> %s\n",
-		w1, result.GOMAXPROCS, wn, result.Speedup, outPath)
-	return 0
 }

@@ -74,57 +74,64 @@ func TestRunFFTSweep(t *testing.T) {
 
 func TestGateFFTSweeps(t *testing.T) {
 	old := &FFTSweep{Points: []FFTPoint{
-		{M: 64, ReferenceSec: 1, BatchedSec: 0.5},
+		{M: 64, ReferenceSec: 1, BatchedSec: 0.5, BatchedGain: 2},
 	}}
 	same := &FFTSweep{Points: old.Points}
-	if err := GateFFTSweeps(old, same, 25); err != nil {
+	if err := GateFFTSweeps(old, same, 1.5); err != nil {
 		t.Errorf("identical sweeps should pass the gate: %v", err)
 	}
 
-	slow := &FFTSweep{Points: []FFTPoint{
-		{M: 64, ReferenceSec: 1, BatchedSec: 1.5},
+	// The floor reads the new report's same-run speedup, so host speed
+	// cancels: both engines twice as slow as the baseline still pass...
+	slowHost := &FFTSweep{Points: []FFTPoint{
+		{M: 64, ReferenceSec: 2, BatchedSec: 1, BatchedGain: 2},
 	}}
-	err := GateFFTSweeps(old, slow, 25)
-	if err == nil || !strings.Contains(err.Error(), "batch") {
-		t.Errorf("3x batch regression should fail the gate naming the engine, got %v", err)
+	if err := GateFFTSweeps(old, slowHost, 1.5); err != nil {
+		t.Errorf("a uniformly slower host should pass the gate: %v", err)
+	}
+	// ...while a batch engine falling to the reference's speed fails,
+	// named by engine, whatever the baseline holds.
+	slow := &FFTSweep{Points: []FFTPoint{
+		{M: 64, ReferenceSec: 1, BatchedSec: 1, BatchedGain: 1},
+	}}
+	err := GateFFTSweeps(old, slow, 1.5)
+	if err == nil || !strings.Contains(err.Error(), "m=64 batch speedup 1.00×") {
+		t.Errorf("a batch engine at reference speed should fail the gate naming the engine, got %v", err)
+	}
+	if err := GateFFTSweeps(&FFTSweep{}, slow, 1.5); err == nil {
+		t.Errorf("the floor should hold at sizes the baseline lacks")
 	}
 
-	// Engines absent from the baseline (zero seconds) are skipped, so the
-	// gate survives trajectory files predating a column family.
+	// Speedups the report did not measure (zero) are skipped.
 	noBatch := &FFTSweep{Points: []FFTPoint{
 		{M: 64, ReferenceSec: 1},
 	}}
-	if err := GateFFTSweeps(noBatch, slow, 25); err != nil {
-		t.Errorf("missing baseline column should be skipped: %v", err)
+	if err := GateFFTSweeps(old, noBatch, 1.5); err != nil {
+		t.Errorf("an unmeasured speedup should be skipped: %v", err)
 	}
 
-	// The gradient columns gate too: an adjoint falling back to dense
+	// The gradient speedup gates too: an adjoint falling back to dense
 	// transforms fails, named as the engine's gradient.
-	withGrad := &FFTSweep{Points: []FFTPoint{
-		{M: 64, ReferenceSec: 1, BatchedSec: 0.5, ReferenceGradSec: 2, BatchedGradSec: 0.8},
-	}}
 	denseAdjoint := &FFTSweep{Points: []FFTPoint{
-		{M: 64, ReferenceSec: 1, BatchedSec: 0.5, ReferenceGradSec: 2, BatchedGradSec: 1.6},
+		{M: 64, ReferenceSec: 1, BatchedSec: 0.5, BatchedGain: 2,
+			ReferenceGradSec: 2, BatchedGradSec: 1.6, BatchedGradGain: 1.25},
 	}}
-	err = GateFFTSweeps(withGrad, denseAdjoint, 75)
+	err = GateFFTSweeps(old, denseAdjoint, 1.5)
 	if err == nil || !strings.Contains(err.Error(), "batch gradient") {
-		t.Errorf("2x batch gradient regression should fail the gate naming the column, got %v", err)
-	}
-	if err := GateFFTSweeps(old, denseAdjoint, 75); err != nil {
-		t.Errorf("gradient columns missing from the baseline should be skipped: %v", err)
+		t.Errorf("a batch gradient near reference speed should fail the gate naming the column, got %v", err)
 	}
 
-	// Butterfly counts gate exactly, whatever the threshold: a dense
-	// fallback fails even when the wall clock hides it.
+	// Butterfly counts gate exactly, whatever the floor: a dense fallback
+	// fails even when the wall clock hides it.
 	counted := &FFTSweep{Points: []FFTPoint{{M: 64, BatchedSec: 0.5,
 		AdjointButterflies: map[string]int64{"batch": 100}}}}
 	fallback := &FFTSweep{Points: []FFTPoint{{M: 64, BatchedSec: 0.5,
 		AdjointButterflies: map[string]int64{"batch": 101}}}}
-	err = GateFFTSweeps(counted, fallback, 1000)
+	err = GateFFTSweeps(counted, fallback, 0.001)
 	if err == nil || !strings.Contains(err.Error(), "batch adjoint butterflies 100 → 101") {
 		t.Errorf("a grown butterfly count should fail the gate, got %v", err)
 	}
-	if err := GateFFTSweeps(fallback, counted, 25); err != nil {
+	if err := GateFFTSweeps(fallback, counted, 1.5); err != nil {
 		t.Errorf("a smaller butterfly count should pass: %v", err)
 	}
 	// The mask spectrum's count is held the same way: a band spectrum
@@ -133,7 +140,7 @@ func TestGateFFTSweeps(t *testing.T) {
 		ForwardButterflies: map[string]int64{"batch": 11033}}}}
 	dense := &FFTSweep{Points: []FFTPoint{{M: 64, BatchedSec: 0.5,
 		ForwardButterflies: map[string]int64{"batch": 24576}}}}
-	err = GateFFTSweeps(band, dense, 1000)
+	err = GateFFTSweeps(band, dense, 0.001)
 	if err == nil || !strings.Contains(err.Error(), "batch forward butterflies 11033 → 24576") {
 		t.Errorf("a dense mask spectrum should fail the gate, got %v", err)
 	}

@@ -278,11 +278,11 @@ func (p *Plan) keepColumns4(slab, x []complex128, rv [4]int32, pk int) {
 	half := pk / 2
 	for c := 0; c < pk; c++ {
 		src := 4 * ((c - half + n) & (n - 1))
-		//lint:ignore bce length-capped reslice of one kept column's four lanes
+		// A length-capped reslice of one kept column's four lanes.
 		xs := x[src : src+4 : src+4]
 		dst := (c>>2)*4*n + c&3
 		for lane, r := range rv {
-			//lint:ignore bce the bit-reversed scatter into the column slab: one check per kept value
+			// The bit-reversed scatter into the column slab.
 			slab[dst+4*int(r)] = xs[lane]
 		}
 	}
@@ -299,7 +299,7 @@ func (p *Plan) patchEpilogue4(dst, col, kernel []complex128, pk, c0, c1 int, sca
 	for fy := -half; fy <= half; fy++ {
 		src := 4 * ((fy + n) & (n - 1))
 		row := (fy + half) * pk
-		//lint:ignore bce one reslice each of the kept row's lanes, kernel cells and patch cells
+		// One reslice each of the kept row's lanes, kernel cells and patch cells.
 		cv, kr, dr := col[src:][:w], kernel[row+c0:][:w], dst[row+c0:][:w]
 		for c, k := range kr {
 			dr[c] = scale * complex(real(k), -imag(k)) * cv[c]

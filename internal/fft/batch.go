@@ -113,7 +113,7 @@ func (p *Plan2) MulRowsBatch(spec *grid.CMat, kernels []*grid.CMat, scale comple
 	b.bufp = p.batchBufs.Get().(*[]complex128)
 	need := nk * groups * 4 * m
 	if cap(*b.bufp) < need {
-		//lint:ignore escape grow-on-miss of the pooled row slab; amortized to zero once the plan is warm
+		// Grow the pooled row slab on a miss; amortized to zero once the plan is warm.
 		*b.bufp = make([]complex128, need)
 	}
 	//lint:ignore scratchalias the slab view lives inside the leased shell on purpose: InverseColumns consumes both and Puts both
@@ -207,7 +207,7 @@ func (b *BatchInverse) InverseColumns(outs []*grid.CMat, folds []Fold) {
 		if len(folds) > 0 {
 			ibp = p.intBufs.Get().(*[]float64)
 			if cap(*ibp) < len(folds)*span {
-				//lint:ignore escape grow-on-miss of the pooled intensity block for a multi-dose pass; amortized to zero once the plan is warm
+				// Grow the pooled intensity block for a multi-dose pass on a miss; amortized to zero once the plan is warm.
 				*ibp = make([]float64, len(folds)*span)
 			}
 			ib = (*ibp)[:len(folds)*span]

@@ -114,7 +114,7 @@ func fold4(fb []float64, cb []complex128, w float64) {
 // foldGeneric is fold4's portable loop: the only path on hosts without the
 // assembly kernel, and the oracle the kernel is tested against.
 func foldGeneric(fb []float64, cb []complex128, w float64) {
-	//lint:ignore bce one reslice per call, so the loop below indexes fb check-free
+	// One reslice per call, so the loop below indexes fb check-free.
 	cb = cb[:len(fb)]
 	for i, c := range cb {
 		re, im := real(c), imag(c)

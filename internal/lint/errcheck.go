@@ -47,12 +47,12 @@ func runErrCheck(pass *Pass) {
 				return true
 			}
 			if closeish {
-				pass.Report(call.Pos(), nil,
+				pass.Report(call.Pos(),
 					"unchecked error returned by %s; Close/Flush/Sync errors are where lost writes hide — handle or fold into the function's error", name)
 				return true
 			}
 			if isMain {
-				pass.Report(call.Pos(), nil,
+				pass.Report(call.Pos(),
 					"unchecked error returned by %s in a main package; handle it or assign to _ deliberately", name)
 			}
 			return true

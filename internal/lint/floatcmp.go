@@ -31,7 +31,6 @@ var FloatCmp = &Analyzer{
 
 func runFloatCmp(pass *Pass) {
 	for _, f := range pass.Files {
-		hasMath := pass.Imports(f, "math")
 		ast.Inspect(f, func(n ast.Node) bool {
 			be, ok := n.(*ast.BinaryExpr)
 			if !ok || (be.Op != token.EQL && be.Op != token.NEQ) {
@@ -51,22 +50,7 @@ func runFloatCmp(pass *Pass) {
 			if isZeroConst(xt) || isZeroConst(yt) {
 				return true // sentinel comparison against exact zero
 			}
-			var fix *Fix
-			if hasMath && isFloat64(xt.Type) && isFloat64(yt.Type) {
-				// Insert-only edits: math.Float64bits( X ) op math.Float64bits( Y ).
-				// This is the bit-exact reading of the comparison; it
-				// distinguishes ±0 and makes NaN compare equal to itself.
-				fix = &Fix{
-					Message: "compare math.Float64bits values (bit-exact; distinguishes ±0, NaN equals itself)",
-					Edits: []Edit{
-						{Pos: be.X.Pos(), End: be.X.Pos(), New: "math.Float64bits("},
-						{Pos: be.X.End(), End: be.X.End(), New: ")"},
-						{Pos: be.Y.Pos(), End: be.Y.Pos(), New: "math.Float64bits("},
-						{Pos: be.Y.End(), End: be.Y.End(), New: ")"},
-					},
-				}
-			}
-			pass.Report(be.OpPos, fix,
+			pass.Report(be.OpPos,
 				"float equality: %s on %s operands is not bit-exact-safe; compare math.Float64bits values or use an explicit tolerance",
 				be.Op, floatLabel(xt.Type, yt.Type))
 			return true
@@ -92,11 +76,6 @@ func isZeroConst(tv types.TypeAndValue) bool {
 func isFloaty(t types.Type) bool {
 	b, ok := t.Underlying().(*types.Basic)
 	return ok && b.Info()&(types.IsFloat|types.IsComplex) != 0
-}
-
-func isFloat64(t types.Type) bool {
-	b, ok := t.Underlying().(*types.Basic)
-	return ok && (b.Kind() == types.Float64 || b.Kind() == types.UntypedFloat)
 }
 
 // floatLabel names the wider of the two operand types for the message.

@@ -391,7 +391,7 @@ func (w *resWalker) requireSame(pos token.Pos, a, b resVal, delta int, ea, eb as
 	if a.root == b.root {
 		if b.off != a.off+delta && w.pass != nil && !w.reported[pos] {
 			w.reported[pos] = true
-			w.pass.Report(pos, nil,
+			w.pass.Report(pos,
 				"grid resolution mismatch: %s is %d coarsening level(s) from %s but the operation requires them to match (multi-level contract Eq. 7/8; resample with grid.AvgPoolDown/UpsampleNearest first)",
 				exprText(unparen(eb)), b.off-(a.off+delta), exprText(unparen(ea)))
 		}
@@ -797,4 +797,17 @@ func lessConstraint(a, b ResConstraint) bool {
 		return a.J < b.J
 	}
 	return a.Delta < b.Delta
+}
+
+// pureChain accepts identifiers and selector chains (z, st.z, o.cfg.z):
+// side-effect-free expressions that name the same grid each time they are
+// evaluated.
+func pureChain(e ast.Expr) bool {
+	switch e := e.(type) {
+	case *ast.Ident:
+		return true
+	case *ast.SelectorExpr:
+		return pureChain(e.X)
+	}
+	return false
 }

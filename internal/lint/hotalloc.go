@@ -22,8 +22,7 @@ import (
 //	}
 //
 // A loop counts as hot when its body records telemetry (StartSpan, Add,
-// Emit, Progressf on a Recorder, or Span.End). The suggested fix wraps an
-// unguarded Emit/Progressf statement in the Enabled() guard.
+// Emit, Progressf on a Recorder, or Span.End).
 var HotAlloc = &Analyzer{
 	Name: "hotalloc",
 	Doc:  "flags Sprintf/closures/map-slice literals and unguarded Emit/Progressf inside telemetry-instrumented loops",
@@ -97,15 +96,14 @@ func checkHotBody(pass *Pass, body *ast.BlockStmt, reported map[token.Pos]bool) 
 		}
 		switch n := n.(type) {
 		case *ast.FuncLit:
-			report(pass, reported, n.Pos(), nil,
+			report(pass, reported, n.Pos(),
 				"closure allocated per iteration of a telemetry-instrumented hot loop; hoist it out of the loop (zero-alloc contract, PR 2)")
 			// Do not descend: the closure body runs when called, and its
 			// own loops are analyzed independently.
 			return false
 		case *ast.CompositeLit:
 			if isMapOrSliceLit(pass, n) && !guarded(pass, stack) {
-				fix := guardFix(pass, stack, n)
-				report(pass, reported, n.Pos(), fix,
+				report(pass, reported, n.Pos(),
 					"%s literal allocates per iteration of a telemetry-instrumented hot loop; guard it with Recorder.Enabled() (zero-alloc contract, PR 2)",
 					litKind(pass, n))
 			}
@@ -114,13 +112,13 @@ func checkHotBody(pass *Pass, body *ast.BlockStmt, reported map[token.Pos]bool) 
 				// Error construction on the way out of the loop is an exit
 				// path, not a per-iteration cost.
 				if !guarded(pass, stack) && !underReturn(stack) {
-					report(pass, reported, n.Pos(), nil,
+					report(pass, reported, n.Pos(),
 						"fmt.%s allocates per iteration of a telemetry-instrumented hot loop; guard it with Recorder.Enabled() or hoist it", name)
 				}
 			}
 			if mi, ok := pass.method(n); ok && mi.pkg == telemetryPkg && mi.typ == "Recorder" && mi.name == "Progressf" {
 				if !guarded(pass, stack) {
-					report(pass, reported, n.Pos(), guardFix(pass, stack, n),
+					report(pass, reported, n.Pos(),
 						"Progressf boxes its arguments per iteration of a hot loop; guard it with Recorder.Enabled() (zero-alloc contract, PR 2)")
 				}
 			}
@@ -133,12 +131,12 @@ func checkHotBody(pass *Pass, body *ast.BlockStmt, reported map[token.Pos]bool) 
 	}
 }
 
-func report(pass *Pass, reported map[token.Pos]bool, pos token.Pos, fix *Fix, format string, args ...any) {
+func report(pass *Pass, reported map[token.Pos]bool, pos token.Pos, format string, args ...any) {
 	if reported[pos] {
 		return // site already flagged via an enclosing hot loop
 	}
 	reported[pos] = true
-	pass.Report(pos, fix, format, args...)
+	pass.Report(pos, format, args...)
 }
 
 // isMapOrSliceLit reports whether lit allocates a map or slice (named
@@ -223,54 +221,4 @@ func isRecorderExpr(pass *Pass, e ast.Expr) bool {
 		return false
 	}
 	return named.Obj().Pkg().Path() == telemetryPkg && named.Obj().Name() == "Recorder"
-}
-
-// guardFix wraps the statement enclosing the flagged node in an Enabled()
-// guard when that statement is a plain rec.Emit(...)/rec.Progressf(...)
-// call on a side-effect-free receiver chain. Formatting is restored by
-// gofmt after the edit.
-func guardFix(pass *Pass, stack []ast.Node, flagged ast.Node) *Fix {
-	// Innermost enclosing ExprStmt.
-	var es *ast.ExprStmt
-	for i := len(stack) - 1; i >= 0; i-- {
-		if s, ok := stack[i].(*ast.ExprStmt); ok {
-			es = s
-			break
-		}
-	}
-	if es == nil {
-		return nil
-	}
-	call, ok := es.X.(*ast.CallExpr)
-	if !ok {
-		return nil
-	}
-	mi, ok := pass.method(call)
-	if !ok || mi.pkg != telemetryPkg || mi.typ != "Recorder" || (mi.name != "Emit" && mi.name != "Progressf") {
-		return nil
-	}
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || !pureChain(sel.X) {
-		return nil
-	}
-	recv := exprText(sel.X)
-	return &Fix{
-		Message: "wrap in if " + recv + ".Enabled() { ... }",
-		Edits: []Edit{
-			{Pos: es.Pos(), End: es.Pos(), New: "if " + recv + ".Enabled() {\n"},
-			{Pos: es.End(), End: es.End(), New: "\n}"},
-		},
-	}
-}
-
-// pureChain accepts identifiers and selector chains (rec, o.Recorder,
-// opt.Process.Recorder) — receivers safe to evaluate twice.
-func pureChain(e ast.Expr) bool {
-	switch e := e.(type) {
-	case *ast.Ident:
-		return true
-	case *ast.SelectorExpr:
-		return pureChain(e.X)
-	}
-	return false
 }

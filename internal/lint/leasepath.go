@@ -143,22 +143,10 @@ type leaseWalker struct {
 	seeded   *leaseState // pre-seeded parameter bindings (summary mode)
 	depth    int         // current function-literal nesting depth
 	noExit   int         // >0 while inside a deferred closure: suppress exit checks
-
-	// timerMode repurposes the walker for the timerleak rule: acquisitions
-	// are time.NewTicker/NewTimer and the context.With* family instead of
-	// pool Gets, disposal is Stop()/invoking the cancel func instead of
-	// Put. The must-release path semantics — branches, defers, hand-offs —
-	// are identical, which is the point of sharing the walker.
-	timerMode bool
-	// pendingID/pendingResult carry an acquisition whose obligation lands
-	// on a non-first result (context.WithCancel's cancel func is result 1)
-	// from the call expression to the enclosing multi-assign.
-	pendingID     int
-	pendingResult int
 }
 
 func newLeaseWalker(prog *Program, pkg *Package, fd *ast.FuncDecl, pass *Pass) *leaseWalker {
-	return &leaseWalker{prog: prog, pkg: pkg, fd: fd, pass: pass, seeded: newLeaseState(), pendingID: -1}
+	return &leaseWalker{prog: prog, pkg: pkg, fd: fd, pass: pass, seeded: newLeaseState()}
 }
 
 // seedParam registers parameter i as a tracked lease (summary mode), with
@@ -229,14 +217,9 @@ func (w *leaseWalker) exitCheck(pos token.Pos, st *leaseState) {
 		if !l.leaked {
 			l.leaked = true
 			if w.pass != nil && l.param < 0 {
-				exit := w.pass.Fset.Position(pos)
-				if w.timerMode {
-					w.pass.Report(l.pos, nil, timerLeakMsg(l.name), l.name, exit.Line)
-				} else {
-					w.pass.Report(l.pos, nil,
-						"pool lease %s is not released on every path: the exit at line %d neither Puts it nor hands it off (leasepath contract, DESIGN.md)",
-						l.name, exit.Line)
-				}
+				w.pass.Report(l.pos,
+					"pool lease %s is not released on every path: the exit at line %d neither Puts it nor hands it off (leasepath contract, DESIGN.md)",
+					l.name, w.pass.Fset.Position(pos).Line)
 			}
 		}
 	}
@@ -355,9 +338,6 @@ func (w *leaseWalker) expr(e ast.Expr, st *leaseState) int {
 // call processes one call expression: pool Get/Put, summary-informed
 // helper effects, and lease pass-through.
 func (w *leaseWalker) call(call *ast.CallExpr, st *leaseState) int {
-	if w.timerMode {
-		return w.timerCall(call, st)
-	}
 	info := w.pkg.Info
 	w.expr(call.Fun, st) // selector bases, inline literals
 
@@ -420,7 +400,7 @@ func (w *leaseWalker) call(call *ast.CallExpr, st *leaseState) int {
 			l := w.leases[id]
 			if w.pass != nil && l.param < 0 && !l.leaked {
 				l.leaked = true
-				w.pass.Report(call.Pos(), nil,
+				w.pass.Report(call.Pos(),
 					"pool lease %s escapes through this call: %s stores its parameter %d beyond the call (leasepath contract, DESIGN.md)",
 					l.name, calleeText(call), si)
 			}
@@ -501,23 +481,12 @@ func (w *leaseWalker) stmt(s ast.Stmt, st *leaseState) {
 		}
 	case *ast.AssignStmt:
 		if len(s.Rhs) == 1 && len(s.Lhs) > 1 {
-			w.pendingID = -1
-			id := w.expr(s.Rhs[0], st)
 			// Multi-assign from one call: the lease (if any) lands on the
-			// first alias-capable target — unless the acquisition declared
-			// a different result index (context.WithCancel's cancel func,
-			// result 1), carried here via pendingID/pendingResult.
-			target := 0
-			if id < 0 && w.pendingID >= 0 {
-				id, target = w.pendingID, w.pendingResult
-				w.pendingID = -1
-			}
-			for i, l := range s.Lhs {
-				if i == target {
-					w.assign(l, id, st)
-				} else {
-					w.assign(l, -1, st)
-				}
+			// first alias-capable target.
+			id := w.expr(s.Rhs[0], st)
+			for _, l := range s.Lhs {
+				w.assign(l, id, st)
+				id = -1
 			}
 			return
 		}
@@ -534,19 +503,10 @@ func (w *leaseWalker) stmt(s ast.Stmt, st *leaseState) {
 					continue
 				}
 				if len(vs.Values) == 1 && len(vs.Names) > 1 {
-					w.pendingID = -1
 					id := w.expr(vs.Values[0], st)
-					target := 0
-					if id < 0 && w.pendingID >= 0 {
-						id, target = w.pendingID, w.pendingResult
-						w.pendingID = -1
-					}
-					for i, name := range vs.Names {
-						if i == target {
-							w.assign(name, id, st)
-						} else {
-							w.assign(name, -1, st)
-						}
+					for _, name := range vs.Names {
+						w.assign(name, id, st)
+						id = -1
 					}
 					continue
 				}

@@ -23,53 +23,19 @@
 //     contract, Eq. 7/8), followed through calls via summaries
 //   - leasepath     — a pool lease must be released or handed off on
 //     every path, including through helpers and deferred closures
-//   - atomicfield   — a field accessed via function-style sync/atomic
-//     anywhere must be accessed that way everywhere, across packages
-//   - bce           — no new surviving compiler bounds checks inside
-//     lint.hot-declared hot functions (perf ratchet)
-//   - escape        — no new compiler-proven heap escapes inside hot
-//     functions (zero-alloc steady-state ratchet)
-//   - inline        — no hot-path call falling out of the inlining
-//     budget (call-overhead ratchet)
-//   - ctxflow       — no context.Background()/TODO() or uninterruptible
-//     time.Sleep on server/core-reachable call paths
-//   - timerleak     — tickers, timers and context cancel funcs must be
-//     Stopped/called on every path, branch-sensitive like leasepath
-//   - lockorder     — no lock-order inversion cycles anywhere in the
-//     module (potential deadlocks, reported with the full cycle and a
-//     witness position per edge), and no lock held across a blocking
-//     operation on a server-reachable path
-//   - chanprotocol  — unbuffered sends on server-reachable paths need a
-//     default/ctx.Done() escape; a channel is closed once, by its owner,
-//     and never sent on after a close on the same path
-//   - wgmisuse      — no WaitGroup.Add inside the spawned goroutine or
-//     racing an async Wait, and no lock/WaitGroup copied by value into a
-//     callee that synchronizes on it (beyond vet's copylocks)
-//   - gorolife      — goroutines spawned on server-reachable paths must
-//     have a bounded lifetime: an exit tied to ctx.Done(), a quit-channel
-//     close, or a loop bounded by construction
 //
-// gridres, leasepath and atomicfield are interprocedural: they consult a
-// package-set call graph and bottom-up per-function summaries
-// (callgraph.go, summary.go) built once per run and shared through
-// Pass.Prog; ctxflow reuses the same graph for server-reachability. The
-// concurrency-protocol layer (lockorder, chanprotocol, wgmisuse,
-// gorolife) adds a second summary pass over the same SCC order —
-// per-function lock/WaitGroup/lifetime facts (concsummary.go) folded into
-// a global lock-order graph whose findings are precomputed before the
-// parallel passes start, preserving output determinism. The
-// bce/escape/inline trio reads a second fact source entirely — the
-// compiler's own -m/-d=ssa/check_bce diagnostic stream (gcdiag.go),
-// scoped by the checked-in lint.hot manifest (hotmanifest.go) and held in
-// check by the committed lint-perf.baseline ratchet.
+// gridres and leasepath are interprocedural: they consult a package-set
+// call graph and bottom-up per-function summaries (callgraph.go,
+// summary.go) built once per run and shared through Pass.Prog.
 //
 // A finding can be suppressed with a mandatory-reason directive on the
 // same line or the line above:
 //
 //	//lint:ignore <rule>[,<rule>...] <reason>
 //
-// A directive without a reason suppresses nothing and is itself reported
-// under the rule name "ignore". See DESIGN.md, "Static analysis".
+// A directive without a reason, or one naming a rule that is not in All,
+// suppresses nothing and is itself reported under the rule name "ignore".
+// See DESIGN.md, "Static analysis".
 package lint
 
 import (
@@ -91,9 +57,7 @@ type Analyzer struct {
 
 // All is the registry of analyzers shipped with the suite, in the order
 // they run. cmd/iltlint selects from this set with -rules.
-var All = []*Analyzer{FloatCmp, MapOrder, ScratchAlias, HotAlloc, ErrCheck, GridRes, LeasePath, AtomicField,
-	BCE, Escape, Inline, CtxFlow, TimerLeak,
-	LockOrder, ChanProtocol, WGMisuse, GoroLife}
+var All = []*Analyzer{FloatCmp, MapOrder, ScratchAlias, HotAlloc, ErrCheck, GridRes, LeasePath}
 
 // Lookup resolves a comma-separated rule list against the registry.
 func Lookup(rules string) ([]*Analyzer, error) {
@@ -103,19 +67,23 @@ func Lookup(rules string) ([]*Analyzer, error) {
 	var out []*Analyzer
 	for _, name := range strings.Split(rules, ",") {
 		name = strings.TrimSpace(name)
-		found := false
-		for _, a := range All {
-			if a.Name == name {
-				out = append(out, a)
-				found = true
-				break
-			}
-		}
-		if !found {
+		a := analyzerNamed(name)
+		if a == nil {
 			return nil, fmt.Errorf("unknown rule %q (have %s)", name, strings.Join(RuleNames(), ", "))
 		}
+		out = append(out, a)
 	}
 	return out, nil
+}
+
+// analyzerNamed returns the registered analyzer called name, or nil.
+func analyzerNamed(name string) *Analyzer {
+	for _, a := range All {
+		if a.Name == name {
+			return a
+		}
+	}
+	return nil
 }
 
 // RuleNames lists the registered rule names in registry order.
@@ -127,29 +95,16 @@ func RuleNames() []string {
 	return names
 }
 
-// A Diagnostic is one finding: a resolved position, the rule that fired,
-// a message, and an optional mechanical fix.
+// A Diagnostic is one finding: a resolved position, the rule that fired
+// and a message.
 type Diagnostic struct {
 	Pos     token.Position
 	Rule    string
 	Message string
-	Fix     *Fix
 }
 
 func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: %s (%s)", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Message, d.Rule)
-}
-
-// A Fix is a set of textual edits that mechanically resolves a diagnostic.
-type Fix struct {
-	Message string
-	Edits   []Edit
-}
-
-// An Edit replaces source in [Pos, End) with New. Pos == End inserts.
-type Edit struct {
-	Pos, End token.Pos
-	New      string
 }
 
 // A Pass carries one type-checked package through one analyzer.
@@ -160,21 +115,19 @@ type Pass struct {
 	Pkg      *types.Package
 	Info     *types.Info
 
-	// Prog is the interprocedural view of the whole run (call graph,
-	// summaries, program-wide fact sets). Nil only when a Pass is built
-	// outside the runner.
+	// Prog is the interprocedural view of the whole run (call graph and
+	// summaries). Nil only when a Pass is built outside the runner.
 	Prog *Program
 
 	diags *[]Diagnostic
 }
 
-// Report records a finding at pos, optionally carrying a fix.
-func (p *Pass) Report(pos token.Pos, fix *Fix, format string, args ...any) {
+// Report records a finding at pos.
+func (p *Pass) Report(pos token.Pos, format string, args ...any) {
 	*p.diags = append(*p.diags, Diagnostic{
 		Pos:     p.Fset.Position(pos),
 		Rule:    p.Analyzer.Name,
 		Message: fmt.Sprintf(format, args...),
-		Fix:     fix,
 	})
 }
 
@@ -189,26 +142,6 @@ func (p *Pass) TypeOf(e ast.Expr) types.Type {
 		}
 	}
 	return nil
-}
-
-// FileFor returns the *ast.File of the pass containing pos.
-func (p *Pass) FileFor(pos token.Pos) *ast.File {
-	for _, f := range p.Files {
-		if f.FileStart <= pos && pos < f.FileEnd {
-			return f
-		}
-	}
-	return nil
-}
-
-// Imports reports whether file f imports path.
-func (p *Pass) Imports(f *ast.File, path string) bool {
-	for _, im := range f.Imports {
-		if strings.Trim(im.Path.Value, `"`) == path {
-			return true
-		}
-	}
-	return false
 }
 
 // methodInfo describes a resolved method call: the receiver's defining

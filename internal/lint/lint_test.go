@@ -127,76 +127,6 @@ func TestErrCheckMainFixture(t *testing.T) { testFixture(t, ErrCheck, "testdata/
 func TestErrCheckLibFixture(t *testing.T)  { testFixture(t, ErrCheck, "testdata/src/errchecklib") }
 func TestGridResFixture(t *testing.T)      { testFixture(t, GridRes, "testdata/src/gridres") }
 func TestLeasePathFixture(t *testing.T)    { testFixture(t, LeasePath, "testdata/src/leasepath") }
-func TestAtomicFieldFixture(t *testing.T)  { testFixture(t, AtomicField, "testdata/src/atomicfield") }
-
-// TestHotDiagFixture drives the three compiler-fact ratchets over a
-// fixture with its own lint.hot manifest: surviving bounds checks, heap
-// escapes, and non-inlined calls fire only inside declared hot regions,
-// and the panic-path/ignore escapes stay silent.
-func TestHotDiagFixture(t *testing.T) {
-	testFixturePatterns(t, []*Analyzer{BCE, Escape, Inline}, "testdata/src/hotdiag", ".")
-}
-
-// TestCtxFlowFixture checks the server-reachability scoping: the same
-// context-severing shapes fire in the server package and its callees but
-// stay silent in the unreached batch package.
-func TestCtxFlowFixture(t *testing.T) {
-	testFixturePatterns(t, []*Analyzer{CtxFlow}, "testdata/src/ctxflow", "./...")
-}
-
-func TestTimerLeakFixture(t *testing.T) { testFixture(t, TimerLeak, "testdata/src/timerleak") }
-
-// TestLockOrderFixture drives the lock-order graph end to end: the seeded
-// A/B inversion cycle, a self-deadlock through a lock helper, the
-// held-across-blocking findings scoped to the server subpackage, and the
-// sync.Cond locker exemption.
-func TestLockOrderFixture(t *testing.T) {
-	testFixturePatterns(t, []*Analyzer{LockOrder}, "testdata/src/lockorder", "./...")
-}
-
-// TestLockOrderCycleMessage pins the acceptance shape of a cycle report:
-// the full cycle with one relativized witness position per edge —
-// "A -> B at file:line, B -> A at file:line".
-func TestLockOrderCycleMessage(t *testing.T) {
-	res, err := Run(Options{Dir: "testdata/src/lockorder", Patterns: []string{"./..."}, Analyzers: []*Analyzer{LockOrder}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cycleRe := regexp.MustCompile(
-		`lock-order inversion \(potential deadlock\): ` +
-			`lockorder\.\(A\)\.mu -> lockorder\.\(B\)\.mu at lockorder\.go:\d+, ` +
-			`lockorder\.\(B\)\.mu -> lockorder\.\(A\)\.mu at lockorder\.go:\d+`)
-	found := false
-	for _, d := range res.Diags {
-		if cycleRe.MatchString(d.Message) {
-			found = true
-		}
-		if strings.Contains(d.Message, string(filepath.Separator)+"root"+string(filepath.Separator)) {
-			t.Errorf("cycle message leaks an absolute path: %s", d.Message)
-		}
-	}
-	if !found {
-		t.Errorf("no diagnostic matched the full-cycle format %q; got:\n%v", cycleRe, res.Diags)
-	}
-}
-
-// TestChanProtocolFixture covers the close discipline (double-close,
-// send-after-close, parameter-close ownership) everywhere and the
-// unbuffered-send escapes on the server subpackage.
-func TestChanProtocolFixture(t *testing.T) {
-	testFixturePatterns(t, []*Analyzer{ChanProtocol}, "testdata/src/chanprotocol", "./...")
-}
-
-// TestWGMisuseFixture covers Add-in-goroutine (direct and through a
-// callee summary), Add racing an async Wait, and sync state copied into
-// callees that lock it.
-func TestWGMisuseFixture(t *testing.T) { testFixture(t, WGMisuse, "testdata/src/wgmisuse") }
-
-// TestGoroLifeFixture covers unbounded spawns (closure, named target, and
-// through a wrapper) on the serving surface and their silence off it.
-func TestGoroLifeFixture(t *testing.T) {
-	testFixturePatterns(t, []*Analyzer{GoroLife}, "testdata/src/gorolife", "./...")
-}
 
 // TestInterprocFixture loads a two-package fixture in one run: the
 // findings in package b exist only because summaries computed for package
@@ -228,10 +158,10 @@ func TestWorkersDeterminism(t *testing.T) {
 	}
 }
 
-// TestDriverJSONGolden runs the full seventeen-analyzer suite over the
-// driver fixture — one violation per rule — and pins the -json byte
-// stream: the schema, the (file, line, col, rule) ordering, and
-// run-to-run determinism.
+// TestDriverJSONGolden runs the full suite over the driver fixture — one
+// violation per rule, plus a directive naming an unknown rule — and pins
+// the -json byte stream: the schema, the (file, line, col, rule) ordering,
+// and run-to-run determinism.
 func TestDriverJSONGolden(t *testing.T) {
 	runJSON := func() []byte {
 		res, err := Run(Options{Dir: "testdata/src/driver", Patterns: []string{"./..."}})
@@ -249,11 +179,7 @@ func TestDriverJSONGolden(t *testing.T) {
 		t.Fatalf("two runs over the same tree differ:\n--- first\n%s--- second\n%s", first, second)
 	}
 
-	rules := map[string]bool{}
-	for _, a := range All {
-		rules[a.Name] = true
-	}
-	for name := range rules {
+	for _, name := range append(RuleNames(), "ignore") {
 		if !strings.Contains(string(first), `"rule": "`+name+`"`) {
 			t.Errorf("driver fixture did not exercise rule %s:\n%s", name, first)
 		}
@@ -275,228 +201,42 @@ func TestDriverJSONGolden(t *testing.T) {
 	}
 }
 
-// TestHotManifestRot seeds a manifest whose last entry names a function
-// the driver fixture does not declare and pins the runner-level
-// diagnostic: the rule, the manifest line it lands on, and the decayed
-// name in the message. The live entry and the skipped foreign-path entry
-// stay silent.
-func TestHotManifestRot(t *testing.T) {
-	dir := t.TempDir()
-	manifest := filepath.Join(dir, "lint.hot")
-	src := "# seeded rot below\n" +
-		"repro/internal/lint/testdata/src/driver hotIndex\n" +
-		"repro/internal/unloaded/pkg anything\n" +
-		"repro/internal/lint/testdata/src/driver vanishedKernel\n"
-	if err := os.WriteFile(manifest, []byte(src), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	res, err := Run(Options{Dir: "testdata/src/driver", Patterns: []string{"./..."}, HotManifest: manifest})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rot []Diagnostic
-	for _, d := range res.Diags {
-		if d.Rule == "hotmanifest" {
-			rot = append(rot, d)
+// TestLookup pins rule selection: "all" is the whole registry in order,
+// and an unknown name fails with an error that lists every rule.
+func TestLookup(t *testing.T) {
+	seven := []string{"floatcmp", "maporder", "scratchalias", "hotalloc", "errcheck", "gridres", "leasepath"}
+	for _, tc := range []struct {
+		rules string
+		want  []string
+	}{
+		{"all", seven},
+		{"", seven},
+		{"gridres, floatcmp", []string{"gridres", "floatcmp"}},
+		{"bce", nil},
+	} {
+		got, err := Lookup(tc.rules)
+		if tc.want == nil {
+			if err == nil {
+				t.Errorf("Lookup(%q) = %d rules, want an error", tc.rules, len(got))
+				continue
+			}
+			for _, name := range seven {
+				if !strings.Contains(err.Error(), name) {
+					t.Errorf("Lookup(%q) error %q does not name %s", tc.rules, err, name)
+				}
+			}
+			continue
 		}
-	}
-	if len(rot) != 1 {
-		t.Fatalf("want exactly one hotmanifest diagnostic, got %d: %+v", len(rot), rot)
-	}
-	if !strings.Contains(rot[0].Message, `"vanishedKernel"`) {
-		t.Errorf("message does not name the rotten entry: %s", rot[0].Message)
-	}
-	if rot[0].Pos.Line != 4 {
-		t.Errorf("rot reported at manifest line %d, want 4", rot[0].Pos.Line)
-	}
-}
-
-// TestBaselineRatchet records a baseline over the driver fixture and
-// verifies the filter: a full baseline absorbs everything, a truncated one
-// lets exactly the dropped finding through.
-func TestBaselineRatchet(t *testing.T) {
-	res, err := Run(Options{Dir: "testdata/src/driver", Patterns: []string{"./..."}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Diags) < len(All) {
-		t.Fatalf("driver fixture should fire every rule, got %d findings", len(res.Diags))
-	}
-
-	b := NewBaseline(res.Diags)
-	fresh, absorbed := b.Filter(res.Diags)
-	if len(fresh) != 0 || absorbed != len(res.Diags) {
-		t.Errorf("full baseline: fresh=%d absorbed=%d, want 0/%d", len(fresh), absorbed, len(res.Diags))
-	}
-
-	trimmed := &Baseline{Entries: b.Entries[:len(b.Entries)-1]}
-	fresh, absorbed = trimmed.Filter(res.Diags)
-	if len(fresh) != 1 || absorbed != len(res.Diags)-1 {
-		t.Errorf("trimmed baseline: fresh=%d absorbed=%d, want 1/%d", len(fresh), absorbed, len(res.Diags)-1)
-	}
-
-	// Round-trip through the file form.
-	path := filepath.Join(t.TempDir(), "baseline.json")
-	if err := WriteBaselineFile(path, res.Diags); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := ReadBaselineFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fresh, absorbed := loaded.Filter(res.Diags); len(fresh) != 0 || absorbed != len(res.Diags) {
-		t.Errorf("round-tripped baseline: fresh=%d absorbed=%d, want 0/%d", len(fresh), absorbed, len(res.Diags))
-	}
-}
-
-// writeFixModule creates a throwaway module with one fixable floatcmp
-// finding and returns its directory, file path, and original source.
-func writeFixModule(t *testing.T) (dir, path, src string) {
-	t.Helper()
-	dir = t.TempDir()
-	src = `package main
-
-import "math"
-
-func main() {
-	a, b := math.Sqrt(2), math.Sqrt(3)
-	if a == b {
-		println("equal")
-	}
-}
-`
-	if err := os.WriteFile(filepath.Join(dir, "go.mod"), []byte("module fixtest\n\ngo 1.22\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	path = filepath.Join(dir, "main.go")
-	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return dir, path, src
-}
-
-// TestFormatFixDiffs verifies -diff's engine: the preview shows the fix as
-// a unified diff and leaves the file on disk untouched.
-func TestFormatFixDiffs(t *testing.T) {
-	dir, path, src := writeFixModule(t)
-	res, err := Run(Options{Dir: dir, Patterns: []string{"."}, Analyzers: []*Analyzer{FloatCmp}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := FormatFixDiffs(res.Fset, res.Diags)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"--- ", "+++ ", "@@ ", "-\tif a == b {", "+\tif math.Float64bits(a) == math.Float64bits(b) {"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("diff output missing %q:\n%s", want, out)
+		if err != nil {
+			t.Errorf("Lookup(%q): %v", tc.rules, err)
+			continue
 		}
-	}
-	onDisk, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(onDisk) != src {
-		t.Errorf("-diff modified the file:\n%s", onDisk)
-	}
-}
-
-// TestFixIdempotent pins the -fix contract: applying fixes twice is a
-// no-op — the second pass finds nothing fixable and changes no bytes.
-func TestFixIdempotent(t *testing.T) {
-	dir, path, _ := writeFixModule(t)
-	opts := Options{Dir: dir, Patterns: []string{"."}, Analyzers: []*Analyzer{FloatCmp}}
-
-	res, err := Run(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ApplyFixes(res.Fset, res.Diags); err != nil {
-		t.Fatal(err)
-	}
-	afterFirst, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	res, err = Run(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := res.Fixable(); n != 0 {
-		t.Errorf("second pass still sees %d fixable finding(s)", n)
-	}
-	counts, err := ApplyFixes(res.Fset, res.Diags)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(counts) != 0 {
-		t.Errorf("second ApplyFixes applied %v, want nothing", counts)
-	}
-	afterSecond, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(afterFirst, afterSecond) {
-		t.Errorf("second -fix changed bytes:\n--- first\n%s--- second\n%s", afterFirst, afterSecond)
-	}
-}
-
-// TestApplyFixesFloatCmp runs the floatcmp fix end to end against a
-// throwaway module: lint, apply, re-lint — the finding must be gone and
-// the rewrite must be gofmt-clean.
-func TestApplyFixesFloatCmp(t *testing.T) {
-	dir := t.TempDir()
-	src := `package main
-
-import "math"
-
-func main() {
-	a, b := math.Sqrt(2), math.Sqrt(3)
-	if a == b {
-		println("equal")
-	}
-}
-`
-	if err := os.WriteFile(filepath.Join(dir, "go.mod"), []byte("module fixtest\n\ngo 1.22\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, "main.go")
-	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	opts := Options{Dir: dir, Patterns: []string{"."}, Analyzers: []*Analyzer{FloatCmp}}
-	res, err := Run(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Diags) != 1 || res.Diags[0].Fix == nil {
-		t.Fatalf("want 1 fixable diagnostic, got %v", res.Diags)
-	}
-	fixed, err := ApplyFixes(res.Fset, res.Diags)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for _, n := range fixed {
-		total += n
-	}
-	if total != 1 {
-		t.Errorf("fixed = %v, want exactly 1 applied fix", fixed)
-	}
-	out, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(out), "math.Float64bits(a) == math.Float64bits(b)") {
-		t.Errorf("fix not applied:\n%s", out)
-	}
-	res, err = Run(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Diags) != 0 {
-		t.Errorf("diagnostics survive the fix: %v", res.Diags)
+		var names []string
+		for _, a := range got {
+			names = append(names, a.Name)
+		}
+		if strings.Join(names, ",") != strings.Join(tc.want, ",") {
+			t.Errorf("Lookup(%q) = %v, want %v", tc.rules, names, tc.want)
+		}
 	}
 }

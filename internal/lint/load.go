@@ -22,19 +22,9 @@ import (
 // analysis.
 type Package struct {
 	Path  string
-	Dir   string
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
-
-	// GoFiles are the package's source file base names in build order —
-	// exactly what `go tool compile` must be handed to reproduce the
-	// compiler's view of the package (gcdiag.go).
-	GoFiles []string
-	// Exports maps every import path in the load's dependency closure to
-	// its compiler export-data file. Shared by all packages of one load;
-	// gcdiag.go turns it into an -importcfg.
-	Exports map[string]string
 }
 
 // listPkg is the subset of `go list -json` output the loader consumes.
@@ -49,27 +39,23 @@ type listPkg struct {
 	Error      *struct{ Err string }
 }
 
-// Load locates the packages matching patterns with `go list` (run in dir;
-// "" means the current directory), parses their non-test sources and
-// type-checks them from source. Imports — including the standard library —
-// resolve through the compiler export data `go list -export` leaves in the
-// build cache, so no dependency is ever re-checked and the module needs no
-// loader dependency.
+// LoadWorkers locates the packages matching patterns with `go list` (run
+// in dir; "" means the current directory), parses their non-test sources
+// and type-checks them from source. Imports — including the standard
+// library — resolve through the compiler export data `go list -export`
+// leaves in the build cache, so no dependency is ever re-checked and the
+// module needs no loader dependency.
 //
 // Test files are deliberately excluded: they are where bit-exactness
 // assertions and fixture abuse legitimately live, and the invariants the
 // analyzers guard are production-path contracts.
-func Load(dir string, patterns ...string) ([]*Package, *token.FileSet, error) {
-	return LoadWorkers(dir, 1, patterns...)
-}
-
-// LoadWorkers is Load with parsing fanned out across workers goroutines
-// per the repo's Workers convention (≤ 0 means GOMAXPROCS). Parsing
-// dominates load time and each file is independent; a token.FileSet is
-// safe for concurrent use, so files land in the shared set from any
-// worker. Type-checking stays serial: packages must check in dependency
-// order against one importer, and the importer's export-data cache is not
-// synchronized.
+//
+// Parsing fans out across workers goroutines per the repo's Workers
+// convention (≤ 0 means GOMAXPROCS). Parsing dominates load time and each
+// file is independent; a token.FileSet is safe for concurrent use, so
+// files land in the shared set from any worker. Type-checking stays
+// serial: packages must check in dependency order against one importer,
+// and the importer's export-data cache is not synchronized.
 func LoadWorkers(dir string, workers int, patterns ...string) ([]*Package, *token.FileSet, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
@@ -178,13 +164,10 @@ func LoadWorkers(dir string, workers int, patterns ...string) ([]*Package, *toke
 			return nil, nil, fmt.Errorf("type-checking %s: %v", p.ImportPath, err)
 		}
 		pkgs = append(pkgs, &Package{
-			Path:    p.ImportPath,
-			Dir:     p.Dir,
-			Files:   files,
-			Types:   tpkg,
-			Info:    info,
-			GoFiles: p.GoFiles,
-			Exports: exports,
+			Path:  p.ImportPath,
+			Files: files,
+			Types: tpkg,
+			Info:  info,
 		})
 	}
 	return pkgs, fset, nil

@@ -71,7 +71,7 @@ func checkMapRangeBody(pass *Pass, rs *ast.RangeStmt) {
 			}
 		case *ast.CallExpr:
 			if name, ok := sinkCall(pass, n); ok {
-				pass.Report(n.Pos(), nil,
+				pass.Report(n.Pos(),
 					"map iteration order reaches output through %s; collect and sort the keys first (determinism contract, DESIGN.md)",
 					name)
 			}
@@ -102,7 +102,7 @@ func checkFloatReduction(pass *Pass, as *ast.AssignStmt) {
 	switch as.Tok {
 	case token.ADD_ASSIGN, token.SUB_ASSIGN, token.MUL_ASSIGN, token.QUO_ASSIGN:
 		if len(as.Lhs) == 1 && isFloaty(typeOrNil(pass, as.Lhs[0])) {
-			pass.Report(as.TokPos, nil,
+			pass.Report(as.TokPos,
 				"floating-point reduction %s in map iteration order is nondeterministic (float ops are not associative); accumulate over sorted keys",
 				as.Tok)
 		}
@@ -123,7 +123,7 @@ func checkFloatReduction(pass *Pass, as *ast.AssignStmt) {
 			return
 		}
 		if sameIdentExpr(as.Lhs[0], be.X) || sameIdentExpr(as.Lhs[0], be.Y) {
-			pass.Report(as.TokPos, nil,
+			pass.Report(as.TokPos,
 				"floating-point reduction x = x %s v in map iteration order is nondeterministic; accumulate over sorted keys",
 				be.Op)
 		}

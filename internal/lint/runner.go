@@ -26,28 +26,12 @@ type Options struct {
 	// is byte-identical at every setting — packages keep load order and
 	// diagnostics are sorted after the merge.
 	Workers int
-	// HotManifest is the lint.hot path for the compiler-fact analyzers
-	// (bce/escape/inline). "" looks for Dir/lint.hot and silently skips
-	// those analyzers when it does not exist; a non-"" path must exist.
-	HotManifest string
 }
 
 // Result is the outcome of a run: suppression-filtered, deterministically
-// ordered diagnostics plus the FileSet needed to apply fixes.
+// ordered diagnostics.
 type Result struct {
 	Diags []Diagnostic
-	Fset  *token.FileSet
-}
-
-// Fixable counts diagnostics carrying a suggested fix.
-func (r *Result) Fixable() int {
-	n := 0
-	for _, d := range r.Diags {
-		if d.Fix != nil {
-			n++
-		}
-	}
-	return n
 }
 
 // Run loads the requested packages and applies every analyzer to each,
@@ -67,38 +51,7 @@ func Run(opts Options) (*Result, error) {
 
 	// The interprocedural substrate is built once, serially, and shared
 	// read-only by every pass.
-	prog := BuildProgram(pkgs, fset, opts.Dir)
-
-	// The compiler-fact substrate (gcdiag.go) is loaded only when a gc
-	// analyzer is selected AND a lint.hot manifest is present: compiling
-	// the hot packages costs real wall time, and a run without bce/escape/
-	// inline must not pay it. Rot in the manifest (entries that stopped
-	// resolving to a live function) is reported here too, as runner-level
-	// "hotmanifest" diagnostics — like "ignore", it is not an analyzer.
-	var extraDiags []Diagnostic
-	if needsGCFacts(analyzers) {
-		hotPath := opts.HotManifest
-		explicit := hotPath != ""
-		if !explicit {
-			hotPath = filepath.Join(orDot(opts.Dir), "lint.hot")
-		}
-		hot, err := LoadHotManifestFile(hotPath)
-		if err != nil {
-			return nil, err
-		}
-		if hot == nil && explicit {
-			return nil, fmt.Errorf("hot manifest %s does not exist", hotPath)
-		}
-		if hot != nil {
-			extraDiags = rotDiagnostics(hot, pkgs)
-			facts, err := LoadGCDiagnostics(pkgs, hot, workers)
-			if err != nil {
-				return nil, err
-			}
-			prog.Hot = hot
-			prog.GCFacts = facts
-		}
-	}
+	prog := BuildProgram(pkgs)
 
 	// Packages are independent analysis units: fan out across workers,
 	// each accumulating into its own slot, then merge in load order so
@@ -129,37 +82,18 @@ func Run(opts Options) (*Result, error) {
 		diags = append(diags, perPkgDiags[i]...)
 		ignores = append(ignores, perPkgIgnores[i]...)
 	}
-	diags = append(diags, extraDiags...)
 
 	diags = applyIgnores(diags, ignores)
 	relativize(diags, opts.Dir)
 	sortDiags(diags)
-	return &Result{Diags: diags, Fset: fset}, nil
-}
-
-// needsGCFacts reports whether any selected analyzer consumes compiler
-// diagnostics.
-func needsGCFacts(analyzers []*Analyzer) bool {
-	for _, a := range analyzers {
-		if a == BCE || a == Escape || a == Inline {
-			return true
-		}
-	}
-	return false
-}
-
-func orDot(dir string) string {
-	if dir == "" {
-		return "."
-	}
-	return dir
+	return &Result{Diags: diags}, nil
 }
 
 // An ignoreDirective is one parsed //lint:ignore comment. It suppresses
 // diagnostics of the named rules on targetLine of its file — the directive's
 // own line for a trailing comment, the following line for a comment that
 // stands alone. A directive without a reason suppresses nothing and is
-// reported itself.
+// reported itself, as is every rule name it gives that is not in All.
 type ignoreDirective struct {
 	pos        token.Position
 	rules      []string
@@ -212,7 +146,10 @@ func scanIgnores(fset *token.FileSet, f *ast.File) []ignoreDirective {
 }
 
 // applyIgnores drops diagnostics matched by a well-formed directive and
-// reports malformed directives under the "ignore" rule.
+// reports malformed directives under the "ignore" rule: a missing reason,
+// and each rule name the registry does not know. Names are checked against
+// All, not the rules selected for this run, so a directive left behind by
+// a deleted or misspelled rule fails every run.
 func applyIgnores(diags []Diagnostic, ignores []ignoreDirective) []Diagnostic {
 	var out []Diagnostic
 	for _, d := range diags {
@@ -243,6 +180,15 @@ func applyIgnores(diags []Diagnostic, ignores []ignoreDirective) []Diagnostic {
 				Message: "//lint:ignore directive needs a reason: //lint:ignore <rule>[,<rule>] <reason>",
 			})
 		}
+		for _, r := range ig.rules {
+			if analyzerNamed(r) == nil {
+				out = append(out, Diagnostic{
+					Pos:     ig.pos,
+					Rule:    "ignore",
+					Message: fmt.Sprintf("//lint:ignore names unknown rule %q (have %s)", r, strings.Join(RuleNames(), ", ")),
+				})
+			}
+		}
 	}
 	return out
 }
@@ -272,7 +218,6 @@ type jsonDiag struct {
 	Col     int    `json:"col"`
 	Rule    string `json:"rule"`
 	Message string `json:"message"`
-	Fixable bool   `json:"fixable"`
 }
 
 // WriteJSON emits {"count": N, "diagnostics": [...]} with diagnostics in
@@ -286,7 +231,7 @@ func WriteJSON(w io.Writer, diags []Diagnostic) error {
 	for _, d := range diags {
 		payload.Diagnostics = append(payload.Diagnostics, jsonDiag{
 			File: d.Pos.Filename, Line: d.Pos.Line, Col: d.Pos.Column,
-			Rule: d.Rule, Message: d.Message, Fixable: d.Fix != nil,
+			Rule: d.Rule, Message: d.Message,
 		})
 	}
 	enc := json.NewEncoder(w)

@@ -80,7 +80,7 @@ func (w *aliasWalker) report(pos token.Pos, format string, args ...any) {
 		return
 	}
 	w.reported[pos] = true
-	w.pass.Report(pos, nil, format, args...)
+	w.pass.Report(pos, format, args...)
 }
 
 // taintedValue reports whether e currently aliases pool-leased memory:

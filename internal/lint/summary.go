@@ -1,9 +1,6 @@
 package lint
 
-import (
-	"go/ast"
-	"go/types"
-)
+import "go/ast"
 
 // A Summary is one function's interprocedural facts, computed bottom-up
 // over the call graph (callees first, SCCs iterated to a fixpoint) so an
@@ -22,12 +19,6 @@ type Summary struct {
 	Releases []bool
 	Returns  []bool
 	Escapes  []bool
-
-	// CallsParam[i] — the function invokes its i-th parameter;
-	// CallsParamGo[i] — it does so on a spawned goroutine (the
-	// grid.ParallelFor body shape). Feeds goroutine-reachability.
-	CallsParam   []bool
-	CallsParamGo []bool
 
 	// Grid-resolution facts (gridres): SameRes constraints the body
 	// imposes between grid-typed parameters, and the resolution level of
@@ -51,49 +42,12 @@ type ResultRes struct {
 	Delta  int
 }
 
-// paramIndex returns the declared-parameter index of obj in fd (flattened
-// across grouped fields), or -1.
-func paramIndex(info *types.Info, fd *ast.FuncDecl, obj types.Object) int {
-	if fd.Type.Params == nil {
-		return -1
-	}
-	i := 0
-	for _, field := range fd.Type.Params.List {
-		if len(field.Names) == 0 {
-			i++
-			continue
-		}
-		for _, name := range field.Names {
-			if info.Defs[name] == obj {
-				return i
-			}
-			i++
-		}
-	}
-	return -1
-}
-
 func numParams(fd *ast.FuncDecl) int {
 	if fd.Type.Params == nil {
 		return 0
 	}
 	n := 0
 	for _, field := range fd.Type.Params.List {
-		if len(field.Names) == 0 {
-			n++
-		} else {
-			n += len(field.Names)
-		}
-	}
-	return n
-}
-
-func numResults(fd *ast.FuncDecl) int {
-	if fd.Type.Results == nil {
-		return 0
-	}
-	n := 0
-	for _, field := range fd.Type.Results.List {
 		if len(field.Names) == 0 {
 			n++
 		} else {
@@ -133,12 +87,10 @@ func computeSummaries(prog *Program) {
 
 func newSummary(n int) *Summary {
 	return &Summary{
-		NumParams:    n,
-		Releases:     make([]bool, n),
-		Returns:      make([]bool, n),
-		Escapes:      make([]bool, n),
-		CallsParam:   make([]bool, n),
-		CallsParamGo: make([]bool, n),
+		NumParams: n,
+		Releases:  make([]bool, n),
+		Returns:   make([]bool, n),
+		Escapes:   make([]bool, n),
 	}
 }
 
@@ -158,8 +110,7 @@ func (s *Summary) equal(o *Summary) bool {
 		return true
 	}
 	if !eqBools(s.Releases, o.Releases) || !eqBools(s.Returns, o.Returns) ||
-		!eqBools(s.Escapes, o.Escapes) || !eqBools(s.CallsParam, o.CallsParam) ||
-		!eqBools(s.CallsParamGo, o.CallsParamGo) {
+		!eqBools(s.Escapes, o.Escapes) {
 		return false
 	}
 	if len(s.SameRes) != len(o.SameRes) || len(s.Results) != len(o.Results) {
@@ -199,77 +150,8 @@ func summarize(prog *Program, fi *FuncInfo) *Summary {
 		sum.Releases[i] = !leaked[i] && !sum.Returns[i] && !sum.Escapes[i]
 	}
 
-	// Parameter invocation (direct and through callees like ParallelFor).
-	collectParamCalls(prog, fi, sum)
-
 	// Grid-resolution constraints and result deltas.
 	gridResSummary(prog, fi, sum)
 
 	return sum
-}
-
-// collectParamCalls records which function-typed parameters the body
-// invokes, and whether the invocation happens on a spawned goroutine —
-// directly (`go body(i)` inside the function, or a call inside a go'd
-// closure) or transitively (the parameter is passed into a callee position
-// the callee invokes on a goroutine).
-func collectParamCalls(prog *Program, fi *FuncInfo, sum *Summary) {
-	info := fi.Pkg.Info
-	var walk func(n ast.Node, spawned bool)
-	handleCall := func(call *ast.CallExpr, spawned bool) {
-		// Direct invocation of a parameter.
-		if id, ok := unparen(call.Fun).(*ast.Ident); ok {
-			if obj := info.ObjectOf(id); obj != nil {
-				if i := paramIndex(info, fi.Decl, obj); i >= 0 {
-					sum.CallsParam[i] = true
-					if spawned {
-						sum.CallsParamGo[i] = true
-					}
-				}
-			}
-		}
-		// A parameter handed to a callee that invokes its own parameter.
-		callee := prog.Funcs[staticCalleeKey(info, call)]
-		if callee == nil || callee.Summary == nil {
-			return
-		}
-		for ai, a := range call.Args {
-			if ai >= len(callee.Summary.CallsParam) || !callee.Summary.CallsParam[ai] {
-				continue
-			}
-			id, ok := unparen(a).(*ast.Ident)
-			if !ok {
-				continue
-			}
-			obj := info.ObjectOf(id)
-			if obj == nil {
-				continue
-			}
-			if i := paramIndex(info, fi.Decl, obj); i >= 0 {
-				sum.CallsParam[i] = true
-				if spawned || callee.Summary.CallsParamGo[ai] {
-					sum.CallsParamGo[i] = true
-				}
-			}
-		}
-	}
-	walk = func(n ast.Node, spawned bool) {
-		ast.Inspect(n, func(m ast.Node) bool {
-			switch m := m.(type) {
-			case *ast.GoStmt:
-				handleCall(m.Call, true)
-				if lit, ok := unparen(m.Call.Fun).(*ast.FuncLit); ok {
-					walk(lit.Body, true)
-				}
-				for _, a := range m.Call.Args {
-					walk(a, true)
-				}
-				return false
-			case *ast.CallExpr:
-				handleCall(m, spawned)
-			}
-			return true
-		})
-	}
-	walk(fi.Decl.Body, false)
 }

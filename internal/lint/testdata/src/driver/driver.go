@@ -1,23 +1,16 @@
 // Package driver is the cmd/iltlint golden fixture: one violation per
-// rule, so a full seventeen-analyzer run exercises the JSON schema, the
-// deterministic ordering, and the fixable flag in one load. The serving
-// rules (ctxflow, timerleak's driver case, lockorder, chanprotocol,
-// wgmisuse, gorolife) live in the server subpackage; the compiler-fact
-// rules (bce, escape, inline) read the lint.hot manifest beside this
-// file.
+// rule, plus one stale suppression, so a full run exercises the JSON
+// schema and the deterministic ordering in one load.
 package driver
 
 import (
-	"fmt"
-	"math"
 	"os"
-	"sync/atomic"
 
 	"repro/internal/grid"
 	"repro/internal/telemetry"
 )
 
-// floatcmp (fixable: math is imported, both operands float64).
+// floatcmp: two computed values compared with ==.
 func converged(prev, cur float64) bool {
 	return prev == cur
 }
@@ -64,37 +57,10 @@ func leak(p *grid.CMatPool, n int, fail bool) {
 	p.Put(buf)
 }
 
-// atomicfield: n is atomic in bump, plain in read.
-type ctr struct{ n int64 }
-
-func bump(c *ctr) { atomic.AddInt64(&c.n, 1) }
-
-func read(c *ctr) int64 { return c.n }
-
-var sink []float64
-
-// bce: i is unproven, so the index keeps its bounds check (hotIndex is in
-// lint.hot).
-func hotIndex(xs []float64, i int) float64 {
-	return xs[i]
+// ignore: the directive names a rule the registry does not have, so it
+// suppresses nothing and is reported itself.
+//
+//lint:ignore bce a directive left behind by a deleted rule
+func first(xs []float64) float64 {
+	return xs[0]
 }
-
-// escape: the slab escapes through the package-level sink.
-func hotEscape(n int) {
-	sink = make([]float64, n)
-}
-
-// inline: recurse can never be inlined (stable reason across toolchains).
-func hotCall(n int) int {
-	return recurse(n)
-}
-
-func recurse(n int) int {
-	if n <= 1 {
-		return 1
-	}
-	return n * recurse(n-1)
-}
-
-var _ = fmt.Sprintf
-var _ = math.Pi

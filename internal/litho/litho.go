@@ -281,7 +281,6 @@ func (s *Sim) maskSpectrum(plan *fft.Plan2, mask *grid.Mat, support int) *grid.C
 	if reference {
 		bf = plan.Butterflies()
 	}
-	//lint:ignore inline work accounting, once per mask spectrum
 	s.Recorder.Add("litho.fft_forward_butterflies", bf)
 	spec := grid.NewCMat(support, support)
 	if reference {
@@ -328,12 +327,10 @@ func (s *Sim) accumulateSOCS(fields []*Field, plan *fft.Plan2, spec *grid.CMat, 
 	ks := fields[0].KS
 	nk := len(ks.Kernels)
 	scale = fft.FoldInverseScale(scale, m, m)
-	//lint:ignore inline work accounting, once per SOCS call
 	s.Recorder.Add("litho.fft_inverse_butterflies", int64(nk)*inverseButterflies(plan, s.Engine != EngineReference, ks.P))
 	s.Recorder.Add("litho.kernel_ffts", int64(nk))
 	var amps []*grid.CMat
 	if keepAmps {
-		//lint:ignore inline once per SOCS pass that keeps its amplitudes
 		amps = leaseAmps(fields, nk, m)
 	}
 
@@ -535,7 +532,6 @@ func (s *Sim) ForwardEq7(mask *grid.Mat, scale int, ks *optics.KernelSet, dose f
 // The call adds its transform butterflies to litho.adjoint_butterflies.
 func (s *Sim) Gradient(f *Field, dLdI *grid.Mat) (*grid.Mat, error) {
 	if dLdI.W != f.M || dLdI.H != f.M {
-		//lint:ignore escape error-path boxing of the size operands into the fmt args; never reached by a converging optimization
 		return nil, fmt.Errorf("litho: dLdI size %dx%d != field size %d", dLdI.W, dLdI.H, f.M)
 	}
 	if f.truncated {
@@ -560,7 +556,6 @@ func (s *Sim) Gradient(f *Field, dLdI *grid.Mat) (*grid.Mat, error) {
 	if f.Amps == nil {
 		s.Recorder.Add("litho.kernel_ffts", int64(nk))
 	}
-	//lint:ignore inline work accounting, once per gradient
 	s.Recorder.Add("litho.adjoint_butterflies", s.adjointButterflies(plan, f))
 	patchesp, patches := kscratch.Get(nk)
 	if f.Amps == nil && !reference {
@@ -586,7 +581,6 @@ func (s *Sim) Gradient(f *Field, dLdI *grid.Mat) (*grid.Mat, error) {
 				patch = s.adjointPatch(f, plan, amp, dLdI, k)
 				cscratch.Put(amp)
 			} else {
-				//lint:ignore inline one call per kernel into an O(m·P·log m) transform
 				patch = s.prunedPatch(f, plan, kept, dLdI, k)
 			}
 			patches[k] = patch
@@ -707,7 +701,6 @@ func (s *Sim) batchAdjointPatches(f *Field, plan *fft.Plan2, dLdI *grid.Mat, pat
 		}
 		plan.MulRowsBatch(f.Spec, ks.Kernels[c0:c1], ampScale, workers).InverseColumns(amps[:c1-c0], nil)
 		grid.ParallelFor(workers, c1-c0, func(j int) {
-			//lint:ignore inline one call per kernel into an O(m·P·log m) transform
 			patches[c0+j] = s.prunedPatch(f, plan, amps[j], dLdI, c0+j)
 		})
 	}

@@ -200,9 +200,10 @@ func metricsNow(t *testing.T, s *server.Server) metricsDoc {
 }
 
 // TestTerminalStateIsCounted: a client that sees a job's terminal state
-// sees it counted. For completed jobs and for canceled running jobs,
-// /metrics is read the moment Done() closes and must already include the
-// job in server.jobs_completed or server.jobs_canceled.
+// sees it counted. For completed jobs, canceled running jobs and a canceled
+// queued job, /metrics is read the moment Done() closes and must already
+// include the job in server.jobs_completed or server.jobs_canceled. A
+// drain past its deadline counts every job it cancels, queued or running.
 func TestTerminalStateIsCounted(t *testing.T) {
 	const rounds = 4
 	s, base := newTestServer(t, server.Config{Executors: 1})
@@ -237,5 +238,49 @@ func TestTerminalStateIsCounted(t *testing.T) {
 		if got := metricsNow(t, s).Counters["server.jobs_canceled"]; got != int64(i) {
 			t.Fatalf("canceled job %d: jobs_canceled = %d when Done() closed, want %d", i, got, i)
 		}
+	}
+
+	// A queued job: the cancel request runs concurrently, and Done() closing
+	// is the first thing the test sees of it.
+	_, blocker, _ := submit(t, base, longJob)
+	waitState(t, base, blocker, "running", time.Minute)
+	_, queued, _ := submit(t, base, smallJob)
+	ch := done(queued)
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		s.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodDelete, "/jobs/"+queued, nil))
+	}()
+	select {
+	case <-ch:
+	case <-time.After(30 * time.Second):
+		t.Fatalf("canceled queued job %s did not end", queued)
+	}
+	if got := metricsNow(t, s).Counters["server.jobs_canceled"]; got != rounds+1 {
+		t.Fatalf("canceled queued job: jobs_canceled = %d when Done() closed, want %d", got, rounds+1)
+	}
+	<-served
+
+	// A drain whose context has already expired cancels one running and
+	// one queued job, and counts both.
+	d, dbase := newTestServer(t, server.Config{QueueCap: 4, Executors: 1})
+	_, running, _ := submit(t, dbase, longJob)
+	waitState(t, dbase, running, "running", time.Minute)
+	_, queued, _ = submit(t, dbase, smallJob)
+	if st := getStatus(t, dbase, queued); st.State != "queued" {
+		t.Fatalf("second job state %q, want queued", st.State)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := d.Drain(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("drain with an expired context: err = %v, want Canceled", err)
+	}
+	for _, id := range []string{running, queued} {
+		if st := getStatus(t, dbase, id); st.State != "canceled" {
+			t.Errorf("job %s after the drain: %q, want canceled", id, st.State)
+		}
+	}
+	if got := metricsNow(t, d).Counters["server.jobs_canceled"]; got != 2 {
+		t.Errorf("drain canceled a running and a queued job: jobs_canceled = %d, want 2", got)
 	}
 }

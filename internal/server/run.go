@@ -74,6 +74,10 @@ type Job struct {
 	cancel context.CancelFunc
 	rec    *telemetry.Recorder
 	events eventLog
+	// countCancel counts a queued job's cancellation in the server's
+	// counters. Cancel runs it under mu before the canceled state or Done
+	// is visible, so a client that sees the job canceled finds it counted.
+	countCancel func()
 
 	mu       sync.Mutex
 	state    JobState
@@ -96,15 +100,15 @@ func (j *Job) State() JobState {
 }
 
 // Cancel requests cancellation. Queued jobs transition immediately (the
-// executor will skip them); running jobs transition when the optimizer
-// observes the context, which happens within one iteration. Terminal jobs
-// are unaffected. Reports whether this call itself terminated a queued job
-// (running jobs are accounted for when the executor observes the
-// cancellation, so callers never double-count).
+// executor will skip them) and are counted here; running jobs transition,
+// and are counted, when the executor observes the context, which happens
+// within one iteration. Terminal jobs are unaffected. Reports whether this
+// call itself terminated a queued job.
 func (j *Job) Cancel() bool {
 	j.mu.Lock()
 	direct := j.state == StateQueued
 	if direct {
+		j.countCancel()
 		j.state = StateCanceled
 		j.finished = time.Now()
 	}

@@ -238,6 +238,7 @@ func (s *Server) newJob(spec *JobSpec) *Job {
 		created:  time.Now(),
 		done:     make(chan struct{}),
 	}
+	j.countCancel = func() { s.rec.Add("server.jobs_canceled", 1) }
 	j.events.init()
 	j.rec = telemetry.New(
 		telemetry.WithClock(s.cfg.Now),
@@ -452,9 +453,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "no such job")
 		return
 	}
-	if j.Cancel() {
-		s.rec.Add("server.jobs_canceled", 1)
-	}
+	j.Cancel()
 	writeJSON(w, http.StatusOK, j.status())
 }
 
