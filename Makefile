@@ -1,7 +1,7 @@
 GO ?= go
 BIN_DIR := bin
 
-.PHONY: all build test race trace-smoke trace-stat server-smoke server-race bench bench-workers bench-fft bench-fft-smoke bench-compare bench-e2e vet cross lint check
+.PHONY: all build test race trace-smoke server-smoke server-race bench bench-workers bench-fft bench-fft-smoke bench-compare bench-e2e vet cross lint check
 
 all: build test
 
@@ -19,20 +19,11 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Observability lane (runs alongside race): a small end-to-end iltopt run
-# with tracing on, then tracecheck re-validates the JSONL schema, the
-# phase-timer wall-clock coverage and the run manifest.
-trace-smoke:
-	mkdir -p artifacts
-	$(GO) run ./cmd/iltopt -case 1 -n 256 -field 1024 -kernels 12 -iterdiv 10 \
-		-recipe exact -trace artifacts/trace_smoke.jsonl -progress \
-		-manifest artifacts/trace_smoke_manifest.json
-	$(GO) run ./cmd/tracecheck -trace artifacts/trace_smoke.jsonl \
-		-manifest artifacts/trace_smoke_manifest.json
-
-# Trace-analytics lane: a short deterministic optimization writes a trace,
-# tracecheck validates its schema, tracestat renders the analytics report
-# into artifacts/, and the compare gate proves the regression detector
+# Observability lane (runs alongside race): one small end-to-end iltopt
+# run of the exact recipe with tracing on; tracecheck re-validates its
+# JSONL schema, the phase-timer wall-clock coverage (default bound) and the
+# run manifest; tracestat renders the analytics report of the same trace
+# into artifacts/; and the compare gate proves the regression detector
 # works — the committed A/B fixture pair carries an injected +20% per-call
 # slowdown in litho.socs, so `tracestat -compare` MUST exit 2 (any other
 # status, including 0, fails the lane).
@@ -44,17 +35,19 @@ $(TRACESTAT): FORCE
 	@mkdir -p $(BIN_DIR)
 	$(GO) build -o $(TRACESTAT) ./cmd/tracestat
 
-trace-stat: $(TRACESTAT)
+trace-smoke: $(TRACESTAT)
 	mkdir -p artifacts
-	$(GO) run ./cmd/iltopt -case 1 -n 128 -field 512 -kernels 8 -iterdiv 10 \
-		-recipe fast -trace artifacts/trace_stat.jsonl
-	$(GO) run ./cmd/tracecheck -trace artifacts/trace_stat.jsonl -min-coverage 0
-	$(TRACESTAT) artifacts/trace_stat.jsonl | tee artifacts/trace_stat_report.txt
+	$(GO) run ./cmd/iltopt -case 1 -n 256 -field 1024 -kernels 12 -iterdiv 10 \
+		-recipe exact -trace artifacts/trace_smoke.jsonl -progress \
+		-manifest artifacts/trace_smoke_manifest.json
+	$(GO) run ./cmd/tracecheck -trace artifacts/trace_smoke.jsonl \
+		-manifest artifacts/trace_smoke_manifest.json
+	$(TRACESTAT) artifacts/trace_smoke.jsonl | tee artifacts/trace_smoke_report.txt
 	$(TRACESTAT) -compare \
 		internal/tracestat/testdata/compare_old.jsonl \
 		internal/tracestat/testdata/compare_new.jsonl -threshold 10% \
-		> artifacts/trace_stat_compare.txt 2>&1; st=$$?; \
-		cat artifacts/trace_stat_compare.txt; test $$st -eq 2
+		> artifacts/trace_smoke_compare.txt 2>&1; st=$$?; \
+		cat artifacts/trace_smoke_compare.txt; test $$st -eq 2
 
 # Serving lane, part 1: the iltserver self-contained smoke flow — boot the
 # daemon on an ephemeral port, submit one small job over real HTTP, stream
@@ -88,7 +81,9 @@ cross:
 # paying `go run`'s link-and-copy on every invocation; on findings it exits
 # 1 with per-rule counts. See README ("iltlint") and DESIGN.md ("Static
 # analysis"). The ./... wildcard skips testdata, so the deliberately
-# violating lint fixtures are not linted.
+# violating lint fixtures are not linted. Then gofmt fails the lane when it
+# lists any Go file of internal (fixtures included), cmd, examples or the
+# root package; .bench_build is not walked.
 ILTLINT := $(BIN_DIR)/iltlint
 
 $(ILTLINT): FORCE
@@ -99,6 +94,7 @@ FORCE:
 
 lint: $(ILTLINT)
 	$(ILTLINT) ./...
+	test -z "$$(gofmt -l internal cmd examples *.go | tee /dev/stderr)"
 
 # The pre-commit umbrella: everything a change must pass before review.
 check: build vet cross lint test
@@ -116,7 +112,7 @@ bench-workers:
 # FFT-engine sweep: times the exact forward simulation and one gradient per
 # FFT engine (the dense reference oracle and the fused, pruned batch) at
 # workers=1 and records the speedups and exact butterfly counts in
-# BENCH_FFT.json plus a benchstat-format sidecar BENCH_FFT.txt.
+# BENCH_FFT.json.
 bench-fft:
 	$(GO) run ./cmd/benchgen -fftsweep -sizes 256,512,1024,2048 -field 2048 \
 		-kernels 24 -reps 3 -json BENCH_FFT.json
@@ -145,18 +141,12 @@ bench-e2e:
 	$(GO) run ./cmd/benchgen -e2e -json BENCH_E2E.json
 
 # Diff two bench-fft runs: OLD is the checked-in trajectory artifact, NEW a
-# fresh run (make bench-fft with -json BENCH_FFT.new.json, or copy). Uses
-# benchstat on the .txt sidecars when it is installed (no module
-# dependency is added), and always prints the built-in JSON diff. Set
-# GATE=<x> to fail when NEW's batch forward or gradient speedup over the
-# reference falls below x, or when any butterfly count grew from OLD.
+# fresh run (make bench-fft with -json BENCH_FFT.new.json, or copy). Prints
+# the per-size delta table of the two JSON reports. Set GATE=<x> to fail
+# when NEW's batch forward or gradient speedup over the reference falls
+# below x, or when any butterfly count grew from OLD.
 OLD ?= BENCH_FFT.json
 NEW ?= BENCH_FFT.new.json
 GATE ?= 0
 bench-compare:
-	@if command -v benchstat >/dev/null 2>&1; then \
-		benchstat $(OLD:.json=.txt) $(NEW:.json=.txt); \
-	else \
-		echo "benchstat not installed; using built-in diff"; \
-	fi
 	$(GO) run ./cmd/benchgen -compare -old $(OLD) -new $(NEW) -gate $(GATE)

@@ -80,7 +80,7 @@ func TestCLIEndToEnd(t *testing.T) {
 	}
 }
 
-// TestTracestatCLI drives the trace-analytics tool the way the trace-stat
+// TestTracestatCLI drives the trace-analytics tool the way the trace-smoke
 // lane does: report a real optimizer trace, then gate an A/B pair with a
 // known injected slowdown — which must exit with the dedicated code 2.
 func TestTracestatCLI(t *testing.T) {

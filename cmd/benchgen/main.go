@@ -109,17 +109,13 @@ func run() error {
 		if err := s.WriteJSON(*sweepJSON); err != nil {
 			return err
 		}
-		txt := strings.TrimSuffix(*sweepJSON, ".json") + ".txt"
-		if err := s.WriteBenchstat(txt); err != nil {
-			return err
-		}
 		for _, p := range s.Points {
 			fmt.Printf("m=%-5d forward   reference %8.4fs  batch %8.4fs (%.2fx)\n",
 				p.M, p.ReferenceSec, p.BatchedSec, p.BatchedGain)
 			fmt.Printf("        gradient  reference %8.4fs  batch %8.4fs (%.2fx)  keep-amps=%v\n",
 				p.ReferenceGradSec, p.BatchedGradSec, p.BatchedGradGain, p.KeepAmps)
 		}
-		fmt.Printf("→ %s + %s (%d kernels, P=%d, workers=%d)\n", *sweepJSON, txt, s.Kernels, s.P, s.Workers)
+		fmt.Printf("→ %s (%d kernels, P=%d, workers=%d)\n", *sweepJSON, s.Kernels, s.P, s.Workers)
 		return nil
 	}
 

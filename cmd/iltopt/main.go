@@ -27,7 +27,6 @@ import (
 	"repro/internal/grid"
 	"repro/internal/imgio"
 	"repro/internal/layout"
-	"repro/internal/litho"
 	"repro/internal/mask"
 	"repro/internal/metrics"
 	"repro/internal/post"
@@ -48,7 +47,6 @@ func run() error {
 	kernels := flag.Int("kernels", cfg.Kernels, "number of SOCS kernels")
 	iterdiv := flag.Int("iterdiv", 1, "divide recipe iteration budgets")
 	workers := flag.Int("workers", 0, "per-kernel simulation fan-out (0 = GOMAXPROCS); results are identical for every value")
-	fftEngine := flag.String("fft-engine", "", "FFT engine: batch (default) | reference (dense oracle)")
 	layoutPath := flag.String("layout", "", "layout file to optimize")
 	caseIdx := flag.Int("case", 0, "synthetic paper case index (1-20) instead of -layout")
 	viaIdx := flag.Int("via", 0, "synthetic via case index instead of -layout")
@@ -73,11 +71,6 @@ func run() error {
 	cfg.Kernels = *kernels
 	cfg.IterDiv = *iterdiv
 	cfg.Workers = *workers
-	cfg.Engine = *fftEngine
-	engine, err := litho.ParseEngine(*fftEngine)
-	if err != nil {
-		return err
-	}
 
 	// The recorder exists whenever any observability output is requested;
 	// instrumented code paths see a nil recorder otherwise and cost nothing.
@@ -124,7 +117,7 @@ func run() error {
 	rec.Emit("run.start", telemetry.Fields{
 		"tool": "iltopt", "name": name, "recipe": *recipe,
 		"n": cfg.N, "field_nm": cfg.FieldNM, "kernels": cfg.Kernels,
-		"iterdiv": cfg.IterDiv, "workers": cfg.Workers, "fft_engine": engine.String(),
+		"iterdiv": cfg.IterDiv, "workers": cfg.Workers,
 	})
 
 	var region *grid.Mat
@@ -258,8 +251,7 @@ func run() error {
 		man := telemetry.NewManifest("iltopt", map[string]any{
 			"name": name, "recipe": *recipe, "n": cfg.N, "field_nm": cfg.FieldNM,
 			"kernels": cfg.Kernels, "iterdiv": cfg.IterDiv, "workers": cfg.Workers,
-			"fft_engine": engine.String(),
-			"region":     *regionOpt, "momentum": *momentum, "linesearch": *lineSearch,
+			"region": *regionOpt, "momentum": *momentum, "linesearch": *lineSearch,
 			"tv": *tvLambda, "curvature": *curvLambda,
 		})
 		man.SetMetric("l2_nm2", rep.L2)

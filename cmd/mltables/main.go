@@ -49,9 +49,8 @@ func run() error {
 	cfg.WithBaselines = *baselines
 	cfg.OutDir = *out
 
-	// -v progress now flows through the telemetry console sink (the same
-	// rendering path iltopt -progress uses); cfg.Log stays supported for
-	// library callers.
+	// -v progress flows through the telemetry console sink (the same
+	// rendering path iltopt -progress uses).
 	var topts []telemetry.Option
 	if *verbose {
 		topts = append(topts, telemetry.WithConsole(os.Stderr))

@@ -9,6 +9,7 @@ import (
 	"repro/internal/litho"
 	"repro/internal/metrics"
 	"repro/internal/optics"
+	"repro/internal/telemetry"
 )
 
 var (
@@ -153,9 +154,15 @@ func TestLevelSetRegionRespected(t *testing.T) {
 	p := process(t)
 	tgt := testTarget()
 	region := geom.DilateBox(tgt, 10)
-	res, err := LevelSetILT(LevelSetOptions{Process: p, Iters: 10, Region: region}, tgt)
+	workers, engine, simRec := p.Sim.Workers, p.Sim.Engine, p.Sim.Recorder
+	res, err := LevelSetILT(LevelSetOptions{Process: p, Iters: 10, Region: region, Recorder: telemetry.New()}, tgt)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The iteration events' recorder is not the shared simulator's.
+	if p.Sim.Workers != workers || p.Sim.Engine != engine || p.Sim.Recorder != simRec {
+		t.Errorf("LevelSetILT changed the shared simulator: workers %d, engine %v, recorder %p; want %d, %v, %p",
+			p.Sim.Workers, p.Sim.Engine, p.Sim.Recorder, workers, engine, simRec)
 	}
 	for i, r := range region.Data {
 		if r < 0.5 && res.Mask.Data[i] != 0 {

@@ -32,8 +32,9 @@ type LevelSetOptions struct {
 	// Region optionally confines evolution (Fig. 7 option 2 in Table III).
 	Region *grid.Mat
 	// Recorder receives per-iteration trace events (the same "iter" schema
-	// as the core optimizer, with stage fixed at 0) and simulator phase
-	// timers. Nil disables telemetry at zero cost.
+	// as the core optimizer, with stage fixed at 0). Nil disables them at
+	// zero cost. Phase timers go to Process.Sim.Recorder, which LevelSetILT
+	// never sets.
 	Recorder *telemetry.Recorder
 }
 
@@ -79,9 +80,6 @@ func LevelSetILT(opt LevelSetOptions, target *grid.Mat) (*LevelSetResult, error)
 
 	p := opt.Process
 	rec := opt.Recorder
-	if rec.Enabled() && p.Sim.Recorder != rec {
-		p.Sim.Recorder = rec
-	}
 	rec.Emit("stage.start", telemetry.Fields{
 		"stage": 0, "scale": 1, "highres": false, "iters": opt.Iters,
 	})

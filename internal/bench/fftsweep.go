@@ -55,7 +55,7 @@ var sweepEngines = []litho.FFTEngine{litho.EngineReference, litho.EngineBatch}
 // sweepColumn is one timed column of a point: an engine's forward or
 // gradient seconds.
 type sweepColumn struct {
-	bench, engine string // benchstat benchmark name, engine spelling
+	phase, engine string // "forward" or "gradient", engine spelling
 	sec           float64
 }
 
@@ -66,10 +66,10 @@ func (p FFTPoint) columns() []sweepColumn {
 	grad := []float64{p.ReferenceGradSec, p.BatchedGradSec}
 	cols := make([]sweepColumn, 0, 2*len(sweepEngines))
 	for i, e := range sweepEngines {
-		cols = append(cols, sweepColumn{"Forward", e.String(), fwd[i]})
+		cols = append(cols, sweepColumn{"forward", e.String(), fwd[i]})
 	}
 	for i, e := range sweepEngines {
-		cols = append(cols, sweepColumn{"Gradient", e.String(), grad[i]})
+		cols = append(cols, sweepColumn{"gradient", e.String(), grad[i]})
 	}
 	return cols
 }
@@ -216,25 +216,9 @@ func (s *FFTSweep) WriteJSON(path string) error {
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-// WriteBenchstat writes the sweep in Go benchmark format so two runs can be
-// diffed with benchstat (Makefile target bench-compare). One line per
-// (size, engine) pair for the forward simulation, then one per pair for the
-// gradient.
-func (s *FFTSweep) WriteBenchstat(path string) error {
-	var b strings.Builder
-	fmt.Fprintf(&b, "goos: %s\ngoarch: %s\ncpu: %s\n", runtime.GOOS, runtime.GOARCH, s.Host.CPUModel)
-	for _, p := range s.Points {
-		for _, c := range p.columns() {
-			fmt.Fprintf(&b, "Benchmark%s/m=%d/kernels=%d/engine=%s 1 %.0f ns/op\n",
-				c.bench, p.M, s.Kernels, c.engine, c.sec*1e9)
-		}
-	}
-	return os.WriteFile(path, []byte(b.String()), 0o644)
-}
-
 // CompareFFTSweeps renders a per-size old-vs-new delta table for two sweep
-// reports (the benchstat-free fallback of make bench-compare), forward and
-// gradient columns alike. Sizes present in only one report are skipped.
+// reports (make bench-compare), forward and gradient columns alike. Sizes
+// present in only one report are skipped.
 func CompareFFTSweeps(old, new *FFTSweep) string {
 	oldAt := map[int]FFTPoint{}
 	for _, p := range old.Points {
@@ -254,7 +238,7 @@ func CompareFFTSweeps(old, new *FFTSweep) string {
 			if o > 0 && n > 0 {
 				delta = fmt.Sprintf("%+.1f%%", (n/o-1)*100)
 			}
-			fmt.Fprintf(&b, "%-6d  %-9s  %-14s  %10.4fs  %10.4fs  %s\n", np.M, strings.ToLower(c.bench), c.engine, o, n, delta)
+			fmt.Fprintf(&b, "%-6d  %-9s  %-14s  %10.4fs  %10.4fs  %s\n", np.M, c.phase, c.engine, o, n, delta)
 		}
 	}
 	return b.String()

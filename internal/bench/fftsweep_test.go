@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -44,26 +43,6 @@ func TestRunFFTSweep(t *testing.T) {
 	}
 	if len(back.Points) != 2 || back.P != s.P {
 		t.Errorf("round-tripped sweep lost data: %+v", back)
-	}
-
-	txtPath := filepath.Join(dir, "fft.txt")
-	if err := s.WriteBenchstat(txtPath); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(txtPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	txt := string(raw)
-	// One benchmark line per (size, engine) pair, benchstat-parseable.
-	if got := strings.Count(txt, "BenchmarkForward/"); got != 4 {
-		t.Errorf("%d benchmark lines, want 4:\n%s", got, txt)
-	}
-	if got := strings.Count(txt, "BenchmarkGradient/"); got != 4 {
-		t.Errorf("%d gradient benchmark lines, want 4:\n%s", got, txt)
-	}
-	if !strings.Contains(txt, "engine=batch ") || !strings.Contains(txt, "ns/op") {
-		t.Errorf("benchstat format missing fields:\n%s", txt)
 	}
 
 	diff := CompareFFTSweeps(back, s)

@@ -2,11 +2,8 @@ package core
 
 import (
 	"context"
-	"math"
-	"math/rand"
 	"testing"
 
-	"repro/internal/grid"
 	"repro/internal/mask"
 )
 
@@ -141,83 +138,3 @@ func TestLineSearchImprovesFinalMask(t *testing.T) {
 		t.Errorf("line-search run did not improve: first %g last %g", first, last)
 	}
 }
-
-// TestUseNominalL2GradientFiniteDifference validates the three-corner loss
-// chain end to end for both branches.
-func TestUseNominalL2GradientFiniteDifference(t *testing.T) {
-	p := process(t)
-	tgt := testTarget()
-	for _, tc := range []struct {
-		name string
-		st   Stage
-	}{
-		{"lowres", Stage{Scale: 4, Iters: 1}},
-		{"highres", Stage{Scale: 8, Iters: 1, HighRes: true}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			opts := DefaultOptions(p)
-			opts.UseNominalL2 = true
-			o, err := New(opts, tgt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ztS := gridAvg(tgt, tc.st.Scale)
-			mp := gridAvg(tgt, tc.st.Scale)
-			rng := newRng(21)
-			for i := range mp.Data {
-				mp.Data[i] += 0.3 * rng.NormFloat64()
-			}
-			_, g, err := o.step(mp, tc.st, ztS, true)
-			if err != nil {
-				t.Fatal(err)
-			}
-			const eps = 1e-5
-			for trial := 0; trial < 4; trial++ {
-				i := rng.Intn(len(mp.Data))
-				orig := mp.Data[i]
-				mp.Data[i] = orig + eps
-				tp, _, err := o.step(mp, tc.st, ztS, false)
-				if err != nil {
-					t.Fatal(err)
-				}
-				mp.Data[i] = orig - eps
-				tm, _, err := o.step(mp, tc.st, ztS, false)
-				if err != nil {
-					t.Fatal(err)
-				}
-				mp.Data[i] = orig
-				fd := (tp.Total() - tm.Total()) / (2 * eps)
-				if abs64(fd-g.Data[i]) > 5e-4*(1+abs64(fd)) {
-					t.Errorf("%s 3-corner dL/dM'[%d]: analytic %g fd %g", tc.name, i, g.Data[i], fd)
-				}
-			}
-		})
-	}
-}
-
-// TestUseNominalL2Improves: the unshortened loss also optimizes fine.
-func TestUseNominalL2Improves(t *testing.T) {
-	p := process(t)
-	tgt := testTarget()
-	opts := DefaultOptions(p)
-	opts.UseNominalL2 = true
-	o, err := New(opts, tgt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := o.Run(context.Background(), []Stage{{Scale: 4, Iters: 10}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	first := res.History[0].Loss.Total()
-	last := res.History[len(res.History)-1].Loss.Total()
-	if last >= first {
-		t.Errorf("3-corner loss did not improve: %g → %g", first, last)
-	}
-}
-
-func gridAvg(m *grid.Mat, s int) *grid.Mat { return grid.AvgPoolDown(m, s) }
-
-func newRng(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
-
-func abs64(v float64) float64 { return math.Abs(v) }

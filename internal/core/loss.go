@@ -27,42 +27,6 @@ type LossTerms struct {
 // Total returns L = L_l2 + L_pvb (+ penalties).
 func (l LossTerms) Total() float64 { return l.L2 + l.PVB + l.Penalty }
 
-// Loss3 evaluates the unshortened variant of Eq. (5) in which the L2 term
-// uses the nominal-dose wafer image Z_norm (Definition 1) instead of Z_out:
-//
-//	L = ‖Z_norm − Z_t‖² + ‖Z_in − Z_out‖²
-//
-// The paper replaces Z_norm by Z_out to save one simulation per iteration;
-// Options.UseNominalL2 restores the full form for ablation. Gradients:
-//
-//	dL/dZ_norm = 2(Z_norm − Z_t)
-//	dL/dZ_out  = −2(Z_in − Z_out)
-//	dL/dZ_in   =  2(Z_in − Z_out)
-func Loss3(zNorm, zIn, zOut, zt *grid.Mat) (LossTerms, *grid.Mat, *grid.Mat, *grid.Mat) {
-	if zNorm.W != zOut.W || zNorm.H != zOut.H {
-		panic(fmt.Sprintf("core: loss3 shape mismatch norm=%dx%d out=%dx%d",
-			zNorm.W, zNorm.H, zOut.W, zOut.H))
-	}
-	var terms LossTerms
-	gNorm := grid.NewMat(zNorm.W, zNorm.H)
-	gOut := grid.NewMat(zOut.W, zOut.H)
-	gIn := grid.NewMat(zIn.W, zIn.H)
-	if zIn.W != zOut.W || zIn.H != zOut.H || zt.W != zOut.W || zt.H != zOut.H {
-		panic(fmt.Sprintf("core: loss3 shape mismatch in=%dx%d t=%dx%d out=%dx%d",
-			zIn.W, zIn.H, zt.W, zt.H, zOut.W, zOut.H))
-	}
-	for i := range zOut.Data {
-		dl2 := zNorm.Data[i] - zt.Data[i]
-		dpvb := zIn.Data[i] - zOut.Data[i]
-		terms.L2 += dl2 * dl2
-		terms.PVB += dpvb * dpvb
-		gNorm.Data[i] = 2 * dl2
-		gOut.Data[i] = -2 * dpvb
-		gIn.Data[i] = 2 * dpvb
-	}
-	return terms, gNorm, gIn, gOut
-}
-
 // Loss evaluates Eq. (5) and its gradients with respect to the two wafer
 // images. All images share one shape (the working resolution of the current
 // ILT level):

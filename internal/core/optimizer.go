@@ -26,8 +26,6 @@ type Options struct {
 	// binarization (paper: 0.4, smaller than the optimization T_R so weak
 	// SRAFs survive Eq. 12).
 	OutputTR float64
-	// FinalThreshold is t_m of Eq. (12).
-	FinalThreshold float64
 	// LearningRate is the gradient-descent step (paper's ablation: 1).
 	LearningRate float64
 	// SmoothWindow is the stride-1 average-pooling window applied to the
@@ -49,10 +47,6 @@ type Options struct {
 	// each step starts from LearningRate and halves (up to 4 times) until
 	// the Eq. (5) loss decreases; the last candidate is taken if none do.
 	LineSearch bool
-	// UseNominalL2 restores the unshortened Eq. (5): the L2 term compares
-	// Z_norm (nominal dose) to the target, costing a third simulation per
-	// iteration. The paper's shortcut (off) uses Z_out instead.
-	UseNominalL2 bool
 	// GradHook, when set, can reshape the raw dL/dM′ in place before the
 	// region mask and the update are applied. Baselines use it to inject
 	// their gradient conditioning (e.g. A2-ILT's spatial attention).
@@ -60,36 +54,23 @@ type Options struct {
 	// Penalties are optional mask regularizers (TV, curvature) added to the
 	// Eq. (5) loss; see Penalty.
 	Penalties []Penalty
-	// Workers bounds the per-kernel fan-out of the SOCS simulation loops.
-	// 0 leaves the process simulator's current setting (whose own default
-	// is GOMAXPROCS); a positive value is copied onto Process.Sim by New.
-	// Because the simulator is shared, optimizers running concurrently over
-	// one Process must agree on this value. Results are bit-identical for
-	// every setting.
-	Workers int
-	// Engine selects the simulator's FFT engine by name ("batch" or
-	// "reference"; see litho.ParseEngine). Empty leaves
-	// the process simulator's current setting. Like Workers, concurrent
-	// optimizers sharing one Process must agree on it.
-	Engine string
 	// Recorder receives per-iteration trace events (stage index, scale,
 	// loss terms, step size, line-search retries, wall time) and stage
-	// start/end markers, and is propagated to the process simulator for
-	// phase timers. Nil (the default) disables telemetry at zero cost.
-	// Like Workers, concurrent optimizers sharing one Process must agree
-	// on it; the recorder itself is safe for concurrent use.
+	// start/end markers. Nil (the default) disables them at zero cost. The
+	// simulator's phase timers go to Process.Sim.Recorder, which the
+	// optimizer never sets: the simulator, its worker count and its FFT
+	// engine are configured on Process.Sim alone.
 	Recorder *telemetry.Recorder
 }
 
 // DefaultOptions returns the paper's settings over a process.
 func DefaultOptions(p *litho.Process) Options {
 	return Options{
-		Process:        p,
-		Binary:         mask.Sigmoid{Beta: mask.DefaultBeta, TR: 0.5},
-		OutputTR:       0.4,
-		FinalThreshold: mask.DefaultFinalThreshold,
-		LearningRate:   1,
-		SmoothWindow:   3,
+		Process:      p,
+		Binary:       mask.Sigmoid{Beta: mask.DefaultBeta, TR: 0.5},
+		OutputTR:     0.4,
+		LearningRate: 1,
+		SmoothWindow: 3,
 	}
 }
 
@@ -176,30 +157,6 @@ func New(opts Options, target *grid.Mat) (*Optimizer, error) {
 		return nil, fmt.Errorf("core: region %dx%d does not match target %dx%d",
 			opts.Region.W, opts.Region.H, target.W, target.H)
 	}
-	if opts.Workers < 0 {
-		return nil, fmt.Errorf("core: workers %d must be ≥ 0", opts.Workers)
-	}
-	if opts.Workers > 0 && opts.Process.Sim.Workers != opts.Workers {
-		// Write only on change: optimizers built concurrently over a shared
-		// Process (the fullchip tile pool) all carry the pre-applied value
-		// and must not race on the simulator's knob.
-		opts.Process.Sim.Workers = opts.Workers
-	}
-	if opts.Engine != "" {
-		eng, err := litho.ParseEngine(opts.Engine)
-		if err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-		if opts.Process.Sim.Engine != eng {
-			// Write-on-change, as with Workers above.
-			opts.Process.Sim.Engine = eng
-		}
-	}
-	if opts.Recorder.Enabled() && opts.Process.Sim.Recorder != opts.Recorder {
-		// Same write-on-change discipline as Workers: concurrent tile
-		// optimizers share the pre-applied recorder.
-		opts.Process.Sim.Recorder = opts.Recorder
-	}
 	return &Optimizer{opts: opts, target: target, n: target.W}, nil
 }
 
@@ -252,9 +209,9 @@ func (o *Optimizer) Run(ctx context.Context, stages []Stage) (*Result, error) {
 	if sig, ok := o.opts.Binary.(mask.Sigmoid); ok {
 		// The paper's two-T_R scheme: regenerate with the (smaller) output
 		// T_R before the hard threshold so weak SRAFs survive.
-		res.Mask = mask.FinalOutput(res.Params, sig.Beta, o.opts.OutputTR, o.opts.FinalThreshold)
+		res.Mask = mask.FinalOutput(res.Params, sig.Beta, o.opts.OutputTR, mask.DefaultFinalThreshold)
 	} else {
-		res.Mask = mask.Binarize(o.opts.Binary.Apply(res.Params), o.opts.FinalThreshold)
+		res.Mask = mask.Binarize(o.opts.Binary.Apply(res.Params), mask.DefaultFinalThreshold)
 	}
 	if o.opts.Region != nil {
 		// Pixels outside the optimizing region are never opened.
@@ -581,11 +538,7 @@ type cornerTerm struct {
 // amplitudes (within the simulator's budget) until it releases them.
 func (o *Optimizer) simulateLoss(m, ztS *grid.Mat, s int, wantGrad bool) (LossTerms, []cornerTerm, error) {
 	p := o.opts.Process
-	corners := []litho.Corner{p.Inner(), p.Outer()}
-	if o.opts.UseNominalL2 {
-		corners = []litho.Corner{p.Nominal(), p.Inner(), p.Outer()}
-	}
-	fields, err := p.Simulate(m, corners, wantGrad)
+	fields, err := p.Simulate(m, []litho.Corner{p.Inner(), p.Outer()}, wantGrad)
 	if err != nil {
 		return LossTerms{}, nil, err
 	}
@@ -599,18 +552,8 @@ func (o *Optimizer) simulateLoss(m, ztS *grid.Mat, s int, wantGrad bool) (LossTe
 			zS[i] = grid.AvgPoolDown(z, s)
 		}
 	}
-	var loss LossTerms
-	var gZ []*grid.Mat
-	if o.opts.UseNominalL2 {
-		var gN, gI, gO *grid.Mat
-		loss, gN, gI, gO = Loss3(zS[0], zS[1], zS[2], ztS)
-		gZ = []*grid.Mat{gN, gI, gO}
-	} else {
-		var gI, gO *grid.Mat
-		loss, gI, gO = Loss(zS[0], zS[1], ztS)
-		gZ = []*grid.Mat{gI, gO}
-	}
-	for i, g := range gZ {
+	loss, gI, gO := Loss(zS[0], zS[1], ztS)
+	for i, g := range []*grid.Mat{gI, gO} {
 		if s > 1 {
 			g = grid.AvgPoolDownAdjoint(g, s)
 		}

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/grid"
+	"repro/internal/litho"
 	"repro/internal/telemetry"
 )
 
@@ -99,6 +100,27 @@ func TestRunWithoutRecorder(t *testing.T) {
 	}
 	if len(res.History) != 2 {
 		t.Fatalf("history %d, want 2", len(res.History))
+	}
+}
+
+// The simulator is configured on Process.Sim alone: New and Run leave its
+// worker count, FFT engine and recorder as they found them, even when the
+// options carry a recorder of their own.
+func TestOptionsLeaveSimulatorAlone(t *testing.T) {
+	p := litho.NewProcess(process(t).Sim.Model)
+	p.Sim.Workers = 3
+	opts := DefaultOptions(p)
+	opts.Recorder = telemetry.New()
+	o, err := New(opts, testTarget())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := o.Run(context.Background(), []Stage{{Scale: 4, Iters: 1}, {Scale: 4, HighRes: true, Iters: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	if p.Sim.Workers != 3 || p.Sim.Engine != litho.EngineBatch || p.Sim.Recorder != nil {
+		t.Errorf("simulator changed: workers %d, engine %v, recorder %p; want 3, batch, nil",
+			p.Sim.Workers, p.Sim.Engine, p.Sim.Recorder)
 	}
 }
 

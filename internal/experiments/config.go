@@ -7,7 +7,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"math"
 
 	"repro/internal/litho"
@@ -33,20 +32,13 @@ type Config struct {
 	// 0 selects runtime.GOMAXPROCS(0). Results are bit-identical for every
 	// value (see DESIGN.md, "Concurrency model").
 	Workers int
-	// Engine selects the simulator's FFT engine by name ("batch" or
-	// "reference"); empty keeps the default (batch). See
-	// litho.ParseEngine and DESIGN.md, "FFT engine v2".
-	Engine string
 	// WithBaselines also measures the reimplemented baselines (pixel ILT,
 	// attention ILT, level-set ILT), which dominate runtime.
 	WithBaselines bool
 	// OutDir, when non-empty, receives image and CSV artifacts.
 	OutDir string
-	// Log, when non-nil, receives progress lines. Superseded by Recorder:
-	// when both are set, progress flows through the recorder's sinks only.
-	Log io.Writer
 	// Recorder, when enabled, receives experiment progress events and is
-	// propagated to the process simulator for phase timers (the -v flag of
+	// the process simulator's recorder for phase timers (the -v flag of
 	// cmd/mltables wires a console sink here).
 	Recorder *telemetry.Recorder
 }
@@ -115,11 +107,6 @@ func (c Config) Process() (*litho.Process, error) {
 	p := litho.NewProcess(model)
 	p.Sim.Workers = c.Workers
 	p.Sim.Recorder = c.Recorder
-	eng, err := litho.ParseEngine(c.Engine)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: %w", err)
-	}
-	p.Sim.Engine = eng
 	if c.N/8 < model.Nominal.P {
 		// The s = 8 stages of the recipes need N/8 ≥ P.
 		return nil, fmt.Errorf("experiments: grid %d too small for kernel support %d at s=8 (raise N or shrink FieldNM)", c.N, model.Nominal.P)
@@ -158,14 +145,8 @@ func (c Config) RegionMargins() (opt1Px, opt2Px int) {
 	return opt1Px, opt2Px
 }
 
-// logf emits a progress line through the telemetry console sink when a
-// recorder is wired, falling back to the plain Log writer.
+// logf emits a progress line through the recorder's sinks (the mltables -v
+// console); without a recorder it is a no-op.
 func (c Config) logf(format string, args ...any) {
-	if c.Recorder.Enabled() {
-		c.Recorder.Progressf(format, args...)
-		return
-	}
-	if c.Log != nil {
-		fmt.Fprintf(c.Log, format+"\n", args...)
-	}
+	c.Recorder.Progressf(format, args...)
 }

@@ -73,10 +73,10 @@ type Options struct {
 	Workers int
 	// Recorder receives one "tile" event per tile (coordinates, seconds,
 	// skip state, emitted in row-major order after the pool joins, so the
-	// trace is deterministic) plus a "fullchip.end" summary, and is
-	// propagated to the shared simulator for phase timers. Nil disables
-	// telemetry. Per-tile iteration events stay off unless Configure
-	// installs its own core recorder (they would interleave across tiles).
+	// trace is deterministic) plus a "fullchip.end" summary. Nil disables
+	// them. Phase timers go to Process.Sim.Recorder, which Optimize never
+	// sets. Per-tile iteration events stay off unless Configure installs
+	// its own core recorder (they would interleave across tiles).
 	Recorder *telemetry.Recorder
 }
 
@@ -141,16 +141,6 @@ func Optimize(opt Options, target *grid.Mat) (*Result, error) {
 		opt.Configure(&copts)
 	}
 	copts.Process = opt.Process
-	if copts.Workers > 0 {
-		// Apply the kernel-loop fan-out once, before the tile pool spins up,
-		// so the per-tile core.New calls only read the simulator's knob.
-		opt.Process.Sim.Workers = copts.Workers
-	}
-	if opt.Recorder.Enabled() && opt.Process.Sim.Recorder != opt.Recorder {
-		// Phase timers from every tile fold into the shared recorder; apply
-		// once before the pool spins up, mirroring the Workers discipline.
-		opt.Process.Sim.Recorder = opt.Recorder
-	}
 
 	// The tile loop: each worker owns its tile's optimizer state end to end
 	// and commits into a disjoint core region of the stitched mask, so no

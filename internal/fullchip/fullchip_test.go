@@ -321,6 +321,7 @@ func TestRecorderTileEventsRowMajor(t *testing.T) {
 	geom.FillRect(tgt, geom.Rect{X0: 4, Y0: 4, X1: 30, Y1: 30}, 1)
 	sink := &eventSink{}
 	rec := telemetry.New(telemetry.WithSink(sink))
+	workers, engine, simRec := p.Sim.Workers, p.Sim.Engine, p.Sim.Recorder
 	res, err := Optimize(Options{
 		Process: p, TileSize: 64, Halo: 8, SkipEmpty: true, Workers: 4,
 		Stages:   []core.Stage{{Scale: 4, Iters: 1}},
@@ -328,6 +329,11 @@ func TestRecorderTileEventsRowMajor(t *testing.T) {
 	}, tgt)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The tile events' recorder is not the shared simulator's.
+	if p.Sim.Workers != workers || p.Sim.Engine != engine || p.Sim.Recorder != simRec {
+		t.Errorf("Optimize changed the shared simulator: workers %d, engine %v, recorder %p; want %d, %v, %p",
+			p.Sim.Workers, p.Sim.Engine, p.Sim.Recorder, workers, engine, simRec)
 	}
 	var tiles []telemetry.Event
 	ends := 0
@@ -371,10 +377,10 @@ func TestBandEngineFlowsThroughTiles(t *testing.T) {
 		proc := litho.NewProcess(process(t).Sim.Model)
 		proc.Sim.Engine = e
 		rec := telemetry.New()
+		proc.Sim.Recorder = rec
 		res, err := Optimize(Options{
 			Process: proc, TileSize: 128, Halo: HaloFor(proc, 4),
 			Stages: []core.Stage{{Scale: 4, Iters: 6}}, SkipEmpty: true, Workers: 2,
-			Recorder: rec,
 		}, tgt)
 		if err != nil {
 			t.Fatal(err)

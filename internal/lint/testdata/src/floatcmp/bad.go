@@ -2,10 +2,7 @@
 // fire the floatcmp analyzer.
 package floatcmp
 
-import "math"
-
-// Both operands computed: the canonical violation, fixable because math is
-// imported and both sides are float64.
+// Both operands computed: the canonical violation.
 func computed(a, b float64) bool {
 	return a == b // want "float equality: == on float64 operands"
 }
@@ -20,9 +17,7 @@ func complexCmp(a, b complex128) bool {
 	return a == b // want "float equality: == on complex operands"
 }
 
-// Narrow floats get no Float64bits fix but still report.
+// Narrow floats report too, named by their own type.
 func narrow(a, b float32) bool {
 	return a != b // want "float equality: != on float32 operands"
 }
-
-var _ = math.Pi // keep the math import live for the fix path

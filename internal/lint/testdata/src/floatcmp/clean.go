@@ -33,7 +33,7 @@ func tolerance(a, b float64) bool {
 	return d < eps
 }
 
-// Bit comparison is uint64 equality — exactly what the fix produces.
+// Bit comparison is uint64 equality, not float equality.
 func bits(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b)
 }

@@ -12,7 +12,8 @@ func suppressedTrailing(a, b float64) bool {
 }
 
 // A directive without a reason suppresses nothing and is itself reported.
-// want+1 "directive needs a reason"
+// want+2 "directive needs a reason"
+//
 //lint:ignore floatcmp
 func unsuppressed(a, b float64) bool {
 	return a == b // want "float equality"

@@ -7,7 +7,7 @@ import (
 )
 
 // The sanctioned idiom: the Enabled() guard keeps every allocation off the
-// disabled path — this is what the suggested fix produces.
+// disabled path.
 func guardedEmit(rec *telemetry.Recorder, n int) {
 	for i := 0; i < n; i++ {
 		if rec.Enabled() {

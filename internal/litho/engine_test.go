@@ -3,8 +3,6 @@ package litho
 import (
 	"math"
 	"math/rand"
-	"strconv"
-	"strings"
 	"testing"
 
 	"repro/internal/grid"
@@ -273,73 +271,6 @@ func TestEngineBatchDeterministicAcrossWorkers(t *testing.T) {
 		}
 		if !g.Equal(wantG, 0) {
 			t.Errorf("workers=%d: batched gradient not bit-identical to serial", w)
-		}
-	}
-}
-
-// Engine string round trip plus the full rejection surface. ParseEngine
-// is the validation point for every config path (flags,
-// core.Options.Engine, the server's JobRequest.Engine), so the contract
-// is pinned exhaustively: the "" = default convention, exact-match
-// case-sensitive spellings, the retired band engines rejected, and an
-// error that names exactly the two valid engines so a typo or a stale
-// spelling in any config surface is self-explaining.
-func TestParseEngine(t *testing.T) {
-	valid := []struct {
-		in   string
-		want FFTEngine
-	}{
-		{"", EngineBatch}, // "" = leave-as-default convention
-		{"batch", EngineBatch},
-		{"reference", EngineReference},
-	}
-	for _, tc := range valid {
-		got, err := ParseEngine(tc.in)
-		if err != nil || got != tc.want {
-			t.Errorf("ParseEngine(%q) = %v, %v; want %v, nil", tc.in, got, err, tc.want)
-		}
-	}
-	for _, e := range []FFTEngine{EngineBatch, EngineReference} {
-		got, err := ParseEngine(e.String())
-		if err != nil || got != e {
-			t.Errorf("round trip ParseEngine(%q) = %v, %v", e.String(), got, err)
-		}
-	}
-
-	invalid := []struct{ name, in string }{
-		{"retired band engine", "band"},
-		{"retired band-inverse engine", "band-inverse"},
-		{"unknown word", "warp"},
-		{"legacy alias", "dense"},
-		{"abbreviation", "ref"},
-		{"capitalized", "Batch"},
-		{"upper case", "BATCH"},
-		{"upper reference", "REFERENCE"},
-		{"leading space", " batch"},
-		{"trailing space", "batch "},
-		{"inner space", "ref erence"},
-		{"underscore", "batch_reference"},
-		{"list", "batch,reference"},
-		{"numeric", "0"},
-		{"default keyword", "default"},
-	}
-	for _, tc := range invalid {
-		got, err := ParseEngine(tc.in)
-		if err == nil {
-			t.Errorf("%s: ParseEngine(%q) = %v, accepted; want error", tc.name, tc.in, got)
-			continue
-		}
-		if got != 0 {
-			t.Errorf("%s: ParseEngine(%q) returned engine %v alongside the error", tc.name, tc.in, got)
-		}
-		msg := err.Error()
-		if !strings.Contains(msg, strconv.Quote(tc.in)) {
-			t.Errorf("%s: error %q does not echo the rejected input %q", tc.name, msg, tc.in)
-		}
-		// The error must name exactly the valid spellings: it doubles as
-		// the help text on each config surface.
-		if !strings.HasSuffix(msg, "(want batch or reference)") {
-			t.Errorf("%s: error %q does not name exactly batch and reference", tc.name, msg)
 		}
 	}
 }

@@ -70,7 +70,8 @@ const (
 	EngineReference
 )
 
-// String returns the flag spelling of the engine.
+// String returns the engine's name, which keys the FFT-engine sweep's
+// report.
 func (e FFTEngine) String() string {
 	switch e {
 	case EngineBatch:
@@ -79,19 +80,6 @@ func (e FFTEngine) String() string {
 		return "reference"
 	}
 	return fmt.Sprintf("FFTEngine(%d)", int(e))
-}
-
-// ParseEngine maps a flag/config spelling to an engine. The empty string
-// selects the default (EngineBatch), so option structs can use "" for
-// "leave as is".
-func ParseEngine(s string) (FFTEngine, error) {
-	switch s {
-	case "", "batch":
-		return EngineBatch, nil
-	case "reference":
-		return EngineReference, nil
-	}
-	return 0, fmt.Errorf("litho: unknown FFT engine %q (want batch or reference)", s)
 }
 
 // Sim owns the FFT plan cache and runs forward/adjoint simulations for one

@@ -25,7 +25,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/grid"
 	"repro/internal/layout"
-	"repro/internal/litho"
 	"repro/internal/optics"
 )
 
@@ -84,11 +83,6 @@ type JobRequest struct {
 	// Workers bounds the per-kernel simulation fan-out inside this job
 	// (0 = GOMAXPROCS). Results are bit-identical for every value.
 	Workers int `json:"workers,omitempty"`
-	// Engine selects the simulator's FFT engine by name: "batch" (the
-	// default, also selected by "") or "reference", the dense oracle. Any
-	// other spelling fails the request at submit time. See
-	// litho.ParseEngine.
-	Engine string `json:"engine,omitempty"`
 	// Priority is "batch" (default) or "interactive".
 	Priority string `json:"priority,omitempty"`
 
@@ -296,9 +290,6 @@ func resolveJob(req JobRequest, lim Limits) (*JobSpec, error) {
 	}
 	if req.Workers < 0 || req.Workers > 256 {
 		return nil, fmt.Errorf("workers = %d outside [0, 256]", req.Workers)
-	}
-	if _, err := litho.ParseEngine(req.Engine); err != nil {
-		return nil, err
 	}
 	return spec, nil
 }

@@ -320,13 +320,10 @@ func (s *Server) runJob(j *Job) {
 	p := litho.NewProcess(model)
 	p.Sim.Plans = &s.plans
 	p.Sim.Workers = spec.Req.Workers
-	// Engine validity was checked at submit time (resolveJob).
-	p.Sim.Engine, _ = litho.ParseEngine(spec.Req.Engine)
 	p.Sim.Recorder = rec
 
 	opts := core.DefaultOptions(p)
 	opts.Recorder = rec
-	opts.Workers = spec.Req.Workers
 	opts.Momentum = spec.Req.Momentum
 	opts.LineSearch = spec.Req.LineSearch
 	opts.Patience = spec.Req.Patience

@@ -317,8 +317,7 @@ func TestSubmitRejectsInvalid(t *testing.T) {
 		{"momentum out of range", `{"case":1,"momentum":1.5}`},
 		{"negative tv", `{"case":1,"tv":-1}`},
 		{"bad priority", `{"case":1,"priority":"urgent"}`},
-		{"bad engine", `{"case":1,"engine":"warp"}`},
-		{"engine wrong case", `{"case":1,"engine":"Batch"}`},
+		{"engine is not a request field", `{"case":1,"engine":"batch"}`},
 		{"trailing data", `{"case":1} {"case":2}`},
 		{"not json", `hello`},
 		{"grid below kernel support", `{"case":1,"n":128,"field_nm":512,"stages":[{"scale":32,"iters":1}]}`},

@@ -102,7 +102,7 @@ func (h *Histogram) bucketIndex(v int64) int {
 	if v <= 1 {
 		return 0
 	}
-	k := bits.Len64(uint64(v-1)) // ceil(log2 v)
+	k := bits.Len64(uint64(v - 1)) // ceil(log2 v)
 	if k <= h.minExp {
 		return 0
 	}

@@ -3,7 +3,7 @@
 // offline analytics: per-phase wall-time tables, per-iteration loss/step/
 // retry series, latency quantiles, and a critical-path summary. Its A/B
 // mode compares two traces of the same workload and flags per-phase
-// regressions, which is what the `make trace-stat` lane gates on.
+// regressions, which is what the `make trace-smoke` lane gates on.
 //
 // The renderer is deliberately byte-deterministic for a given trace: all
 // aggregation iterates in sorted order and every float is printed with a

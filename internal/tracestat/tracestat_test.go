@@ -10,7 +10,7 @@ import (
 
 // TestGoldenReport pins the full report byte-for-byte: the renderer promises
 // deterministic output for a given trace, and this is the contract the
-// trace-stat CI lane depends on.
+// trace-smoke CI lane depends on.
 func TestGoldenReport(t *testing.T) {
 	tr, err := ReadFile("testdata/golden.jsonl")
 	if err != nil {
