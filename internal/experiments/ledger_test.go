@@ -63,11 +63,11 @@ func TestWorkLedger(t *testing.T) {
 		{"fast", Config{N: 256, FieldNM: 1024, Kernels: 12, IterDiv: 35}, core.FastM1(), map[string]int64{
 			"litho.kernel_ffts": 72, "litho.forward_sims": 7, "litho.adjoint_calls": 4,
 			"litho.fft_forward_butterflies": 268023, "litho.fft_inverse_butterflies": 11669544, "litho.adjoint_butterflies": 6542224,
-		}, "d052db2d2f15af1d80e6165c57a70fe1692784d497868d289e9e3b17ae2d7f79"},
+		}, "2e0d9a2986afb84d3840f4da509d54a9217c46be75b528724a5aa4cfb1baafe9"},
 		{"exact", Config{N: 512, FieldNM: 1024, Kernels: 12, IterDiv: 40}, core.ExactM1(), map[string]int64{
 			"litho.kernel_ffts": 96, "litho.forward_sims": 9, "litho.adjoint_calls": 6,
 			"litho.fft_forward_butterflies": 1026692, "litho.fft_inverse_butterflies": 46577760, "litho.adjoint_butterflies": 26845650,
-		}, "c3504dd4a817332bfa9bbe1869086ff06fdd24631827f7aed753a20ea10c008d"},
+		}, "b965ca63b6431157a0588c56cee183192cc5056212ababdb6b1f7eace1213531"},
 	} {
 		rec := telemetry.New()
 		tc.cfg.Recorder = rec

@@ -2,22 +2,11 @@ package optics
 
 import "testing"
 
-func BenchmarkBuildTCC(b *testing.B) {
-	c := TestScale()
-	c.SourceGrid = 7
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if tcc := BuildTCC(c, 0); tcc.Dim == 0 {
-			b.Fatal("empty TCC")
-		}
-	}
-}
-
 func BenchmarkKernelSetBuild(b *testing.B) {
 	for _, sc := range []struct {
 		name string
 		c    Config
-	}{{"TestScale", TestScale()}, {"iltbench", iltbenchScale()}} {
+	}{{"TestScale", TestScale()}, {"iltbench", iltbenchScale()}, {"paper", Default()}} {
 		b.Run(sc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -33,12 +22,13 @@ func BenchmarkHermitianEigen32(b *testing.B) {
 	const n = 32
 	c := TestScale()
 	c.SourceGrid = 5
-	tcc := BuildTCC(c, 0)
+	tcc := denseTCC(sourceColumns(c, 0))
+	dim := c.P() * c.P()
 	// Use a fixed 32×32 Hermitian block sampled from the TCC.
 	base := make([]complex128, n*n)
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
-			base[i*n+j] = tcc.Data[i*tcc.Dim+j]
+			base[i*n+j] = tcc[i*dim+j]
 		}
 	}
 	work := make([]complex128, n*n)

@@ -2,11 +2,13 @@
 // that drive the Hopkins forward lithography model. The ICCAD 2013 contest
 // shipped these kernels as opaque data files; here they are rebuilt from
 // first principles: a partially coherent annular source is discretised, a
-// defocus-capable pupil is sampled on the simulation frequency grid, the
-// Hopkins transmission cross coefficient (TCC) matrix is assembled, and its
-// dominant eigenpairs — extracted by subspace iteration with a Hermitian
-// Jacobi Rayleigh–Ritz step — become the kernels H_k and weights w_k of
-// Eq. (2)/(3) in the paper.
+// defocus-capable pupil is sampled on the simulation frequency grid, and
+// the dominant eigenpairs of the Hopkins transmission cross coefficient
+// (TCC) become the kernels H_k and weights w_k of Eq. (2)/(3) in the
+// paper. The TCC is V Vᴴ with one column of V per source point, so its
+// eigenpairs follow exactly from the small Gram matrix Vᴴ V, which a
+// Hermitian Jacobi solve diagonalises; the P²×P² TCC itself is never
+// formed.
 package optics
 
 import (
@@ -104,7 +106,8 @@ func Default() Config {
 }
 
 // TestScale returns a reduced configuration suitable for unit tests: a small
-// field so the TCC matrix stays tiny while every code path is exercised.
+// field and a coarse source so the kernels stay tiny while every code path
+// is exercised.
 func TestScale() Config {
 	c := Default()
 	c.FieldNM = 512

@@ -12,9 +12,9 @@ import (
 // order and the matching eigenvectors as columns: vecs[i*n+k] is component i
 // of eigenvector k. The input slice is clobbered.
 //
-// The routine powers the Rayleigh–Ritz step of the SOCS subspace iteration,
-// where n is the block size (a few dozen), so the O(n³)-per-sweep cost is
-// irrelevant.
+// The routine solves the Gram matrix of kernel synthesis, where n is the
+// number of source points (44 for the default source, at most SourceGrid²),
+// so the O(n³)-per-sweep cost is a few milliseconds.
 func HermitianEigen(n int, a []complex128) (vals []float64, vecs []complex128, err error) {
 	if len(a) != n*n {
 		return nil, nil, fmt.Errorf("optics: HermitianEigen matrix length %d != %d²", len(a), n)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
-	"math/rand"
 	"sync"
 
 	"repro/internal/grid"
@@ -12,9 +11,10 @@ import (
 
 // KernelSet is one SOCS decomposition: N_k frequency-domain kernels H_k
 // (P×P, DC at the center) with weights w_k, ready for the Hopkins forward
-// model of Eq. (3). Weights are jointly normalised so that a fully clear
-// mask images to intensity 1.0, which anchors the paper's resist threshold
-// I_th = 0.225 across every resolution level.
+// model of Eq. (3). N_k is Config.NumKernels, or less where the TCC's
+// numerical rank is lower (see rankFloor). Weights are jointly normalised
+// so that a fully clear mask images to intensity 1.0, which anchors the
+// paper's resist threshold I_th = 0.225 across every resolution level.
 type KernelSet struct {
 	P       int
 	Kernels []*grid.CMat
@@ -33,12 +33,10 @@ type Model struct {
 var modelCache sync.Map // Config → *Model
 
 // BuildModel constructs (or returns a cached copy of) the kernel model for
-// the configuration. Each kernel set is a subspace iteration on its TCC
-// whose block products walk only the TCC's packed nonzeros, four vectors
-// per pass (TCC.MatVecBlock). A cold build still takes about 0.6 s at a
-// 1024 nm field with 12 kernels and 5 s at paper scale (a 1225-dim TCC
-// eigenproblem) on a 2-CPU host, so results are cached per Config for the
-// process lifetime.
+// the configuration. Each kernel set is one solve of the source's Gram
+// matrix (see tccEigenpairs), 11–18 ms at the iltbench shape or at paper
+// scale on a 2-CPU host; results are cached per Config for the process
+// lifetime, because every job and every level of a run shares them.
 func BuildModel(c Config) (*Model, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
@@ -61,157 +59,103 @@ func BuildModel(c Config) (*Model, error) {
 	return m, nil
 }
 
-// buildKernelSet assembles the TCC at the given defocus and extracts its
-// dominant eigenpairs by subspace iteration with a Rayleigh–Ritz step:
-// 41 block products in all (see topEigenpairs).
+// buildKernelSet takes the TCC's dominant eigenpairs at the given defocus
+// as the set's kernels and weights. The set is shorter than NumKernels
+// where the TCC's numerical rank is lower (see rankFloor).
 func buildKernelSet(c Config, defocusNM float64) (*KernelSet, error) {
-	t := BuildTCC(c, defocusNM)
-	nk := c.NumKernels
-	if nk > t.Dim {
-		nk = t.Dim
-	}
-	vals, vecs, err := topEigenpairs(t, nk)
+	vals, vecs, _, err := tccEigenpairs(sourceColumns(c, defocusNM), c.NumKernels)
 	if err != nil {
 		return nil, err
 	}
-	ks := &KernelSet{P: t.P}
-	for k := 0; k < nk; k++ {
-		if vals[k] <= 0 {
-			break // trailing numerical noise; the TCC is PSD
-		}
-		h := grid.NewCMat(t.P, t.P)
-		copy(h.Data, vecs[k])
+	ks := &KernelSet{P: c.P(), Weights: vals}
+	for _, v := range vecs {
+		h := &grid.CMat{W: ks.P, H: ks.P, Data: v}
 		canonicalizePhase(h)
 		ks.Kernels = append(ks.Kernels, h)
-		ks.Weights = append(ks.Weights, vals[k])
-	}
-	if len(ks.Kernels) == 0 {
-		return nil, fmt.Errorf("optics: TCC has no positive eigenvalues (P=%d)", t.P)
 	}
 	ks.normalizeOpenFrame()
 	return ks, nil
 }
 
-// topEigenpairs runs blocked subspace iteration on the TCC and returns the
-// nk largest eigenpairs; vecs[k] is the k-th eigenvector (length Dim). Each
-// of the 40 steps multiplies the block by T; every fifth step's
-// convergence probe multiplies the new block, and that product serves the
-// next step, or the Rayleigh–Ritz step after the last probe, so a run
-// without an early exit takes 41 block products, not 49.
-func topEigenpairs(t *TCC, nk int) (vals []float64, vecs [][]complex128, err error) {
-	dim := t.Dim
-	block := nk + 8
-	if block > dim {
-		block = dim
-	}
-	// Deterministic random start: kernel generation must be reproducible.
-	rng := rand.New(rand.NewSource(20130913)) // ICCAD 2013 contest date
-	q := make([][]complex128, block)
-	z := make([][]complex128, block)
-	for k := range q {
-		q[k] = make([]complex128, dim)
-		z[k] = make([]complex128, dim)
-		for i := range q[k] {
-			q[k][i] = complex(rng.NormFloat64(), rng.NormFloat64())
+// sourceColumns returns the columns of V, the factor of the Hopkins
+// transmission cross coefficient (TCC) restricted to the P×P kernel
+// support:
+//
+//	T[i][j] = Σ_s w_s · P(f_i + f_s) · conj(P(f_j + f_s)) = (V Vᴴ)[i][j],
+//
+// with i, j indexing signed frequencies (fx, fy) ∈ [−h, h]² row-major as
+// (fy+h)·P + (fx+h). Column s is √w_s times the pupil shifted by source
+// point s, so T has rank at most the number of source points, however
+// large its P² dimension.
+func sourceColumns(c Config, defocusNM float64) [][]complex128 {
+	h := c.kernelHalf()
+	p := 2*h + 1
+	src := DiscretizeSource(c)
+	maxSrcF := 0.0
+	for _, s := range src {
+		if f := math.Hypot(s.FX, s.FY); f > maxSrcF {
+			maxSrcF = f
 		}
 	}
-	orthonormalize(q)
-
-	const iters = 40
-	prev := make([]float64, nk)
-	tq := false // z holds T·Q for the current Q
-	for it := 0; it < iters; it++ {
-		if !tq {
-			t.MatVecBlock(z, q)
-		}
-		q, z = z, q
-		orthonormalize(q)
-		tq = it%5 == 4 || it == iters-1
-		if tq {
-			// Cheap convergence probe on the Rayleigh quotients. Its T·Q
-			// is the next step's product, so that step reuses it.
-			cur := make([]float64, nk)
-			t.MatVecBlock(z, q)
-			for k := 0; k < nk; k++ {
-				cur[k] = realDot(q[k], z[k])
-			}
-			maxRel := 0.0
-			for k := range cur {
-				d := math.Abs(cur[k] - prev[k])
-				if r := d / (math.Abs(cur[k]) + 1e-30); r > maxRel {
-					maxRel = r
-				}
-			}
-			copy(prev, cur)
-			if maxRel < 1e-10 && it > 5 {
-				break
+	pt := buildPupilTable(c, defocusNM, maxSrcF)
+	cols := make([][]complex128, len(src))
+	for si, s := range src {
+		sw := complex(math.Sqrt(s.Weight), 0)
+		v := make([]complex128, p*p)
+		for fy := -h; fy <= h; fy++ {
+			for fx := -h; fx <= h; fx++ {
+				v[(fy+h)*p+fx+h] = sw * pt.at(fx, fy, s.FX, s.FY)
 			}
 		}
+		cols[si] = v
 	}
-
-	// Rayleigh–Ritz: B = Qᴴ T Q, eigendecompose the small block, rotate Q.
-	// The loop always ends on a probe, so z already holds T·Q.
-	b := make([]complex128, block*block)
-	for i := 0; i < block; i++ {
-		for j := 0; j < block; j++ {
-			b[i*block+j] = cdot(q[i], z[j])
-		}
-	}
-	bvals, bvecs, err := HermitianEigen(block, b)
-	if err != nil {
-		return nil, nil, err
-	}
-	vals = bvals[:nk]
-	vecs = make([][]complex128, nk)
-	for k := 0; k < nk; k++ {
-		v := make([]complex128, dim)
-		for bi := 0; bi < block; bi++ {
-			c := bvecs[bi*block+k]
-			if c == 0 {
-				continue
-			}
-			qv := q[bi]
-			for i := range v {
-				v[i] += c * qv[i]
-			}
-		}
-		vecs[k] = v
-	}
-	return vals, vecs, nil
+	return cols
 }
 
-// orthonormalize applies modified Gram–Schmidt to the block in place.
-// Vectors that collapse to (numerical) zero are re-randomised against a
-// fixed stream to keep the block full-rank.
-func orthonormalize(q [][]complex128) {
-	rng := rand.New(rand.NewSource(987654321))
-	for k := range q {
-		for attempt := 0; ; attempt++ {
-			for j := 0; j < k; j++ {
-				proj := cdot(q[j], q[k])
-				if proj == 0 {
-					continue
-				}
-				for i := range q[k] {
-					q[k][i] -= proj * q[j][i]
-				}
-			}
-			n := math.Sqrt(realDot(q[k], q[k]))
-			if n > 1e-12 {
-				inv := complex(1/n, 0)
-				for i := range q[k] {
-					q[k][i] *= inv
-				}
-				break
-			}
-			if attempt > 3 {
-				panic("optics: orthonormalize could not recover a degenerate block vector")
-			}
-			for i := range q[k] {
-				q[k][i] = complex(rng.NormFloat64(), rng.NormFloat64())
+// rankFloor is the smallest eigenvalue, relative to the largest, that a
+// kernel set keeps. A kernel is V u / √λ, which divides the rounding in u
+// by √λ; below the floor the Gram matrix is numerically rank-deficient
+// (small fields, few source points, or fewer support cells than source
+// points) and the quotient would be rounding noise, not an eigenvector
+// of T.
+const rankFloor = 1e-12
+
+// tccEigenpairs returns the leading eigenpairs of T = V Vᴴ, at most nk of
+// them and only those above rankFloor, in descending order, plus T's trace.
+// They follow exactly from the small Gram matrix G = Vᴴ V (one row and
+// column per source point): if G u = λ u with ‖u‖ = 1, then
+// T (V u) = λ (V u) and ‖V u‖² = λ, so V u / √λ is a unit eigenvector of
+// T with the same eigenvalue, and tr T = tr G.
+func tccEigenpairs(cols [][]complex128, nk int) (vals []float64, vecs [][]complex128, trace float64, err error) {
+	ns := len(cols)
+	g := make([]complex128, ns*ns)
+	for i, a := range cols {
+		for j := i; j < ns; j++ {
+			d := cdot(a, cols[j])
+			g[i*ns+j], g[j*ns+i] = d, cmplx.Conj(d)
+		}
+		trace += real(g[i*ns+i])
+	}
+	gvals, gvecs, err := HermitianEigen(ns, g)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	if gvals[0] <= 0 {
+		return nil, nil, 0, fmt.Errorf("optics: TCC has no positive eigenvalues (%d source points)", ns)
+	}
+	for k := 0; k < nk && k < ns && gvals[k] > rankFloor*gvals[0]; k++ {
+		inv := complex(1/math.Sqrt(gvals[k]), 0)
+		h := make([]complex128, len(cols[0]))
+		for s, col := range cols {
+			u := gvecs[s*ns+k] * inv
+			for i, v := range col {
+				h[i] += u * v
 			}
 		}
+		vals = append(vals, gvals[k])
+		vecs = append(vecs, h)
 	}
+	return vals, vecs, trace, nil
 }
 
 // cdot returns ⟨a, b⟩ = Σ conj(a_i)·b_i.
@@ -219,15 +163,6 @@ func cdot(a, b []complex128) complex128 {
 	var s complex128
 	for i, v := range a {
 		s += complex(real(v), -imag(v)) * b[i]
-	}
-	return s
-}
-
-// realDot returns Re⟨a, b⟩.
-func realDot(a, b []complex128) float64 {
-	var s float64
-	for i, v := range a {
-		s += real(v)*real(b[i]) + imag(v)*imag(b[i])
 	}
 	return s
 }
@@ -275,27 +210,22 @@ func (ks *KernelSet) normalizeOpenFrame() {
 	}
 }
 
-// EnergyCapture returns the fraction of the TCC trace captured by the
-// retained kernels — a quality measure of the truncated SOCS expansion.
-// It must be computed before weight normalisation, so BuildTCC is re-run;
-// intended for diagnostics (examples/kernelgen), not hot paths.
+// EnergyCapture returns the TCC eigenvalue mass the retained kernels
+// capture and the TCC's trace, both from the kernel set's Gram solve; their
+// ratio is a quality measure of the truncated SOCS expansion. The weights
+// of a built KernelSet are normalised to the open frame, so the raw
+// eigenvalues are recomputed here; intended for diagnostics
+// (examples/kernelgen), not hot paths.
 func EnergyCapture(c Config, defocusNM float64) (captured, trace float64, err error) {
 	if err := c.Validate(); err != nil {
 		return 0, 0, err
 	}
-	t := BuildTCC(c, defocusNM)
-	nk := c.NumKernels
-	if nk > t.Dim {
-		nk = t.Dim
-	}
-	vals, _, err := topEigenpairs(t, nk)
+	vals, _, trace, err := tccEigenpairs(sourceColumns(c, defocusNM), c.NumKernels)
 	if err != nil {
 		return 0, 0, err
 	}
 	for _, v := range vals {
-		if v > 0 {
-			captured += v
-		}
+		captured += v
 	}
-	return captured, t.Trace(), nil
+	return captured, trace, nil
 }

@@ -31,9 +31,10 @@ func Pupil(c Config, fx, fy, defocusNM float64) complex128 {
 	return cmplx.Exp(complex(0, -pi*c.WavelengthNM*defocusNM*f2))
 }
 
-// pupilTable samples the pupil on the padded frequency grid needed by the
-// TCC assembly: indices cover f + f_s for f in the kernel support and f_s in
-// the source, i.e. signed frequencies within ±(h·Δf + maxSourceF).
+// pupilTable samples the pupil on the padded frequency grid that the
+// shifted pupils of sourceColumns need: indices cover f + f_s for f in the
+// kernel support and f_s in the source, i.e. signed frequencies within
+// ±(h·Δf + maxSourceF).
 type pupilTable struct {
 	half int // table covers signed index −half..half
 	step float64

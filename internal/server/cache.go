@@ -8,10 +8,10 @@ import (
 
 // modelCache is a singleflight cache of SOCS kernel models keyed by the
 // (comparable) optics configuration. Building a model — source
-// discretisation, TCC assembly, eigendecomposition — is by far the most
-// expensive per-process setup step; jobs sharing process parameters share
-// one build, and concurrent first requests block on a single construction
-// instead of racing duplicate ones. Models are immutable after
+// discretisation and one Gram-matrix eigensolve per kernel set — takes
+// tens of milliseconds; jobs sharing process parameters share one build,
+// and concurrent first requests block on a single construction instead of
+// racing duplicate ones. Models are immutable after
 // construction, so handing one *optics.Model to many concurrent jobs is
 // safe (the fullchip tile pool has relied on this since PR 1).
 type modelCache struct {
