@@ -13,9 +13,10 @@ test:
 
 # Tier-1 concurrency lane: the full suite under the race detector. The
 # parallel SOCS loops, the plan cache, the fullchip tile pool and the
-# FFT-engine equivalence tests (batch vs dense reference, tolerance 0 on
-# the same spectrum) all run here — new equivalence tests hook in by
-# living in the suite.
+# FFT-engine equivalence tests (batch vs dense reference on the same
+# spectrum: tolerance 0, except the gradient's band lane above its grid L,
+# held within 1e-12 relative) all run here — new equivalence tests hook in
+# by living in the suite.
 race:
 	$(GO) test -race ./...
 
@@ -103,10 +104,10 @@ bench:
 	$(GO) test -bench . -benchmem ./...
 
 # Workers sweep: times forward/gradient on a 512² clip at worker counts
-# {1,2,4,8} and records the speedup curve (plus host CPU metadata) in
-# BENCH_WORKERS.json.
+# {1,2,4,8}, each point the fastest of five reps, and records the speedup
+# curve (plus host CPU metadata) in BENCH_WORKERS.json.
 bench-workers:
-	$(GO) run ./cmd/benchgen -sweep -n 512 -field 2048 -kernels 24 -reps 3 \
+	$(GO) run ./cmd/benchgen -sweep -n 512 -field 2048 -kernels 24 -reps 5 \
 		-workers 1,2,4,8 -json BENCH_WORKERS.json
 
 # FFT-engine sweep: times the exact forward simulation and one gradient per
@@ -127,9 +128,11 @@ bench-fft:
 # table still prints it, ungated. The butterfly counts are held exactly
 # against the committed BENCH_FFT.smoke.json, so a dense fallback of the
 # band mask spectrum, the pruned inverse or the adjoint fails even where
-# the tiny sizes hide it in the wall clock.
+# the tiny sizes hide it in the wall clock. At 2048 nm the kernel support
+# is P = 35, so the gradient runs on the field's grid at 64 and 128 px and
+# on the band lane's 128-px grid at 256 px.
 bench-fft-smoke:
-	$(GO) run ./cmd/benchgen -fftsweep -sizes 64,128 -field 2048 \
+	$(GO) run ./cmd/benchgen -fftsweep -sizes 64,128,256 -field 2048 \
 		-kernels 8 -reps 5 -json BENCH_FFT.smoke.new.json
 	$(MAKE) bench-compare OLD=BENCH_FFT.smoke.json NEW=BENCH_FFT.smoke.new.json GATE=1.5
 

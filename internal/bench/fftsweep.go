@@ -19,8 +19,9 @@ import (
 // at a fixed worker count of 1 — the single-threaded column is what the
 // pruning claims are about, and it is comparable across hosts with
 // different core counts. The gradient reuses the amplitudes the forward
-// kept and recomputes them where the simulator's byte budget (nk·m²·16 B ≤
-// 64 MiB) declines to keep them, as in the optimizer. Each column is the
+// kept, as in the optimizer: the simulator keeps them at m ≤ L, the
+// smallest power of two above 2P−1, and above L the batch gradient runs on
+// the L grid, rebuilding its amplitudes there (keep_amps false). Each column is the
 // fastest of its reps: on a shared host a stall only ever adds time, so the
 // minimum is the estimate one stall cannot move. Speedups are relative to
 // the reference (dense) engine of the same run.

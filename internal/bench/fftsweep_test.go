@@ -7,11 +7,13 @@ import (
 )
 
 func TestRunFFTSweep(t *testing.T) {
-	s, err := RunFFTSweep([]int{64, 128}, 512, 4, 1)
+	// At 2048 nm the support is P = 35, so the batch gradient runs on the
+	// field's grid up to m = 128 and on the band lane's 128-px grid above.
+	s, err := RunFFTSweep([]int{128, 256}, 2048, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(s.Points) != 2 || s.Kernels < 1 || s.P < 3 || s.Workers != 1 {
+	if len(s.Points) != 2 || s.Kernels < 1 || s.P != 35 || s.Workers != 1 {
 		t.Fatalf("sweep metadata incomplete: %+v", s)
 	}
 	for _, p := range s.Points {
@@ -21,8 +23,8 @@ func TestRunFFTSweep(t *testing.T) {
 		if p.ReferenceGradSec <= 0 || p.BatchedGradSec <= 0 || p.BatchedGradGain <= 0 {
 			t.Errorf("m=%d: gradient timings or speedup missing %+v", p.M, p)
 		}
-		if !p.KeepAmps {
-			t.Errorf("m=%d: gradient should reuse kept amplitudes below the optimizer's limit", p.M)
+		if p.KeepAmps != (p.M <= 128) {
+			t.Errorf("m=%d: keep_amps = %v; amplitudes are kept at m ≤ 128 only", p.M, p.KeepAmps)
 		}
 		if inv, adj, ref := p.InverseButterflies["batch"], p.AdjointButterflies["batch"], p.AdjointButterflies["reference"]; inv <= 0 || adj <= 0 || adj >= ref {
 			t.Errorf("m=%d batch: butterflies inverse %d, adjoint %d; want positive and the adjoint below the dense %d", p.M, inv, adj, ref)

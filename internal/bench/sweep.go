@@ -17,7 +17,9 @@ import (
 // exact forward simulation (Eq. 3) and the adjoint pass on one synthetic M1
 // clip for a list of worker counts; per-point speedups are relative to the
 // workers = 1 column of the same run, so the curve is comparable across
-// hosts even though absolute times are not.
+// hosts even though absolute times are not. Each point is the fastest of
+// its reps, as in the FFT-engine sweep: a stall on a shared host only ever
+// adds time, so the minimum is the estimate one stall cannot move.
 
 // SweepPoint is one worker count's measurement.
 type SweepPoint struct {
@@ -50,7 +52,8 @@ type WorkersSweep struct {
 }
 
 // RunWorkersSweep measures the forward/adjoint cost of the given clip size
-// for each worker count (reps timed runs after one warm-up each).
+// for each worker count: the fastest of reps timed runs after one warm-up
+// each.
 func RunWorkersSweep(n int, fieldNM float64, kernels, reps int, workersList []int) (*WorkersSweep, error) {
 	if reps < 1 {
 		reps = 1
@@ -91,25 +94,28 @@ func RunWorkersSweep(n int, fieldNM float64, kernels, reps int, workersList []in
 		if err != nil {
 			return nil, err
 		}
-		start = time.Now()
-		for r := 0; r < reps; r++ {
-			if f, err = sim.Forward(mask, model.Nominal, 1, false); err != nil {
-				return nil, err
-			}
+		fwd, err := fastest(reps, func() error {
+			_, err := sim.Forward(mask, model.Nominal, 1, false)
+			return err
+		})
+		if err != nil {
+			return nil, err
 		}
-		fwd := time.Since(start).Seconds() / float64(reps)
 
-		// Adjoint on the recompute path (the optimizer's large-grid mode).
+		// Adjoint of a field without kept amplitudes: at a clip above the
+		// band lane's grid L (128 px at P = 35), the optimizer's
+		// high-resolution path, it runs on the L grid; at or below L it
+		// rebuilds the amplitudes at the clip's size.
 		if _, err := sim.Gradient(f, dLdI); err != nil {
 			return nil, err
 		}
-		start = time.Now()
-		for r := 0; r < reps; r++ {
-			if _, err := sim.Gradient(f, dLdI); err != nil {
-				return nil, err
-			}
+		grad, err := fastest(reps, func() error {
+			_, err := sim.Gradient(f, dLdI)
+			return err
+		})
+		if err != nil {
+			return nil, err
 		}
-		grad := time.Since(start).Seconds() / float64(reps)
 
 		sweep.Points = append(sweep.Points, SweepPoint{Workers: w, ForwardSec: fwd, GradientSec: grad})
 	}

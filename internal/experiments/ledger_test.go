@@ -30,12 +30,15 @@ var ledgerCounters = []string{
 // change that moves the work updates the golden and says why.
 //
 // fast: 2 iterations (m = 64, then m = 256), each one mask spectrum and
-// two SOCS passes (inner, outer) with kept amplitudes, and two adjoints;
-// Evaluate at 256 is one spectrum and two SOCS passes (the nominal and
-// outer corners share the nominal kernel set) for three corner images.
-// exact: 3 iterations (two at m = 128, one at m = 512), the 512-px
-// amplitudes kept within the 64 MiB budget (12·512²·16 B = 48 MiB), so no
-// gradient recomputes them; Evaluate at 512 as above.
+// two SOCS passes (inner, outer), and two adjoints; Evaluate at 256 is one
+// spectrum and two SOCS passes (the nominal and outer corners share the
+// nominal kernel set) for three corner images. Amplitudes are kept only at
+// m ≤ L = 64 (the smallest power of two above 2P−1 = 53), so the 64-px
+// adjoints read kept amplitudes and the 256-px ones run the band lane,
+// which rebuilds the 12 amplitudes at 64 px: 48 + 24 + 24 = 96 kernel
+// transforms. exact: 3 iterations (two at m = 128, one at m = 512), every
+// adjoint on the band lane: 72 + 24 + 6·12 = 168 kernel transforms;
+// Evaluate at 512 as above.
 //
 // A mask spectrum is the P×P kernel band alone (P = 27, h = 13):
 // (m/2 + P)·prunedButterflies(13) butterflies, m/2 output-pruned row pair
@@ -46,9 +49,23 @@ var ledgerCounters = []string{
 // one spectrum at 64 and two at 256: 59·187 + 2·155·829 = 268023; exact
 // two at 128 and two at 512: 2·91·401 + 2·283·1685 = 1026692.
 //
+// An adjoint at m = L = 64 runs 12 patches and the final band inverse,
+// each 91·187 = 17017 butterflies: 13·17017 = 221221. A band-lane adjoint
+// at m runs the (2P−1)² band of F(dLdI) at m, (m/2 + 53) output-pruned
+// transforms of half 26 (stages whose half-block is at most 53 whole, 53
+// per block after: 6·64 + 53 = 437 at 128, 6·128 + 106 + 53 = 927 at 256,
+// 6·256 + 212 + 106 + 53 = 1907 at 512); that band's inverse at 64, which
+// a half of 26 does not prune, (53 + 64)·192 = 22464; per kernel a band
+// inverse and a patch at 64, 12·2·17017 = 408408; and the final inverse
+// at m, (27 + m)·pruned(13). At 128: 117·437 + 22464 + 408408 + 155·401 =
+// 544156; at 256: 181·927 + 22464 + 408408 + 283·829 = 833266; at 512:
+// 309·1907 + 22464 + 408408 + 539·1685 = 1928350. fast: 2·221221 +
+// 2·833266 = 2108974; exact: 4·544156 + 2·1928350 = 6033324.
+//
 // The same runs pin the flow's bits: the final parameters, mask and
 // Evaluate report of each recipe must hash to its digest (flowDigest).
-// Every FFT-engine change so far kept them; a change that moves them on
+// The FFT-engine changes kept them, except the band-lane adjoint, which
+// is exact to rounding only and moved them; a change that moves them on
 // purpose updates them and says why. They are amd64 bits, like the kernel
 // digests of TestKernelBitsPinned: targets that fuse multiply-adds compute
 // other, equally valid masks, so the digest is checked only on amd64.
@@ -61,13 +78,13 @@ func TestWorkLedger(t *testing.T) {
 		digest string
 	}{
 		{"fast", Config{N: 256, FieldNM: 1024, Kernels: 12, IterDiv: 35}, core.FastM1(), map[string]int64{
-			"litho.kernel_ffts": 72, "litho.forward_sims": 7, "litho.adjoint_calls": 4,
-			"litho.fft_forward_butterflies": 268023, "litho.fft_inverse_butterflies": 11669544, "litho.adjoint_butterflies": 6542224,
-		}, "2e0d9a2986afb84d3840f4da509d54a9217c46be75b528724a5aa4cfb1baafe9"},
+			"litho.kernel_ffts": 96, "litho.forward_sims": 7, "litho.adjoint_calls": 4,
+			"litho.fft_forward_butterflies": 268023, "litho.fft_inverse_butterflies": 11669544, "litho.adjoint_butterflies": 2108974,
+		}, "85117e2a656d2fec6bef6296f5943253ba4df1e01696085831c2516951a27fc4"},
 		{"exact", Config{N: 512, FieldNM: 1024, Kernels: 12, IterDiv: 40}, core.ExactM1(), map[string]int64{
-			"litho.kernel_ffts": 96, "litho.forward_sims": 9, "litho.adjoint_calls": 6,
-			"litho.fft_forward_butterflies": 1026692, "litho.fft_inverse_butterflies": 46577760, "litho.adjoint_butterflies": 26845650,
-		}, "b965ca63b6431157a0588c56cee183192cc5056212ababdb6b1f7eace1213531"},
+			"litho.kernel_ffts": 168, "litho.forward_sims": 9, "litho.adjoint_calls": 6,
+			"litho.fft_forward_butterflies": 1026692, "litho.fft_inverse_butterflies": 46577760, "litho.adjoint_butterflies": 6033324,
+		}, "24bb381c6e92a431ed8629971adb387baa7ce68c7ac6c12b1938a9e17460ae74"},
 	} {
 		rec := telemetry.New()
 		tc.cfg.Recorder = rec

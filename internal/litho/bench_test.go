@@ -135,19 +135,21 @@ func TestForwardSteadyStateAllocs(t *testing.T) {
 		t.Errorf("Forward allocates %.1f objects/run in steady state, want ≤ 12 (kernel loop must be allocation-free)", allocs)
 	}
 
-	// Kept-amplitude lane: a Forward(keep) → Gradient → Release cycle leases
-	// its nk amplitudes from the pool, so once warm it allocates its outputs
-	// (spectrum 16·m² B, intensity and gradient 8·m² B each) and less than
+	// Kept-amplitude lane, which runs at m ≤ L = adjointGrid(P) (32 for the
+	// test model): a Forward(keep) → Gradient → Release cycle leases its nk
+	// amplitudes from the pool, so once warm it allocates its outputs
+	// (intensity and gradient 8·m² B each, a P×P spectrum) and less than
 	// one more m×m complex buffer — fresh amplitudes would be nk of them.
-	const m = 128
+	const m = 32
+	small := randMask(rng, m)
 	dLdI := randMask(rng, m)
 	cycle := func() {
-		f, err := sim.Forward(mask, sim.Model.Nominal, 1, true)
+		f, err := sim.Forward(small, sim.Model.Nominal, 1, true)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if f.Amps == nil {
-			t.Fatal("Forward(keep) at m = 128 kept no amplitudes")
+			t.Fatal("Forward(keep) at m = 32 kept no amplitudes")
 		}
 		if _, err := sim.Gradient(f, dLdI); err != nil {
 			t.Fatal(err)
@@ -170,8 +172,9 @@ func TestForwardSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestGradientSteadyStateAllocs: same for the adjoint with cached
-// amplitudes — only the returned gradient matrix may allocate.
+// TestGradientSteadyStateAllocs: same for the adjoint at m = 128, above L,
+// where the band lane leases its L-grid amplitudes and band buffers from
+// the pools — only the returned gradient matrix may allocate.
 func TestGradientSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool bypasses its cache at random under -race; alloc counts are unstable")

@@ -41,13 +41,15 @@ func socsOn(t *testing.T, sim *Sim, spec *grid.CMat, m int, scale complex128, do
 // Tolerance-0 equivalence of the batch engine to the reference, run on the
 // reference's own spectrum and Field so the rounding of the packed mask
 // forward stays out: SOCS intensity and kept amplitudes, Eq. 7 at scales
-// 1, 2 and 4, and Gradient on both batch lanes (kept amplitudes and the
-// batched recompute), across grid sizes and worker counts.
+// 1, 2 and 4, across grid sizes and worker counts, and Gradient on both
+// m-grid batch lanes (kept amplitudes and the batched recompute) where
+// they run, at m ≤ L = adjointGrid(P) (32 here). Above L the band lane is
+// exact only to rounding (TestBandAdjointMatchesReference).
 func TestEngineBatchBitIdenticalToReference(t *testing.T) {
 	mdl := model(t)
 	rng := rand.New(rand.NewSource(31))
 	ref := newEngineSim(t, EngineReference, 1)
-	for _, n := range []int{64, 128, 256} {
+	for _, n := range []int{32, 64, 128, 256} {
 		mask := randMask(rng, n)
 		dLdI := randMask(rng, n)
 		for _, keep := range []bool{false, true} {
@@ -70,6 +72,9 @@ func TestEngineBatchBitIdenticalToReference(t *testing.T) {
 						t.Errorf("n=%d workers=%d: batched amplitude %d differs from reference", n, w, k)
 					}
 				}
+				if n > adjointGrid(mdl.Nominal.P) {
+					continue
+				}
 				g, err := sim.Gradient(want, dLdI)
 				if err != nil {
 					t.Fatal(err)
@@ -80,6 +85,9 @@ func TestEngineBatchBitIdenticalToReference(t *testing.T) {
 			}
 		}
 		for _, scale := range []int{1, 2, 4} {
+			if n/scale < mdl.Nominal.P {
+				continue
+			}
 			want, err := ref.ForwardEq7(mask, scale, mdl.Nominal, 0.98)
 			if err != nil {
 				t.Fatal(err)
@@ -277,14 +285,16 @@ func TestEngineBatchDeterministicAcrossWorkers(t *testing.T) {
 
 // The batched engine preserves the phase vocabulary (litho.socs around the
 // row pass, litho.fft_inverse around the column pass) and the kernel-FFT
-// counter the observability stack depends on.
+// counter the observability stack depends on, at n = L = 32, where the
+// gradient runs on the field's own grid (the band lane's counts above L:
+// TestBandAdjointButterflies).
 func TestBatchEngineTelemetry(t *testing.T) {
 	mdl := model(t)
 	sim := newEngineSim(t, EngineBatch, 1)
 	rec := telemetry.New()
 	sim.Recorder = rec
 
-	const n = 64
+	const n = 32
 	mask := grid.NewMat(n, n)
 	mask.Fill(1)
 	f, err := sim.Forward(mask, mdl.Nominal, 1, false)
@@ -314,19 +324,20 @@ func TestBatchEngineTelemetry(t *testing.T) {
 }
 
 // Exact transform-work counters of one Forward (keepAmps off) plus one
-// Gradient of the test model (P = 13, 8 kernels) at n = 64, where a dense
+// Gradient of the test model (P = 13, 8 kernels). Pruned to the band
+// |f| ≤ 6, a 1-D transform at n = 64 runs 13 + 26 + 4·32 = 167 butterflies
+// (input pruned: stages 1–2 touch 13 blocks) or 4·32 + 26 + 13 = 167
+// (output pruned: stages 5–6 keep 13 butterflies per block), and one at
+// n = 32 runs 4·16 + 13 = 77. The batch engine is counted at n = 32, where
+// a band inverse (13 rows, 32 columns) and an adjoint patch (32 rows, 13
+// columns) both run 45·77 = 3465; the reference at n = 64, where a dense
 // 1-D transform runs 32·6 = 192 butterflies and a dense 2-D one
-// 2·64·192 = 24576. Pruned to the band |f| ≤ 6, a 1-D transform runs
-// 13 + 26 + 4·32 = 167 (input pruned: stages 1–2 touch 13 blocks) or
-// 4·32 + 26 + 13 = 167 (output pruned: stages 5–6 keep 13 butterflies per
-// block), so a band inverse (13 rows, 64 columns) and an adjoint patch
-// (64 rows, 13 columns) both run 77·167 = 12859. The forward adds nk SOCS
-// inverses; the gradient nk recompute inverses, nk adjoint transforms and
-// the patch fold's inverse.
+// 2·64·192 = 24576. The forward adds nk SOCS inverses; the gradient nk
+// recompute inverses, nk adjoint transforms and the patch fold's inverse.
 const (
-	wantInverseBF    = 8 * 12859  // pruned: nk band inverses
-	wantAdjointBF    = 17 * 12859 // pruned: (nk+1) inverses + nk patches
-	wantRefInverseBF = 8 * 24576  // dense reference
+	wantInverseBF    = 8 * 3465  // pruned, n = 32: nk band inverses
+	wantAdjointBF    = 17 * 3465 // pruned, n = 32: (nk+1) inverses + nk patches
+	wantRefInverseBF = 8 * 24576 // dense reference, n = 64
 	wantRefAdjointBF = 17 * 24576
 )
 

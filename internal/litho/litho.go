@@ -29,9 +29,14 @@
 // are output pruned: only the butterflies feeding the P×P kernel band run
 // (fft.Plan2.AdjointPatch, bit-identical to the dense transform), and its
 // final inverse is input pruned from the P×P band
-// (fft.Plan2.InverseBandReal).
+// (fft.Plan2.InverseBandReal). Above L, the smallest power of two above
+// 2P−1, the gradient's per-kernel work runs on the L grid instead of the
+// field's (the band lane: a patch reads F(dLdI) only on its (2P−1)² band,
+// as Eq. 7's kernels read the mask spectrum only on its P×P one), and
+// only there are amplitudes kept for it.
 // Sim.Engine selects between this default and the dense EngineReference,
-// the oracle the batch reproduces bit for bit on the same spectrum.
+// the oracle the batch reproduces bit for bit on the same spectrum — the
+// band lane to rounding.
 package litho
 
 import (
@@ -60,9 +65,11 @@ const (
 	// batched multiply + pruned inverse (fft.MulRowsBatch/InverseColumns):
 	// shared twiddle loads, four rows/columns in lockstep, the intensity
 	// fold fused into the column pass; its adjoint patches are output
-	// pruned (fft.Plan2.AdjointPatch). On the same mask spectrum every
-	// output has EngineReference's bits; the ForwardRealBand mask spectrum
-	// agrees with the dense one to rounding. See DESIGN.md, "FFT engine v2".
+	// pruned (fft.Plan2.AdjointPatch) and, above L = adjointGrid(P), run
+	// on the L grid. On the same mask spectrum every output has
+	// EngineReference's bits, except that band-lane gradient, which agrees
+	// to rounding, as the ForwardRealBand mask spectrum agrees with the
+	// dense one. See DESIGN.md, "FFT engine v2".
 	EngineBatch FFTEngine = iota
 	// EngineReference is the dense engine: the dense mask forward, a serial
 	// per-kernel ApplyKernel + InverseNoNorm loop with an ascending-k
@@ -121,9 +128,10 @@ var (
 )
 
 // keepAmpsBudget caps the amplitudes one kernel set's SOCS pass keeps for a
-// following gradient: nk·m²·16 B. Twelve kernels at m = 512 (48 MiB) are
-// kept; m = 1024 (192 MiB at 12 kernels) and 24 kernels at m = 512
-// (96 MiB) recompute them in the gradient instead.
+// following gradient: nk·m²·16 B. Amplitudes are kept only at
+// m ≤ adjointGrid(P) ≤ 128 px for P ≤ 35, where 24 kernels take 6 MiB, so
+// no kernel set of the paper's shapes reaches it; it bounds a set of
+// hundreds of kernels, whose gradient then recomputes them.
 const keepAmpsBudget = 64 << 20
 
 // NewSim creates a simulator over a built kernel model.
@@ -176,10 +184,12 @@ func (s *Sim) workers() int {
 // largest kernel support of the call, and a kernel set with a smaller one
 // reads its centered sub-band. The fields of one ForwardCorners call share
 // Spec, read-only. Amps is populated only when the forward was told a gradient
-// follows and the amplitudes fit the simulator's budget (keepAmpsBudget);
-// they are leased from a process-wide pool, shared by the fields of one
-// kernel set, and returned by Sim.Release. Without them the gradient pass
-// recomputes each amplitude from Spec, with the same bits. Every kept
+// follows, the grid is at most L = adjointGrid(P) and the amplitudes fit
+// the simulator's budget (keepAmpsBudget); they are leased from a
+// process-wide pool, shared by the fields of one kernel set, and returned
+// by Sim.Release. Without them the gradient pass recomputes each amplitude
+// from Spec — at m ≤ L with the same bits; above L the batch gradient
+// rebuilds them on the L grid (Gradient's band lane). Every kept
 // amplitude is in fft's tiled layout, the one fft.BatchInverse.
 // InverseColumns writes and fft.Plan2.AdjointPatch reads, on both engines;
 // fft.Untile4 gives it row-major.
@@ -398,10 +408,12 @@ func (s *Sim) Forward(mask *grid.Mat, ks *optics.KernelSet, dose float64, keepAm
 // alone would give it.
 //
 // Set keepAmps when a gradient will follow. Each kernel set's amplitudes
-// are then kept, leased from the pool and shared by its fields, if they fit
-// the budget nk·m²·16 B ≤ 64 MiB; above it the gradient recomputes them.
-// Release every field once its gradients are done, so the lease returns to
-// the pool. litho.forward_sims counts one per corner image.
+// are then kept, leased from the pool and shared by its fields, if the grid
+// is at most L = adjointGrid(P) and they fit the budget
+// nk·m²·16 B ≤ 64 MiB; above L the batch gradient runs on the L grid and
+// needs no m×m amplitude, and Field.Amps stays nil. Release every field
+// once its gradients are done, so a lease returns to the pool (above L
+// Release does nothing). litho.forward_sims counts one per corner image.
 func (s *Sim) ForwardCorners(mask *grid.Mat, corners []Corner, keepAmps bool) ([]*Field, error) {
 	if len(corners) == 0 {
 		return nil, fmt.Errorf("litho: no corners to simulate")
@@ -442,7 +454,7 @@ next:
 			}
 		}
 		nk := len(c.KS.Kernels)
-		keep := keepAmps && int64(nk)*int64(m)*int64(m)*16 <= keepAmpsBudget
+		keep := keepAmps && m <= adjointGrid(c.KS.P) && int64(nk)*int64(m)*int64(m)*16 <= keepAmpsBudget
 		s.accumulateSOCS(group, plan, spec, m, 1, keep)
 	}
 	s.Recorder.Add("litho.forward_sims", int64(len(corners)))
@@ -517,7 +529,17 @@ func (s *Sim) ForwardEq7(mask *grid.Mat, scale int, ks *optics.KernelSet, dose f
 // fft.Plan2.InverseBandReal, input pruned, on the simulator's workers; the
 // reference zero-embeds the band in an m×m accumulator and inverts it
 // densely.
-// The call adds its transform butterflies to litho.adjoint_butterflies.
+//
+// Above L = adjointGrid(P) the batch engine computes the patches on the L
+// grid instead (bandAdjointPatches): the (2P−1)² band of F(dLdI) is taken
+// at m and inverted at L, the amplitudes are rebuilt at L from Spec, and
+// AdjointPatch runs there; the fold and the final inverse at m are as
+// above. That lane is exact up to rounding — within 1e-12 of the
+// reference's gradient, relative — and ignores kept amplitudes; at m ≤ L
+// every bit is the reference's. Every lane is bit-identical across worker
+// counts.
+// The call adds its transform butterflies to litho.adjoint_butterflies,
+// and litho.kernel_ffts counts the amplitudes it rebuilds.
 func (s *Sim) Gradient(f *Field, dLdI *grid.Mat) (*grid.Mat, error) {
 	if dLdI.W != f.M || dLdI.H != f.M {
 		return nil, fmt.Errorf("litho: dLdI size %dx%d != field size %d", dLdI.W, dLdI.H, f.M)
@@ -531,22 +553,31 @@ func (s *Sim) Gradient(f *Field, dLdI *grid.Mat) (*grid.Mat, error) {
 	if err != nil {
 		return nil, err
 	}
+	reference := s.Engine == EngineReference
+	var planL *fft.Plan2 // the band lane's L grid, nil on the other lanes
+	if l := adjointGrid(f.KS.P); !reference && f.M > l {
+		if planL, err = s.Plan(l); err != nil {
+			return nil, err
+		}
+	}
 	sp := s.Recorder.StartSpan("litho.adjoint")
 	defer sp.End()
 	s.Recorder.Add("litho.adjoint_calls", 1)
-	reference := s.Engine == EngineReference
 	nk := len(f.KS.Kernels)
 	workers := min(s.workers(), nk)
 	// The amplitude recompute (fields without kept amps) folds the inverse
 	// normalisation into the kernel multiply, like the forward pass; the
 	// adjoint patch weight likewise absorbs the final inverse's 1/m².
 	ampScale := fft.FoldInverseScale(1, f.M, f.M)
-	if f.Amps == nil {
+	if f.Amps == nil || planL != nil {
 		s.Recorder.Add("litho.kernel_ffts", int64(nk))
 	}
-	s.Recorder.Add("litho.adjoint_butterflies", s.adjointButterflies(plan, f))
+	s.Recorder.Add("litho.adjoint_butterflies", s.adjointButterflies(plan, planL, f))
 	patchesp, patches := kscratch.Get(nk)
-	if f.Amps == nil && !reference {
+	if planL != nil {
+		// The band lane: the whole adjoint on the L grid, patches filled.
+		s.bandAdjointPatches(f, plan, planL, dLdI, patches, ampScale, workers)
+	} else if f.Amps == nil && !reference {
 		// Amplitudes recomputed in batched chunks, patches filled.
 		s.batchAdjointPatches(f, plan, dLdI, patches, ampScale, workers)
 	} else {
@@ -647,10 +678,18 @@ func inverseButterflies(plan *fft.Plan2, banded bool, support int) int64 {
 
 // adjointButterflies is the transform work of one Gradient call: the
 // amplitude recompute inverses (for a field that kept no amplitudes), the
-// per-kernel adjoint transforms and the inverse of the patch fold.
-func (s *Sim) adjointButterflies(plan *fft.Plan2, f *Field) int64 {
+// per-kernel adjoint transforms and the inverse of the patch fold. On the
+// band lane (planL non-nil) the first three run at L, after the (2P−1)²
+// band of F(dLdI) is taken at m and inverted at L.
+func (s *Sim) adjointButterflies(plan, planL *fft.Plan2, f *Field) int64 {
 	banded := s.Engine != EngineReference
 	nk := int64(len(f.KS.Kernels))
+	if p := f.KS.P; planL != nil {
+		return plan.ForwardRealBandButterflies(2*p-1) +
+			planL.InverseBandButterflies(fft.BandSpec{Half: p - 1}) +
+			nk*(inverseButterflies(planL, true, p)+planL.AdjointPatchButterflies(p)) +
+			inverseButterflies(plan, true, p)
+	}
 	inverses := int64(1)
 	if f.Amps == nil {
 		inverses += nk
@@ -696,4 +735,58 @@ func (s *Sim) batchAdjointPatches(f *Field, plan *fft.Plan2, dLdI *grid.Mat, pat
 		cscratch.Put(amps[i])
 	}
 	kscratch.Put(ampsp)
+}
+
+// adjointGrid is L(P), the grid of the batch engine's band-lane adjoint:
+// the smallest power of two above 2P−1 (32, 64 and 128 at P = 13, 27 and
+// 35), and at least the minimum grid. Kernel k's patch reads F(dLdI) only
+// on its (2P−1)² band, and L > 2P−2 keeps the L-periodic copies of that
+// band from overlapping any patch cell (see bandAdjointPatches).
+func adjointGrid(p int) int {
+	l := minGrid
+	for l <= 2*p-1 {
+		l <<= 1
+	}
+	return l
+}
+
+// bandAdjointPatches is the batch engine's lane of Gradient for a field
+// larger than L = adjointGrid(P): it computes every kernel's P×P patch on
+// the L grid instead of the field's m. With h = P/2, G = F_m(dLdI) and
+// S_k = ampScale·H_k ⊙ Spec (the folded 1/m² included), the patch reads
+//
+//	F_m(dLdI ⊙ A_k)[f] = Σ_{|g|≤h} S_k[g]·G[f−g],   |f| ≤ h,
+//
+// which touches G only on |f−g| ≤ 2h. So the lane takes that (2P−1)² band
+// of G at m (fft.Plan2.ForwardRealBand), inverts it unnormalised at L
+// (InverseBandReal: d, real because the band is Hermitian), rebuilds the
+// amplitudes a_k as the unnormalised inverse of S_k at L (MulRowsBatch +
+// InverseColumns: A_k sampled every m/L px) and runs AdjointPatch on
+// d ⊙ a_k. F_L(d ⊙ a_k)[f] = L²·Σ S_k[g]·G[u] over g + u ≡ f (mod L), and
+// L > 4h leaves only u = f − g, so the patch is the m-grid one with the
+// weight divided by L² — exact up to rounding, not bit for bit. Patches
+// are computed in parallel and Gradient folds them in ascending k, so the
+// result is bit-identical at every worker count.
+func (s *Sim) bandAdjointPatches(f *Field, plan, planL *fft.Plan2, dLdI *grid.Mat, patches []*grid.CMat, ampScale complex128, workers int) {
+	ks := f.KS
+	p, l := ks.P, planL.W()
+	g := cscratch.Get(2*p-1, 2*p-1)
+	plan.ForwardRealBand(g, dLdI, s.workers())
+	d := mscratch.Get(l, l)
+	planL.InverseBandReal(d, g, s.workers())
+	cscratch.Put(g)
+	ampsp, amps := kscratch.Get(len(ks.Kernels))
+	for k := range amps {
+		amps[k] = cscratch.Get(l, l)
+	}
+	planL.MulRowsBatch(f.Spec, ks.Kernels, ampScale, workers).InverseColumns(amps, nil)
+	grid.ParallelFor(workers, len(amps), func(k int) {
+		w := fft.FoldInverseScale(complex(2*ks.Weights[k]*f.Dose, 0), f.M, f.M)
+		patches[k] = planL.AdjointPatch(cscratch.Get(p, p), d, amps[k], ks.Kernels[k], fft.FoldInverseScale(w, l, l))
+	})
+	for _, a := range amps {
+		cscratch.Put(a)
+	}
+	kscratch.Put(ampsp)
+	mscratch.Put(d)
 }

@@ -213,10 +213,17 @@ func TestForwardEq7Validation(t *testing.T) {
 
 // TestGradientFiniteDifference validates the full adjoint against central
 // finite differences of L = Σ c·I for random c.
+// It runs at n = 32 = L, the kept-amplitude lane, and at n = 64, above L,
+// where the batch engine runs the band lane.
 func TestGradientFiniteDifference(t *testing.T) {
+	for _, n := range []int{32, 64} {
+		gradientFiniteDifference(t, n)
+	}
+}
+
+func gradientFiniteDifference(t *testing.T, n int) {
 	sim := NewSim(model(t))
 	rng := rand.New(rand.NewSource(4))
-	const n = 32
 	mask := randMask(rng, n)
 	c := randMask(rng, n) // dL/dI
 
@@ -247,7 +254,7 @@ func TestGradientFiniteDifference(t *testing.T) {
 		mask.Set(x, y, orig)
 		fd := (lp - lm) / (2 * eps)
 		if diff := math.Abs(fd - g.At(x, y)); diff > 1e-5*(1+math.Abs(fd)) {
-			t.Errorf("gradient at (%d,%d): analytic %g, finite-diff %g", x, y, g.At(x, y), fd)
+			t.Errorf("n=%d: gradient at (%d,%d): analytic %g, finite-diff %g", n, x, y, g.At(x, y), fd)
 		}
 	}
 }
@@ -262,33 +269,36 @@ func kernels12(t testing.TB) *optics.KernelSet {
 	return ks
 }
 
-// TestGradientKeepAmpsEquivalence: the memory-saving recompute path must
-// produce the gradient of the kept-amplitude path bit for bit, up to the
-// iltbench exact shape (m = 512, 12 kernels: 48 MiB, kept under the
-// budget). Above the budget (m = 1024, 12 kernels: 192 MiB) a forward
-// asked to keep its amplitudes keeps none.
+// TestGradientKeepAmpsEquivalence: at m ≤ L = adjointGrid(P), where the
+// kept-amplitude lane runs (L = 32 for the test model), the memory-saving
+// recompute path must produce the gradient of the kept-amplitude path bit
+// for bit, with the model's 8 kernels and with the 12 of the iltbench
+// workloads. Above L a forward asked to keep its amplitudes keeps none, and
+// at m = L so does one whose amplitudes exceed the 64 MiB budget: 257
+// kernels of support 35 at m = 128 would need 64.25 MiB.
 func TestGradientKeepAmpsEquivalence(t *testing.T) {
 	sim := NewSim(model(t))
 	rng := rand.New(rand.NewSource(5))
-	for _, tc := range []struct {
-		n  int
-		ks *optics.KernelSet
-	}{{32, sim.Model.Nominal}, {512, kernels12(t)}} {
-		mask := randMask(rng, tc.n)
-		dLdI := randMask(rng, tc.n)
-		fKeep, err := sim.Forward(mask, tc.ks, 0.98, true)
+	const n = 32
+	if l := adjointGrid(sim.Model.Nominal.P); l != n {
+		t.Fatalf("L = %d for the test model, want %d", l, n)
+	}
+	for _, ks := range []*optics.KernelSet{sim.Model.Nominal, kernels12(t)} {
+		mask := randMask(rng, n)
+		dLdI := randMask(rng, n)
+		fKeep, err := sim.Forward(mask, ks, 0.98, true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(fKeep.Amps) != len(tc.ks.Kernels) {
-			t.Fatalf("n=%d: forward kept %d amplitudes, want %d", tc.n, len(fKeep.Amps), len(tc.ks.Kernels))
+		if len(fKeep.Amps) != len(ks.Kernels) {
+			t.Fatalf("%d kernels: forward kept %d amplitudes, want %d", len(ks.Kernels), len(fKeep.Amps), len(ks.Kernels))
 		}
 		gKeep, err := sim.Gradient(fKeep, dLdI)
 		if err != nil {
 			t.Fatal(err)
 		}
 		sim.Release(fKeep)
-		fRe, err := sim.Forward(mask, tc.ks, 0.98, false)
+		fRe, err := sim.Forward(mask, ks, 0.98, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -297,15 +307,29 @@ func TestGradientKeepAmpsEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !gKeep.Equal(gRe, 0) {
-			t.Errorf("n=%d: gradient differs between keepAmps and recompute paths", tc.n)
+			t.Errorf("%d kernels: gradient differs between keepAmps and recompute paths", len(ks.Kernels))
 		}
 	}
-	over, err := sim.Forward(grid.NewMat(1024, 1024), kernels12(t), 1, true)
+	above, err := sim.Forward(grid.NewMat(2*n, 2*n), kernels12(t), 1, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if above.Amps != nil {
+		t.Errorf("m = %d above L = %d kept %d amplitudes", 2*n, n, len(above.Amps))
+	}
+	wide := &optics.KernelSet{P: 35}
+	h := grid.NewCMat(35, 35)
+	h.Data[len(h.Data)/2] = 1
+	for k := 0; k < 257; k++ {
+		wide.Kernels = append(wide.Kernels, h)
+		wide.Weights = append(wide.Weights, 1.0/257)
+	}
+	over, err := sim.Forward(grid.NewMat(128, 128), wide, 1, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if over.Amps != nil {
-		t.Errorf("m=1024 with 12 kernels kept %d amplitudes over the %d MiB budget", len(over.Amps), keepAmpsBudget>>20)
+		t.Errorf("257 kernels at m = L = 128 kept %d amplitudes over the %d MiB budget", len(over.Amps), keepAmpsBudget>>20)
 	}
 }
 
@@ -313,11 +337,14 @@ func TestGradientKeepAmpsEquivalence(t *testing.T) {
 // to nil; a second Release does nothing; a Gradient of the released field
 // recomputes the amplitudes with the kept path's bits. Fields of one
 // kernel set share one lease, which survives until the last is released.
+// Amplitudes are kept only at m ≤ L = adjointGrid(P), so the contract runs
+// at m = L = 32; above L no field holds a lease and Release does nothing.
 func TestReleaseContract(t *testing.T) {
 	p := NewProcess(model(t))
 	rng := rand.New(rand.NewSource(9))
-	mask := randMask(rng, 64)
-	dLdI := randMask(rng, 64)
+	const n = 32
+	mask := randMask(rng, n)
+	dLdI := randMask(rng, n)
 	fields, err := p.Simulate(mask, []Corner{p.Nominal(), p.Inner(), p.Outer()}, true)
 	if err != nil {
 		t.Fatal(err)
@@ -353,6 +380,17 @@ func TestReleaseContract(t *testing.T) {
 	}
 	if !got.Equal(want, 0) {
 		t.Error("gradient of a released field differs from the kept-amplitude gradient")
+	}
+
+	fields, err = p.Simulate(randMask(rng, 2*n), []Corner{p.Nominal(), p.Inner(), p.Outer()}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range fields {
+		if f.Amps != nil || f.lease != nil {
+			t.Errorf("m = %d above L: a field holds %d kept amplitudes", 2*n, len(f.Amps))
+		}
+		p.Sim.Release(f)
 	}
 }
 

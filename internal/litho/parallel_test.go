@@ -85,11 +85,12 @@ func TestParallelForwardEq7MatchesSerial(t *testing.T) {
 }
 
 // TestParallelGradientMatchesSerial: the adjoint pass must be bit-identical
-// across worker counts for both the cached-amplitude and recompute paths.
+// across worker counts for both the cached-amplitude and recompute paths
+// (n = 32 = L) and for the band lane above L.
 func TestParallelGradientMatchesSerial(t *testing.T) {
 	mdl := model(t)
 	rng := rand.New(rand.NewSource(13))
-	for _, n := range []int{64, 128, 256} {
+	for _, n := range []int{32, 64, 128, 256} {
 		mask := randMask(rng, n)
 		dLdI := randMask(rng, n)
 		for _, keep := range []bool{false, true} {

@@ -142,6 +142,28 @@ func TestMetricsContentNegotiation(t *testing.T) {
 	}
 }
 
+// TestEvaluatePhase: a job with metrics evaluates its mask under a
+// metrics.evaluate span, so the post-ILT evaluation has a name in the
+// /metrics phases, as it has in iltopt's traces.
+func TestEvaluatePhase(t *testing.T) {
+	_, base := newTestServer(t, server.Config{Executors: 1})
+	job := strings.Replace(smallJob, `"workers":1,`, `"workers":1,"metrics":true,`, 1)
+	code, id, _ := submit(t, base, job)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: HTTP %d", code)
+	}
+	waitState(t, base, id, "done", 30*time.Second)
+	for _, p := range getMetrics(t, base).Phases {
+		if p.Name == "metrics.evaluate" {
+			if p.Count != 1 {
+				t.Errorf("metrics.evaluate ran %d times after one job, want 1", p.Count)
+			}
+			return
+		}
+	}
+	t.Error("/metrics phases lack metrics.evaluate after a job with metrics")
+}
+
 // TestModelBuildPhase: a job looks up its kernel model under a
 // setup.optics span, so after the first job the model build has a name in
 // the /metrics phases instead of hiding inside server.run.

@@ -46,18 +46,26 @@ type JobResult struct {
 	Shots *int     `json:"shots,omitempty"`
 }
 
-// maskFingerprint hashes a mask's exact bit pattern.
+// fingerprintChunk is how many bytes maskFingerprint hands the hash per
+// Write: one Write per pixel nearly doubled the time a 512-px mask's hash
+// takes.
+const fingerprintChunk = 64 << 10
+
+// maskFingerprint hashes a mask's exact bit pattern: its width and height,
+// then every value's float64 bits, all little-endian, written in chunks.
 func maskFingerprint(m *grid.Mat) string {
 	h := sha256.New()
-	var hdr [16]byte
-	binary.LittleEndian.PutUint64(hdr[0:8], uint64(m.W))
-	binary.LittleEndian.PutUint64(hdr[8:16], uint64(m.H))
-	h.Write(hdr[:])
-	var buf [8]byte
+	buf := make([]byte, 16, fingerprintChunk)
+	binary.LittleEndian.PutUint64(buf[0:8], uint64(m.W))
+	binary.LittleEndian.PutUint64(buf[8:16], uint64(m.H))
 	for _, v := range m.Data {
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-		h.Write(buf[:])
+		if len(buf) == cap(buf) {
+			h.Write(buf)
+			buf = buf[:0]
+		}
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
 	}
+	h.Write(buf)
 	return hex.EncodeToString(h.Sum(nil))
 }
 

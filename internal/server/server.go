@@ -360,7 +360,9 @@ func (s *Server) runJob(j *Job) {
 	if spec.Req.Metrics {
 		px := spec.Optics.FieldNM / float64(spec.Target.W)
 		spacing, thr := epeParams(px)
+		sp := rec.StartSpan("metrics.evaluate")
 		rep, err := metrics.Evaluate(p, res.Mask, spec.Target, spacing, thr)
+		sp.End()
 		if err != nil {
 			s.finishJob(j, StateFailed, fmt.Sprintf("metrics: %v", err), nil, nil)
 			return
