@@ -287,7 +287,7 @@ func loadTarget(cfg experiments.Config, path string, caseIdx, viaIdx int) (*grid
 		}
 		return cs.Target, cs.Name, nil
 	case viaIdx > 0:
-		cs, err := bench.ViaCase(cfg.N, cfg.FieldNM, viaIdx, 6+(viaIdx%5)*3)
+		cs, err := bench.PaperVia(cfg.N, cfg.FieldNM, viaIdx)
 		if err != nil {
 			return nil, "", err
 		}

@@ -4,92 +4,28 @@
 // loss/step/retry series, and the latency-histogram summaries the recorder
 // flushes at close.
 //
-//	tracestat run.jsonl                                  # analytics report
-//	tracestat -compare old.jsonl new.jsonl -threshold 10%
+//	tracestat run.jsonl
 //
-// Compare mode gates on the per-call mean of each phase shared by both
-// traces and exits 2 when any phase slowed by at least the threshold, so a
-// CI lane can diff a PR's trace against a baseline. Exit codes: 0 clean,
-// 1 usage or read error, 2 regression detected.
+// Exit codes: 0 report written, 1 usage or read error.
 package main
 
 import (
-	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"repro/internal/tracestat"
 )
 
 func main() {
-	code, err := run(os.Args[1:])
+	if len(os.Args) != 2 || strings.HasPrefix(os.Args[1], "-") {
+		fmt.Fprintln(os.Stderr, "usage: tracestat trace.jsonl")
+		os.Exit(1)
+	}
+	t, err := tracestat.ReadFile(os.Args[1])
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tracestat:", err)
-	}
-	os.Exit(code)
-}
-
-func run(argv []string) (int, error) {
-	fs := flag.NewFlagSet("tracestat", flag.ContinueOnError)
-	fs.SetOutput(os.Stderr)
-	compare := fs.Bool("compare", false, "A/B mode: compare two traces (old new)")
-	threshold := fs.String("threshold", "10%", "per-phase mean slowdown that counts as a regression (\"10%\" or \"0.1\")")
-	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: tracestat [flags] trace.jsonl")
-		fmt.Fprintln(os.Stderr, "       tracestat -compare [flags] old.jsonl new.jsonl")
-		fs.PrintDefaults()
-	}
-
-	// The standard flag package stops at the first positional argument;
-	// re-parse after each one so `tracestat -compare old new -threshold 10%`
-	// works with flags and files in any order.
-	var files []string
-	args := argv
-	for {
-		if err := fs.Parse(args); err != nil {
-			return 1, nil // fs already printed the message
-		}
-		args = fs.Args()
-		if len(args) == 0 {
-			break
-		}
-		files = append(files, args[0])
-		args = args[1:]
-	}
-
-	if *compare {
-		if len(files) != 2 {
-			fs.Usage()
-			return 1, fmt.Errorf("-compare needs exactly two traces, got %d", len(files))
-		}
-		th, err := tracestat.ParseThreshold(*threshold)
-		if err != nil {
-			return 1, err
-		}
-		oldT, err := tracestat.ReadFile(files[0])
-		if err != nil {
-			return 1, err
-		}
-		newT, err := tracestat.ReadFile(files[1])
-		if err != nil {
-			return 1, err
-		}
-		res := tracestat.Compare(oldT, newT, th)
-		res.Render(os.Stdout, files[0], files[1])
-		if res.Regressions > 0 {
-			return 2, fmt.Errorf("%d phase(s) regressed by >= %s", res.Regressions, *threshold)
-		}
-		return 0, nil
-	}
-
-	if len(files) != 1 {
-		fs.Usage()
-		return 1, fmt.Errorf("need exactly one trace, got %d", len(files))
-	}
-	t, err := tracestat.ReadFile(files[0])
-	if err != nil {
-		return 1, err
+		os.Exit(1)
 	}
 	tracestat.Render(os.Stdout, t)
-	return 0, nil
 }

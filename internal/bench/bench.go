@@ -353,12 +353,22 @@ func ViaCase(n int, fieldNM float64, index, count int) (Case, error) {
 	}, nil
 }
 
+// PaperVia generates via case index (≥ 1) of ViaSuite without building
+// the whole suite: 6 + ((index−1) mod 5)·3 vias, so a case named viaN has
+// one layout wherever it is built.
+func PaperVia(n int, fieldNM float64, index int) (Case, error) {
+	if index < 1 {
+		return Case{}, fmt.Errorf("bench: no via case %d", index)
+	}
+	return ViaCase(n, fieldNM, index, 6+((index-1)%5)*3)
+}
+
 // ViaSuite generates the requested number of via cases with a spread of
 // via counts, mirroring the "fifteen randomly chosen via patterns".
 func ViaSuite(n int, fieldNM float64, cases int) ([]Case, error) {
 	out := make([]Case, 0, cases)
 	for i := 0; i < cases; i++ {
-		c, err := ViaCase(n, fieldNM, i+1, 6+(i%5)*3)
+		c, err := PaperVia(n, fieldNM, i+1)
 		if err != nil {
 			return nil, err
 		}

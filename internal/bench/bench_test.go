@@ -155,6 +155,27 @@ func TestViaSuite(t *testing.T) {
 	}
 }
 
+// TestPaperViaMatchesSuite: PaperVia builds the suite's case of the same
+// index bit for bit, so viaN names one layout in every tool.
+func TestPaperViaMatchesSuite(t *testing.T) {
+	suite, err := ViaSuite(256, 2048, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range suite {
+		got, err := PaperVia(256, 2048, i+1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Name != want.Name || !got.Target.Equal(want.Target, 0) {
+			t.Errorf("PaperVia(%d) = %s, differs from the suite's %s", i+1, got.Name, want.Name)
+		}
+	}
+	if _, err := PaperVia(256, 2048, 0); err == nil {
+		t.Error("via case 0 accepted")
+	}
+}
+
 func TestViaCaseValidation(t *testing.T) {
 	if _, err := ViaCase(256, 2048, 1, 0); err == nil {
 		t.Error("zero via count accepted")

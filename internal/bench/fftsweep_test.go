@@ -8,7 +8,7 @@ import (
 
 func TestRunFFTSweep(t *testing.T) {
 	// At 2048 nm the support is P = 35, so the batch gradient runs on the
-	// field's grid up to m = 128 and on the band lane's 128-px grid above.
+	// field's grid up to m = 128 and on the 128-px grid L above.
 	s, err := RunFFTSweep([]int{128, 256}, 2048, 4, 1)
 	if err != nil {
 		t.Fatal(err)

@@ -103,7 +103,7 @@ func RunWorkersSweep(n int, fieldNM float64, kernels, reps int, workersList []in
 		}
 
 		// Adjoint of a field without kept amplitudes: at a clip above the
-		// band lane's grid L (128 px at P = 35), the optimizer's
+		// gradient's grid L (128 px at P = 35), the optimizer's
 		// high-resolution path, it runs on the L grid; at or below L it
 		// rebuilds the amplitudes at the clip's size.
 		if _, err := sim.Gradient(f, dLdI); err != nil {

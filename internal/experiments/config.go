@@ -115,18 +115,9 @@ func (c Config) Process() (*litho.Process, error) {
 }
 
 // EPEParams converts the contest EPE geometry (40 nm spacing, 15 nm
-// threshold) to pixels at this scale.
+// threshold) to pixels at this scale (metrics.EPEPixels).
 func (c Config) EPEParams() (spacingPx, thrPx int) {
-	px := c.PixelNM()
-	spacingPx = int(math.Round(metrics.EPESpacingNM / px))
-	if spacingPx < 1 {
-		spacingPx = 1
-	}
-	thrPx = int(math.Round(metrics.EPEThresholdNM / px))
-	if thrPx < 1 {
-		thrPx = 1
-	}
-	return spacingPx, thrPx
+	return metrics.EPEPixels(c.PixelNM())
 }
 
 // RegionMargins returns the Fig. 7 region margins in pixels: a tight

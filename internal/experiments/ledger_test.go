@@ -34,10 +34,10 @@ var ledgerCounters = []string{
 // spectrum and two SOCS passes (the nominal and outer corners share the
 // nominal kernel set) for three corner images. Amplitudes are kept only at
 // m ≤ L = 64 (the smallest power of two above 2P−1 = 53), so the 64-px
-// adjoints read kept amplitudes and the 256-px ones run the band lane,
-// which rebuilds the 12 amplitudes at 64 px: 48 + 24 + 24 = 96 kernel
+// adjoints read kept amplitudes and the 256-px ones run on the L grid,
+// rebuilding the 12 amplitudes at 64 px: 48 + 24 + 24 = 96 kernel
 // transforms. exact: 3 iterations (two at m = 128, one at m = 512), every
-// adjoint on the band lane: 72 + 24 + 6·12 = 168 kernel transforms;
+// adjoint on the L grid: 72 + 24 + 6·12 = 168 kernel transforms;
 // Evaluate at 512 as above.
 //
 // A mask spectrum is the P×P kernel band alone (P = 27, h = 13):
@@ -50,7 +50,7 @@ var ledgerCounters = []string{
 // two at 128 and two at 512: 2·91·401 + 2·283·1685 = 1026692.
 //
 // An adjoint at m = L = 64 runs 12 patches and the final band inverse,
-// each 91·187 = 17017 butterflies: 13·17017 = 221221. A band-lane adjoint
+// each 91·187 = 17017 butterflies: 13·17017 = 221221. An adjoint above L
 // at m runs the (2P−1)² band of F(dLdI) at m, (m/2 + 53) output-pruned
 // transforms of half 26 (stages whose half-block is at most 53 whole, 53
 // per block after: 6·64 + 53 = 437 at 128, 6·128 + 106 + 53 = 927 at 256,
@@ -64,8 +64,8 @@ var ledgerCounters = []string{
 //
 // The same runs pin the flow's bits: the final parameters, mask and
 // Evaluate report of each recipe must hash to its digest (flowDigest).
-// The FFT-engine changes kept them, except the band-lane adjoint, which
-// is exact to rounding only and moved them; a change that moves them on
+// The FFT-engine changes kept them, except the adjoint on the L grid,
+// which is exact to rounding only and moved them; a change that moves them on
 // purpose updates them and says why. They are amd64 bits, like the kernel
 // digests of TestKernelBitsPinned: targets that fuse multiply-adds compute
 // other, equally valid masks, so the digest is checked only on amd64.

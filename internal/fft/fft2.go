@@ -37,8 +37,8 @@ type Plan2 struct {
 	adjBands sync.Pool
 	slabBufs sync.Pool
 	// biPool recycles the BatchInverse shell itself: the struct is
-	// single-use by contract, so InverseColumns returns it here and the
-	// chunked gradient's repeated MulRowsBatch calls stop allocating it.
+	// single-use by contract, so InverseColumns returns it here and a
+	// steady-state MulRowsBatch call allocates none.
 	biPool sync.Pool
 }
 

@@ -11,19 +11,19 @@ import (
 	"repro/internal/telemetry"
 )
 
-// The band lane of Gradient (bandAdjointPatches): above L = adjointGrid(P)
-// the batch engine runs the adjoint on the L grid. It is exact up to
+// The batch Gradient above L = adjointGrid(P) (batchGradient) runs the
+// adjoint on the L grid. It is exact up to
 // rounding, so it is held to EngineReference at a relative tolerance on the
 // reference's own Field, and bit for bit only to itself across worker
 // counts; at m ≤ L the batch gradient keeps the reference's bits.
 
-// bandScale is one kernel-model shape of the band-lane tests: TestScale
+// bandScale is one kernel-model shape of the tests above L: TestScale
 // (P = 13, L = 32), the iltbench shape (1024 nm, 12 kernels: P = 27,
 // L = 64) and paper scale (2048 nm, 24 kernels: P = 35, L = 128).
 type bandScale struct {
 	name  string
 	cfg   optics.Config
-	sizes []int // grids above L: the band lane
+	sizes []int // grids above L
 }
 
 func bandScales() []bandScale {
@@ -72,8 +72,8 @@ func relMaxDiff(a, b *grid.Mat) float64 {
 	return num / den
 }
 
-// TestBandAdjointMatchesReference: on the reference's own Field, the band
-// lane's gradient is the dense oracle's to 1e-12 relative (max norm), at
+// TestBandAdjointMatchesReference: on the reference's own Field, the batch
+// gradient above L is the dense oracle's to 1e-12 relative (max norm), at
 // every shape and size above L and for both kernel sets.
 func TestBandAdjointMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
@@ -108,7 +108,7 @@ func TestBandAdjointMatchesReference(t *testing.T) {
 				}
 				d := relMaxDiff(got, want)
 				if d > 1e-12 {
-					t.Errorf("%s n=%d P=%d: band-lane gradient %.3g from the reference, want ≤ 1e-12", sc.name, n, ks.P, d)
+					t.Errorf("%s n=%d P=%d: batch gradient %.3g from the reference, want ≤ 1e-12", sc.name, n, ks.P, d)
 				}
 				worst = math.Max(worst, d)
 			}
@@ -117,7 +117,7 @@ func TestBandAdjointMatchesReference(t *testing.T) {
 	}
 }
 
-// TestBandAdjointDeterministicAcrossWorkers: the band lane's patches are
+// TestBandAdjointDeterministicAcrossWorkers: the patches above L are
 // computed in parallel and folded in ascending k, so its gradient has the
 // same bits at every worker count.
 func TestBandAdjointDeterministicAcrossWorkers(t *testing.T) {
@@ -143,7 +143,7 @@ func TestBandAdjointDeterministicAcrossWorkers(t *testing.T) {
 				if want == nil {
 					want = g
 				} else if !g.Equal(want, 0) {
-					t.Errorf("%s n=%d P=%d workers=%d: band-lane gradient differs from workers=1", sc.name, n, ks.P, w)
+					t.Errorf("%s n=%d P=%d workers=%d: gradient above L differs from workers=1", sc.name, n, ks.P, w)
 				}
 			}
 		}
@@ -151,10 +151,9 @@ func TestBandAdjointDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestBandAdjointBoundary: at m = L the batch gradient keeps the
-// reference's bits on both of its lanes (kept amplitudes and the batched
-// recompute); at m = 2L a forward asked to keep its amplitudes keeps none,
-// and the gradient runs the band lane — nk more kernel transforms and the
-// band lane's butterflies.
+// reference's bits with kept and with rebuilt amplitudes; at m = 2L a
+// forward asked to keep its amplitudes keeps none, and the gradient runs
+// on the L grid — nk more kernel transforms and the L grid's butterflies.
 func TestBandAdjointBoundary(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	for _, sc := range bandScales() {
@@ -214,25 +213,25 @@ func TestBandAdjointBoundary(t *testing.T) {
 		nk := int64(len(ks.Kernels))
 		c := rec.Counters()
 		if got := c["litho.kernel_ffts"]; got != 2*nk {
-			t.Errorf("%s m=2L: litho.kernel_ffts = %d, want %d (forward and band-lane amplitudes)", sc.name, got, 2*nk)
+			t.Errorf("%s m=2L: litho.kernel_ffts = %d, want %d (forward and rebuilt amplitudes)", sc.name, got, 2*nk)
 		}
-		if got, want := c["litho.adjoint_butterflies"], sim.adjointButterflies(planM, planL, f); got != want {
-			t.Errorf("%s m=2L: litho.adjoint_butterflies = %d, want the band lane's %d", sc.name, got, want)
+		if got, want := c["litho.adjoint_butterflies"], batchAdjointButterflies(planM, planL, f); got != want {
+			t.Errorf("%s m=2L: litho.adjoint_butterflies = %d, want the L grid's %d", sc.name, got, want)
 		}
 	}
 }
 
-// The band lane's work at TestScale (P = 13, 8 kernels, L = 32), m = 64,
+// The batch gradient's work at TestScale (P = 13, 8 kernels, L = 32), m = 64,
 // with the pruned 1-D counts of wantInverseBF's comment: the (2P−1)² band
 // of F(dLdI) at 64, (32 + 25) rows and columns of 185 butterflies (stages
 // 1–5 whole, 25 of stage 6) = 10545; its inverse at 32, where a band of
 // half 12 prunes nothing, (25 + 32)·80 = 4560; per kernel a band inverse
 // and a patch at 32, 45·77 = 3465 each (stages 1–4 whole, 13 of stage 5);
-// and the final inverse at 64, 77·167 = 12859. The dense m-grid lane ran
-// 17·12859 = 218603.
+// and the final inverse at 64, 77·167 = 12859. On the 64 grid the same work
+// would take 17·12859 = 218603.
 const wantBandAdjointBF = 10545 + 4560 + 8*2*3465 + 12859 // 83404
 
-// TestBandAdjointButterflies pins the band lane's count at m = 64 by hand,
+// TestBandAdjointButterflies pins the L grid's count at m = 64 by hand,
 // so the counter formula is not only checked against itself.
 func TestBandAdjointButterflies(t *testing.T) {
 	sim := newEngineSim(t, EngineBatch, 1)

@@ -173,7 +173,7 @@ func TestForwardSteadyStateAllocs(t *testing.T) {
 }
 
 // TestGradientSteadyStateAllocs: same for the adjoint at m = 128, above L,
-// where the band lane leases its L-grid amplitudes and band buffers from
+// where the gradient leases its L-grid amplitudes and band buffers from
 // the pools — only the returned gradient matrix may allocate.
 func TestGradientSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {

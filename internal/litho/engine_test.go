@@ -41,10 +41,10 @@ func socsOn(t *testing.T, sim *Sim, spec *grid.CMat, m int, scale complex128, do
 // Tolerance-0 equivalence of the batch engine to the reference, run on the
 // reference's own spectrum and Field so the rounding of the packed mask
 // forward stays out: SOCS intensity and kept amplitudes, Eq. 7 at scales
-// 1, 2 and 4, across grid sizes and worker counts, and Gradient on both
-// m-grid batch lanes (kept amplitudes and the batched recompute) where
-// they run, at m ≤ L = adjointGrid(P) (32 here). Above L the band lane is
-// exact only to rounding (TestBandAdjointMatchesReference).
+// 1, 2 and 4, across grid sizes and worker counts, and Gradient with kept
+// and with rebuilt amplitudes at m ≤ L = adjointGrid(P) (32 here), where
+// the batch gradient runs on the field's own grid. Above L it is exact
+// only to rounding (TestBandAdjointMatchesReference).
 func TestEngineBatchBitIdenticalToReference(t *testing.T) {
 	mdl := model(t)
 	rng := rand.New(rand.NewSource(31))
@@ -286,7 +286,7 @@ func TestEngineBatchDeterministicAcrossWorkers(t *testing.T) {
 // The batched engine preserves the phase vocabulary (litho.socs around the
 // row pass, litho.fft_inverse around the column pass) and the kernel-FFT
 // counter the observability stack depends on, at n = L = 32, where the
-// gradient runs on the field's own grid (the band lane's counts above L:
+// gradient runs on the field's own grid (its counts above L:
 // TestBandAdjointButterflies).
 func TestBatchEngineTelemetry(t *testing.T) {
 	mdl := model(t)
@@ -316,7 +316,7 @@ func TestBatchEngineTelemetry(t *testing.T) {
 	}
 	nk := len(mdl.Nominal.Kernels)
 	c := rec.Counters()
-	// One forward SOCS pass plus the gradient recompute path: 2·nk.
+	// One forward SOCS pass plus the gradient's rebuilt amplitudes: 2·nk.
 	if c["litho.kernel_ffts"] != int64(2*nk) {
 		t.Errorf("litho.kernel_ffts = %d, want %d", c["litho.kernel_ffts"], 2*nk)
 	}
@@ -333,7 +333,7 @@ func TestBatchEngineTelemetry(t *testing.T) {
 // columns) both run 45·77 = 3465; the reference at n = 64, where a dense
 // 1-D transform runs 32·6 = 192 butterflies and a dense 2-D one
 // 2·64·192 = 24576. The forward adds nk SOCS inverses; the gradient nk
-// recompute inverses, nk adjoint transforms and the patch fold's inverse.
+// amplitude rebuilds, nk adjoint transforms and the patch fold's inverse.
 const (
 	wantInverseBF    = 8 * 3465  // pruned, n = 32: nk band inverses
 	wantAdjointBF    = 17 * 3465 // pruned, n = 32: (nk+1) inverses + nk patches
@@ -356,7 +356,7 @@ func checkButterflies(t *testing.T, sim *Sim, c map[string]int64, inverse, adjoi
 
 // The reference engine's serial lane records one litho.fft_inverse span per
 // kernel between its litho.socs spans, and counts dense transform work.
-func TestBandEngineTelemetry(t *testing.T) {
+func TestReferenceEngineTelemetry(t *testing.T) {
 	mdl := model(t)
 	sim := newEngineSim(t, EngineReference, 1)
 	rec := telemetry.New()
@@ -385,7 +385,7 @@ func TestBandEngineTelemetry(t *testing.T) {
 		t.Errorf("socs/fft_forward phases missing: %v", rec.Phases())
 	}
 	c := rec.Counters()
-	// One forward SOCS pass plus the gradient recompute path: 2·nk.
+	// One forward SOCS pass plus the gradient's recomputed amplitudes: 2·nk.
 	if c["litho.kernel_ffts"] != int64(2*nk) {
 		t.Errorf("litho.kernel_ffts = %d, want %d", c["litho.kernel_ffts"], 2*nk)
 	}

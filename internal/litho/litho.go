@@ -25,18 +25,17 @@
 // pass, with the inverse normalisation and SOCS scale folded into the
 // multiply, the mask spectrum's P×P kernel band from the two-for-one
 // real-input forward (identical to rounding), and the intensity fold fused
-// into the column transforms. The gradient's per-kernel adjoint transforms
-// are output pruned: only the butterflies feeding the P×P kernel band run
+// into the column transforms. The gradient runs every kernel's adjoint on
+// the grid g = min(m, L), L the smallest power of two above 2P−1: a patch
+// reads F(dLdI) only on its (2P−1)² band, as Eq. 7's kernels read the mask
+// spectrum only on its P×P one. Its per-kernel adjoint transforms are
+// output pruned: only the butterflies feeding the P×P kernel band run
 // (fft.Plan2.AdjointPatch, bit-identical to the dense transform), and its
 // final inverse is input pruned from the P×P band
-// (fft.Plan2.InverseBandReal). Above L, the smallest power of two above
-// 2P−1, the gradient's per-kernel work runs on the L grid instead of the
-// field's (the band lane: a patch reads F(dLdI) only on its (2P−1)² band,
-// as Eq. 7's kernels read the mask spectrum only on its P×P one), and
-// only there are amplitudes kept for it.
+// (fft.Plan2.InverseBandReal). Amplitudes are kept for it only at m ≤ L.
 // Sim.Engine selects between this default and the dense EngineReference,
 // the oracle the batch reproduces bit for bit on the same spectrum — the
-// band lane to rounding.
+// gradient above L to rounding.
 package litho
 
 import (
@@ -65,9 +64,9 @@ const (
 	// batched multiply + pruned inverse (fft.MulRowsBatch/InverseColumns):
 	// shared twiddle loads, four rows/columns in lockstep, the intensity
 	// fold fused into the column pass; its adjoint patches are output
-	// pruned (fft.Plan2.AdjointPatch) and, above L = adjointGrid(P), run
-	// on the L grid. On the same mask spectrum every output has
-	// EngineReference's bits, except that band-lane gradient, which agrees
+	// pruned (fft.Plan2.AdjointPatch) and run on the grid min(m, L),
+	// L = adjointGrid(P). On the same mask spectrum every output has
+	// EngineReference's bits, except the gradient above L, which agrees
 	// to rounding, as the ForwardRealBand mask spectrum agrees with the
 	// dense one. See DESIGN.md, "FFT engine v2".
 	EngineBatch FFTEngine = iota
@@ -113,8 +112,7 @@ type Sim struct {
 	// private cache. Set it before the first simulation.
 	Plans *fft.PlanCache
 
-	ownPlans   fft.PlanCache
-	planBuilds atomic.Int32
+	ownPlans fft.PlanCache
 }
 
 // Scratch pools shared by every Sim in the process. The ILT server builds
@@ -124,15 +122,8 @@ type Sim struct {
 var (
 	cscratch grid.CMatPool      // complex scratch and kept amplitudes
 	mscratch grid.MatPool       // real per-kernel intensity contributions
-	kscratch grid.CMatSlicePool // per-call []*CMat work lists (patches, amp chunks)
+	kscratch grid.CMatSlicePool // per-call []*CMat work lists (patches, rebuilt amplitudes)
 )
-
-// keepAmpsBudget caps the amplitudes one kernel set's SOCS pass keeps for a
-// following gradient: nk·m²·16 B. Amplitudes are kept only at
-// m ≤ adjointGrid(P) ≤ 128 px for P ≤ 35, where 24 kernels take 6 MiB, so
-// no kernel set of the paper's shapes reaches it; it bounds a set of
-// hundreds of kernels, whose gradient then recomputes them.
-const keepAmpsBudget = 64 << 20
 
 // NewSim creates a simulator over a built kernel model.
 func NewSim(model *optics.Model) *Sim {
@@ -154,7 +145,6 @@ func (s *Sim) Plan(m int) (*fft.Plan2, error) {
 	}
 	plan, built, err := cache.Get(m)
 	if built {
-		s.planBuilds.Add(1)
 		s.Recorder.Add("litho.plan_builds", 1)
 		if !t0.IsZero() {
 			// Time spent waiting on the singleflight build, as seen by this
@@ -184,12 +174,10 @@ func (s *Sim) workers() int {
 // largest kernel support of the call, and a kernel set with a smaller one
 // reads its centered sub-band. The fields of one ForwardCorners call share
 // Spec, read-only. Amps is populated only when the forward was told a gradient
-// follows, the grid is at most L = adjointGrid(P) and the amplitudes fit
-// the simulator's budget (keepAmpsBudget); they are leased from a
-// process-wide pool, shared by the fields of one kernel set, and returned
-// by Sim.Release. Without them the gradient pass recomputes each amplitude
-// from Spec — at m ≤ L with the same bits; above L the batch gradient
-// rebuilds them on the L grid (Gradient's band lane). Every kept
+// follows and the grid is at most L = adjointGrid(P); they are leased from
+// a process-wide pool, shared by the fields of one kernel set, and returned
+// by Sim.Release. Without them the gradient rebuilds every amplitude from
+// Spec on its grid — at m ≤ L with the kept ones' bits. Every kept
 // amplitude is in fft's tiled layout, the one fft.BatchInverse.
 // InverseColumns writes and fft.Plan2.AdjointPatch reads, on both engines;
 // fft.Untile4 gives it row-major.
@@ -409,11 +397,12 @@ func (s *Sim) Forward(mask *grid.Mat, ks *optics.KernelSet, dose float64, keepAm
 //
 // Set keepAmps when a gradient will follow. Each kernel set's amplitudes
 // are then kept, leased from the pool and shared by its fields, if the grid
-// is at most L = adjointGrid(P) and they fit the budget
-// nk·m²·16 B ≤ 64 MiB; above L the batch gradient runs on the L grid and
-// needs no m×m amplitude, and Field.Amps stays nil. Release every field
-// once its gradients are done, so a lease returns to the pool (above L
-// Release does nothing). litho.forward_sims counts one per corner image.
+// is at most L = adjointGrid(P): nk·m²·16 B, at most 20.25 MiB for the 81
+// kernels of the largest set the optics package builds at L = 128. Above L
+// the batch gradient runs on the L grid and needs no m×m amplitude, and
+// Field.Amps stays nil. Release every field once its gradients are done, so
+// a lease returns to the pool (above L Release does nothing).
+// litho.forward_sims counts one per corner image.
 func (s *Sim) ForwardCorners(mask *grid.Mat, corners []Corner, keepAmps bool) ([]*Field, error) {
 	if len(corners) == 0 {
 		return nil, fmt.Errorf("litho: no corners to simulate")
@@ -453,9 +442,7 @@ next:
 				group = append(group, fields[j])
 			}
 		}
-		nk := len(c.KS.Kernels)
-		keep := keepAmps && m <= adjointGrid(c.KS.P) && int64(nk)*int64(m)*int64(m)*16 <= keepAmpsBudget
-		s.accumulateSOCS(group, plan, spec, m, 1, keep)
+		s.accumulateSOCS(group, plan, spec, m, 1, keepAmps && m <= adjointGrid(c.KS.P))
 	}
 	s.Recorder.Add("litho.forward_sims", int64(len(corners)))
 	return fields, nil
@@ -511,33 +498,21 @@ func (s *Sim) ForwardEq7(mask *grid.Mat, scale int, ks *optics.KernelSet, dose f
 //
 //	dL/dM = Σ_k 2·w_k·dose · Re[ F⁻¹( conj(H_k) ⊙ F( dLdI ⊙ A_k ) ) ].
 //
-// Amplitudes are taken from the field when kept, otherwise recomputed from
-// the retained band spectrum with the same bits. Gradient does not consume
-// the field: it may run any number of times on one field, before or after
-// Release. Each kernel contributes only the P×P band of
-// F(dLdI ⊙ A_k): the batch engine computes that patch with the
-// output-pruned fft.Plan2.AdjointPatch, which forms the product from the
-// tiled amplitude sixteen rows at a time and runs only the butterflies the
-// patch reads, and recomputes amplitudes through the batched inverse
-// (batchAdjointPatches); EngineReference untiles a kept amplitude or
-// recomputes it densely, and keeps the dense product, m×m transform and
-// KernelAdjointPatch (adjointPatch) as the oracle, with the same bits. The
-// patches are computed in parallel and folded into the frequency-domain
+// Each kernel contributes only the P×P band of F(dLdI ⊙ A_k), its patch.
+// The patches are computed in parallel and folded into a frequency-domain
 // accumulator in ascending k, so only one final inverse FFT is needed and
-// the result is bit-identical for every worker count. On the batch engine
-// the accumulator is the P×P band itself and the final inverse is
-// fft.Plan2.InverseBandReal, input pruned, on the simulator's workers; the
-// reference zero-embeds the band in an m×m accumulator and inverts it
-// densely.
+// the result is bit-identical for every worker count. Gradient does not
+// consume the field: it may run any number of times on one field, before
+// or after Release.
 //
-// Above L = adjointGrid(P) the batch engine computes the patches on the L
-// grid instead (bandAdjointPatches): the (2P−1)² band of F(dLdI) is taken
-// at m and inverted at L, the amplitudes are rebuilt at L from Spec, and
-// AdjointPatch runs there; the fold and the final inverse at m are as
-// above. That lane is exact up to rounding — within 1e-12 of the
-// reference's gradient, relative — and ignores kept amplitudes; at m ≤ L
-// every bit is the reference's. Every lane is bit-identical across worker
-// counts.
+// The batch engine runs one lane (batchGradient): every patch on the grid
+// g = min(m, L), L = adjointGrid(P), with the output-pruned
+// fft.Plan2.AdjointPatch, from the field's kept amplitudes or all of them
+// rebuilt at g, and the final inverse input pruned from the P×P
+// accumulator (fft.Plan2.InverseBandReal). At m ≤ L every bit is the
+// reference's; above L the lane is exact up to rounding, within 1e-12 of
+// the reference's gradient, relative. EngineReference (referenceGradient)
+// is the dense oracle.
 // The call adds its transform butterflies to litho.adjoint_butterflies,
 // and litho.kernel_ffts counts the amplitudes it rebuilds.
 func (s *Sim) Gradient(f *Field, dLdI *grid.Mat) (*grid.Mat, error) {
@@ -553,91 +528,140 @@ func (s *Sim) Gradient(f *Field, dLdI *grid.Mat) (*grid.Mat, error) {
 	if err != nil {
 		return nil, err
 	}
-	reference := s.Engine == EngineReference
-	var planL *fft.Plan2 // the band lane's L grid, nil on the other lanes
-	if l := adjointGrid(f.KS.P); !reference && f.M > l {
-		if planL, err = s.Plan(l); err != nil {
+	if s.Engine == EngineReference {
+		return s.referenceGradient(f, plan, dLdI), nil
+	}
+	return s.batchGradient(f, plan, dLdI)
+}
+
+// batchGradient is Gradient on the batch engine, which runs every kernel's
+// patch on the grid g = min(m, L). With h = P/2, G = F_m(dLdI) and
+// S_k = H_k ⊙ Spec/m² (the inverse normalisation folded in), the patch
+// reads
+//
+//	F_m(dLdI ⊙ A_k)[f] = Σ_{|q|≤h} S_k[q]·G[f−q],   |f| ≤ h,
+//
+// which touches G only on |f−q| ≤ 2h. At m ≤ L the lane reads dLdI itself.
+// Above L it takes that (2P−1)² band of G at m (fft.Plan2.ForwardRealBand)
+// and inverts it unnormalised at L (InverseBandReal: d, real because the
+// band is Hermitian), and the amplitudes a_k, the unnormalised inverses of
+// S_k at L, are A_k sampled every m/L px. F_L(d ⊙ a_k)[f] = L²·Σ S_k[q]·G[u]
+// over q + u ≡ f (mod L), and L > 4h leaves only u = f − q, so the patch is
+// the m-grid one with the weight divided by L²: exact up to rounding, not
+// bit for bit. The amplitudes are the field's kept ones (only at m ≤ L) or
+// all nk rebuilt at g through one MulRowsBatch/InverseColumns, which
+// transforms each kernel on its own, so at m ≤ L a rebuilt amplitude has
+// the kept one's bits.
+func (s *Sim) batchGradient(f *Field, plan *fft.Plan2, dLdI *grid.Mat) (*grid.Mat, error) {
+	ks, m := f.KS, f.M
+	p, nk := ks.P, len(ks.Kernels)
+	planG := plan
+	if l := adjointGrid(p); m > l {
+		var err error
+		if planG, err = s.Plan(l); err != nil {
 			return nil, err
 		}
 	}
 	sp := s.Recorder.StartSpan("litho.adjoint")
 	defer sp.End()
 	s.Recorder.Add("litho.adjoint_calls", 1)
-	nk := len(f.KS.Kernels)
-	workers := min(s.workers(), nk)
-	// The amplitude recompute (fields without kept amps) folds the inverse
-	// normalisation into the kernel multiply, like the forward pass; the
-	// adjoint patch weight likewise absorbs the final inverse's 1/m².
-	ampScale := fft.FoldInverseScale(1, f.M, f.M)
-	if f.Amps == nil || planL != nil {
+	s.Recorder.Add("litho.adjoint_butterflies", batchAdjointButterflies(plan, planG, f))
+	g, workers := planG.W(), min(s.workers(), nk)
+	d := dLdI // dL/dI on the g grid
+	if g < m {
+		band := cscratch.Get(2*p-1, 2*p-1)
+		plan.ForwardRealBand(band, dLdI, s.workers())
+		d = mscratch.Get(g, g)
+		planG.InverseBandReal(d, band, s.workers())
+		cscratch.Put(band)
+	}
+	amps := f.Amps
+	var ampsp *[]*grid.CMat // the rebuilt amplitudes' lease, nil when kept
+	if amps == nil {
 		s.Recorder.Add("litho.kernel_ffts", int64(nk))
+		ampsp, amps = kscratch.Get(nk)
+		for k := range amps {
+			amps[k] = cscratch.Get(g, g)
+		}
+		planG.MulRowsBatch(f.Spec, ks.Kernels, fft.FoldInverseScale(1, m, m), workers).InverseColumns(amps, nil)
 	}
-	s.Recorder.Add("litho.adjoint_butterflies", s.adjointButterflies(plan, planL, f))
 	patchesp, patches := kscratch.Get(nk)
-	if planL != nil {
-		// The band lane: the whole adjoint on the L grid, patches filled.
-		s.bandAdjointPatches(f, plan, planL, dLdI, patches, ampScale, workers)
-	} else if f.Amps == nil && !reference {
-		// Amplitudes recomputed in batched chunks, patches filled.
-		s.batchAdjointPatches(f, plan, dLdI, patches, ampScale, workers)
-	} else {
-		grid.ParallelFor(workers, nk, func(k int) {
-			var kept *grid.CMat // tiled
-			if f.Amps != nil {
-				kept = f.Amps[k]
-			}
-			var patch *grid.CMat
-			if reference {
-				// The reference works row-major: it untiles a kept
-				// amplitude and recomputes a missing one densely.
-				amp := cscratch.Get(f.M, f.M)
-				if kept != nil {
-					fft.Untile4(amp, kept)
-				} else {
-					fft.ApplyKernel(amp, f.Spec, f.KS.Kernels[k], f.M, ampScale)
-					plan.InverseNoNorm(amp)
-				}
-				patch = s.adjointPatch(f, plan, amp, dLdI, k)
-				cscratch.Put(amp)
-			} else {
-				patch = s.prunedPatch(f, plan, kept, dLdI, k)
-			}
-			patches[k] = patch
-		})
+	grid.ParallelFor(workers, nk, func(k int) {
+		w := fft.FoldInverseScale(complex(2*ks.Weights[k]*f.Dose, 0), m, m)
+		if g < m {
+			w = fft.FoldInverseScale(w, g, g)
+		}
+		patches[k] = planG.AdjointPatch(cscratch.Get(p, p), d, amps[k], ks.Kernels[k], w)
+	})
+	if ampsp != nil {
+		for _, a := range amps {
+			cscratch.Put(a)
+		}
+		kscratch.Put(ampsp)
 	}
-	// The patch fold only populates the P×P band of the accumulator, so
-	// the batch engine folds the patches into a P×P one and runs the
-	// input-pruned inverse from it, writing the real part straight out:
-	// every band cell sees the same adds in the same order, and the output
-	// is bit-identical to the reference's dense Zero, AddKernelPatch,
-	// InverseNoNorm and Real.
-	side := f.KS.P
-	if reference {
-		side = f.M
+	if g < m {
+		mscratch.Put(d)
 	}
-	acc := cscratch.Get(side, side)
+	// The patches populate only the P×P band of the frequency accumulator,
+	// so the accumulator is that band and the input-pruned inverse writes
+	// the real part straight out: every band cell sees the reference's adds
+	// in the same order, and the output has the bits of its dense Zero,
+	// AddKernelPatch, InverseNoNorm and Real.
+	acc := cscratch.Get(p, p)
 	acc.Zero()
 	for _, patch := range patches {
-		if reference {
-			fft.AddKernelPatch(acc, patch)
-		} else {
-			for i, v := range patch.Data {
-				acc.Data[i] += v
-			}
+		for i, v := range patch.Data {
+			acc.Data[i] += v
 		}
 		cscratch.Put(patch)
 	}
 	kscratch.Put(patchesp)
-	var out *grid.Mat
-	if reference {
-		plan.InverseNoNorm(acc)
-		out = acc.Real()
-	} else {
-		out = grid.NewMat(f.M, f.M)
-		plan.InverseBandReal(out, acc, s.workers())
-	}
+	out := grid.NewMat(m, m)
+	plan.InverseBandReal(out, acc, s.workers())
 	cscratch.Put(acc)
 	return out, nil
+}
+
+// referenceGradient is Gradient on EngineReference, the dense oracle. It
+// works row-major: per kernel it untiles a kept amplitude or recomputes it
+// densely and takes the patch from the dense transform of the product
+// (adjointPatch); it folds the patches into an m×m accumulator in
+// ascending k and inverts it densely.
+func (s *Sim) referenceGradient(f *Field, plan *fft.Plan2, dLdI *grid.Mat) *grid.Mat {
+	sp := s.Recorder.StartSpan("litho.adjoint")
+	defer sp.End()
+	s.Recorder.Add("litho.adjoint_calls", 1)
+	nk := len(f.KS.Kernels)
+	transforms := int64(nk + 1) // the patches' and the fold's
+	if f.Amps == nil {
+		s.Recorder.Add("litho.kernel_ffts", int64(nk))
+		transforms += int64(nk)
+	}
+	s.Recorder.Add("litho.adjoint_butterflies", transforms*plan.Butterflies())
+	ampScale := fft.FoldInverseScale(1, f.M, f.M)
+	patchesp, patches := kscratch.Get(nk)
+	grid.ParallelFor(min(s.workers(), nk), nk, func(k int) {
+		amp := cscratch.Get(f.M, f.M)
+		if f.Amps != nil {
+			fft.Untile4(amp, f.Amps[k])
+		} else {
+			fft.ApplyKernel(amp, f.Spec, f.KS.Kernels[k], f.M, ampScale)
+			plan.InverseNoNorm(amp)
+		}
+		patches[k] = s.adjointPatch(f, plan, amp, dLdI, k)
+		cscratch.Put(amp)
+	})
+	acc := cscratch.Get(f.M, f.M)
+	acc.Zero()
+	for _, patch := range patches {
+		fft.AddKernelPatch(acc, patch)
+		cscratch.Put(patch)
+	}
+	kscratch.Put(patchesp)
+	plan.InverseNoNorm(acc)
+	out := acc.Real()
+	cscratch.Put(acc)
+	return out
 }
 
 // adjointPatch computes one kernel's adjoint contribution on the reference
@@ -653,18 +677,8 @@ func (s *Sim) adjointPatch(f *Field, plan *fft.Plan2, amp *grid.CMat, dLdI *grid
 	w := fft.FoldInverseScale(complex(2*f.KS.Weights[k]*f.Dose, 0), f.M, f.M)
 	patch := fft.KernelAdjointPatch(cscratch.Get(f.KS.P, f.KS.P), prod, f.KS.Kernels[k], w)
 	cscratch.Put(prod)
-	//lint:ignore scratchalias the returned patch is pool-leased on purpose: Gradient owns it for the duration of the fold loop and Puts every entry of patches right after AddKernelPatch
+	//lint:ignore scratchalias the returned patch is pool-leased on purpose: referenceGradient owns it for the duration of the fold loop and Puts every entry of patches right after AddKernelPatch
 	return patch
-}
-
-// prunedPatch is adjointPatch on the batch engine's output-pruned path:
-// fft.Plan2.AdjointPatch forms dLdI ⊙ A_k from the tiled amplitude and
-// transforms only what the P×P patch reads — the same patch bits, without
-// the m×m product buffer or the dense transform.
-func (s *Sim) prunedPatch(f *Field, plan *fft.Plan2, amp *grid.CMat, dLdI *grid.Mat, k int) *grid.CMat {
-	w := fft.FoldInverseScale(complex(2*f.KS.Weights[k]*f.Dose, 0), f.M, f.M)
-	//lint:ignore scratchalias the returned patch is pool-leased on purpose, like adjointPatch's: Gradient Puts every entry of patches right after AddKernelPatch
-	return plan.AdjointPatch(cscratch.Get(f.KS.P, f.KS.P), dLdI, amp, f.KS.Kernels[k], w)
 }
 
 // inverseButterflies is the transform work of one kernel's SOCS inverse:
@@ -676,117 +690,31 @@ func inverseButterflies(plan *fft.Plan2, banded bool, support int) int64 {
 	return plan.InverseBandButterflies(fft.BandSpec{Half: support / 2})
 }
 
-// adjointButterflies is the transform work of one Gradient call: the
-// amplitude recompute inverses (for a field that kept no amplitudes), the
-// per-kernel adjoint transforms and the inverse of the patch fold. On the
-// band lane (planL non-nil) the first three run at L, after the (2P−1)²
-// band of F(dLdI) is taken at m and inverted at L.
-func (s *Sim) adjointButterflies(plan, planL *fft.Plan2, f *Field) int64 {
-	banded := s.Engine != EngineReference
-	nk := int64(len(f.KS.Kernels))
-	if p := f.KS.P; planL != nil {
-		return plan.ForwardRealBandButterflies(2*p-1) +
-			planL.InverseBandButterflies(fft.BandSpec{Half: p - 1}) +
-			nk*(inverseButterflies(planL, true, p)+planL.AdjointPatchButterflies(p)) +
-			inverseButterflies(plan, true, p)
-	}
-	inverses := int64(1)
+// batchAdjointButterflies is the transform work of one batch Gradient of f
+// (plan at m, planG at g = min(m, L)): above L the (2P−1)² band of F(dLdI)
+// at m and its inverse at L; nk amplitude rebuilds at g when the field kept
+// no amplitude; nk adjoint patches at g; and the fold's inverse at m.
+func batchAdjointButterflies(plan, planG *fft.Plan2, f *Field) int64 {
+	p, nk := f.KS.P, int64(len(f.KS.Kernels))
+	bf := nk*planG.AdjointPatchButterflies(p) + inverseButterflies(plan, true, p)
 	if f.Amps == nil {
-		inverses += nk
+		bf += nk * inverseButterflies(planG, true, p)
 	}
-	adj := plan.Butterflies()
-	if banded {
-		adj = plan.AdjointPatchButterflies(f.KS.P)
+	if planG.W() < plan.W() {
+		bf += plan.ForwardRealBandButterflies(2*p-1) + planG.InverseBandButterflies(fft.BandSpec{Half: p - 1})
 	}
-	return inverses*inverseButterflies(plan, banded, f.KS.P) + nk*adj
+	return bf
 }
 
-// batchAdjointPatches is the batch engine's amplitude-recompute lane of
-// Gradient: amplitudes are regenerated through MulRowsBatch/InverseColumns
-// in chunks (bounding the live amplitude memory to ~chunk·m² complex values
-// instead of nk·m²), then each chunk's output-pruned adjoint patches are
-// computed in parallel. The batch reproduces the dense amplitude bits, and
-// the patch arithmetic is the kept-amplitude lane's (prunedPatch).
-func (s *Sim) batchAdjointPatches(f *Field, plan *fft.Plan2, dLdI *grid.Mat, patches []*grid.CMat, ampScale complex128, workers int) {
-	ks := f.KS
-	nk := len(ks.Kernels)
-	chunk := workers
-	if chunk < 4 {
-		chunk = 4
-	}
-	if chunk > nk {
-		chunk = nk
-	}
-	ampsp, amps := kscratch.Get(chunk)
-	for i := range amps {
-		amps[i] = cscratch.Get(f.M, f.M)
-	}
-	for c0 := 0; c0 < nk; c0 += chunk {
-		c1 := c0 + chunk
-		if c1 > nk {
-			c1 = nk
-		}
-		plan.MulRowsBatch(f.Spec, ks.Kernels[c0:c1], ampScale, workers).InverseColumns(amps[:c1-c0], nil)
-		grid.ParallelFor(workers, c1-c0, func(j int) {
-			patches[c0+j] = s.prunedPatch(f, plan, amps[j], dLdI, c0+j)
-		})
-	}
-	for i := range amps {
-		cscratch.Put(amps[i])
-	}
-	kscratch.Put(ampsp)
-}
-
-// adjointGrid is L(P), the grid of the batch engine's band-lane adjoint:
+// adjointGrid is L(P), the largest grid of the batch engine's adjoint:
 // the smallest power of two above 2P−1 (32, 64 and 128 at P = 13, 27 and
 // 35), and at least the minimum grid. Kernel k's patch reads F(dLdI) only
 // on its (2P−1)² band, and L > 2P−2 keeps the L-periodic copies of that
-// band from overlapping any patch cell (see bandAdjointPatches).
+// band from overlapping any patch cell (see batchGradient).
 func adjointGrid(p int) int {
 	l := minGrid
 	for l <= 2*p-1 {
 		l <<= 1
 	}
 	return l
-}
-
-// bandAdjointPatches is the batch engine's lane of Gradient for a field
-// larger than L = adjointGrid(P): it computes every kernel's P×P patch on
-// the L grid instead of the field's m. With h = P/2, G = F_m(dLdI) and
-// S_k = ampScale·H_k ⊙ Spec (the folded 1/m² included), the patch reads
-//
-//	F_m(dLdI ⊙ A_k)[f] = Σ_{|g|≤h} S_k[g]·G[f−g],   |f| ≤ h,
-//
-// which touches G only on |f−g| ≤ 2h. So the lane takes that (2P−1)² band
-// of G at m (fft.Plan2.ForwardRealBand), inverts it unnormalised at L
-// (InverseBandReal: d, real because the band is Hermitian), rebuilds the
-// amplitudes a_k as the unnormalised inverse of S_k at L (MulRowsBatch +
-// InverseColumns: A_k sampled every m/L px) and runs AdjointPatch on
-// d ⊙ a_k. F_L(d ⊙ a_k)[f] = L²·Σ S_k[g]·G[u] over g + u ≡ f (mod L), and
-// L > 4h leaves only u = f − g, so the patch is the m-grid one with the
-// weight divided by L² — exact up to rounding, not bit for bit. Patches
-// are computed in parallel and Gradient folds them in ascending k, so the
-// result is bit-identical at every worker count.
-func (s *Sim) bandAdjointPatches(f *Field, plan, planL *fft.Plan2, dLdI *grid.Mat, patches []*grid.CMat, ampScale complex128, workers int) {
-	ks := f.KS
-	p, l := ks.P, planL.W()
-	g := cscratch.Get(2*p-1, 2*p-1)
-	plan.ForwardRealBand(g, dLdI, s.workers())
-	d := mscratch.Get(l, l)
-	planL.InverseBandReal(d, g, s.workers())
-	cscratch.Put(g)
-	ampsp, amps := kscratch.Get(len(ks.Kernels))
-	for k := range amps {
-		amps[k] = cscratch.Get(l, l)
-	}
-	planL.MulRowsBatch(f.Spec, ks.Kernels, ampScale, workers).InverseColumns(amps, nil)
-	grid.ParallelFor(workers, len(amps), func(k int) {
-		w := fft.FoldInverseScale(complex(2*ks.Weights[k]*f.Dose, 0), f.M, f.M)
-		patches[k] = planL.AdjointPatch(cscratch.Get(p, p), d, amps[k], ks.Kernels[k], fft.FoldInverseScale(w, l, l))
-	})
-	for _, a := range amps {
-		cscratch.Put(a)
-	}
-	kscratch.Put(ampsp)
-	mscratch.Put(d)
 }

@@ -85,8 +85,8 @@ func TestParallelForwardEq7MatchesSerial(t *testing.T) {
 }
 
 // TestParallelGradientMatchesSerial: the adjoint pass must be bit-identical
-// across worker counts for both the cached-amplitude and recompute paths
-// (n = 32 = L) and for the band lane above L.
+// across worker counts with kept and with rebuilt amplitudes (n = 32 = L)
+// and above L.
 func TestParallelGradientMatchesSerial(t *testing.T) {
 	mdl := model(t)
 	rng := rand.New(rand.NewSource(13))
@@ -147,7 +147,7 @@ func TestPlanSingleflight(t *testing.T) {
 	}
 	close(start)
 	wg.Wait()
-	if builds := sim.planBuilds.Load(); builds != 1 {
+	if builds := sim.ownPlans.Builds(); builds != 1 {
 		t.Errorf("%d plan constructions for one size, want exactly 1", builds)
 	}
 	for g := 1; g < goroutines; g++ {
@@ -159,7 +159,7 @@ func TestPlanSingleflight(t *testing.T) {
 	if _, err := sim.Plan(32); err != nil {
 		t.Fatal(err)
 	}
-	if builds := sim.planBuilds.Load(); builds != 2 {
+	if builds := sim.ownPlans.Builds(); builds != 2 {
 		t.Errorf("%d total constructions after second size, want 2", builds)
 	}
 }

@@ -10,6 +10,7 @@ package metrics
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/geom"
 	"repro/internal/grid"
@@ -24,6 +25,15 @@ const (
 	// target contours.
 	EPESpacingNM = 40
 )
+
+// EPEPixels converts the contest EPE geometry (EPESpacingNM between
+// measurement points, the EPEThresholdNM of Eq. 4) to whole pixels at
+// pixelNM nm per pixel, each at least 1.
+func EPEPixels(pixelNM float64) (spacingPx, thrPx int) {
+	spacingPx = max(1, int(math.Round(EPESpacingNM/pixelNM)))
+	thrPx = max(1, int(math.Round(EPEThresholdNM/pixelNM)))
+	return spacingPx, thrPx
+}
 
 // L2 returns the squared L2 loss ‖a − b‖² (Definition 1). For binary
 // images this is the XOR area in px².

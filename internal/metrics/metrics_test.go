@@ -225,3 +225,16 @@ func TestMetricShapeMismatchPanics(t *testing.T) {
 		}()
 	}
 }
+
+// TestEPEPixels: the contest geometry in pixels, the pairs every caller
+// used before the conversion lived here, rounding 7.5 and 1.875 px up.
+func TestEPEPixels(t *testing.T) {
+	for _, tc := range []struct {
+		pixelNM          float64
+		spacingPx, thrPx int
+	}{{1, 40, 15}, {2, 20, 8}, {4, 10, 4}, {8, 5, 2}} {
+		if sp, thr := EPEPixels(tc.pixelNM); sp != tc.spacingPx || thr != tc.thrPx {
+			t.Errorf("EPEPixels(%g) = %d, %d; want %d, %d", tc.pixelNM, sp, thr, tc.spacingPx, tc.thrPx)
+		}
+	}
+}

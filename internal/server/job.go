@@ -249,7 +249,7 @@ func resolveJob(req JobRequest, lim Limits) (*JobSpec, error) {
 		if req.Via < 1 || req.Via > 20 {
 			return nil, fmt.Errorf("via = %d outside [1, 20]", req.Via)
 		}
-		cs, err := bench.ViaCase(n, field, req.Via, 6+(req.Via%5)*3)
+		cs, err := bench.PaperVia(n, field, req.Via)
 		if err != nil {
 			return nil, err
 		}

@@ -76,8 +76,8 @@ type Job struct {
 	ID       string
 	Name     string
 	Priority Priority
+	pixelNM  float64 // the target's pixel pitch, for the mask download
 
-	spec   *JobSpec
 	ctx    context.Context
 	cancel context.CancelFunc
 	rec    *telemetry.Recorder
@@ -87,12 +87,15 @@ type Job struct {
 	// is visible, so a client that sees the job canceled finds it counted.
 	countCancel func()
 
-	mu       sync.Mutex
-	state    JobState
+	mu    sync.Mutex
+	state JobState
+	// spec is the resolved request, the n×n target and the layout text
+	// included, until the job is terminal: every terminal transition drops
+	// it, so a finished job keeps only its answer.
+	spec     *JobSpec
 	errMsg   string
 	result   *JobResult
 	mask     *grid.Mat
-	pixelNM  float64
 	created  time.Time
 	started  time.Time
 	finished time.Time
@@ -118,6 +121,7 @@ func (j *Job) Cancel() bool {
 	if direct {
 		j.countCancel()
 		j.state = StateCanceled
+		j.spec = nil
 		j.finished = time.Now()
 	}
 	j.mu.Unlock()
@@ -139,17 +143,17 @@ func (j *Job) startedAt() time.Time {
 	return j.started
 }
 
-// markRunning moves queued → running; returns false if the job was
-// canceled while waiting in the queue.
-func (j *Job) markRunning() bool {
+// markRunning moves queued → running and returns the job's spec; nil if
+// the job was canceled while waiting in the queue.
+func (j *Job) markRunning() *JobSpec {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state != StateQueued {
-		return false
+		return nil
 	}
 	j.state = StateRunning
 	j.started = time.Now()
-	return true
+	return j.spec
 }
 
 // finish records the terminal state and wakes waiters exactly once.
@@ -160,6 +164,7 @@ func (j *Job) finish(state JobState, errMsg string, res *JobResult, mask *grid.M
 		return
 	}
 	j.state = state
+	j.spec = nil
 	j.errMsg = errMsg
 	j.result = res
 	j.mask = mask

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"sort"
 	"strconv"
@@ -231,6 +230,7 @@ func (s *Server) newJob(spec *JobSpec) *Job {
 	j := &Job{
 		Name:     spec.Name,
 		Priority: spec.Priority,
+		pixelNM:  spec.Optics.FieldNM / float64(spec.Target.W),
 		spec:     spec,
 		ctx:      ctx,
 		cancel:   cancel,
@@ -258,7 +258,7 @@ func (s *Server) newJob(spec *JobSpec) *Job {
 
 	j.rec.Emit("job.accepted", telemetry.Fields{
 		"id": j.ID, "name": j.Name, "priority": j.Priority.String(),
-		"n": j.spec.Target.W, "stages": len(j.spec.Stages),
+		"n": spec.Target.W, "stages": len(spec.Stages),
 	})
 	return j
 }
@@ -281,11 +281,12 @@ func (s *Server) executor() {
 		if !ok {
 			return
 		}
-		if !j.markRunning() {
+		spec := j.markRunning()
+		if spec == nil {
 			continue // canceled while queued
 		}
 		s.histQueueWait.ObserveDuration(time.Since(j.created))
-		s.runJob(j)
+		s.runJob(j, spec)
 	}
 }
 
@@ -293,9 +294,8 @@ func (s *Server) executor() {
 // Everything it constructs — process, simulator, optimizer — is private to
 // the job; the only shared inputs are the immutable kernel model, the
 // singleflight plan cache and the server recorder's atomic counters.
-func (s *Server) runJob(j *Job) {
+func (s *Server) runJob(j *Job, spec *JobSpec) {
 	rec := j.rec
-	spec := j.spec
 	rec.Emit("run.start", telemetry.Fields{
 		"tool": "iltserver", "name": j.Name, "id": j.ID,
 		"n": spec.Target.W, "field_nm": spec.Optics.FieldNM, "kernels": spec.Optics.NumKernels,
@@ -358,8 +358,8 @@ func (s *Server) runJob(j *Job) {
 		result.FinalLoss = res.History[n-1].Loss.Total()
 	}
 	if spec.Req.Metrics {
-		px := spec.Optics.FieldNM / float64(spec.Target.W)
-		spacing, thr := epeParams(px)
+		px := j.pixelNM
+		spacing, thr := metrics.EPEPixels(px)
 		sp := rec.StartSpan("metrics.evaluate")
 		rep, err := metrics.Evaluate(p, res.Mask, spec.Target, spacing, thr)
 		sp.End()
@@ -400,18 +400,6 @@ func (s *Server) finishJob(j *Job, state JobState, errMsg string, res *JobResult
 		s.rec.Add("server.jobs_canceled", 1)
 	}
 	j.finish(state, errMsg, res, m)
-}
-
-func epeParams(pixelNM float64) (spacingPx, thrPx int) {
-	spacingPx = int(math.Round(metrics.EPESpacingNM / pixelNM))
-	if spacingPx < 1 {
-		spacingPx = 1
-	}
-	thrPx = int(math.Round(metrics.EPEThresholdNM / pixelNM))
-	if thrPx < 1 {
-		thrPx = 1
-	}
-	return spacingPx, thrPx
 }
 
 // --- status / cancel / artifacts ------------------------------------------
@@ -470,9 +458,8 @@ func (s *Server) handleMask(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusConflict, "job %s has no mask (state %s)", j.ID, state)
 		return
 	}
-	px := j.spec.Optics.FieldNM / float64(m.W)
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	if err := layout.FromMask(m, px).Write(w); err != nil {
+	if err := layout.FromMask(m, j.pixelNM).Write(w); err != nil {
 		// Too late for a status change; the client sees a short read.
 		return
 	}

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bench"
 	"repro/internal/server"
 )
 
@@ -338,6 +339,22 @@ func TestSubmitRejectsInvalid(t *testing.T) {
 	}
 	if len(m.Jobs) != 0 {
 		t.Errorf("jobs_by_state = %v, want empty after only rejected submissions", m.Jobs)
+	}
+}
+
+// TestParseViaMatchesSuite: a job's via case N is bench.PaperVia's, the
+// layout every other tool builds under the name viaN.
+func TestParseViaMatchesSuite(t *testing.T) {
+	spec, err := server.ParseJobRequest([]byte(`{"via":2}`), server.Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := bench.PaperVia(512, 2048, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if spec.Name != want.Name || !spec.Target.Equal(want.Target, 0) {
+		t.Errorf("job via 2 (%s) differs from bench.PaperVia's %s", spec.Name, want.Name)
 	}
 }
 

@@ -1,9 +1,8 @@
 // Package tracestat turns the JSONL traces written by the instrumented
 // pipeline (iltopt -trace, the server's SSE stream replayed to a file) into
 // offline analytics: per-phase wall-time tables, per-iteration loss/step/
-// retry series, latency quantiles, and a critical-path summary. Its A/B
-// mode compares two traces of the same workload and flags per-phase
-// regressions, which is what the `make trace-smoke` lane gates on.
+// retry series, latency quantiles, and a critical-path summary; the
+// `make trace-smoke` lane renders one for a fresh traced run.
 //
 // The renderer is deliberately byte-deterministic for a given trace: all
 // aggregation iterates in sorted order and every float is printed with a

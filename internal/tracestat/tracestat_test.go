@@ -76,70 +76,6 @@ func TestReadGolden(t *testing.T) {
 	}
 }
 
-func TestCompareDetectsRegression(t *testing.T) {
-	oldT, err := ReadFile("testdata/compare_old.jsonl")
-	if err != nil {
-		t.Fatal(err)
-	}
-	newT, err := ReadFile("testdata/compare_new.jsonl")
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := Compare(oldT, newT, 0.10)
-	if res.Regressions != 1 {
-		t.Fatalf("regressions = %d, want 1 (%+v)", res.Regressions, res.Rows)
-	}
-	byName := map[string]CompareRow{}
-	for _, r := range res.Rows {
-		byName[r.Phase] = r
-	}
-	// litho.socs: 100ms/call → 120ms/call = +20%, past the 10% gate.
-	socs := byName["litho.socs"]
-	if !socs.Regressed || socs.Status != "REGRESSED" || math.Abs(socs.Delta-0.20) > 1e-9 {
-		t.Errorf("litho.socs = %+v", socs)
-	}
-	// litho.adjoint: +2% stays under the gate.
-	if adj := byName["litho.adjoint"]; adj.Regressed || adj.Status != "ok" {
-		t.Errorf("litho.adjoint = %+v", adj)
-	}
-	// A phase only the new trace has is informational, never a regression.
-	if pb := byName["fft.plan_build"]; pb.Regressed || pb.Status != "new" {
-		t.Errorf("fft.plan_build = %+v", pb)
-	}
-
-	// A slacker threshold passes the same pair.
-	if res := Compare(oldT, newT, 0.25); res.Regressions != 0 {
-		t.Errorf("threshold 25%% still finds %d regressions", res.Regressions)
-	}
-
-	// The rendered verdict names the regression and is deterministic.
-	var buf bytes.Buffer
-	res2 := Compare(oldT, newT, 0.10)
-	res2.Render(&buf, "old", "new")
-	out := buf.String()
-	for _, want := range []string{"REGRESSED", "+20.0%", "RESULT: 1 phase(s) regressed"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("compare report missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestParseThreshold(t *testing.T) {
-	for in, want := range map[string]float64{
-		"10%": 0.10, "0.1": 0.1, "7.5%": 0.075, "0": 0,
-	} {
-		got, err := ParseThreshold(in)
-		if err != nil || math.Abs(got-want) > 1e-12 {
-			t.Errorf("ParseThreshold(%q) = %g, %v; want %g", in, got, err, want)
-		}
-	}
-	for _, bad := range []string{"", "x%", "-5%"} {
-		if _, err := ParseThreshold(bad); err == nil {
-			t.Errorf("ParseThreshold(%q) accepted", bad)
-		}
-	}
-}
-
 func TestQuantileNearestRank(t *testing.T) {
 	vs := []float64{0.1, 0.12, 0.1, 0.2, 0.21}
 	if q := quantile(append([]float64(nil), vs...), 0.50); math.Abs(q-0.12) > 1e-12 {
