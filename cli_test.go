@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -79,8 +80,10 @@ func TestCLIEndToEnd(t *testing.T) {
 	}
 }
 
-// TestTracestatCLI drives the trace-analytics tool the way the trace-smoke
-// lane does: report a real optimizer trace.
+// TestTracestatCLI drives the trace tool the way the trace-smoke lane does:
+// check and report a real optimizer trace and read its manifest. A trace
+// whose phases cover too little of its wall time fails after its report; a
+// trace that breaks the schema fails without one.
 func TestTracestatCLI(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI integration builds binaries; skipped in -short mode")
@@ -94,28 +97,74 @@ func TestTracestatCLI(t *testing.T) {
 	}
 	work := t.TempDir()
 	trace := filepath.Join(work, "run.jsonl")
+	manifest := filepath.Join(work, "run_manifest.json")
 
-	// A short deterministic run produces the trace under analysis.
+	// A short deterministic run produces the trace under analysis. It runs
+	// without the garbage collector: on a test host loaded by other
+	// packages, one collection's pauses can stall a run this short for a
+	// fifth of its wall time, wherever it then allocates, and the coverage
+	// band would judge the host instead of the phases.
 	opt := exec.Command(filepath.Join(bin, "iltopt"), "-case", "1", "-n", "128",
 		"-field", "512", "-kernels", "8", "-iterdiv", "20", "-workers", "1",
-		"-recipe", "fast", "-trace", trace)
+		"-recipe", "fast", "-trace", trace, "-manifest", manifest)
+	opt.Env = append(os.Environ(), "GOGC=off")
 	if out, err := opt.CombinedOutput(); err != nil {
 		t.Fatalf("iltopt: %v\n%s", err, out)
 	}
+	tracestat := func(args ...string) (string, int) {
+		t.Helper()
+		out, err := exec.Command(filepath.Join(bin, "tracestat"), args...).CombinedOutput()
+		var exit *exec.ExitError
+		switch {
+		case err == nil:
+			return string(out), 0
+		case errors.As(err, &exit):
+			return string(out), exit.ExitCode()
+		}
+		t.Fatalf("tracestat %v: %v", args, err)
+		return "", 0
+	}
 
 	// Report mode: the analytics sections must cover phases, iterations,
-	// and the histogram summaries the recorder flushes at close.
-	rep := exec.Command(filepath.Join(bin, "tracestat"), trace)
-	out, err := rep.CombinedOutput()
-	if err != nil {
-		t.Fatalf("tracestat: %v\n%s", err, out)
+	// and the histogram summaries the recorder flushes at close; the
+	// manifest gets its one line.
+	out, code := tracestat("-manifest", manifest, trace)
+	if code != 0 {
+		t.Fatalf("tracestat exit %d:\n%s", code, out)
 	}
 	for _, want := range []string{
 		"trace report:", "iteration latency", "phases by wall time",
-		"phase coverage:", "litho.socs", "latency histograms", "core.iter",
+		"phase coverage:", "litho.socs", "core.loss", "latency histograms", "core.iter",
+		manifest + ": tool iltopt",
 	} {
-		if !strings.Contains(string(out), want) {
+		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q:\n%s", want, out)
 		}
+	}
+
+	// Phases covering a tenth of the wall time: the report, then exit 1.
+	low := filepath.Join(work, "low.jsonl")
+	writeFile(t, low, `{"event":"run.end","seq":1,"ts":0,"wall_sec":10}
+{"event":"phases","seq":2,"ts":0,"litho.socs":{"count":1,"sec":1}}
+`)
+	out, code = tracestat(low)
+	report, fail := strings.Index(out, "trace report:"), strings.Index(out, "phase coverage 0.10 outside [0.80, 1.25]")
+	if code != 1 || report < 0 || fail < report {
+		t.Errorf("low-coverage trace: exit %d, want 1 after the report and the coverage error:\n%s", code, out)
+	}
+
+	// A schema error: exit 1, naming the line, with no report.
+	bad := filepath.Join(work, "bad.jsonl")
+	writeFile(t, bad, `{"event":"iter","seq":1,"ts":0,"stage":0,"iter":0}`+"\n")
+	out, code = tracestat(bad)
+	if code != 1 || !strings.Contains(out, `line 1 (iter): missing numeric "loss"`) || strings.Contains(out, "trace report:") {
+		t.Errorf("schema error: exit %d, want 1 naming the line, without a report:\n%s", code, out)
+	}
+}
+
+func writeFile(t *testing.T, path, body string) {
+	t.Helper()
+	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+		t.Fatal(err)
 	}
 }

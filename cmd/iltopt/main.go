@@ -128,7 +128,9 @@ func run() error {
 		if *regionOpt == 2 {
 			margin, opt = m2, mask.Option2
 		}
+		sp := rec.StartSpan("setup.region")
 		region, err = mask.Region(target, opt, margin)
+		sp.End()
 		if err != nil {
 			return err
 		}
@@ -208,9 +210,7 @@ func run() error {
 	}
 
 	spacing, thr := cfg.EPEParams()
-	sp := rec.StartSpan("metrics.evaluate")
 	rep, err := metrics.Evaluate(p, finalMask, target, spacing, thr)
-	sp.End()
 	if err != nil {
 		return err
 	}

@@ -11,14 +11,16 @@ import (
 
 // TestDocsCiteWhatExists: every Test… identifier the docs name is a
 // function in the module (a test, or a helper such as optics.TestScale),
-// and every `make <target>` they cite in inline code or a code block is a
-// Makefile target, so a renamed or deleted test or target cannot stay cited.
+// every `make <target>` they cite in inline code or a code block is a
+// Makefile target, and every cmd/<name> cited there is a directory under
+// cmd/, so a renamed or deleted test, target or tool cannot stay cited.
 func TestDocsCiteWhatExists(t *testing.T) {
 	funcs := moduleFuncs(t)
 	targets := makeTargets(t)
 	testRef := regexp.MustCompile(`\bTest[A-Z]\w*`)
 	code := regexp.MustCompile("(?s)```.*?```|`[^`]+`")
 	makeRef := regexp.MustCompile(`\bmake\s+([a-z][\w-]*)`)
+	cmdRef := regexp.MustCompile(`\bcmd/([a-z]\w*)`)
 	for _, doc := range []string{"DESIGN.md", "README.md", ".claude/skills/verify/SKILL.md"} {
 		b, err := os.ReadFile(doc)
 		if err != nil {
@@ -33,6 +35,11 @@ func TestDocsCiteWhatExists(t *testing.T) {
 			for _, m := range makeRef.FindAllStringSubmatch(span, -1) {
 				if !targets[m[1]] {
 					t.Errorf("%s cites `make %s`, which is no Makefile target", doc, m[1])
+				}
+			}
+			for _, m := range cmdRef.FindAllStringSubmatch(span, -1) {
+				if fi, err := os.Stat(filepath.Join("cmd", m[1])); err != nil || !fi.IsDir() {
+					t.Errorf("%s cites cmd/%s, which is no directory under cmd/", doc, m[1])
 				}
 			}
 		}

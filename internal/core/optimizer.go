@@ -55,11 +55,14 @@ type Options struct {
 	// Eq. (5) loss; see Penalty.
 	Penalties []Penalty
 	// Recorder receives per-iteration trace events (stage index, scale,
-	// loss terms, step size, line-search retries, wall time) and stage
-	// start/end markers. Nil (the default) disables them at zero cost. The
-	// simulator's phase timers go to Process.Sim.Recorder, which the
-	// optimizer never sets: the simulator, its worker count and its FFT
-	// engine are configured on Process.Sim alone.
+	// loss terms, step size, line-search retries, wall time), stage
+	// start/end markers, and the phase timers of the optimizer's own work
+	// between simulator calls: core.binarize, core.resample, core.loss,
+	// core.penalty and core.update. No core span encloses a simulator call.
+	// Nil (the default) disables them at zero cost. The simulator's phase
+	// timers go to Process.Sim.Recorder, which the optimizer never sets:
+	// the simulator, its worker count and its FFT engine are configured on
+	// Process.Sim alone.
 	Recorder *telemetry.Recorder
 }
 
@@ -186,14 +189,19 @@ func (o *Optimizer) Run(ctx context.Context, stages []Stage) (*Result, error) {
 	}
 	start := time.Now()
 	res := &Result{}
+	rec := o.opts.Recorder
 
 	// Algorithm 1 lines 2–3: M′_s is seeded with the pooled target.
+	sp := rec.StartSpan("core.resample")
 	cur := grid.AvgPoolDown(o.target, stages[0].Scale)
+	sp.End()
 	curScale := stages[0].Scale
 
 	for i, st := range stages {
 		var err error
+		sp := rec.StartSpan("core.resample")
 		cur, err = resampleParams(cur, curScale, st.Scale)
+		sp.End()
 		if err != nil {
 			return nil, fmt.Errorf("core: stage %d transition: %w", i, err)
 		}
@@ -205,7 +213,11 @@ func (o *Optimizer) Run(ctx context.Context, stages []Stage) (*Result, error) {
 	}
 	res.ILTSeconds = time.Since(start).Seconds()
 
+	sp = rec.StartSpan("core.resample")
 	res.Params = grid.UpsampleNearest(cur, curScale)
+	sp.End()
+	sp = rec.StartSpan("core.binarize")
+	defer sp.End()
 	if sig, ok := o.opts.Binary.(mask.Sigmoid); ok {
 		// The paper's two-T_R scheme: regenerate with the (smaller) output
 		// T_R before the hard threshold so weak SRAFs survive.
@@ -267,12 +279,16 @@ func resampleParams(mp *grid.Mat, from, to int) (*grid.Mat, error) {
 // runStage executes one stage, returning the parameters that achieved the
 // best loss (which is also what early stopping resumes from).
 func (o *Optimizer) runStage(ctx context.Context, mp *grid.Mat, st Stage, stageIdx int, res *Result) (*grid.Mat, error) {
+	rec := o.opts.Recorder
+	sp := rec.StartSpan("core.resample")
 	ztS := grid.AvgPoolDown(o.target, st.Scale)
 	var regionS *grid.Mat
 	if o.opts.Region != nil {
 		regionS = grid.AvgPoolDown(o.opts.Region, st.Scale)
 	}
+	sp.End()
 
+	sp = rec.StartSpan("core.update")
 	best := mp.Clone()
 	bestLoss := 0.0
 	haveBest := false
@@ -281,8 +297,8 @@ func (o *Optimizer) runStage(ctx context.Context, mp *grid.Mat, st Stage, stageI
 	if o.opts.Momentum > 0 {
 		velocity = grid.NewMat(mp.W, mp.H)
 	}
+	sp.End()
 
-	rec := o.opts.Recorder
 	rec.Emit("stage.start", telemetry.Fields{
 		"stage": stageIdx, "scale": st.Scale, "highres": st.HighRes, "iters": st.Iters,
 	})
@@ -306,6 +322,9 @@ func (o *Optimizer) runStage(ctx context.Context, mp *grid.Mat, st Stage, stageI
 			nonFinite = o.nonFinite(stageIdx, it, "loss")
 			break
 		}
+		// The update; a line search's trials record their own spans, so
+		// core.update stops short of them.
+		sp := rec.StartSpan("core.update")
 		if o.opts.GradHook != nil {
 			o.opts.GradHook(g, st)
 		}
@@ -317,7 +336,12 @@ func (o *Optimizer) runStage(ctx context.Context, mp *grid.Mat, st Stage, stageI
 			velocity.Add(g)
 			g = velocity
 		}
-		if !allFinite(g) {
+		gFinite := allFinite(g)
+		if gFinite && !o.opts.LineSearch {
+			mp.AddScaled(-o.opts.LearningRate, g)
+		}
+		sp.End()
+		if !gFinite {
 			nonFinite = o.nonFinite(stageIdx, it, "gradient")
 			break
 		}
@@ -328,8 +352,6 @@ func (o *Optimizer) runStage(ctx context.Context, mp *grid.Mat, st Stage, stageI
 			if err != nil {
 				return nil, err
 			}
-		} else {
-			mp.AddScaled(-o.opts.LearningRate, g)
 		}
 
 		iterDur := time.Since(iterStart)
@@ -353,7 +375,9 @@ func (o *Optimizer) runStage(ctx context.Context, mp *grid.Mat, st Stage, stageI
 
 		if !haveBest || terms.Total() < bestLoss {
 			bestLoss = terms.Total()
+			sp := rec.StartSpan("core.update")
 			best.CopyFrom(mp)
+			sp.End()
 			haveBest = true
 			sinceBest = 0
 		} else {
@@ -410,21 +434,28 @@ func allFinite(g *grid.Mat) bool {
 // retry so a cancelled job exits the search without paying for the
 // remaining halvings.
 func (o *Optimizer) lineSearchStep(ctx context.Context, mp, g *grid.Mat, st Stage, ztS *grid.Mat, curLoss float64) (float64, int, error) {
+	rec := o.opts.Recorder
 	step := o.opts.LearningRate
+	sp := rec.StartSpan("core.update")
 	cand := mp.Clone()
+	sp.End()
 	for try := 0; ; try++ {
 		if err := ctx.Err(); err != nil {
 			return 0, try, err
 		}
+		sp := rec.StartSpan("core.update")
 		cand.CopyFrom(mp)
 		cand.AddScaled(-step, g)
+		sp.End()
 		terms, _, err := o.step(cand, st, ztS, false)
 		if err != nil {
 			return 0, try, err
 		}
 		ok := finite(terms.Total())
 		if ok && (terms.Total() < curLoss || try >= 4) {
+			sp := rec.StartSpan("core.update")
 			mp.CopyFrom(cand)
+			sp.End()
 			return step, try, nil
 		}
 		if try >= 4 {
@@ -438,10 +469,13 @@ func (o *Optimizer) lineSearchStep(ctx context.Context, mp, g *grid.Mat, st Stag
 // the loss terms and, when wantGrad is set, dL/dM′ at the stage's parameter
 // resolution (nil otherwise — the loss-only path costs roughly half).
 func (o *Optimizer) step(mp *grid.Mat, st Stage, ztS *grid.Mat, wantGrad bool) (LossTerms, *grid.Mat, error) {
+	rec := o.opts.Recorder
 	binary := o.opts.Binary
 
 	// Line 5: M_s = f_binary(M′_s).
+	sp := rec.StartSpan("core.binarize")
 	ms := binary.Apply(mp)
+	sp.End()
 
 	if st.HighRes {
 		return o.stepHighRes(mp, ms, st, ztS, wantGrad)
@@ -452,7 +486,9 @@ func (o *Optimizer) step(mp *grid.Mat, st Stage, ztS *grid.Mat, wantGrad bool) (
 	smoothed := false
 	if o.opts.SmoothWindow > 1 {
 		// Line 11: stride-1 smoothing pool on the binarized mask.
+		sp := rec.StartSpan("core.resample")
 		sim = grid.SmoothPool(ms, o.opts.SmoothWindow)
+		sp.End()
 		smoothed = true
 	}
 	terms, corners, err := o.simulateLoss(sim, ztS, 1, wantGrad)
@@ -460,11 +496,8 @@ func (o *Optimizer) step(mp *grid.Mat, st Stage, ztS *grid.Mat, wantGrad bool) (
 		return LossTerms{}, nil, err
 	}
 	if !wantGrad {
-		for _, pn := range o.opts.Penalties {
-			v, _ := pn.Eval(ms)
-			terms.Penalty += v
-		}
-		return terms, nil, nil
+		terms.Penalty, err = o.applyPenalties(ms, nil)
+		return terms, nil, err
 	}
 
 	gSim, err := o.maskGradient(corners)
@@ -472,24 +505,31 @@ func (o *Optimizer) step(mp *grid.Mat, st Stage, ztS *grid.Mat, wantGrad bool) (
 		return LossTerms{}, nil, err
 	}
 	if smoothed {
+		sp := rec.StartSpan("core.resample")
 		gSim = grid.SmoothPoolAdjoint(gSim, o.opts.SmoothWindow)
+		sp.End()
 	}
 	pen, err := o.applyPenalties(ms, gSim)
 	if err != nil {
 		return LossTerms{}, nil, err
 	}
 	terms.Penalty = pen
+	sp = rec.StartSpan("core.binarize")
 	gSim.MulElem(binary.Grad(mp, ms))
+	sp.End()
 	return terms, gSim, nil
 }
 
 // stepHighRes is the flag = 1 branch: coarse parameters, nearest-neighbour
 // upsampling, exact simulation, pooled wafer loss (Algorithm 1 lines 7–9).
 func (o *Optimizer) stepHighRes(mp, ms *grid.Mat, st Stage, ztS *grid.Mat, wantGrad bool) (LossTerms, *grid.Mat, error) {
+	rec := o.opts.Recorder
 	s := st.Scale
 
 	// Line 7: M = Upsample(M_s).
+	sp := rec.StartSpan("core.resample")
 	m := grid.UpsampleNearest(ms, s)
+	sp.End()
 
 	// Lines 8–9 fold into simulateLoss: exact simulation at full size with
 	// the wafer images pooled down before the loss; the pooling adjoint is
@@ -499,11 +539,8 @@ func (o *Optimizer) stepHighRes(mp, ms *grid.Mat, st Stage, ztS *grid.Mat, wantG
 		return LossTerms{}, nil, err
 	}
 	if !wantGrad {
-		for _, pn := range o.opts.Penalties {
-			v, _ := pn.Eval(ms)
-			terms.Penalty += v
-		}
-		return terms, nil, nil
+		terms.Penalty, err = o.applyPenalties(ms, nil)
+		return terms, nil, err
 	}
 
 	gM, err := o.maskGradient(corners)
@@ -511,13 +548,17 @@ func (o *Optimizer) stepHighRes(mp, ms *grid.Mat, st Stage, ztS *grid.Mat, wantG
 		return LossTerms{}, nil, err
 	}
 	// Adjoint of the upsampling back to the coarse parameter grid.
+	sp = rec.StartSpan("core.resample")
 	gMs := grid.UpsampleNearestAdjoint(gM, s)
+	sp.End()
 	pen, err := o.applyPenalties(ms, gMs)
 	if err != nil {
 		return LossTerms{}, nil, err
 	}
 	terms.Penalty = pen
+	sp = rec.StartSpan("core.binarize")
 	gMs.MulElem(o.opts.Binary.Grad(mp, ms))
+	sp.End()
 	return terms, gMs, nil
 }
 
@@ -542,6 +583,8 @@ func (o *Optimizer) simulateLoss(m, ztS *grid.Mat, s int, wantGrad bool) (LossTe
 	if err != nil {
 		return LossTerms{}, nil, err
 	}
+	sp := o.opts.Recorder.StartSpan("core.loss")
+	defer sp.End()
 	cts := make([]cornerTerm, len(fields))
 	zS := make([]*grid.Mat, len(fields))
 	for i, f := range fields {
@@ -568,10 +611,13 @@ func (o *Optimizer) simulateLoss(m, ztS *grid.Mat, s int, wantGrad bool) (LossTe
 // amplitudes return to the pool.
 func (o *Optimizer) maskGradient(corners []cornerTerm) (*grid.Mat, error) {
 	p := o.opts.Process
+	rec := o.opts.Recorder
 	var total *grid.Mat
 	for _, c := range corners {
+		sp := rec.StartSpan("core.loss")
 		dI := litho.ResistSigmoidGrad(c.z, p.Alpha)
 		dI.MulElem(c.gZ)
+		sp.End()
 		g, err := p.Sim.Gradient(c.field, dI)
 		p.Sim.Release(c.field)
 		if err != nil {
@@ -580,7 +626,9 @@ func (o *Optimizer) maskGradient(corners []cornerTerm) (*grid.Mat, error) {
 		if total == nil {
 			total = g
 		} else {
+			sp := rec.StartSpan("core.loss")
 			total.Add(g)
+			sp.End()
 		}
 	}
 	return total, nil

@@ -116,18 +116,27 @@ func laplacian(m *grid.Mat) *grid.Mat {
 }
 
 // applyPenalties evaluates every configured penalty on the binarized mask
-// and folds the gradients into gMask (the dL/dM_s accumulator). It returns
-// the total penalty value for the loss trace.
+// and returns the total penalty value for the loss trace. Unless gMask is
+// nil (a line-search trial's loss-only step), it folds the gradients into
+// gMask (the dL/dM_s accumulator).
 func (o *Optimizer) applyPenalties(ms *grid.Mat, gMask *grid.Mat) (float64, error) {
+	if len(o.opts.Penalties) == 0 {
+		return 0, nil
+	}
+	sp := o.opts.Recorder.StartSpan("core.penalty")
+	defer sp.End()
 	var total float64
 	for _, p := range o.opts.Penalties {
 		v, g := p.Eval(ms)
+		total += v
+		if gMask == nil {
+			continue
+		}
 		if g.W != gMask.W || g.H != gMask.H {
 			return 0, fmt.Errorf("core: penalty %q gradient %dx%d does not match mask %dx%d",
 				p.Name(), g.W, g.H, gMask.W, gMask.H)
 		}
 		gMask.Add(g)
-		total += v
 	}
 	return total, nil
 }

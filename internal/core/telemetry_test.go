@@ -11,6 +11,7 @@ import (
 	"repro/internal/grid"
 	"repro/internal/litho"
 	"repro/internal/telemetry"
+	"repro/internal/tracestat"
 )
 
 type eventSink struct{ events []telemetry.Event }
@@ -124,6 +125,61 @@ func TestOptionsLeaveSimulatorAlone(t *testing.T) {
 	}
 }
 
+// The optimizer's own work between simulator calls is timed in five core
+// phases, so that with litho's phases they partition an ILT run. One
+// low-resolution and one high-resolution iteration (with the smoothing pool
+// and a penalty) open each phase a fixed number of times, and leave the
+// simulator's phase counts as they were before the core phases existed.
+func TestCorePhaseCounts(t *testing.T) {
+	p := litho.NewProcess(process(t).Sim.Model)
+	rec := telemetry.New()
+	p.Sim.Recorder = rec
+	opts := DefaultOptions(p)
+	opts.Recorder = rec
+	opts.Penalties = []Penalty{TVPenalty{Lambda: 1e-3}}
+	o, err := New(opts, testTarget())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := o.Run(context.Background(), []Stage{{Scale: 4, Iters: 1}, {Scale: 4, HighRes: true, Iters: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]int64{}
+	for _, ph := range rec.Phases() {
+		got[ph.Name] = ph.Count
+	}
+	want := map[string]int64{
+		// Per iteration: f_binary and its gradient product; plus the final
+		// output.
+		"core.binarize": 5,
+		// The seed pool, each stage's parameter resampling and target pool,
+		// per iteration the smoothing pool or upsample and its adjoint, and
+		// the final upsample.
+		"core.resample": 10,
+		// Per iteration: the resist and Eq. 5 pass, each corner's resist
+		// gradient, and the corner sum.
+		"core.loss":    8,
+		"core.penalty": 2,
+		// Each stage's best-copy allocation; per iteration the step and the
+		// best copy.
+		"core.update":       6,
+		"litho.fft_forward": 2,
+		"litho.socs":        4,
+		"litho.fft_inverse": 4,
+		"litho.adjoint":     4,
+	}
+	for name, n := range want {
+		if got[name] != n {
+			t.Errorf("%s opened %d times, want %d", name, got[name], n)
+		}
+	}
+	for name := range got {
+		if _, ok := want[name]; !ok {
+			t.Errorf("unexpected phase %s (%d calls)", name, got[name])
+		}
+	}
+}
+
 // nanPenalty is a penalty whose value is NaN: it poisons every loss it is
 // added to while leaving the gradient finite.
 type nanPenalty struct{}
@@ -198,8 +254,8 @@ func TestRunStopsOnNonFinite(t *testing.T) {
 		if err := rec.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := telemetry.ValidateTrace(&trace); err != nil {
-			t.Errorf("%s: trace does not validate: %v", tc.name, err)
+		if _, err := tracestat.Read(&trace); err != nil {
+			t.Errorf("%s: trace fails the reader's checks: %v", tc.name, err)
 		}
 	}
 }

@@ -93,7 +93,8 @@ func (c Config) Optics() optics.Config {
 	return oc
 }
 
-// Process builds (or fetches the cached) lithography process.
+// Process builds the lithography process: the kernel model, timed as
+// setup.optics, and a simulator recording to c.Recorder.
 func (c Config) Process() (*litho.Process, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err

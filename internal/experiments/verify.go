@@ -22,10 +22,7 @@ func raggedness(m *grid.Mat) float64 {
 	if area == 0 {
 		return 0
 	}
-	per := 0
-	for _, s := range geom.EdgeSegments(m) {
-		per += s.Len()
-	}
+	per := geom.ContourPerimeter(m)
 	return float64(per*per) / area
 }
 

@@ -70,60 +70,3 @@ func FractureRunMerge(m *grid.Mat) []Rect {
 func ShotCount(m *grid.Mat) int {
 	return len(FractureRunMerge(m))
 }
-
-// FractureGreedy repeatedly extracts the largest all-set rectangle (largest
-// rectangle under a histogram, swept over rows) until the mask is empty.
-// It usually produces fewer, larger shots than run-merge at much higher
-// cost; it exists as a cross-check and for post-processing. The input is
-// not modified.
-func FractureGreedy(m *grid.Mat) []Rect {
-	work := m.Clone()
-	var rects []Rect
-	heights := make([]int, work.W)
-	type stackEntry struct{ x, h int }
-	for {
-		// Largest rectangle of 1s via histogram sweep.
-		for i := range heights {
-			heights[i] = 0
-		}
-		var best Rect
-		bestArea := 0
-		for y := 0; y < work.H; y++ {
-			row := work.Data[y*work.W : (y+1)*work.W]
-			for x := 0; x < work.W; x++ {
-				if row[x] >= 0.5 {
-					heights[x]++
-				} else {
-					heights[x] = 0
-				}
-			}
-			var stack []stackEntry
-			for x := 0; x <= work.W; x++ {
-				h := 0
-				if x < work.W {
-					h = heights[x]
-				}
-				start := x
-				for len(stack) > 0 && stack[len(stack)-1].h >= h {
-					top := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					area := top.h * (x - top.x)
-					if area > bestArea {
-						bestArea = area
-						best = Rect{X0: top.x, Y0: y + 1 - top.h, X1: x, Y1: y + 1}
-					}
-					start = top.x
-				}
-				if x < work.W {
-					stack = append(stack, stackEntry{x: start, h: h})
-				}
-			}
-		}
-		if bestArea == 0 {
-			break
-		}
-		rects = append(rects, best)
-		FillRect(work, best, 0)
-	}
-	return rects
-}

@@ -112,40 +112,6 @@ func TestErodeBorderIsBackground(t *testing.T) {
 	}
 }
 
-func TestOpenRemovesThinFeature(t *testing.T) {
-	m := bitmapFromStrings(
-		"........",
-		".######.",
-		"........",
-		".###....",
-		".###....",
-		".###....",
-		"........",
-		"........",
-	)
-	o := OpenBox(m, 1)
-	// The 1-px-tall bar disappears; the 3x3 block survives.
-	if o.At(3, 1) != 0 {
-		t.Error("opening kept the thin bar")
-	}
-	if o.At(2, 4) != 1 {
-		t.Error("opening destroyed the 3x3 block")
-	}
-}
-
-func TestCloseFillsGap(t *testing.T) {
-	m := bitmapFromStrings(
-		"........",
-		".##.##..",
-		".##.##..",
-		"........",
-	)
-	c := CloseBox(m, 1)
-	if c.At(3, 1) != 1 || c.At(3, 2) != 1 {
-		t.Error("closing did not fill the 1-px gap")
-	}
-}
-
 func TestDilateZeroIsClone(t *testing.T) {
 	m := bitmapFromStrings("#.")
 	d := DilateBox(m, 0)
@@ -234,24 +200,6 @@ func TestFracturePropertyRandom(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestFractureGreedyCoversAndBeatsOrMatchesRunMerge(t *testing.T) {
-	m := bitmapFromStrings(
-		"#####...",
-		"#####...",
-		"#####...",
-		"###.....",
-		"###..###",
-		"###..###",
-	)
-	greedy := FractureGreedy(m)
-	checkFracture(t, m, greedy)
-	runMerge := FractureRunMerge(m)
-	checkFracture(t, m, runMerge)
-	if len(greedy) > len(runMerge) {
-		t.Errorf("greedy %d shots > run-merge %d", len(greedy), len(runMerge))
 	}
 }
 

@@ -24,18 +24,6 @@ func ErodeBox(m *grid.Mat, h int) *grid.Mat {
 	return boxExtreme(m, h, false)
 }
 
-// OpenBox is erosion followed by dilation: removes features thinner than
-// the structuring element (the paper's "eliminate too small shapes").
-func OpenBox(m *grid.Mat, h int) *grid.Mat {
-	return DilateBox(ErodeBox(m, h), h)
-}
-
-// CloseBox is dilation followed by erosion: fills gaps and holes thinner
-// than the structuring element.
-func CloseBox(m *grid.Mat, h int) *grid.Mat {
-	return ErodeBox(DilateBox(m, h), h)
-}
-
 func boxExtreme(m *grid.Mat, h int, dilate bool) *grid.Mat {
 	w, ht := m.W, m.H
 	tmp := grid.NewMat(w, ht)

@@ -185,17 +185,6 @@ func (m *Mat) Threshold(t float64) *Mat {
 	return out
 }
 
-// CountGE returns the number of elements ≥ t.
-func (m *Mat) CountGE(t float64) int {
-	n := 0
-	for _, v := range m.Data {
-		if v >= t {
-			n++
-		}
-	}
-	return n
-}
-
 // Equal reports whether m and o have identical shape and elements within tol.
 func (m *Mat) Equal(o *Mat, tol float64) bool {
 	if m.W != o.W || m.H != o.H {

@@ -131,8 +131,8 @@ func TestThresholdAndCount(t *testing.T) {
 			t.Fatalf("Threshold: Data[%d] = %v, want %v", i, b.Data[i], v)
 		}
 	}
-	if got := m.CountGE(0.5); got != 2 {
-		t.Fatalf("CountGE = %d, want 2", got)
+	if got := b.Sum(); got != 2 {
+		t.Fatalf("Threshold set %v elements, want 2", got)
 	}
 }
 

@@ -98,9 +98,3 @@ func Binarize(m *grid.Mat, tm float64) *grid.Mat {
 func FinalOutput(mp *grid.Mat, beta, outputTR, tm float64) *grid.Mat {
 	return Binarize(Sigmoid{Beta: beta, TR: outputTR}.Apply(mp), tm)
 }
-
-// InitFromTarget returns the initial parameter image M′ of Algorithm 1
-// line 3: M′ is seeded directly with the (pooled) target.
-func InitFromTarget(target *grid.Mat) *grid.Mat {
-	return target.Clone()
-}

@@ -125,15 +125,6 @@ func TestBinarizeAndFinalOutput(t *testing.T) {
 	}
 }
 
-func TestInitFromTargetIsCopy(t *testing.T) {
-	tgt := grid.FromSlice(2, 1, []float64{0, 1})
-	mp := InitFromTarget(tgt)
-	mp.Set(0, 0, 9)
-	if tgt.At(0, 0) != 0 {
-		t.Error("InitFromTarget aliases the target")
-	}
-}
-
 func TestRegionOption1HugsFeatures(t *testing.T) {
 	tgt := grid.NewMat(32, 32)
 	geom.FillRect(tgt, geom.Rect{X0: 10, Y0: 10, X1: 14, Y1: 14}, 1)
@@ -207,20 +198,6 @@ func TestApplyRegionZeroesOutside(t *testing.T) {
 				t.Fatalf("gradient outside region not zeroed at (%d,%d)", x, y)
 			}
 		}
-	}
-}
-
-func TestClampOutsideRegion(t *testing.T) {
-	mp := grid.NewMat(4, 4)
-	mp.Fill(0.7)
-	region := grid.NewMat(4, 4)
-	region.Set(1, 1, 1)
-	ClampOutsideRegion(mp, region, -0.25)
-	if mp.At(1, 1) != 0.7 {
-		t.Error("in-region value clobbered")
-	}
-	if mp.At(0, 0) != -0.25 {
-		t.Error("out-of-region value not clamped")
 	}
 }
 

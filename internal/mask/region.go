@@ -69,17 +69,3 @@ func ApplyRegion(g, region *grid.Mat) {
 		}
 	}
 }
-
-// ClampOutsideRegion forces the mask parameter to a constant outside the
-// region (used when re-initialising between resolution levels so that
-// out-of-region pixels stay opaque).
-func ClampOutsideRegion(mp, region *grid.Mat, value float64) {
-	if mp.W != region.W || mp.H != region.H {
-		panic(fmt.Sprintf("mask: parameter %dx%d vs region %dx%d", mp.W, mp.H, region.W, region.H))
-	}
-	for i, r := range region.Data {
-		if r < 0.5 {
-			mp.Data[i] = value
-		}
-	}
-}

@@ -123,13 +123,17 @@ func (r Report) Scale(pixelNM float64) Report {
 // against a target: exact lithography at the three corners (one mask
 // spectrum; the nominal and outer corners share one SOCS pass), then all
 // four metrics. EPE geometry parameters are in pixels; pass the nm-scaled values
-// when running below paper resolution.
+// when running below paper resolution. The scoring after the simulation is
+// timed as the metrics.evaluate phase on p.Sim.Recorder, beside the
+// simulation's own litho phases.
 func Evaluate(p *litho.Process, maskOut, target *grid.Mat, epeSpacingPx, epeThrPx int) (Report, error) {
 	var r Report
 	zs, err := prints(p, maskOut, p.Corners())
 	if err != nil {
 		return r, err
 	}
+	sp := p.Sim.Recorder.StartSpan("metrics.evaluate")
+	defer sp.End()
 	zNorm, zIn, zOut := zs[0], zs[1], zs[2]
 	r.L2 = L2(zNorm, target)
 	r.PVB = PVBand(zIn, zOut)

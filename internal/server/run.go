@@ -209,7 +209,7 @@ func (j *Job) status() statusJSON {
 }
 
 // eventLog buffers a job's telemetry events as pre-marshaled JSON lines
-// (the telemetry.MarshalEvent encoding, which ValidateTrace accepts) and
+// (the telemetry.MarshalEvent encoding, which tracestat.Read accepts) and
 // lets any number of SSE readers replay-then-follow. Emit is invoked under
 // the recorder's event lock; readers take only the log's own lock.
 type eventLog struct {

@@ -360,9 +360,7 @@ func (s *Server) runJob(j *Job, spec *JobSpec) {
 	if spec.Req.Metrics {
 		px := j.pixelNM
 		spacing, thr := metrics.EPEPixels(px)
-		sp := rec.StartSpan("metrics.evaluate")
 		rep, err := metrics.Evaluate(p, res.Mask, spec.Target, spacing, thr)
-		sp.End()
 		if err != nil {
 			s.finishJob(j, StateFailed, fmt.Sprintf("metrics: %v", err), nil, nil)
 			return

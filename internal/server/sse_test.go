@@ -12,7 +12,7 @@ import (
 	"time"
 
 	"repro/internal/server"
-	"repro/internal/telemetry"
+	"repro/internal/tracestat"
 )
 
 // fakeClock is a deterministic telemetry clock: every reading advances one
@@ -155,8 +155,8 @@ func TestSSEGoldenStream(t *testing.T) {
 	}
 
 	// The data lines are exactly the trace-sink JSONL encoding: the stream,
-	// replayed as a file, must satisfy the tracecheck invariants (seq
-	// contiguous from 1, ts non-decreasing, schema fields present).
+	// replayed as a file, must pass tracestat.Read's checks (seq contiguous
+	// from 1, ts non-decreasing, schema fields present).
 	var trace strings.Builder
 	for _, f := range first {
 		if f.Event == "end" {
@@ -165,12 +165,12 @@ func TestSSEGoldenStream(t *testing.T) {
 		trace.WriteString(f.Data)
 		trace.WriteByte('\n')
 	}
-	stats, err := telemetry.ValidateTrace(strings.NewReader(trace.String()))
+	tr, err := tracestat.Read(strings.NewReader(trace.String()))
 	if err != nil {
-		t.Fatalf("SSE stream fails trace validation: %v", err)
+		t.Fatalf("SSE stream fails the trace reader's checks: %v", err)
 	}
-	if stats.Iters != 5 {
-		t.Errorf("trace stats report %d iters, want 5", stats.Iters)
+	if len(tr.Iters) != 5 {
+		t.Errorf("trace reports %d iters, want 5", len(tr.Iters))
 	}
 
 	// Determinism: frame-by-frame equality once timing is scrubbed. Losses,

@@ -11,6 +11,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/tracestat"
 )
 
 // fakeClock is a hand-advanced time source for deterministic traces.
@@ -179,13 +181,13 @@ func TestTraceSinkGoldenJSONL(t *testing.T) {
 		t.Errorf("trace mismatch:\ngot:\n%swant:\n%s", got, want)
 	}
 
-	// The golden stream round-trips through the validator.
-	stats, err := ValidateTrace(bytes.NewReader(buf.Bytes()))
+	// The golden stream round-trips through the trace reader.
+	tr, err := tracestat.Read(bytes.NewReader(buf.Bytes()))
 	if err != nil {
-		t.Fatalf("golden trace fails validation: %v", err)
+		t.Fatalf("golden trace fails the reader's checks: %v", err)
 	}
-	if stats.Events != 3 || stats.Iters != 1 || stats.Phases != 1 || stats.PhaseSec != 0.5 {
-		t.Errorf("stats = %+v", stats)
+	if tr.Events != 3 || len(tr.Iters) != 1 || len(tr.Phases) != 1 || tr.PhaseSec() != 0.5 {
+		t.Errorf("trace = %+v", tr)
 	}
 }
 
@@ -212,6 +214,9 @@ func TestConsoleSinkRendersAndThrottles(t *testing.T) {
 	}
 }
 
+// TestValidateTraceRejects: tracestat.Read, the one reader of the traces
+// this package writes, rejects each break of their schema with the first
+// offending line.
 func TestValidateTraceRejects(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -228,7 +233,7 @@ func TestValidateTraceRejects(t *testing.T) {
 		{"uncovered stage", `{"event":"stage.start","seq":1,"ts":0,"stage":0,"scale":4,"iters":5}` + "\n", "no iter events"},
 	}
 	for _, tc := range cases {
-		_, err := ValidateTrace(strings.NewReader(tc.trace))
+		_, err := tracestat.Read(strings.NewReader(tc.trace))
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want substring %q", tc.name, err, tc.want)
 		}
@@ -249,21 +254,24 @@ func tileTrace(steps ...[2]int) string {
 	return b.String()
 }
 
+// TestValidateTraceTileOrder: tracestat.Read holds the tile events of a
+// trace to gapless row-major sweeps, each restarting at (0,0) after a
+// fullchip.end.
 func TestValidateTraceTileOrder(t *testing.T) {
 	end := [2]int{-1, -1}
 	t.Run("row-major sweep accepted", func(t *testing.T) {
 		trace := tileTrace([2]int{0, 0}, [2]int{1, 0}, [2]int{0, 1}, [2]int{1, 1}, end)
-		stats, err := ValidateTrace(strings.NewReader(trace))
+		tr, err := tracestat.Read(strings.NewReader(trace))
 		if err != nil {
 			t.Fatalf("valid 2×2 sweep rejected: %v", err)
 		}
-		if stats.Tiles != 4 {
-			t.Errorf("Tiles = %d, want 4", stats.Tiles)
+		if tr.Tiles != 4 {
+			t.Errorf("Tiles = %d, want 4", tr.Tiles)
 		}
 	})
 	t.Run("second sweep restarts at origin", func(t *testing.T) {
 		trace := tileTrace([2]int{0, 0}, [2]int{1, 0}, end, [2]int{0, 0}, [2]int{1, 0}, end)
-		if _, err := ValidateTrace(strings.NewReader(trace)); err != nil {
+		if _, err := tracestat.Read(strings.NewReader(trace)); err != nil {
 			t.Fatalf("back-to-back sweeps rejected: %v", err)
 		}
 	})
@@ -283,7 +291,7 @@ func TestValidateTraceTileOrder(t *testing.T) {
 	}
 	for _, tc := range rejects {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := ValidateTrace(strings.NewReader(tileTrace(tc.steps...)))
+			_, err := tracestat.Read(strings.NewReader(tileTrace(tc.steps...)))
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("err = %v, want substring %q", err, tc.want)
 			}

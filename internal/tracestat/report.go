@@ -103,7 +103,7 @@ func renderPhases(w io.Writer, t *Trace) {
 	}
 	if t.WallSec > 0 {
 		fmt.Fprintf(w, "  phase coverage: %.3fs of %.3fs wall = %.1f%%\n",
-			t.PhaseSec(), t.WallSec, 100*t.PhaseSec()/t.WallSec)
+			t.PhaseSec(), t.WallSec, 100*t.Coverage())
 	}
 }
 

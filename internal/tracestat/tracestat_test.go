@@ -102,4 +102,10 @@ func TestReadErrors(t *testing.T) {
 	if _, err := Read(strings.NewReader(`{"seq":1,"ts":0.1}` + "\n")); err == nil {
 		t.Error("event-less line accepted")
 	}
+	// A stage.start without a numeric scale is a schema error naming its
+	// line, not a panic.
+	_, err := Read(strings.NewReader(`{"event":"stage.start","seq":1,"ts":0,"stage":0,"iters":0}` + "\n"))
+	if err == nil || err.Error() != `line 1 (stage.start): missing numeric "scale"` {
+		t.Errorf("stage.start without scale: err = %v", err)
+	}
 }
