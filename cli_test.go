@@ -58,6 +58,13 @@ func TestCLIEndToEnd(t *testing.T) {
 			t.Fatalf("iltopt artifact %s missing", suffix)
 		}
 	}
+	// A layout declares its grid: without -n, the pitch (and with it the
+	// region, the clean-up and the nm² metrics) follows the layout's SIZE.
+	noN := run("iltopt", "-field", "512", "-kernels", "8", "-layout", filepath.Join(work, "via1.glp"),
+		"-recipe", "via", "-iterdiv", "4")
+	if got, want := metricLine(t, noN), metricLine(t, out); got != want {
+		t.Errorf("iltopt without -n reports %q, with -n 128 %q", got, want)
+	}
 
 	// 3. Forward-simulate the optimized mask layout with Eq. (7).
 	out = run("lithosim", append(small, "-layout", prefix+"_mask.glp",
@@ -160,6 +167,18 @@ func TestTracestatCLI(t *testing.T) {
 	if code != 1 || !strings.Contains(out, `line 1 (iter): missing numeric "loss"`) || strings.Contains(out, "trace report:") {
 		t.Errorf("schema error: exit %d, want 1 naming the line, without a report:\n%s", code, out)
 	}
+}
+
+// metricLine returns iltopt's metric line without its ILT wall time.
+func metricLine(t *testing.T, out string) string {
+	t.Helper()
+	for _, line := range strings.Split(out, "\n") {
+		if i := strings.Index(line, "  ILT "); i > 0 && strings.Contains(line, "  L2 ") {
+			return line[:i]
+		}
+	}
+	t.Fatalf("no metric line in iltopt output:\n%s", out)
+	return ""
 }
 
 func writeFile(t *testing.T, path, body string) {

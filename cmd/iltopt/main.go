@@ -18,7 +18,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"repro/internal/baselines"
 	"repro/internal/bench"
@@ -59,8 +58,6 @@ func run() error {
 	curvLambda := flag.Float64("curvature", 0, "curvature penalty weight")
 	polygons := flag.Bool("polygons", false, "write the mask layout as traced polygons instead of fractured rectangles")
 	trace := flag.String("trace", "", "write per-iteration JSONL trace events to this file")
-	histSpans := flag.String("hist-spans", "litho.adjoint,litho.fft_forward",
-		"comma-separated span phases that also record per-call latency histograms (empty disables)")
 	progress := flag.Bool("progress", false, "print live per-stage/per-iteration progress to stderr")
 	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof and expvar on this address (e.g. localhost:6060)")
 	manifestPath := flag.String("manifest", "", "run-manifest path (default <out>_manifest.json when -out is set)")
@@ -79,7 +76,9 @@ func run() error {
 	}
 	var rec *telemetry.Recorder
 	if *trace != "" || *progress || *debugAddr != "" || *manifestPath != "" {
-		var topts []telemetry.Option
+		// The adjoint and the mask FFT also record per-call latency
+		// histograms.
+		topts := []telemetry.Option{telemetry.WithSpanHistograms("litho.adjoint", "litho.fft_forward")}
 		if *trace != "" {
 			f, err := os.Create(*trace)
 			if err != nil {
@@ -89,9 +88,6 @@ func run() error {
 		}
 		if *progress {
 			topts = append(topts, telemetry.WithConsole(os.Stderr))
-		}
-		if *histSpans != "" {
-			topts = append(topts, telemetry.WithSpanHistograms(strings.Split(*histSpans, ",")...))
 		}
 		rec = telemetry.New(topts...)
 		defer rec.Close()
@@ -110,6 +106,9 @@ func run() error {
 	if err != nil {
 		return err
 	}
+	// A layout declares its own grid (SIZE): the pitch, the region margins
+	// and the post-processing scale follow it, not -n.
+	cfg.N = target.W
 	p, err := cfg.Process()
 	if err != nil {
 		return err
@@ -144,16 +143,9 @@ func run() error {
 	var iltSec float64
 	switch *recipe {
 	case "fast", "exact", "via":
-		var stages []core.Stage
-		patience := 0
-		switch *recipe {
-		case "fast":
-			stages = core.FastM1()
-		case "exact":
-			stages = core.ExactM1()
-		case "via":
-			stages = core.Via()
-			patience = core.ViaPatience
+		stages, patience, err := core.Recipe(*recipe)
+		if err != nil {
+			return err
 		}
 		opts := core.DefaultOptions(p)
 		opts.Region = region
@@ -209,8 +201,7 @@ func run() error {
 		return fmt.Errorf("unknown recipe %q", *recipe)
 	}
 
-	spacing, thr := cfg.EPEParams()
-	rep, err := metrics.Evaluate(p, finalMask, target, spacing, thr)
+	rep, err := metrics.Evaluate(p, finalMask, target)
 	if err != nil {
 		return err
 	}

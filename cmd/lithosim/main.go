@@ -133,7 +133,7 @@ func run() error {
 		return err
 	}
 
-	wafer := litho.ResistBinary(f.Intensity, p.Threshold)
+	wafer := litho.ResistBinary(f.Intensity, litho.Threshold)
 	min, max := f.Intensity.MinMax()
 	fmt.Printf("Eq.(%d) at %s corner (dose %.2f): grid %d, intensity [%.4f, %.4f], printed area %.0f px²\n",
 		*eq, c.Name, c.Dose, f.M, min, max, wafer.Sum())

@@ -1,12 +1,22 @@
 package repro
 
 import (
+	"context"
+	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
+
+	"repro/internal/bench"
+	"repro/internal/core"
+	"repro/internal/litho"
+	"repro/internal/mask"
+	"repro/internal/metrics"
+	"repro/internal/optics"
+	"repro/internal/post"
 )
 
 // TestDocsCiteWhatExists: every Test… identifier the docs name is a
@@ -43,6 +53,51 @@ func TestDocsCiteWhatExists(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// Example_apiSketch is README's "Public API sketch", which
+// TestREADMESketchCompiles holds to this body. It has no Output line, so go
+// test compiles it but never runs it.
+func Example_apiSketch() {
+	model, _ := optics.BuildModel(optics.Default()) // synthesize SOCS kernels (2048 nm field)
+	proc := litho.NewProcess(model)                 // corners + resist
+	cs, _ := bench.PaperCase(512, 2048, 1)          // synthetic M1 case 1 at 4 nm/px
+	target := cs.Target
+
+	opts := core.DefaultOptions(proc)                      // β=4, T_R=0.5, lr=1, 3×3 pool
+	opts.Region, _ = mask.Region(target, mask.Option1, 15) // margin in px (60 nm)
+	opt, _ := core.New(opts, target)
+	res, _ := opt.Run(context.Background(), core.ExactM1()) // 80 low-res + 10 high-res
+
+	cleaned := post.Clean(res.Mask, target, post.DefaultOptions(cs.PixelNM))
+	rep, _ := metrics.Evaluate(proc, cleaned.Mask, target) // pitch from the field and the mask width
+	rep = rep.Scale(cs.PixelNM)                            // px² → nm²
+	fmt.Println(rep.L2, rep.PVB, rep.EPE, rep.Shots)
+}
+
+// TestREADMESketchCompiles: README's "Public API sketch" block is the body
+// of Example_apiSketch, so the sketch compiles wherever the module does.
+func TestREADMESketchCompiles(t *testing.T) {
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := os.ReadFile("docs_test.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	block := regexp.MustCompile("(?s)## Public API sketch\n\n```go\n(.*?)```").FindSubmatch(readme)
+	body := regexp.MustCompile(`(?s)\nfunc Example_apiSketch\(\) \{\n(.*?\n)\}\n`).FindSubmatch(src)
+	if block == nil || body == nil {
+		t.Fatalf("README sketch found: %v; Example_apiSketch found: %v", block != nil, body != nil)
+	}
+	lines := strings.SplitAfter(string(body[1]), "\n")
+	for i, l := range lines {
+		lines[i] = strings.TrimPrefix(l, "\t")
+	}
+	if got, want := string(block[1]), strings.Join(lines, ""); got != want {
+		t.Errorf("README's Public API sketch is not Example_apiSketch's body:\n%s\nwant:\n%s", got, want)
 	}
 }
 

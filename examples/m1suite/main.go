@@ -37,7 +37,6 @@ func main() {
 	t := report.NewTable("M1 cases, fast vs exact recipe (region option 1)",
 		"case", "recipe", "L2 (nm²)", "PVB (nm²)", "EPE", "#shots", "ILT (s)")
 	margin1, _ := cfg.RegionMargins()
-	spacing, thr := cfg.EPEParams()
 	for _, cs := range cases {
 		region, err := mask.Region(cs.Target, mask.Option1, margin1)
 		if err != nil {
@@ -61,7 +60,7 @@ func main() {
 				log.Fatal(err)
 			}
 			cleaned := post.Clean(res.Mask, cs.Target, post.DefaultOptions(cfg.PixelNM()))
-			rep, err := metrics.Evaluate(proc, cleaned.Mask, cs.Target, spacing, thr)
+			rep, err := metrics.Evaluate(proc, cleaned.Mask, cs.Target)
 			if err != nil {
 				log.Fatal(err)
 			}

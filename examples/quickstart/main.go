@@ -48,13 +48,13 @@ func main() {
 	}
 	fmt.Printf("fast recipe: %d iterations in %.2fs\n", res.Iterations, res.ILTSeconds)
 
-	// 4. Evaluate both masks with the exact simulator at all corners.
-	const epeSpacing, epeThr = 20, 8 // 40 nm / 15 nm at 2 nm/px
-	before, err := metrics.Evaluate(proc, target, target, epeSpacing, epeThr)
+	// 4. Evaluate both masks with the exact simulator at all corners (EPE
+	//    points every 40 nm, 15 nm threshold: 20 and 8 px at 2 nm/px).
+	before, err := metrics.Evaluate(proc, target, target)
 	if err != nil {
 		log.Fatal(err)
 	}
-	after, err := metrics.Evaluate(proc, res.Mask, target, epeSpacing, epeThr)
+	after, err := metrics.Evaluate(proc, res.Mask, target)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -28,16 +28,19 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	spacing, thr := cfg.EPEParams()
+	stages, patience, err := core.Recipe("via") // patience: exit after 15 non-improving iterations
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	for _, cs := range cases {
 		opts := core.DefaultOptions(proc)
-		opts.Patience = core.ViaPatience // exit after 15 non-improving iterations
+		opts.Patience = patience
 		o, err := core.New(opts, cs.Target)
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := o.Run(context.Background(), core.ScaleStages(core.Via(), cfg.IterDiv))
+		res, err := o.Run(context.Background(), core.ScaleStages(stages, cfg.IterDiv))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -46,7 +49,7 @@ func main() {
 			log.Fatal(err)
 		}
 		total, printed := viasPrinted(cs.Target, wafer)
-		rep, err := metrics.Evaluate(proc, res.Mask, cs.Target, spacing, thr)
+		rep, err := metrics.Evaluate(proc, res.Mask, cs.Target)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -43,11 +43,11 @@ func TestPixelILTImprovesOverRawMask(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := metrics.Evaluate(p, tgt, tgt, 10, 4)
+	raw, err := metrics.Evaluate(p, tgt, tgt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, err := metrics.Evaluate(p, res.Mask, tgt, 10, 4)
+	opt, err := metrics.Evaluate(p, res.Mask, tgt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,11 +81,11 @@ func TestAttentionILTRuns(t *testing.T) {
 	if res.Iterations != 15 {
 		t.Fatalf("ran %d iterations", res.Iterations)
 	}
-	raw, err := metrics.Evaluate(p, tgt, tgt, 10, 4)
+	raw, err := metrics.Evaluate(p, tgt, tgt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, err := metrics.Evaluate(p, res.Mask, tgt, 10, 4)
+	opt, err := metrics.Evaluate(p, res.Mask, tgt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,11 +115,11 @@ func TestLevelSetILTImprovesAndPreservesTopologyLimits(t *testing.T) {
 		t.Errorf("level-set loss never improved: first %g best %g", first, best)
 	}
 
-	raw, err := metrics.Evaluate(p, tgt, tgt, 10, 4)
+	raw, err := metrics.Evaluate(p, tgt, tgt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, err := metrics.Evaluate(p, res.Mask, tgt, 10, 4)
+	opt, err := metrics.Evaluate(p, res.Mask, tgt)
 	if err != nil {
 		t.Fatal(err)
 	}

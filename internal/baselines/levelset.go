@@ -9,6 +9,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/grid"
 	"repro/internal/litho"
+	"repro/internal/mask"
 	"repro/internal/telemetry"
 )
 
@@ -16,25 +17,30 @@ import (
 func dilate(m *grid.Mat, h int) *grid.Mat { return geom.DilateBox(m, h) }
 func erode(m *grid.Mat, h int) *grid.Mat  { return geom.ErodeBox(m, h) }
 
+// The level-set evolution's fixed settings.
+const (
+	// levelSetStep is the evolution step Δt.
+	levelSetStep = 1.0
+	// levelSetEps is the half-width (in φ units ≈ pixels) of the smoothed
+	// Heaviside/delta pair.
+	levelSetEps = 1.5
+	// levelSetReinit re-initialises φ to a signed distance function every
+	// this many iterations.
+	levelSetReinit = 20
+)
+
 // LevelSetOptions configures the GLS-ILT-style baseline.
 type LevelSetOptions struct {
 	Process *litho.Process
 	// Iters is the iteration budget.
 	Iters int
-	// StepSize is the evolution step Δt (default 1 when zero).
-	StepSize float64
-	// Epsilon is the half-width (in φ units ≈ pixels) of the smoothed
-	// Heaviside/delta pair (default 1.5 when zero).
-	Epsilon float64
-	// ReinitEvery re-initialises φ to a signed distance function every
-	// this many iterations (default 20; 0 disables).
-	ReinitEvery int
 	// Region optionally confines evolution (Fig. 7 option 2 in Table III).
 	Region *grid.Mat
 	// Recorder receives per-iteration trace events (the same "iter" schema
-	// as the core optimizer, with stage fixed at 0). Nil disables them at
-	// zero cost. Phase timers go to Process.Sim.Recorder, which LevelSetILT
-	// never sets.
+	// as the core optimizer, with stage fixed at 0) and the core.loss phase
+	// timer of the Eq. (5) chain (core.CornerLoss). Nil disables them at
+	// zero cost. The simulator's phase timers go to Process.Sim.Recorder,
+	// which LevelSetILT never sets.
 	Recorder *telemetry.Recorder
 }
 
@@ -65,19 +71,6 @@ func LevelSetILT(opt LevelSetOptions, target *grid.Mat) (*LevelSetResult, error)
 	if target.W != target.H || target.W&(target.W-1) != 0 {
 		return nil, fmt.Errorf("baselines: target must be square power-of-two, got %dx%d", target.W, target.H)
 	}
-	dt := opt.StepSize
-	if dt == 0 {
-		dt = 1
-	}
-	eps := opt.Epsilon
-	if eps == 0 {
-		eps = 1.5
-	}
-	reinit := opt.ReinitEvery
-	if reinit == 0 {
-		reinit = 20
-	}
-
 	p := opt.Process
 	rec := opt.Recorder
 	rec.Emit("stage.start", telemetry.Fields{
@@ -89,62 +82,38 @@ func LevelSetILT(opt LevelSetOptions, target *grid.Mat) (*LevelSetResult, error)
 
 	best := phi.Clone()
 	bestLoss := math.Inf(1)
-	ztFull := target
-	corners := []litho.Corner{p.Inner(), p.Outer()}
 
 	for it := 0; it < opt.Iters; it++ {
 		iterStart := time.Now()
-		if reinit > 0 && it > 0 && it%reinit == 0 {
-			phi = geom.SignedDistance(maskFromPhi(phi, eps).Threshold(0.5))
+		if it > 0 && it%levelSetReinit == 0 {
+			phi = geom.SignedDistance(maskFromPhi(phi, levelSetEps).Threshold(0.5))
 		}
-		m := maskFromPhi(phi, eps)
-
-		fields, err := p.Simulate(m, corners, true)
+		terms, g, err := core.CornerLoss(p, maskFromPhi(phi, levelSetEps), target, 1, true, rec)
 		if err != nil {
 			return nil, err
 		}
-		fIn, fOut := fields[0], fields[1]
-		zIn := litho.ResistSigmoid(fIn.Intensity, p.Threshold, p.Alpha)
-		zOut := litho.ResistSigmoid(fOut.Intensity, p.Threshold, p.Alpha)
-		terms, gZIn, gZOut := core.Loss(zIn, zOut, ztFull)
 		res.History = append(res.History, terms)
 		res.Iterations++
 		if terms.Total() < bestLoss {
 			bestLoss = terms.Total()
 			best.CopyFrom(phi)
 		}
-		if rec.Enabled() { // guard: the Fields literal would allocate per iteration
-			rec.Emit("iter", telemetry.Fields{
-				"stage": 0, "iter": it, "scale": 1,
-				"loss": terms.Total(), "l2": terms.L2, "pvb": terms.PVB, "penalty": terms.Penalty,
-				"step": dt, "retries": 0, "sec": time.Since(iterStart).Seconds(),
-			})
-		}
-
-		dIin := litho.ResistSigmoidGrad(zIn, p.Alpha)
-		dIin.MulElem(gZIn)
-		gIn, err := p.Sim.Gradient(fIn, dIin)
-		p.Sim.Release(fIn)
-		if err != nil {
-			return nil, err
-		}
-		dIout := litho.ResistSigmoidGrad(zOut, p.Alpha)
-		dIout.MulElem(gZOut)
-		gOut, err := p.Sim.Gradient(fOut, dIout)
-		p.Sim.Release(fOut)
-		if err != nil {
-			return nil, err
-		}
-		gIn.Add(gOut) // dL/dM
 
 		// dL/dφ = −dL/dM · δ_ε(φ); advect with |∇φ| (≈1 near the front).
 		gradMag := gradientMagnitude(phi)
 		for i := range phi.Data {
-			v := gIn.Data[i] * deltaEps(phi.Data[i], eps) * gradMag.Data[i]
+			v := g.Data[i] * deltaEps(phi.Data[i], levelSetEps) * gradMag.Data[i]
 			if opt.Region != nil && opt.Region.Data[i] < 0.5 {
 				continue
 			}
-			phi.Data[i] += dt * v
+			phi.Data[i] += levelSetStep * v
+		}
+		if rec.Enabled() { // guard: the Fields literal would allocate per iteration
+			rec.Emit("iter", telemetry.Fields{
+				"stage": 0, "iter": it, "scale": 1,
+				"loss": terms.Total(), "l2": terms.L2, "pvb": terms.PVB, "penalty": terms.Penalty,
+				"step": levelSetStep, "retries": 0, "sec": time.Since(iterStart).Seconds(),
+			})
 		}
 	}
 	res.ILTSeconds = time.Since(start).Seconds()
@@ -152,15 +121,10 @@ func LevelSetILT(opt LevelSetOptions, target *grid.Mat) (*LevelSetResult, error)
 		"stage": 0, "iters_run": res.Iterations, "best_loss": bestLoss,
 		"sec": res.ILTSeconds,
 	})
-	final := maskFromPhi(best, eps).Threshold(0.5)
+	res.Mask = maskFromPhi(best, levelSetEps).Threshold(0.5)
 	if opt.Region != nil {
-		for i, r := range opt.Region.Data {
-			if r < 0.5 {
-				final.Data[i] = 0
-			}
-		}
+		mask.ApplyRegion(res.Mask, opt.Region)
 	}
-	res.Mask = final
 	return res, nil
 }
 

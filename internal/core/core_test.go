@@ -205,11 +205,11 @@ func TestRunMultiLevelEndToEnd(t *testing.T) {
 	}
 
 	// The optimized mask must beat the raw target mask on the contest L2.
-	rawRep, err := metrics.Evaluate(p, tgt, tgt, 10, 4)
+	rawRep, err := metrics.Evaluate(p, tgt, tgt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	optRep, err := metrics.Evaluate(p, res.Mask, tgt, 10, 4)
+	optRep, err := metrics.Evaluate(p, res.Mask, tgt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,7 +419,7 @@ func TestSmoothingPoolTradeoff(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := metrics.Evaluate(p, res.Mask, tgt, 10, 4)
+		rep, err := metrics.Evaluate(p, res.Mask, tgt)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -11,6 +11,8 @@ import (
 	"fmt"
 
 	"repro/internal/grid"
+	"repro/internal/litho"
+	"repro/internal/telemetry"
 )
 
 // LossTerms breaks Eq. (5) into its components:
@@ -50,4 +52,56 @@ func Loss(zIn, zOut, zt *grid.Mat) (LossTerms, *grid.Mat, *grid.Mat) {
 		gIn.Data[i] = 2 * dpvb
 	}
 	return terms, gIn, gOut
+}
+
+// CornerLoss is the one Eq. (5) chain of every ILT iteration, in both
+// Algorithm 1 branches and the level-set baseline: one Sim.ForwardCorners
+// call at the inner and outer corners, the sigmoid resist, the wafer images
+// pooled down by s (1: none) to zt's resolution, and Loss. With wantGrad it
+// also returns dL/dm: each corner's pooling adjoint, resist gradient and
+// Sim.Gradient (its field released right after), summed in corner order;
+// without it the gradient is nil. The work between simulator calls is timed
+// as core.loss on rec.
+func CornerLoss(p *litho.Process, m, zt *grid.Mat, s int, wantGrad bool, rec *telemetry.Recorder) (LossTerms, *grid.Mat, error) {
+	fields, err := p.Sim.ForwardCorners(m, []litho.Corner{p.Inner(), p.Outer()}, wantGrad)
+	if err != nil {
+		return LossTerms{}, nil, err
+	}
+	sp := rec.StartSpan("core.loss")
+	var z, zS [2]*grid.Mat // wafer images at m's resolution and at zt's
+	for i, f := range fields {
+		z[i] = litho.ResistSigmoid(f.Intensity, litho.Threshold, litho.Alpha)
+		zS[i] = z[i]
+		if s > 1 {
+			zS[i] = grid.AvgPoolDown(z[i], s)
+		}
+	}
+	terms, gIn, gOut := Loss(zS[0], zS[1], zt)
+	sp.End()
+	if !wantGrad {
+		return terms, nil, nil
+	}
+	var total *grid.Mat
+	for i, gZ := range [2]*grid.Mat{gIn, gOut} {
+		sp := rec.StartSpan("core.loss")
+		if s > 1 {
+			gZ = grid.AvgPoolDownAdjoint(gZ, s)
+		}
+		dI := litho.ResistSigmoidGrad(z[i], litho.Alpha)
+		dI.MulElem(gZ)
+		sp.End()
+		g, err := p.Sim.Gradient(fields[i], dI)
+		p.Sim.Release(fields[i])
+		if err != nil {
+			return LossTerms{}, nil, err
+		}
+		if total == nil {
+			total = g
+			continue
+		}
+		sp = rec.StartSpan("core.loss")
+		total.Add(g)
+		sp.End()
+	}
+	return terms, total, nil
 }

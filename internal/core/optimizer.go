@@ -227,11 +227,7 @@ func (o *Optimizer) Run(ctx context.Context, stages []Stage) (*Result, error) {
 	}
 	if o.opts.Region != nil {
 		// Pixels outside the optimizing region are never opened.
-		for i, r := range o.opts.Region.Data {
-			if r < 0.5 {
-				res.Mask.Data[i] = 0
-			}
-		}
+		mask.ApplyRegion(res.Mask, o.opts.Region)
 	}
 	return res, nil
 }
@@ -467,7 +463,11 @@ func (o *Optimizer) lineSearchStep(ctx context.Context, mp, g *grid.Mat, st Stag
 
 // step performs one Algorithm 1 iteration at the stage's level and returns
 // the loss terms and, when wantGrad is set, dL/dM′ at the stage's parameter
-// resolution (nil otherwise — the loss-only path costs roughly half).
+// resolution (nil otherwise — the loss-only path costs roughly half). Both
+// flags evaluate Eq. (5) through CornerLoss: flag 1 simulates the upsampled
+// M_s exactly and pools the wafer images back by s (lines 7–9), flag 0
+// simulates M_s, smoothing-pooled (line 11), at the working size; each then
+// takes dL/dM back through its own resampling adjoint.
 func (o *Optimizer) step(mp *grid.Mat, st Stage, ztS *grid.Mat, wantGrad bool) (LossTerms, *grid.Mat, error) {
 	rec := o.opts.Recorder
 	binary := o.opts.Binary
@@ -477,159 +477,37 @@ func (o *Optimizer) step(mp *grid.Mat, st Stage, ztS *grid.Mat, wantGrad bool) (
 	ms := binary.Apply(mp)
 	sp.End()
 
-	if st.HighRes {
-		return o.stepHighRes(mp, ms, st, ztS, wantGrad)
-	}
-
-	// Low-resolution branch (flag = 0).
-	sim := ms
-	smoothed := false
-	if o.opts.SmoothWindow > 1 {
-		// Line 11: stride-1 smoothing pool on the binarized mask.
+	m, s := ms, 1
+	resampled := st.HighRes || o.opts.SmoothWindow > 1
+	if resampled {
 		sp := rec.StartSpan("core.resample")
-		sim = grid.SmoothPool(ms, o.opts.SmoothWindow)
-		sp.End()
-		smoothed = true
-	}
-	terms, corners, err := o.simulateLoss(sim, ztS, 1, wantGrad)
-	if err != nil {
-		return LossTerms{}, nil, err
-	}
-	if !wantGrad {
-		terms.Penalty, err = o.applyPenalties(ms, nil)
-		return terms, nil, err
-	}
-
-	gSim, err := o.maskGradient(corners)
-	if err != nil {
-		return LossTerms{}, nil, err
-	}
-	if smoothed {
-		sp := rec.StartSpan("core.resample")
-		gSim = grid.SmoothPoolAdjoint(gSim, o.opts.SmoothWindow)
-		sp.End()
-	}
-	pen, err := o.applyPenalties(ms, gSim)
-	if err != nil {
-		return LossTerms{}, nil, err
-	}
-	terms.Penalty = pen
-	sp = rec.StartSpan("core.binarize")
-	gSim.MulElem(binary.Grad(mp, ms))
-	sp.End()
-	return terms, gSim, nil
-}
-
-// stepHighRes is the flag = 1 branch: coarse parameters, nearest-neighbour
-// upsampling, exact simulation, pooled wafer loss (Algorithm 1 lines 7–9).
-func (o *Optimizer) stepHighRes(mp, ms *grid.Mat, st Stage, ztS *grid.Mat, wantGrad bool) (LossTerms, *grid.Mat, error) {
-	rec := o.opts.Recorder
-	s := st.Scale
-
-	// Line 7: M = Upsample(M_s).
-	sp := rec.StartSpan("core.resample")
-	m := grid.UpsampleNearest(ms, s)
-	sp.End()
-
-	// Lines 8–9 fold into simulateLoss: exact simulation at full size with
-	// the wafer images pooled down before the loss; the pooling adjoint is
-	// applied to the per-corner dL/dZ before the Hopkins adjoint.
-	terms, corners, err := o.simulateLoss(m, ztS, s, wantGrad)
-	if err != nil {
-		return LossTerms{}, nil, err
-	}
-	if !wantGrad {
-		terms.Penalty, err = o.applyPenalties(ms, nil)
-		return terms, nil, err
-	}
-
-	gM, err := o.maskGradient(corners)
-	if err != nil {
-		return LossTerms{}, nil, err
-	}
-	// Adjoint of the upsampling back to the coarse parameter grid.
-	sp = rec.StartSpan("core.resample")
-	gMs := grid.UpsampleNearestAdjoint(gM, s)
-	sp.End()
-	pen, err := o.applyPenalties(ms, gMs)
-	if err != nil {
-		return LossTerms{}, nil, err
-	}
-	terms.Penalty = pen
-	sp = rec.StartSpan("core.binarize")
-	gMs.MulElem(o.opts.Binary.Grad(mp, ms))
-	sp.End()
-	return terms, gMs, nil
-}
-
-// cornerTerm carries one simulated corner through the adjoint chain.
-type cornerTerm struct {
-	field *litho.Field
-	z     *grid.Mat // sigmoid wafer image at the working resolution
-	gZ    *grid.Mat // dL/dZ at the field's resolution (post pooling adjoint)
-}
-
-// simulateLoss runs the corner set of Eq. (5) on a mask through one
-// Process.Simulate call — one mask spectrum, one SOCS pass per kernel set —
-// and returns the loss terms plus the per-corner adjoint inputs, in the
-// order maskGradient sums them. With s > 1 (the high-resolution branch) the
-// wafer images are pooled down by s before the loss and each dL/dZ is
-// lifted back to the field's resolution with the pooling adjoint. Set
-// wantGrad when maskGradient follows: the fields then keep their
-// amplitudes (within the simulator's budget) until it releases them.
-func (o *Optimizer) simulateLoss(m, ztS *grid.Mat, s int, wantGrad bool) (LossTerms, []cornerTerm, error) {
-	p := o.opts.Process
-	fields, err := p.Simulate(m, []litho.Corner{p.Inner(), p.Outer()}, wantGrad)
-	if err != nil {
-		return LossTerms{}, nil, err
-	}
-	sp := o.opts.Recorder.StartSpan("core.loss")
-	defer sp.End()
-	cts := make([]cornerTerm, len(fields))
-	zS := make([]*grid.Mat, len(fields))
-	for i, f := range fields {
-		z := litho.ResistSigmoid(f.Intensity, p.Threshold, p.Alpha)
-		cts[i] = cornerTerm{field: f, z: z}
-		zS[i] = z
-		if s > 1 {
-			zS[i] = grid.AvgPoolDown(z, s)
-		}
-	}
-	loss, gI, gO := Loss(zS[0], zS[1], ztS)
-	for i, g := range []*grid.Mat{gI, gO} {
-		if s > 1 {
-			g = grid.AvgPoolDownAdjoint(g, s)
-		}
-		cts[i].gZ = g
-	}
-	return loss, cts, nil
-}
-
-// maskGradient chains each corner's dL/dZ through the sigmoid resist and
-// the Hopkins adjoint and sums the contributions in corner order. Each
-// corner's field is released right after its gradient, so its kept
-// amplitudes return to the pool.
-func (o *Optimizer) maskGradient(corners []cornerTerm) (*grid.Mat, error) {
-	p := o.opts.Process
-	rec := o.opts.Recorder
-	var total *grid.Mat
-	for _, c := range corners {
-		sp := rec.StartSpan("core.loss")
-		dI := litho.ResistSigmoidGrad(c.z, p.Alpha)
-		dI.MulElem(c.gZ)
-		sp.End()
-		g, err := p.Sim.Gradient(c.field, dI)
-		p.Sim.Release(c.field)
-		if err != nil {
-			return nil, err
-		}
-		if total == nil {
-			total = g
+		if st.HighRes {
+			m, s = grid.UpsampleNearest(ms, st.Scale), st.Scale
 		} else {
-			sp := rec.StartSpan("core.loss")
-			total.Add(g)
-			sp.End()
+			m = grid.SmoothPool(ms, o.opts.SmoothWindow)
 		}
+		sp.End()
 	}
-	return total, nil
+	terms, g, err := CornerLoss(o.opts.Process, m, ztS, s, wantGrad, rec)
+	if err != nil {
+		return LossTerms{}, nil, err
+	}
+	if wantGrad && resampled {
+		sp := rec.StartSpan("core.resample")
+		if st.HighRes {
+			g = grid.UpsampleNearestAdjoint(g, s)
+		} else {
+			g = grid.SmoothPoolAdjoint(g, o.opts.SmoothWindow)
+		}
+		sp.End()
+	}
+	// g is nil on the loss-only path: the penalties then add no gradient.
+	terms.Penalty, err = o.applyPenalties(ms, g)
+	if err != nil || !wantGrad {
+		return terms, nil, err
+	}
+	sp = rec.StartSpan("core.binarize")
+	g.MulElem(binary.Grad(mp, ms))
+	sp.End()
+	return terms, g, nil
 }

@@ -154,7 +154,7 @@ func TestTVPenaltyReducesShots(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := metrics.Evaluate(p, res.Mask, tgt, 10, 4)
+		rep, err := metrics.Evaluate(p, res.Mask, tgt)
 		if err != nil {
 			t.Fatal(err)
 		}

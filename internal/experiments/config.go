@@ -10,7 +10,6 @@ import (
 	"math"
 
 	"repro/internal/litho"
-	"repro/internal/metrics"
 	"repro/internal/optics"
 	"repro/internal/telemetry"
 )
@@ -113,12 +112,6 @@ func (c Config) Process() (*litho.Process, error) {
 		return nil, fmt.Errorf("experiments: grid %d too small for kernel support %d at s=8 (raise N or shrink FieldNM)", c.N, model.Nominal.P)
 	}
 	return p, nil
-}
-
-// EPEParams converts the contest EPE geometry (40 nm spacing, 15 nm
-// threshold) to pixels at this scale (metrics.EPEPixels).
-func (c Config) EPEParams() (spacingPx, thrPx int) {
-	return metrics.EPEPixels(c.PixelNM())
 }
 
 // RegionMargins returns the Fig. 7 region margins in pixels: a tight

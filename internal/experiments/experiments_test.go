@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/telemetry"
 )
 
 // tiny returns a configuration small enough that the full experiment set
@@ -39,10 +41,6 @@ func TestConfigDerivedQuantities(t *testing.T) {
 	c := Harness()
 	if c.PixelNM() != 4 {
 		t.Errorf("harness pixel %g, want 4", c.PixelNM())
-	}
-	sp, thr := c.EPEParams()
-	if sp != 10 || thr != 4 {
-		t.Errorf("harness EPE params %d/%d, want 10/4", sp, thr)
 	}
 	m1, m2 := c.RegionMargins()
 	if m1 != 15 || m2 != 50 {
@@ -104,6 +102,26 @@ func TestIterationTimeShape(t *testing.T) {
 	}
 	if full <= low {
 		t.Errorf("full-res iteration (%g ms) not slower than low-res (%g ms)", full, low)
+	}
+}
+
+// TestExperimentTracesOptimizerPhases: an experiment's recorder times the
+// optimizer's own work (core.Options.Recorder) beside the simulator's.
+func TestExperimentTracesOptimizerPhases(t *testing.T) {
+	c := tiny(t)
+	rec := telemetry.New()
+	c.Recorder = rec
+	if _, err := IterationTime(c, 1); err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]bool{}
+	for _, ph := range rec.Phases() {
+		got[ph.Name] = true
+	}
+	for _, name := range []string{"core.binarize", "core.resample", "core.loss", "core.update"} {
+		if !got[name] {
+			t.Errorf("experiment trace has no %s phase", name)
+		}
 	}
 }
 

@@ -107,7 +107,7 @@ func Convergence(c Config) (*report.Table, error) {
 		"schedule", "L2 (nm²)", "PVB (nm²)", "#shots", "ILT time (s)")
 	var series []*report.Series
 	for _, v := range variants {
-		opts := core.DefaultOptions(p)
+		opts := c.coreOptions(p)
 		o, err := core.New(opts, cs.Target)
 		if err != nil {
 			return nil, err

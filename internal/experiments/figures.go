@@ -89,7 +89,7 @@ func Fig4(c Config) (*report.Table, error) {
 		fmt.Sprintf("Fig. 4 — binary function T_R ablation (%d low-res iterations, case1)", iters),
 		"T_R", "L2 (nm²)", "PVB (nm²)", "SRAF area (nm²)", "paper L2", "paper PVB")
 	for _, tr := range []float64{0, 0.5} {
-		opts := core.DefaultOptions(p)
+		opts := c.coreOptions(p)
 		opts.Binary = mask.Sigmoid{Beta: mask.DefaultBeta, TR: tr}
 		if tr == 0 {
 			opts.OutputTR = 0
@@ -195,7 +195,7 @@ func Fig6(c Config) (*report.Table, error) {
 		if window == 0 {
 			name = "without pooling"
 		}
-		opts := core.DefaultOptions(p)
+		opts := c.coreOptions(p)
 		opts.SmoothWindow = window
 		o, err := core.New(opts, cs.Target)
 		if err != nil {
@@ -267,13 +267,7 @@ func Fig8(c Config) (*report.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	opts := core.DefaultOptions(p)
-	opts.Patience = core.ViaPatience
-	o, err := core.New(opts, cs.Target)
-	if err != nil {
-		return nil, err
-	}
-	res, err := o.Run(context.Background(), core.ScaleStages(core.Via(), c.IterDiv))
+	res, err := c.runVia(p, cs.Target, c.IterDiv)
 	if err != nil {
 		return nil, err
 	}
@@ -300,7 +294,7 @@ func Fig8(c Config) (*report.Table, error) {
 	if err := c.savePNG("fig8_target.png", cs.Target); err != nil {
 		return nil, err
 	}
-	binarized := opts.Binary.Apply(res.Params)
+	binarized := core.DefaultOptions(p).Binary.Apply(res.Params)
 	if err := c.savePNG("fig8_binarized.png", binarized); err != nil {
 		return nil, err
 	}
@@ -314,9 +308,13 @@ func Fig8(c Config) (*report.Table, error) {
 	return t, nil
 }
 
-// viaCase picks the Fig. 8 via pattern at this scale.
+// viaCase picks the Fig. 8 via pattern at this scale: nine vias from the
+// via generator's first seed. It is named fig8, because via1 is
+// bench.PaperVia's six-via case of that seed.
 func viaCase(c Config) (bench.Case, error) {
-	return bench.ViaCase(c.N, c.FieldNM, 1, 9)
+	cs, err := bench.ViaCase(c.N, c.FieldNM, 1, 9)
+	cs.Name = "fig8"
+	return cs, err
 }
 
 // viasPrinted counts target via components whose area is at least half

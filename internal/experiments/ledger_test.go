@@ -106,8 +106,7 @@ func TestWorkLedger(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		spacing, thr := tc.cfg.EPEParams()
-		rep, err := metrics.Evaluate(p, res.Mask, cs.Target, spacing, thr)
+		rep, err := metrics.Evaluate(p, res.Mask, cs.Target)
 		if err != nil {
 			t.Fatal(err)
 		}

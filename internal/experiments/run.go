@@ -27,24 +27,42 @@ type Measured struct {
 
 // evaluateMask runs the contest evaluation and scales areas to nm².
 func (c Config) evaluateMask(p *litho.Process, m, target *grid.Mat) (metrics.Report, error) {
-	spacing, thr := c.EPEParams()
-	return evaluateWith(p, m, target, spacing, thr, c.PixelNM())
-}
-
-// evaluateWith is evaluateMask for an explicit process (the sources
-// ablation rebuilds kernels per shape).
-func evaluateWith(p *litho.Process, m, target *grid.Mat, spacing, thr int, pixelNM float64) (metrics.Report, error) {
-	rep, err := metrics.Evaluate(p, m, target, spacing, thr)
+	rep, err := metrics.Evaluate(p, m, target)
 	if err != nil {
 		return rep, err
 	}
-	return rep.Scale(pixelNM), nil
+	return rep.Scale(c.PixelNM()), nil
+}
+
+// coreOptions is core.DefaultOptions over p with the run's recorder, so a
+// trace or the -v console carries the optimizer's stages, iterations and
+// core.* phases.
+func (c Config) coreOptions(p *litho.Process) core.Options {
+	opts := core.DefaultOptions(p)
+	opts.Recorder = c.Recorder
+	return opts
+}
+
+// runVia runs the via recipe (core.Recipe: its schedule, budgets divided
+// by div, and its patience) on a target.
+func (c Config) runVia(p *litho.Process, target *grid.Mat, div int) (*core.Result, error) {
+	stages, patience, err := core.Recipe("via")
+	if err != nil {
+		return nil, err
+	}
+	opts := c.coreOptions(p)
+	opts.Patience = patience
+	o, err := core.New(opts, target)
+	if err != nil {
+		return nil, err
+	}
+	return o.Run(context.Background(), core.ScaleStages(stages, div))
 }
 
 // runRecipe executes a multi-level ILT recipe (budgets divided by IterDiv),
 // post-processes the mask, and evaluates it.
 func (c Config) runRecipe(p *litho.Process, method string, target *grid.Mat, stages []core.Stage, region *grid.Mat, patience int) (Measured, error) {
-	opts := core.DefaultOptions(p)
+	opts := c.coreOptions(p)
 	opts.Region = region
 	opts.Patience = patience
 	o, err := core.New(opts, target)
@@ -88,7 +106,7 @@ func (c Config) runAttention(p *litho.Process, target *grid.Mat, region *grid.Ma
 func (c Config) runLevelSet(p *litho.Process, target *grid.Mat, region *grid.Mat) (Measured, error) {
 	iters := maxInt(1, 100/c.IterDiv)
 	res, err := baselines.LevelSetILT(baselines.LevelSetOptions{
-		Process: p, Iters: iters, Region: region,
+		Process: p, Iters: iters, Region: region, Recorder: c.Recorder,
 	}, target)
 	if err != nil {
 		return Measured{}, err

@@ -32,7 +32,7 @@ func Sources(c Config) (*report.Table, error) {
 		proc := litho.NewProcess(model)
 		c.logf("sources: %v", shape)
 
-		opts := core.DefaultOptions(proc)
+		opts := c.coreOptions(proc)
 		o, err := core.New(opts, cs.Target)
 		if err != nil {
 			return nil, err
@@ -41,8 +41,7 @@ func Sources(c Config) (*report.Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%v: %w", shape, err)
 		}
-		spacing, thr := c.EPEParams()
-		rep, err := evaluateWith(proc, res.Mask, cs.Target, spacing, thr, c.PixelNM())
+		rep, err := c.evaluateMask(proc, res.Mask, cs.Target)
 		if err != nil {
 			return nil, err
 		}

@@ -45,7 +45,7 @@ func Table1(c Config) (*report.Table, error) {
 	var times []float64
 	for _, v := range variants {
 		c.logf("table1: %s", v.name)
-		opts := core.DefaultOptions(p)
+		opts := c.coreOptions(p)
 		opts.SmoothWindow = v.smooth
 		o, err := core.New(opts, cs.Target)
 		if err != nil {

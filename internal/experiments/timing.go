@@ -137,7 +137,7 @@ func IterationTime(c Config, iters int) (*report.Table, error) {
 		"variant", "total (s)", "ms/iteration", "vs low-res")
 	var per []float64
 	for _, v := range variants {
-		opts := core.DefaultOptions(p)
+		opts := c.coreOptions(p)
 		o, err := core.New(opts, cs.Target)
 		if err != nil {
 			return nil, err

@@ -117,7 +117,7 @@ func Verify(c Config) (*report.Table, error) {
 
 	// Claims 2 & part of 4: per-iteration work and wall time.
 	iterCost := func(st core.Stage) (wall, bf float64, err error) {
-		opts := core.DefaultOptions(p)
+		opts := c.coreOptions(p)
 		o, err := core.New(opts, cs.Target)
 		if err != nil {
 			return 0, 0, err
@@ -168,7 +168,7 @@ func Verify(c Config) (*report.Table, error) {
 		return Measured{Report: rep, ILTSec: res.ILTSeconds, Result: res, Mask: res.Mask}, w, nil
 	}
 	runStages := func(stages []core.Stage, smooth int) (Measured, int64, error) {
-		opts := core.DefaultOptions(p)
+		opts := c.coreOptions(p)
 		opts.SmoothWindow = smooth
 		o, err := core.New(opts, cs.Target)
 		if err != nil {
@@ -229,7 +229,7 @@ func Verify(c Config) (*report.Table, error) {
 	{
 		far := geom.DilateBox(cs.Target, maxInt(2, int(50/c.PixelNM())))
 		runTR := func(tr float64) (Measured, float64, error) {
-			opts := core.DefaultOptions(p)
+			opts := c.coreOptions(p)
 			opts.Binary = mask.Sigmoid{Beta: mask.DefaultBeta, TR: tr}
 			if tr == 0 {
 				opts.OutputTR = 0
@@ -298,17 +298,11 @@ func Verify(c Config) (*report.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		opts := core.DefaultOptions(p)
-		opts.Patience = core.ViaPatience
-		o, err := core.New(opts, vc.Target)
-		if err != nil {
-			return nil, err
-		}
 		div := c.IterDiv
 		if div > 5 {
 			div = 5 // the via flow needs a real budget to converge
 		}
-		res, err := o.Run(context.Background(), core.ScaleStages(core.Via(), div))
+		res, err := c.runVia(p, vc.Target, div)
 		if err != nil {
 			return nil, err
 		}

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"path/filepath"
 
@@ -37,13 +36,7 @@ func ViaSweep(c Config) (*report.Table, error) {
 	allPrinted := true
 	for _, cs := range cases {
 		c.logf("viasweep: %s", cs.Name)
-		opts := core.DefaultOptions(p)
-		opts.Patience = core.ViaPatience
-		o, err := core.New(opts, cs.Target)
-		if err != nil {
-			return nil, err
-		}
-		res, err := o.Run(context.Background(), core.ScaleStages(core.Via(), c.IterDiv))
+		res, err := c.runVia(p, cs.Target, c.IterDiv)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", cs.Name, err)
 		}

@@ -123,7 +123,9 @@ func TestTiledMatchesMonolithicQuality(t *testing.T) {
 	evalProc := litho.NewProcess(evalModel)
 	embed := func(m *grid.Mat) *grid.Mat {
 		out := grid.NewMat(256, 256)
-		out.PasteRect(m, 32, 48)
+		for y := 0; y < m.H; y++ {
+			copy(out.Data[(48+y)*out.W+32:], m.Data[y*m.W:(y+1)*m.W])
+		}
 		return out
 	}
 	embTarget := embed(tgt)
@@ -138,15 +140,15 @@ func TestTiledMatchesMonolithicQuality(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	tiledRep, err := metrics.Evaluate(evalProc, embTiled, embTarget, 10, 4)
+	tiledRep, err := metrics.Evaluate(evalProc, embTiled, embTarget)
 	if err != nil {
 		t.Fatal(err)
 	}
-	monoRep, err := metrics.Evaluate(evalProc, monoRes.Mask, embTarget, 10, 4)
+	monoRep, err := metrics.Evaluate(evalProc, monoRes.Mask, embTarget)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rawRep, err := metrics.Evaluate(evalProc, embTarget, embTarget, 10, 4)
+	rawRep, err := metrics.Evaluate(evalProc, embTarget, embTarget)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -197,27 +197,3 @@ func (m *Mat) Equal(o *Mat, tol float64) bool {
 	}
 	return true
 }
-
-// SubRect copies the rectangle with top-left (x0, y0) and size w×h into a
-// new matrix. The rectangle must lie inside m.
-func (m *Mat) SubRect(x0, y0, w, h int) *Mat {
-	if x0 < 0 || y0 < 0 || x0+w > m.W || y0+h > m.H {
-		panic(fmt.Sprintf("grid: SubRect (%d,%d %dx%d) outside %dx%d", x0, y0, w, h, m.W, m.H))
-	}
-	out := NewMat(w, h)
-	for y := 0; y < h; y++ {
-		copy(out.Data[y*w:(y+1)*w], m.Data[(y0+y)*m.W+x0:(y0+y)*m.W+x0+w])
-	}
-	return out
-}
-
-// PasteRect copies src into m with src's top-left at (x0, y0).
-// The pasted region must lie inside m.
-func (m *Mat) PasteRect(src *Mat, x0, y0 int) {
-	if x0 < 0 || y0 < 0 || x0+src.W > m.W || y0+src.H > m.H {
-		panic(fmt.Sprintf("grid: PasteRect (%d,%d %dx%d) outside %dx%d", x0, y0, src.W, src.H, m.W, m.H))
-	}
-	for y := 0; y < src.H; y++ {
-		copy(m.Data[(y0+y)*m.W+x0:(y0+y)*m.W+x0+src.W], src.Data[y*src.W:(y+1)*src.W])
-	}
-}

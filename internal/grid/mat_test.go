@@ -144,41 +144,6 @@ func TestApply(t *testing.T) {
 	}
 }
 
-func TestSubRectPasteRectRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	m := randMat(rng, 8, 6)
-	r := m.SubRect(2, 1, 4, 3)
-	if r.W != 4 || r.H != 3 {
-		t.Fatalf("SubRect size %dx%d", r.W, r.H)
-	}
-	for y := 0; y < 3; y++ {
-		for x := 0; x < 4; x++ {
-			if r.At(x, y) != m.At(x+2, y+1) {
-				t.Fatalf("SubRect content mismatch at (%d,%d)", x, y)
-			}
-		}
-	}
-	dst := NewMat(8, 6)
-	dst.PasteRect(r, 2, 1)
-	for y := 0; y < 3; y++ {
-		for x := 0; x < 4; x++ {
-			if dst.At(x+2, y+1) != r.At(x, y) {
-				t.Fatalf("PasteRect content mismatch at (%d,%d)", x, y)
-			}
-		}
-	}
-}
-
-func TestSubRectOutOfBoundsPanics(t *testing.T) {
-	m := NewMat(4, 4)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("SubRect out of bounds did not panic")
-		}
-	}()
-	m.SubRect(2, 2, 3, 3)
-}
-
 func TestEqualTolerance(t *testing.T) {
 	a := FromSlice(2, 1, []float64{1, 2})
 	b := FromSlice(2, 1, []float64{1.0005, 2})

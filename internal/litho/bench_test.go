@@ -211,6 +211,6 @@ func BenchmarkResistSigmoid(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ResistSigmoid(mask, DefaultThreshold, DefaultAlpha)
+		ResistSigmoid(mask, Threshold, Alpha)
 	}
 }

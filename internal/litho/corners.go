@@ -15,24 +15,21 @@ type Corner struct {
 	Dose float64
 }
 
-// Process bundles the simulator with the contest process-window settings.
+// DoseDelta is the ±dose excursion of the Inner and Outer corners (the
+// contest's 2%).
+const DoseDelta = 0.02
+
+// Process bundles the simulator with the contest process-window corners.
 // PVBand is measured between the Inner and Outer corners (Definition 2):
-// inner = defocus & −2% dose, outer = nominal focus & +2% dose.
+// inner = defocus & −2% dose, outer = nominal focus & +2% dose. The resist
+// is the contest's (Threshold, Alpha).
 type Process struct {
-	Sim       *Sim
-	Threshold float64 // I_th
-	Alpha     float64 // sigmoid steepness
-	DoseDelta float64 // ±dose excursion (0.02 in the paper)
+	Sim *Sim
 }
 
 // NewProcess creates the paper's process description over a kernel model.
 func NewProcess(model *optics.Model) *Process {
-	return &Process{
-		Sim:       NewSim(model),
-		Threshold: DefaultThreshold,
-		Alpha:     DefaultAlpha,
-		DoseDelta: 0.02,
-	}
+	return &Process{Sim: NewSim(model)}
 }
 
 // Nominal returns the nominal-focus, nominal-dose corner (used for Z_norm
@@ -43,12 +40,12 @@ func (p *Process) Nominal() Corner {
 
 // Outer returns the max-CD corner: nominal focus, +2% dose.
 func (p *Process) Outer() Corner {
-	return Corner{Name: "outer", KS: p.Sim.Model.Nominal, Dose: 1 + p.DoseDelta}
+	return Corner{Name: "outer", KS: p.Sim.Model.Nominal, Dose: 1 + DoseDelta}
 }
 
 // Inner returns the min-CD corner: defocus, −2% dose.
 func (p *Process) Inner() Corner {
-	return Corner{Name: "inner", KS: p.Sim.Model.Defocus, Dose: 1 - p.DoseDelta}
+	return Corner{Name: "inner", KS: p.Sim.Model.Defocus, Dose: 1 - DoseDelta}
 }
 
 // Corners returns the three standard corners in (nominal, inner, outer) order.
@@ -64,19 +61,5 @@ func (p *Process) Print(mask *grid.Mat, c Corner) (*grid.Mat, error) {
 	if err != nil {
 		return nil, fmt.Errorf("litho: print at %s corner: %w", c.Name, err)
 	}
-	return ResistBinary(f.Intensity, p.Threshold), nil
-}
-
-// Simulate runs the exact forward simulation of one mask at several
-// corners through one Sim.ForwardCorners call — one mask spectrum and one
-// SOCS pass per distinct kernel set — and returns the fields in corner
-// order. Every multi-corner print of one mask goes through it; callers
-// apply the resist model they need to each field's Intensity. With
-// keepAmps (a gradient follows), Release each field after its gradient.
-func (p *Process) Simulate(mask *grid.Mat, corners []Corner, keepAmps bool) ([]*Field, error) {
-	fields, err := p.Sim.ForwardCorners(mask, corners, keepAmps)
-	if err != nil {
-		return nil, fmt.Errorf("litho: print: %w", err)
-	}
-	return fields, nil
+	return ResistBinary(f.Intensity, Threshold), nil
 }

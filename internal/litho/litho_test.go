@@ -329,7 +329,7 @@ func TestReleaseContract(t *testing.T) {
 	const n = 32
 	mask := randMask(rng, n)
 	dLdI := randMask(rng, n)
-	fields, err := p.Simulate(mask, []Corner{p.Nominal(), p.Inner(), p.Outer()}, true)
+	fields, err := p.Sim.ForwardCorners(mask, []Corner{p.Nominal(), p.Inner(), p.Outer()}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +366,7 @@ func TestReleaseContract(t *testing.T) {
 		t.Error("gradient of a released field differs from the kept-amplitude gradient")
 	}
 
-	fields, err = p.Simulate(randMask(rng, 2*n), []Corner{p.Nominal(), p.Inner(), p.Outer()}, true)
+	fields, err = p.Sim.ForwardCorners(randMask(rng, 2*n), []Corner{p.Nominal(), p.Inner(), p.Outer()}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,7 +392,7 @@ func TestGradientSizeValidation(t *testing.T) {
 
 func TestResistBinary(t *testing.T) {
 	i := grid.FromSlice(3, 1, []float64{0.1, 0.225, 0.9})
-	z := ResistBinary(i, DefaultThreshold)
+	z := ResistBinary(i, Threshold)
 	want := []float64{0, 1, 1}
 	for k, v := range want {
 		if z.Data[k] != v {
@@ -402,8 +402,8 @@ func TestResistBinary(t *testing.T) {
 }
 
 func TestResistSigmoidProperties(t *testing.T) {
-	i := grid.FromSlice(3, 1, []float64{0.0, DefaultThreshold, 1.0})
-	z := ResistSigmoid(i, DefaultThreshold, DefaultAlpha)
+	i := grid.FromSlice(3, 1, []float64{0.0, Threshold, 1.0})
+	z := ResistSigmoid(i, Threshold, Alpha)
 	if math.Abs(z.Data[1]-0.5) > 1e-12 {
 		t.Errorf("sigmoid at threshold = %v, want 0.5", z.Data[1])
 	}
@@ -412,7 +412,7 @@ func TestResistSigmoidProperties(t *testing.T) {
 	}
 	// Extreme inputs must not overflow.
 	ext := grid.FromSlice(2, 1, []float64{-1e6, 1e6})
-	ze := ResistSigmoid(ext, DefaultThreshold, DefaultAlpha)
+	ze := ResistSigmoid(ext, Threshold, Alpha)
 	if ze.Data[0] != 0 && ze.Data[0] > 1e-300 {
 		t.Errorf("sigmoid(-inf) = %v", ze.Data[0])
 	}
@@ -496,11 +496,11 @@ func TestPrintSigmoidMatchesBinaryFarFromEdge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs, err := p.Simulate(mask, []Corner{p.Nominal()}, false)
+	fs, err := p.Sim.ForwardCorners(mask, []Corner{p.Nominal()}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	zs := ResistSigmoid(fs[0].Intensity, p.Threshold, p.Alpha)
+	zs := ResistSigmoid(fs[0].Intensity, Threshold, Alpha)
 	// Deep inside the feature and far outside, the two must agree.
 	if zb.At(64, 64) != 1 || zs.At(64, 64) < 0.95 {
 		t.Errorf("center: binary %v sigmoid %v", zb.At(64, 64), zs.At(64, 64))

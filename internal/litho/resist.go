@@ -10,10 +10,10 @@ import (
 // paper: a constant-threshold model at I_th = 0.225 for evaluation and a
 // sigmoid relaxation (Eq. 9) for optimization.
 const (
-	// DefaultThreshold is the printability threshold I_th of Eq. (1).
-	DefaultThreshold = 0.225
-	// DefaultAlpha is the sigmoid steepness α of Eq. (9).
-	DefaultAlpha = 50.0
+	// Threshold is the printability threshold I_th of Eq. (1).
+	Threshold = 0.225
+	// Alpha is the sigmoid steepness α of Eq. (9).
+	Alpha = 50.0
 )
 
 // ResistBinary applies the constant-threshold photoresist model of Eq. (1):

@@ -155,7 +155,7 @@ func TestEvaluateEndToEnd(t *testing.T) {
 	const n = 128
 	tgt := grid.NewMat(n, n)
 	geom.FillRect(tgt, geom.Rect{X0: 40, Y0: 48, X1: 88, Y1: 80}, 1)
-	rep, err := Evaluate(p, tgt, tgt, 10, 4)
+	rep, err := Evaluate(p, tgt, tgt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestEvaluateOrderingSanity(t *testing.T) {
 	tgt := grid.NewMat(n, n)
 	geom.FillRect(tgt, geom.Rect{X0: 40, Y0: 48, X1: 88, Y1: 80}, 1)
 
-	raw, err := Evaluate(p, tgt, tgt, 10, 4)
+	raw, err := Evaluate(p, tgt, tgt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestEvaluateOrderingSanity(t *testing.T) {
 		}
 		biased := grid.NewMat(n, n)
 		geom.FillRect(biased, geom.Rect{X0: 40 - bias, Y0: 48 - bias, X1: 88 + bias, Y1: 80 + bias}, 1)
-		rep, err := Evaluate(p, biased, tgt, 10, 4)
+		rep, err := Evaluate(p, biased, tgt)
 		if err != nil {
 			t.Fatal(err)
 		}

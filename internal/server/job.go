@@ -139,6 +139,9 @@ type JobSpec struct {
 	Stages   []core.Stage
 	Optics   optics.Config
 	Priority Priority
+	// Patience is the early-stopping window: the request's patience when
+	// it is above 0, else the recipe's (core.Recipe).
+	Patience int
 }
 
 // ParseJobRequest decodes and validates a job submission. Every error is a
@@ -264,11 +267,14 @@ func resolveJob(req JobRequest, lim Limits) (*JobSpec, error) {
 	}
 	spec.Optics = oc
 
-	stages, err := resolveStages(req, n, oc.P(), lim)
+	stages, patience, err := resolveStages(req, n, oc.P(), lim)
 	if err != nil {
 		return nil, err
 	}
-	spec.Stages = stages
+	spec.Stages, spec.Patience = stages, patience
+	if req.Patience > 0 {
+		spec.Patience = req.Patience
+	}
 
 	switch req.Priority {
 	case "", "batch":
@@ -302,45 +308,45 @@ func checkGridSize(n int, lim Limits) error {
 }
 
 // resolveStages turns the recipe/stages request fields into a validated
-// core schedule, applying IterDiv and enforcing the same invariants
-// core.Optimizer checks (plus the server-side budget cap) so bad
-// schedules are rejected at submission with a 400, not at execution.
-func resolveStages(req JobRequest, n, p int, lim Limits) ([]core.Stage, error) {
+// core schedule and the recipe's patience (0 for explicit stages),
+// applying IterDiv and enforcing the same invariants core.Optimizer checks
+// (plus the server-side budget cap) so bad schedules are rejected at
+// submission with a 400, not at execution.
+func resolveStages(req JobRequest, n, p int, lim Limits) ([]core.Stage, int, error) {
 	iterdiv := req.IterDiv
 	if iterdiv == 0 {
 		iterdiv = 1
 	}
 	if iterdiv < 1 || iterdiv > 1000 {
-		return nil, fmt.Errorf("iterdiv = %d outside [1, 1000]", iterdiv)
+		return nil, 0, fmt.Errorf("iterdiv = %d outside [1, 1000]", iterdiv)
 	}
 
 	var stages []core.Stage
+	patience := 0
 	if len(req.Stages) > 0 {
 		if req.Recipe != "" {
-			return nil, fmt.Errorf("recipe and stages are mutually exclusive")
+			return nil, 0, fmt.Errorf("recipe and stages are mutually exclusive")
 		}
 		if len(req.Stages) > 16 {
-			return nil, fmt.Errorf("%d stages exceed the limit of 16", len(req.Stages))
+			return nil, 0, fmt.Errorf("%d stages exceed the limit of 16", len(req.Stages))
 		}
 		for i, ss := range req.Stages {
 			if ss.Scale < 1 || ss.Scale > 64 {
-				return nil, fmt.Errorf("stage %d: scale %d outside [1, 64]", i, ss.Scale)
+				return nil, 0, fmt.Errorf("stage %d: scale %d outside [1, 64]", i, ss.Scale)
 			}
 			if ss.Iters < 0 {
-				return nil, fmt.Errorf("stage %d: negative iters %d", i, ss.Iters)
+				return nil, 0, fmt.Errorf("stage %d: negative iters %d", i, ss.Iters)
 			}
 			stages = append(stages, core.Stage{Scale: ss.Scale, Iters: ss.Iters, HighRes: ss.HighRes})
 		}
 	} else {
-		switch req.Recipe {
-		case "", "fast":
-			stages = core.FastM1()
-		case "exact":
-			stages = core.ExactM1()
-		case "via":
-			stages = core.Via()
-		default:
-			return nil, fmt.Errorf("recipe %q is not fast, exact or via", req.Recipe)
+		name := req.Recipe
+		if name == "" {
+			name = "fast"
+		}
+		var err error
+		if stages, patience, err = core.Recipe(name); err != nil {
+			return nil, 0, err
 		}
 	}
 	stages = core.ScaleStages(stages, iterdiv)
@@ -348,19 +354,19 @@ func resolveStages(req JobRequest, n, p int, lim Limits) ([]core.Stage, error) {
 	total := 0
 	for i, st := range stages {
 		if n%st.Scale != 0 {
-			return nil, fmt.Errorf("stage %d: scale %d does not divide grid %d", i, st.Scale, n)
+			return nil, 0, fmt.Errorf("stage %d: scale %d does not divide grid %d", i, st.Scale, n)
 		}
 		m := n / st.Scale
 		if m&(m-1) != 0 {
-			return nil, fmt.Errorf("stage %d: working size %d is not a power of two", i, m)
+			return nil, 0, fmt.Errorf("stage %d: working size %d is not a power of two", i, m)
 		}
 		if m < p {
-			return nil, fmt.Errorf("stage %d: working size %d below kernel support %d (shrink field_nm or raise n)", i, m, p)
+			return nil, 0, fmt.Errorf("stage %d: working size %d below kernel support %d (shrink field_nm or raise n)", i, m, p)
 		}
 		total += st.Iters
 	}
 	if total > lim.MaxIters {
-		return nil, fmt.Errorf("total iteration budget %d exceeds limit %d", total, lim.MaxIters)
+		return nil, 0, fmt.Errorf("total iteration budget %d exceeds limit %d", total, lim.MaxIters)
 	}
-	return stages, nil
+	return stages, patience, nil
 }

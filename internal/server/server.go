@@ -326,7 +326,7 @@ func (s *Server) runJob(j *Job, spec *JobSpec) {
 	opts.Recorder = rec
 	opts.Momentum = spec.Req.Momentum
 	opts.LineSearch = spec.Req.LineSearch
-	opts.Patience = spec.Req.Patience
+	opts.Patience = spec.Patience
 	if spec.Req.TV > 0 {
 		opts.Penalties = append(opts.Penalties, core.TVPenalty{Lambda: spec.Req.TV})
 	}
@@ -359,8 +359,7 @@ func (s *Server) runJob(j *Job, spec *JobSpec) {
 	}
 	if spec.Req.Metrics {
 		px := j.pixelNM
-		spacing, thr := metrics.EPEPixels(px)
-		rep, err := metrics.Evaluate(p, res.Mask, spec.Target, spacing, thr)
+		rep, err := metrics.Evaluate(p, res.Mask, spec.Target)
 		if err != nil {
 			s.finishJob(j, StateFailed, fmt.Sprintf("metrics: %v", err), nil, nil)
 			return

@@ -1,6 +1,7 @@
 package server_test
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -12,6 +13,9 @@ import (
 	"time"
 
 	"repro/internal/bench"
+	"repro/internal/core"
+	"repro/internal/litho"
+	"repro/internal/optics"
 	"repro/internal/server"
 )
 
@@ -355,6 +359,54 @@ func TestParseViaMatchesSuite(t *testing.T) {
 	}
 	if spec.Name != want.Name || !spec.Target.Equal(want.Target, 0) {
 		t.Errorf("job via 2 (%s) differs from bench.PaperVia's %s", spec.Name, want.Name)
+	}
+}
+
+// TestViaJobStopsEarly: a "via" job takes the recipe's early stop
+// (core.Recipe), so it runs as many iterations as a core run of the same
+// case with core.Via() and core.ViaPatience, not every stage's budget; a
+// request's own patience wins over the recipe's.
+func TestViaJobStopsEarly(t *testing.T) {
+	const job = `{"via":1,"n":128,"field_nm":512,"kernels":8,"workers":1,"recipe":"via"}`
+	spec, err := server.ParseJobRequest([]byte(job), server.Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if spec.Patience != core.ViaPatience {
+		t.Errorf("via job patience %d, want %d", spec.Patience, core.ViaPatience)
+	}
+	own, err := server.ParseJobRequest([]byte(`{"via":1,"recipe":"via","patience":5}`), server.Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if own.Patience != 5 {
+		t.Errorf("via job with patience 5 runs with %d", own.Patience)
+	}
+
+	model, err := optics.BuildModel(spec.Optics)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := core.DefaultOptions(litho.NewProcess(model))
+	opts.Patience = core.ViaPatience
+	o, err := core.New(opts, spec.Target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := o.Run(context.Background(), core.Via())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	_, base := newTestServer(t, server.Config{Executors: 1})
+	code, id, _ := submit(t, base, job)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: HTTP %d", code)
+	}
+	st := waitState(t, base, id, "done", 2*time.Minute)
+	if st.Result == nil || st.Result.Iterations != want.Iterations {
+		t.Errorf("via job result %+v, want %d iterations as core runs with patience %d",
+			st.Result, want.Iterations, core.ViaPatience)
 	}
 }
 
