@@ -1,7 +1,7 @@
 GO ?= go
 BIN_DIR := bin
 
-.PHONY: all build test race trace-smoke server-smoke server-race bench bench-workers bench-fft bench-fft-smoke bench-compare bench-e2e vet cross lint check
+.PHONY: all build test race trace-smoke server-smoke server-race verify bench bench-workers bench-fft bench-fft-smoke bench-compare bench-e2e vet cross lint check
 
 all: build test
 
@@ -49,6 +49,14 @@ server-smoke:
 # corpus all run here.
 server-race:
 	$(GO) test -race -count=1 ./internal/server
+
+# Claims lane: the paper's qualitative claims (mltables -exp verify) at
+# the paper's 2048 nm field and 24 kernels on a 512-px grid, full budgets.
+# mltables prints the claim table and exits 1 when any claim reads FAIL.
+# About half a minute on a 2-CPU host; the check CI job runs it after
+# make check.
+verify:
+	$(GO) run ./cmd/mltables -n 512 -field 2048 -kernels 24 -exp verify
 
 vet:
 	$(GO) vet ./...

@@ -68,10 +68,10 @@ func BenchmarkFig8(b *testing.B) { runExperiment(b, "fig8") }
 func BenchmarkForwardTimingTable(b *testing.B) { runExperiment(b, "timing") }
 func BenchmarkIterationTimeTable(b *testing.B) { runExperiment(b, "itertime") }
 
-// benchState caches the process and case shared by the microbenchmarks.
+// benchState caches the simulator and case shared by the microbenchmarks.
 type benchState struct {
 	cfg    experiments.Config
-	proc   *litho.Process
+	sim    *litho.Sim
 	target *grid.Mat
 	pooled *grid.Mat
 }
@@ -86,7 +86,7 @@ func getState(b *testing.B) *benchState {
 	b.Helper()
 	stateOnce.Do(func() {
 		cfg := experiments.BenchScale()
-		p, err := cfg.Process()
+		sim, err := cfg.Sim()
 		if err != nil {
 			stateErr = err
 			return
@@ -96,7 +96,7 @@ func getState(b *testing.B) *benchState {
 			stateErr = err
 			return
 		}
-		state = &benchState{cfg: cfg, proc: p, target: cs.Target, pooled: grid.AvgPoolDown(cs.Target, 4)}
+		state = &benchState{cfg: cfg, sim: sim, target: cs.Target, pooled: grid.AvgPoolDown(cs.Target, 4)}
 	})
 	if stateErr != nil {
 		b.Fatal(stateErr)
@@ -111,7 +111,7 @@ func BenchmarkForwardEq3(b *testing.B) {
 	s := getState(b)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.proc.Sim.Forward(s.target, s.proc.Sim.Model.Nominal, 1, false); err != nil {
+		if _, err := s.sim.Forward(s.target, s.sim.Model.Nominal, 1, false); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -121,7 +121,7 @@ func BenchmarkForwardEq7(b *testing.B) {
 	s := getState(b)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.proc.Sim.ForwardEq7(s.target, 4, s.proc.Sim.Model.Nominal, 1); err != nil {
+		if _, err := s.sim.ForwardEq7(s.target, 4, s.sim.Model.Nominal, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -131,7 +131,7 @@ func BenchmarkForwardEq8(b *testing.B) {
 	s := getState(b)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.proc.Sim.Forward(s.pooled, s.proc.Sim.Model.Nominal, 1, false); err != nil {
+		if _, err := s.sim.Forward(s.pooled, s.sim.Model.Nominal, 1, false); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -142,7 +142,7 @@ func BenchmarkForwardEq8(b *testing.B) {
 func benchIteration(b *testing.B, stage core.Stage) {
 	b.Helper()
 	s := getState(b)
-	opts := core.DefaultOptions(s.proc)
+	opts := core.DefaultOptions(s.sim)
 	o, err := core.New(opts, s.target)
 	if err != nil {
 		b.Fatal(err)
@@ -169,7 +169,7 @@ func benchRecipe(b *testing.B, stages []core.Stage) {
 	scaled := core.ScaleStages(stages, s.cfg.IterDiv)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		opts := core.DefaultOptions(s.proc)
+		opts := core.DefaultOptions(s.sim)
 		o, err := core.New(opts, s.target)
 		if err != nil {
 			b.Fatal(err)

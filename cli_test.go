@@ -85,6 +85,31 @@ func TestCLIEndToEnd(t *testing.T) {
 	if out, err := cmd.CombinedOutput(); err == nil {
 		t.Fatalf("mltables accepted unknown experiment:\n%s", out)
 	}
+
+	// 6. A claim that reads FAIL fails the run after its table: at 1/20 of
+	// the budgets some claims do, and the error names each of them.
+	cmd = exec.Command(filepath.Join(bin, "mltables"), append(small, "-iterdiv", "20", "-exp", "verify")...)
+	var stdout, stderr strings.Builder
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	var exit *exec.ExitError
+	if err := cmd.Run(); !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("mltables -exp verify with failing claims: %v, want exit status 1\n%s%s", err, &stdout, &stderr)
+	}
+	if !strings.Contains(stdout.String(), "Claim verification") {
+		t.Fatalf("mltables printed no claim table:\n%s", &stdout)
+	}
+	failed := 0
+	for _, line := range strings.Split(stdout.String(), "\n") {
+		if claim, _, ok := strings.Cut(line, "  "); ok && strings.HasSuffix(strings.TrimSpace(line), "FAIL") {
+			failed++
+			if !strings.Contains(stderr.String(), claim) {
+				t.Errorf("error does not name failed claim %q:\n%s", claim, &stderr)
+			}
+		}
+	}
+	if failed == 0 {
+		t.Errorf("no claim reads FAIL at 1/20 of the budgets, so this case checks nothing:\n%s", &stdout)
+	}
 }
 
 // TestTracestatCLI drives the trace tool the way the trace-smoke lane does:

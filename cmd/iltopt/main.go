@@ -109,7 +109,7 @@ func run() error {
 	// A layout declares its own grid (SIZE): the pitch, the region margins
 	// and the post-processing scale follow it, not -n.
 	cfg.N = target.W
-	p, err := cfg.Process()
+	sim, err := cfg.Sim()
 	if err != nil {
 		return err
 	}
@@ -147,7 +147,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		opts := core.DefaultOptions(p)
+		opts := core.DefaultOptions(sim)
 		opts.Region = region
 		opts.Patience = patience
 		opts.Momentum = *momentum
@@ -174,7 +174,7 @@ func run() error {
 		fmt.Printf("%s: %d iterations, ILT %.2fs, post %.3fs (%d shapes removed, %d rectangularized)\n",
 			*recipe, res.Iterations, res.ILTSeconds, cleaned.Seconds, cleaned.RemovedShapes, cleaned.Rectangularized)
 	case "pixel":
-		res, err := baselines.PixelILT(p, target, iters, region)
+		res, err := baselines.PixelILT(sim, target, iters, region)
 		if err != nil {
 			return err
 		}
@@ -184,14 +184,14 @@ func run() error {
 		if b := int(24 / cfg.PixelNM()); b > band {
 			band = b
 		}
-		res, err := baselines.AttentionILT(p, target, iters, band, region)
+		res, err := baselines.AttentionILT(sim, target, iters, band, region)
 		if err != nil {
 			return err
 		}
 		finalMask, iltSec = res.Mask, res.ILTSeconds
 	case "levelset":
 		res, err := baselines.LevelSetILT(baselines.LevelSetOptions{
-			Process: p, Iters: iters, Region: region, Recorder: rec,
+			Sim: sim, Iters: iters, Region: region, Recorder: rec,
 		}, target)
 		if err != nil {
 			return err
@@ -201,7 +201,7 @@ func run() error {
 		return fmt.Errorf("unknown recipe %q", *recipe)
 	}
 
-	rep, err := metrics.Evaluate(p, finalMask, target)
+	rep, err := metrics.Evaluate(sim, finalMask, target)
 	if err != nil {
 		return err
 	}
@@ -219,11 +219,11 @@ func run() error {
 		if err := imgio.WritePNG(*out+"_mask.png", finalMask); err != nil {
 			return err
 		}
-		wafer, err := p.Print(finalMask, p.Nominal())
+		wafer, err := sim.Print(finalMask, sim.Nominal())
 		if err != nil {
 			return err
 		}
-		if err := imgio.WritePNG(*out+"_wafer.png", wafer); err != nil {
+		if err := imgio.WritePNG(*out+"_wafer.png", wafer[0]); err != nil {
 			return err
 		}
 		var lay *layout.Layout

@@ -96,18 +96,18 @@ func run() error {
 		return fmt.Errorf("one of -layout or -mask is required")
 	}
 
-	p, err := cfg.Process()
+	sim, err := cfg.Sim()
 	if err != nil {
 		return err
 	}
 	var c litho.Corner
 	switch *corner {
 	case "nominal":
-		c = p.Nominal()
+		c = sim.Nominal()
 	case "inner":
-		c = p.Inner()
+		c = sim.Inner()
 	case "outer":
-		c = p.Outer()
+		c = sim.Outer()
 	default:
 		return fmt.Errorf("unknown corner %q", *corner)
 	}
@@ -120,12 +120,12 @@ func run() error {
 	var f *litho.Field
 	switch *eq {
 	case 3:
-		f, err = p.Sim.Forward(maskImg, c.KS, c.Dose, false)
+		f, err = sim.Forward(maskImg, c.KS, c.Dose, false)
 	case 7:
-		f, err = p.Sim.ForwardEq7(maskImg, *scale, c.KS, c.Dose)
+		f, err = sim.ForwardEq7(maskImg, *scale, c.KS, c.Dose)
 	case 8:
 		pooled := grid.AvgPoolDown(maskImg, *scale)
-		f, err = p.Sim.Forward(pooled, c.KS, c.Dose, false)
+		f, err = sim.Forward(pooled, c.KS, c.Dose, false)
 	default:
 		return fmt.Errorf("unknown equation %d (want 3, 7 or 8)", *eq)
 	}

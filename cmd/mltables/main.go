@@ -7,7 +7,8 @@
 //	mltables -n 2048 -iterdiv 1 -out artifacts/  # paper scale (hours on CPU)
 //
 // Each experiment prints an aligned table; -out additionally writes CSV and
-// PNG artifacts.
+// PNG artifacts. The command exits 1 when an experiment cannot complete, or,
+// after every table is printed, when a claim of the verify table reads FAIL.
 package main
 
 import (
@@ -83,6 +84,7 @@ func run() error {
 		names = strings.Split(*exp, ",")
 	}
 	var ran []string
+	var failed error // FailedClaims of the first verify table with a FAIL
 	for _, name := range names {
 		name = strings.TrimSpace(name)
 		if name == "" {
@@ -97,6 +99,9 @@ func run() error {
 		}
 		fmt.Println(t.String())
 		ran = append(ran, name)
+		if name == "verify" && failed == nil {
+			failed = experiments.FailedClaims(t)
+		}
 	}
 	cfg.Recorder.Emit("run.end", telemetry.Fields{
 		"wall_sec": cfg.Recorder.Elapsed(),
@@ -115,6 +120,9 @@ func run() error {
 			return err
 		}
 		fmt.Printf("manifest: %s\n", path)
+	}
+	if failed != nil {
+		return fmt.Errorf("verify: %w", failed)
 	}
 	return nil
 }

@@ -61,18 +61,18 @@ func TestDocsCiteWhatExists(t *testing.T) {
 // test compiles it but never runs it.
 func Example_apiSketch() {
 	model, _ := optics.BuildModel(optics.Default()) // synthesize SOCS kernels (2048 nm field)
-	proc := litho.NewProcess(model)                 // corners + resist
+	sim := litho.NewSim(model)                      // simulator, corners + resist
 	cs, _ := bench.PaperCase(512, 2048, 1)          // synthetic M1 case 1 at 4 nm/px
 	target := cs.Target
 
-	opts := core.DefaultOptions(proc)                      // β=4, T_R=0.5, lr=1, 3×3 pool
+	opts := core.DefaultOptions(sim)                       // β=4, T_R=0.5, lr=1, 3×3 pool
 	opts.Region, _ = mask.Region(target, mask.Option1, 15) // margin in px (60 nm)
 	opt, _ := core.New(opts, target)
 	res, _ := opt.Run(context.Background(), core.ExactM1()) // 80 low-res + 10 high-res
 
 	cleaned := post.Clean(res.Mask, target, post.DefaultOptions(cs.PixelNM))
-	rep, _ := metrics.Evaluate(proc, cleaned.Mask, target) // pitch from the field and the mask width
-	rep = rep.Scale(cs.PixelNM)                            // px² → nm²
+	rep, _ := metrics.Evaluate(sim, cleaned.Mask, target) // pitch from the field and the mask width
+	rep = rep.Scale(cs.PixelNM)                           // px² → nm²
 	fmt.Println(rep.L2, rep.PVB, rep.EPE, rep.Shots)
 }
 

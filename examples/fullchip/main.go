@@ -24,7 +24,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	proc := litho.NewProcess(model)
+	sim := litho.NewSim(model)
 
 	// A 600×400 px "chip" region — larger than any single tile, not a
 	// power of two, with features scattered across tile boundaries.
@@ -35,9 +35,9 @@ func main() {
 		geom.FillRect(target, geom.Rect{X0: x, Y0: 260, X1: x + 20, Y1: 340}, 1)
 	}
 
-	halo := fullchip.HaloFor(proc, 4)
+	halo := fullchip.HaloFor(sim, 4)
 	res, err := fullchip.Optimize(fullchip.Options{
-		Process:   proc,
+		Sim:       sim,
 		TileSize:  128,
 		Halo:      halo,
 		Stages:    []core.Stage{{Scale: 4, Iters: 40}, {Scale: 8, Iters: 4, HighRes: true}},
@@ -59,10 +59,11 @@ func main() {
 		cx := (comp.BBox.X0 + comp.BBox.X1) / 2
 		cy := (comp.BBox.Y0 + comp.BBox.Y1) / 2
 		win := window(res.Mask, cx-64, cy-64, 128)
-		z, err := proc.Print(win, proc.Nominal())
+		zs, err := sim.Print(win, sim.Nominal())
 		if err != nil {
 			log.Fatal(err)
 		}
+		z := zs[0]
 		tgtWin := window(target, cx-64, cy-64, 128)
 		overlap := 0.0
 		for i := range z.Data {

@@ -24,7 +24,7 @@ func main() {
 	// A reduced grid keeps this example around a minute of CPU; raise N
 	// (and drop IterDiv) to approach paper scale.
 	cfg := experiments.Config{N: 256, FieldNM: 1024, Kernels: 12, IterDiv: 2}
-	proc, err := cfg.Process()
+	sim, err := cfg.Sim()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func main() {
 			{"fast", core.FastM1()},
 			{"exact", core.ExactM1()},
 		} {
-			opts := core.DefaultOptions(proc)
+			opts := core.DefaultOptions(sim)
 			opts.Region = region
 			o, err := core.New(opts, cs.Target)
 			if err != nil {
@@ -60,7 +60,7 @@ func main() {
 				log.Fatal(err)
 			}
 			cleaned := post.Clean(res.Mask, cs.Target, post.DefaultOptions(cfg.PixelNM()))
-			rep, err := metrics.Evaluate(proc, cleaned.Mask, cs.Target)
+			rep, err := metrics.Evaluate(sim, cleaned.Mask, cs.Target)
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -24,13 +24,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	proc := litho.NewProcess(model)
+	sim := litho.NewSim(model)
 
 	target := grid.NewMat(256, 256)
 	geom.FillRect(target, geom.Rect{X0: 72, Y0: 88, X1: 184, Y1: 116}, 1)
 	geom.FillRect(target, geom.Rect{X0: 72, Y0: 140, X1: 184, Y1: 168}, 1)
 
-	opt, err := core.New(core.DefaultOptions(proc), target)
+	opt, err := core.New(core.DefaultOptions(sim), target)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -40,11 +40,11 @@ func main() {
 	}
 
 	deltas := []float64{0, 0.01, 0.02, 0.03, 0.05}
-	rawBands, err := metrics.PVBandLadder(proc, target, deltas)
+	rawBands, err := metrics.PVBandLadder(sim, target, deltas)
 	if err != nil {
 		log.Fatal(err)
 	}
-	optBands, err := metrics.PVBandLadder(proc, res.Mask, deltas)
+	optBands, err := metrics.PVBandLadder(sim, res.Mask, deltas)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func main() {
 	}
 
 	doses := []float64{0.95, 0.98, 1.0, 1.02, 1.05}
-	pts, err := metrics.DoseWindow(proc, res.Mask, target, doses, true, 20, 8)
+	pts, err := metrics.DoseWindow(sim, res.Mask, target, doses, true)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -26,7 +26,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	proc := litho.NewProcess(model)
+	sim := litho.NewSim(model)
 	fmt.Printf("SOCS model: %d kernels of support %d (nominal + defocus sets)\n",
 		len(model.Nominal.Kernels), model.Nominal.P)
 
@@ -37,7 +37,7 @@ func main() {
 
 	// 3. Optimize with the paper's fast recipe: 35 low-resolution
 	//    iterations at s=4, then 5 high-resolution iterations at s=8.
-	opts := core.DefaultOptions(proc)
+	opts := core.DefaultOptions(sim)
 	opt, err := core.New(opts, target)
 	if err != nil {
 		log.Fatal(err)
@@ -50,11 +50,11 @@ func main() {
 
 	// 4. Evaluate both masks with the exact simulator at all corners (EPE
 	//    points every 40 nm, 15 nm threshold: 20 and 8 px at 2 nm/px).
-	before, err := metrics.Evaluate(proc, target, target)
+	before, err := metrics.Evaluate(sim, target, target)
 	if err != nil {
 		log.Fatal(err)
 	}
-	after, err := metrics.Evaluate(proc, res.Mask, target)
+	after, err := metrics.Evaluate(sim, res.Mask, target)
 	if err != nil {
 		log.Fatal(err)
 	}

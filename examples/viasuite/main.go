@@ -20,7 +20,7 @@ import (
 
 func main() {
 	cfg := experiments.Config{N: 256, FieldNM: 1024, Kernels: 12, IterDiv: 1}
-	proc, err := cfg.Process()
+	sim, err := cfg.Sim()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func main() {
 	}
 
 	for _, cs := range cases {
-		opts := core.DefaultOptions(proc)
+		opts := core.DefaultOptions(sim)
 		opts.Patience = patience
 		o, err := core.New(opts, cs.Target)
 		if err != nil {
@@ -44,12 +44,12 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		wafer, err := proc.Print(res.Mask, proc.Nominal())
+		wafer, err := sim.Print(res.Mask, sim.Nominal())
 		if err != nil {
 			log.Fatal(err)
 		}
-		total, printed := viasPrinted(cs.Target, wafer)
-		rep, err := metrics.Evaluate(proc, res.Mask, cs.Target)
+		total, printed := viasPrinted(cs.Target, wafer[0])
+		rep, err := metrics.Evaluate(sim, res.Mask, cs.Target)
 		if err != nil {
 			log.Fatal(err)
 		}

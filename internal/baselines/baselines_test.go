@@ -13,20 +13,20 @@ import (
 )
 
 var (
-	procOnce sync.Once
-	procVal  *litho.Process
+	simOnce   sync.Once
+	sharedSim *litho.Sim
 )
 
-func process(t testing.TB) *litho.Process {
+func testSim(t testing.TB) *litho.Sim {
 	t.Helper()
-	procOnce.Do(func() {
+	simOnce.Do(func() {
 		m, err := optics.BuildModel(optics.TestScale())
 		if err != nil {
 			panic(err)
 		}
-		procVal = litho.NewProcess(m)
+		sharedSim = litho.NewSim(m)
 	})
-	return procVal
+	return sharedSim
 }
 
 func testTarget() *grid.Mat {
@@ -37,17 +37,17 @@ func testTarget() *grid.Mat {
 }
 
 func TestPixelILTImprovesOverRawMask(t *testing.T) {
-	p := process(t)
+	sim := testSim(t)
 	tgt := testTarget()
-	res, err := PixelILT(p, tgt, 20, nil)
+	res, err := PixelILT(sim, tgt, 20, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := metrics.Evaluate(p, tgt, tgt)
+	raw, err := metrics.Evaluate(sim, tgt, tgt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, err := metrics.Evaluate(p, res.Mask, tgt)
+	opt, err := metrics.Evaluate(sim, res.Mask, tgt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,20 +72,20 @@ func TestAttentionMapValues(t *testing.T) {
 }
 
 func TestAttentionILTRuns(t *testing.T) {
-	p := process(t)
+	sim := testSim(t)
 	tgt := testTarget()
-	res, err := AttentionILT(p, tgt, 15, 3, nil)
+	res, err := AttentionILT(sim, tgt, 15, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Iterations != 15 {
 		t.Fatalf("ran %d iterations", res.Iterations)
 	}
-	raw, err := metrics.Evaluate(p, tgt, tgt)
+	raw, err := metrics.Evaluate(sim, tgt, tgt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, err := metrics.Evaluate(p, res.Mask, tgt)
+	opt, err := metrics.Evaluate(sim, res.Mask, tgt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,9 +95,9 @@ func TestAttentionILTRuns(t *testing.T) {
 }
 
 func TestLevelSetILTImprovesAndPreservesTopologyLimits(t *testing.T) {
-	p := process(t)
+	sim := testSim(t)
 	tgt := testTarget()
-	res, err := LevelSetILT(LevelSetOptions{Process: p, Iters: 25}, tgt)
+	res, err := LevelSetILT(LevelSetOptions{Sim: sim, Iters: 25}, tgt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,11 +115,11 @@ func TestLevelSetILTImprovesAndPreservesTopologyLimits(t *testing.T) {
 		t.Errorf("level-set loss never improved: first %g best %g", first, best)
 	}
 
-	raw, err := metrics.Evaluate(p, tgt, tgt)
+	raw, err := metrics.Evaluate(sim, tgt, tgt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, err := metrics.Evaluate(p, res.Mask, tgt)
+	opt, err := metrics.Evaluate(sim, res.Mask, tgt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,31 +138,31 @@ func TestLevelSetILTImprovesAndPreservesTopologyLimits(t *testing.T) {
 }
 
 func TestLevelSetValidation(t *testing.T) {
-	p := process(t)
-	if _, err := LevelSetILT(LevelSetOptions{Process: nil, Iters: 1}, testTarget()); err == nil {
-		t.Error("missing process accepted")
+	sim := testSim(t)
+	if _, err := LevelSetILT(LevelSetOptions{Sim: nil, Iters: 1}, testTarget()); err == nil {
+		t.Error("missing simulator accepted")
 	}
-	if _, err := LevelSetILT(LevelSetOptions{Process: p, Iters: -1}, testTarget()); err == nil {
+	if _, err := LevelSetILT(LevelSetOptions{Sim: sim, Iters: -1}, testTarget()); err == nil {
 		t.Error("negative iters accepted")
 	}
-	if _, err := LevelSetILT(LevelSetOptions{Process: p, Iters: 1}, grid.NewMat(96, 96)); err == nil {
+	if _, err := LevelSetILT(LevelSetOptions{Sim: sim, Iters: 1}, grid.NewMat(96, 96)); err == nil {
 		t.Error("non-power-of-two target accepted")
 	}
 }
 
 func TestLevelSetRegionRespected(t *testing.T) {
-	p := process(t)
+	sim := testSim(t)
 	tgt := testTarget()
 	region := geom.DilateBox(tgt, 10)
-	workers, engine, simRec := p.Sim.Workers, p.Sim.Engine, p.Sim.Recorder
-	res, err := LevelSetILT(LevelSetOptions{Process: p, Iters: 10, Region: region, Recorder: telemetry.New()}, tgt)
+	workers, engine, simRec := sim.Workers, sim.Engine, sim.Recorder
+	res, err := LevelSetILT(LevelSetOptions{Sim: sim, Iters: 10, Region: region, Recorder: telemetry.New()}, tgt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The iteration events' recorder is not the shared simulator's.
-	if p.Sim.Workers != workers || p.Sim.Engine != engine || p.Sim.Recorder != simRec {
+	if sim.Workers != workers || sim.Engine != engine || sim.Recorder != simRec {
 		t.Errorf("LevelSetILT changed the shared simulator: workers %d, engine %v, recorder %p; want %d, %v, %p",
-			p.Sim.Workers, p.Sim.Engine, p.Sim.Recorder, workers, engine, simRec)
+			sim.Workers, sim.Engine, sim.Recorder, workers, engine, simRec)
 	}
 	for i, r := range region.Data {
 		if r < 0.5 && res.Mask.Data[i] != 0 {

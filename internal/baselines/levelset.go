@@ -31,7 +31,7 @@ const (
 
 // LevelSetOptions configures the GLS-ILT-style baseline.
 type LevelSetOptions struct {
-	Process *litho.Process
+	Sim *litho.Sim
 	// Iters is the iteration budget.
 	Iters int
 	// Region optionally confines evolution (Fig. 7 option 2 in Table III).
@@ -39,8 +39,8 @@ type LevelSetOptions struct {
 	// Recorder receives per-iteration trace events (the same "iter" schema
 	// as the core optimizer, with stage fixed at 0) and the core.loss phase
 	// timer of the Eq. (5) chain (core.CornerLoss). Nil disables them at
-	// zero cost. The simulator's phase timers go to Process.Sim.Recorder,
-	// which LevelSetILT never sets.
+	// zero cost. The simulator's phase timers go to Sim.Recorder, which
+	// LevelSetILT never sets.
 	Recorder *telemetry.Recorder
 }
 
@@ -62,8 +62,8 @@ type LevelSetResult struct {
 // structural limitation (visible in GLS-ILT's PVB column) that motivates
 // the paper's improved binary function.
 func LevelSetILT(opt LevelSetOptions, target *grid.Mat) (*LevelSetResult, error) {
-	if opt.Process == nil {
-		return nil, fmt.Errorf("baselines: LevelSetOptions.Process is required")
+	if opt.Sim == nil {
+		return nil, fmt.Errorf("baselines: LevelSetOptions.Sim is required")
 	}
 	if opt.Iters < 0 {
 		return nil, fmt.Errorf("baselines: negative iteration budget %d", opt.Iters)
@@ -71,7 +71,6 @@ func LevelSetILT(opt LevelSetOptions, target *grid.Mat) (*LevelSetResult, error)
 	if target.W != target.H || target.W&(target.W-1) != 0 {
 		return nil, fmt.Errorf("baselines: target must be square power-of-two, got %dx%d", target.W, target.H)
 	}
-	p := opt.Process
 	rec := opt.Recorder
 	rec.Emit("stage.start", telemetry.Fields{
 		"stage": 0, "scale": 1, "highres": false, "iters": opt.Iters,
@@ -88,7 +87,7 @@ func LevelSetILT(opt LevelSetOptions, target *grid.Mat) (*LevelSetResult, error)
 		if it > 0 && it%levelSetReinit == 0 {
 			phi = geom.SignedDistance(maskFromPhi(phi, levelSetEps).Threshold(0.5))
 		}
-		terms, g, err := core.CornerLoss(p, maskFromPhi(phi, levelSetEps), target, 1, true, rec)
+		terms, g, err := core.CornerLoss(opt.Sim, maskFromPhi(phi, levelSetEps), target, 1, true, rec)
 		if err != nil {
 			return nil, err
 		}

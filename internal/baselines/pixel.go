@@ -28,8 +28,8 @@ import (
 
 // PixelILT runs conventional pixel-based ILT: full resolution, T_R = 0,
 // no smoothing pooling, no multi-level schedule.
-func PixelILT(p *litho.Process, target *grid.Mat, iters int, region *grid.Mat) (*core.Result, error) {
-	opts := core.DefaultOptions(p)
+func PixelILT(sim *litho.Sim, target *grid.Mat, iters int, region *grid.Mat) (*core.Result, error) {
+	opts := core.DefaultOptions(sim)
 	opts.Binary = mask.Sigmoid{Beta: mask.DefaultBeta, TR: 0}
 	opts.OutputTR = 0
 	opts.SmoothWindow = 0
@@ -46,12 +46,12 @@ func PixelILT(p *litho.Process, target *grid.Mat, iters int, region *grid.Mat) (
 // suppression of [7], [8]) and (b) modulated by a spatial attention map that
 // boosts the band around feature boundaries, standing in for the learned
 // attention of A2-ILT. bandPx sets the half-width of the boosted band.
-func AttentionILT(p *litho.Process, target *grid.Mat, iters, bandPx int, region *grid.Mat) (*core.Result, error) {
+func AttentionILT(sim *litho.Sim, target *grid.Mat, iters, bandPx int, region *grid.Mat) (*core.Result, error) {
 	if bandPx < 1 {
 		bandPx = 1
 	}
 	attention := AttentionMap(target, bandPx, 1.5)
-	opts := core.DefaultOptions(p)
+	opts := core.DefaultOptions(sim)
 	opts.Binary = mask.Sigmoid{Beta: mask.DefaultBeta, TR: 0}
 	opts.OutputTR = 0
 	opts.SmoothWindow = 0

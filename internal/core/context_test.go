@@ -11,8 +11,8 @@ import (
 // A context cancelled before Run starts must stop the optimizer before the
 // first simulation: no iterations recorded, the context's error surfaced.
 func TestRunPreCancelledContext(t *testing.T) {
-	p := process(t)
-	o, err := New(DefaultOptions(p), testTarget())
+	sim := testSim(t)
+	o, err := New(DefaultOptions(sim), testTarget())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,9 +31,9 @@ func TestRunPreCancelledContext(t *testing.T) {
 // GradHook fires once per iteration, so cancelling inside it on call k
 // bounds the executed iterations to exactly k.
 func TestRunCancelMidStage(t *testing.T) {
-	p := process(t)
+	sim := testSim(t)
 	ctx, cancel := context.WithCancel(context.Background())
-	opts := DefaultOptions(p)
+	opts := DefaultOptions(sim)
 	calls := 0
 	const cancelAt = 3
 	opts.GradHook = func(_ *grid.Mat, _ Stage) {
@@ -61,9 +61,9 @@ func TestRunCancelMidStage(t *testing.T) {
 // Cancellation inside the line-search retry loop must also exit promptly —
 // the retry path is where an iteration spends most of its simulations.
 func TestRunCancelDuringLineSearch(t *testing.T) {
-	p := process(t)
+	sim := testSim(t)
 	ctx, cancel := context.WithCancel(context.Background())
-	opts := DefaultOptions(p)
+	opts := DefaultOptions(sim)
 	opts.LineSearch = true
 	opts.GradHook = func(_ *grid.Mat, _ Stage) { cancel() } // before the search runs
 	o, err := New(opts, testTarget())

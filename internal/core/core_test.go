@@ -16,20 +16,20 @@ import (
 )
 
 var (
-	procOnce sync.Once
-	procVal  *litho.Process
+	simOnce   sync.Once
+	sharedSim *litho.Sim
 )
 
-func process(t testing.TB) *litho.Process {
+func testSim(t testing.TB) *litho.Sim {
 	t.Helper()
-	procOnce.Do(func() {
+	simOnce.Do(func() {
 		m, err := optics.BuildModel(optics.TestScale())
 		if err != nil {
 			panic(err)
 		}
-		procVal = litho.NewProcess(m)
+		sharedSim = litho.NewSim(m)
 	})
-	return procVal
+	return sharedSim
 }
 
 // testTarget builds a 128×128 target with two bars — small enough for fast
@@ -108,7 +108,7 @@ func stepLoss(t *testing.T, o *Optimizer, mp *grid.Mat, st Stage, ztS *grid.Mat)
 // gradient chain (binary function → smoothing pool → Hopkins → sigmoid
 // resist → pooled loss) against finite differences for both branches.
 func TestStepGradientFiniteDifference(t *testing.T) {
-	p := process(t)
+	sim := testSim(t)
 	tgt := testTarget()
 	for _, tc := range []struct {
 		name string
@@ -118,7 +118,7 @@ func TestStepGradientFiniteDifference(t *testing.T) {
 		{"highres-s8", Stage{Scale: 8, Iters: 1, HighRes: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			opts := DefaultOptions(p)
+			opts := DefaultOptions(sim)
 			o, err := New(opts, tgt)
 			if err != nil {
 				t.Fatal(err)
@@ -153,9 +153,9 @@ func TestStepGradientFiniteDifference(t *testing.T) {
 }
 
 func TestRunImprovesLoss(t *testing.T) {
-	p := process(t)
+	sim := testSim(t)
 	tgt := testTarget()
-	o, err := New(DefaultOptions(p), tgt)
+	o, err := New(DefaultOptions(sim), tgt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,9 +179,9 @@ func TestRunImprovesLoss(t *testing.T) {
 }
 
 func TestRunMultiLevelEndToEnd(t *testing.T) {
-	p := process(t)
+	sim := testSim(t)
 	tgt := testTarget()
-	o, err := New(DefaultOptions(p), tgt)
+	o, err := New(DefaultOptions(sim), tgt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,11 +205,11 @@ func TestRunMultiLevelEndToEnd(t *testing.T) {
 	}
 
 	// The optimized mask must beat the raw target mask on the contest L2.
-	rawRep, err := metrics.Evaluate(p, tgt, tgt)
+	rawRep, err := metrics.Evaluate(sim, tgt, tgt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	optRep, err := metrics.Evaluate(p, res.Mask, tgt)
+	optRep, err := metrics.Evaluate(sim, res.Mask, tgt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,9 +219,9 @@ func TestRunMultiLevelEndToEnd(t *testing.T) {
 }
 
 func TestEarlyStoppingTerminates(t *testing.T) {
-	p := process(t)
+	sim := testSim(t)
 	tgt := testTarget()
-	opts := DefaultOptions(p)
+	opts := DefaultOptions(sim)
 	opts.Patience = 3
 	// An absurd learning rate guarantees the loss stops improving quickly.
 	opts.LearningRate = 1e4
@@ -239,13 +239,13 @@ func TestEarlyStoppingTerminates(t *testing.T) {
 }
 
 func TestRegionConstraintRespected(t *testing.T) {
-	p := process(t)
+	sim := testSim(t)
 	tgt := testTarget()
 	region, err := mask.Region(tgt, mask.Option1, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := DefaultOptions(p)
+	opts := DefaultOptions(sim)
 	opts.Region = region
 	o, err := New(opts, tgt)
 	if err != nil {
@@ -267,13 +267,13 @@ func TestRegionConstraintRespected(t *testing.T) {
 // binary function opens assist features away from the main pattern while
 // T_R = 0 keeps the far field opaque.
 func TestImprovedBinaryFunctionProducesSRAFs(t *testing.T) {
-	p := process(t)
+	sim := testSim(t)
 	tgt := testTarget()
 	// "Far" region: more than 12 px from any feature.
 	far := geom.DilateBox(tgt, 12)
 
 	srafArea := func(tr float64) float64 {
-		opts := DefaultOptions(p)
+		opts := DefaultOptions(sim)
 		opts.Binary = mask.Sigmoid{Beta: mask.DefaultBeta, TR: tr}
 		if tr == 0 {
 			// Conventional ILT also outputs with the same T_R.
@@ -327,9 +327,9 @@ func TestResampleParams(t *testing.T) {
 }
 
 func TestNewValidation(t *testing.T) {
-	p := process(t)
+	sim := testSim(t)
 	tgt := testTarget()
-	good := DefaultOptions(p)
+	good := DefaultOptions(sim)
 
 	if _, err := New(Options{}, tgt); err == nil {
 		t.Error("missing process accepted")
@@ -358,8 +358,8 @@ func TestNewValidation(t *testing.T) {
 }
 
 func TestStageValidation(t *testing.T) {
-	p := process(t)
-	o, err := New(DefaultOptions(p), testTarget())
+	sim := testSim(t)
+	o, err := New(DefaultOptions(sim), testTarget())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,11 +405,11 @@ func TestScaleStages(t *testing.T) {
 // smoothing pool yields a mask with at least as many shots (more ragged
 // contours) at comparable loss.
 func TestSmoothingPoolTradeoff(t *testing.T) {
-	p := process(t)
+	sim := testSim(t)
 	tgt := testTarget()
 
 	run := func(window int) (*Result, metrics.Report) {
-		opts := DefaultOptions(p)
+		opts := DefaultOptions(sim)
 		opts.SmoothWindow = window
 		o, err := New(opts, tgt)
 		if err != nil {
@@ -419,7 +419,7 @@ func TestSmoothingPoolTradeoff(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := metrics.Evaluate(p, res.Mask, tgt)
+		rep, err := metrics.Evaluate(sim, res.Mask, tgt)
 		if err != nil {
 			t.Fatal(err)
 		}

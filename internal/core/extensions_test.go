@@ -11,9 +11,9 @@ import (
 // heavy-ball momentum, and the backtracking line search of [12].
 
 func TestCosineBinaryRuns(t *testing.T) {
-	p := process(t)
+	sim := testSim(t)
 	tgt := testTarget()
-	opts := DefaultOptions(p)
+	opts := DefaultOptions(sim)
 	opts.Binary = mask.Cosine{}
 	// The cosine binary maps M′=0 → fully transparent, so seed sensitivity
 	// differs; a smaller learning rate keeps it stable (the periodicity
@@ -35,8 +35,8 @@ func TestCosineBinaryRuns(t *testing.T) {
 }
 
 func TestNilBinaryRejected(t *testing.T) {
-	p := process(t)
-	opts := DefaultOptions(p)
+	sim := testSim(t)
+	opts := DefaultOptions(sim)
 	opts.Binary = nil
 	if _, err := New(opts, testTarget()); err == nil {
 		t.Error("nil binary function accepted")
@@ -44,9 +44,9 @@ func TestNilBinaryRejected(t *testing.T) {
 }
 
 func TestMomentumValidation(t *testing.T) {
-	p := process(t)
+	sim := testSim(t)
 	for _, mu := range []float64{-0.1, 1.0, 1.5} {
-		opts := DefaultOptions(p)
+		opts := DefaultOptions(sim)
 		opts.Momentum = mu
 		if _, err := New(opts, testTarget()); err == nil {
 			t.Errorf("momentum %g accepted", mu)
@@ -55,10 +55,10 @@ func TestMomentumValidation(t *testing.T) {
 }
 
 func TestMomentumConvergesComparably(t *testing.T) {
-	p := process(t)
+	sim := testSim(t)
 	tgt := testTarget()
 	run := func(mu float64) float64 {
-		opts := DefaultOptions(p)
+		opts := DefaultOptions(sim)
 		opts.Momentum = mu
 		o, err := New(opts, tgt)
 		if err != nil {
@@ -89,11 +89,11 @@ func TestMomentumConvergesComparably(t *testing.T) {
 // recorded losses are (near-)monotone even at an aggressive base step where
 // plain gradient descent oscillates.
 func TestLineSearchStabilizesAggressiveStep(t *testing.T) {
-	p := process(t)
+	sim := testSim(t)
 	tgt := testTarget()
 
 	worstJump := func(lineSearch bool) float64 {
-		opts := DefaultOptions(p)
+		opts := DefaultOptions(sim)
 		opts.LearningRate = 50 // deliberately too large for plain GD
 		opts.LineSearch = lineSearch
 		o, err := New(opts, tgt)
@@ -120,9 +120,9 @@ func TestLineSearchStabilizesAggressiveStep(t *testing.T) {
 }
 
 func TestLineSearchImprovesFinalMask(t *testing.T) {
-	p := process(t)
+	sim := testSim(t)
 	tgt := testTarget()
-	opts := DefaultOptions(p)
+	opts := DefaultOptions(sim)
 	opts.LineSearch = true
 	o, err := New(opts, tgt)
 	if err != nil {

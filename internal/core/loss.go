@@ -62,8 +62,8 @@ func Loss(zIn, zOut, zt *grid.Mat) (LossTerms, *grid.Mat, *grid.Mat) {
 // Sim.Gradient (its field released right after), summed in corner order;
 // without it the gradient is nil. The work between simulator calls is timed
 // as core.loss on rec.
-func CornerLoss(p *litho.Process, m, zt *grid.Mat, s int, wantGrad bool, rec *telemetry.Recorder) (LossTerms, *grid.Mat, error) {
-	fields, err := p.Sim.ForwardCorners(m, []litho.Corner{p.Inner(), p.Outer()}, wantGrad)
+func CornerLoss(sim *litho.Sim, m, zt *grid.Mat, s int, wantGrad bool, rec *telemetry.Recorder) (LossTerms, *grid.Mat, error) {
+	fields, err := sim.ForwardCorners(m, []litho.Corner{sim.Inner(), sim.Outer()}, wantGrad)
 	if err != nil {
 		return LossTerms{}, nil, err
 	}
@@ -90,8 +90,8 @@ func CornerLoss(p *litho.Process, m, zt *grid.Mat, s int, wantGrad bool, rec *te
 		dI := litho.ResistSigmoidGrad(z[i], litho.Alpha)
 		dI.MulElem(gZ)
 		sp.End()
-		g, err := p.Sim.Gradient(fields[i], dI)
-		p.Sim.Release(fields[i])
+		g, err := sim.Gradient(fields[i], dI)
+		sim.Release(fields[i])
 		if err != nil {
 			return LossTerms{}, nil, err
 		}

@@ -16,8 +16,8 @@ import (
 // Options configures the multi-level ILT optimizer. Zero values are not
 // usable; start from DefaultOptions.
 type Options struct {
-	// Process supplies the forward model and its corners.
-	Process *litho.Process
+	// Sim supplies the forward model and its corners.
+	Sim *litho.Sim
 	// Binary is the optimization binary function (paper: sigmoid with
 	// β = 4, T_R = 0.5; conventional ILT uses T_R = 0; the cosine of
 	// Poonawala & Milanfar is available as mask.Cosine).
@@ -60,16 +60,16 @@ type Options struct {
 	// between simulator calls: core.binarize, core.resample, core.loss,
 	// core.penalty and core.update. No core span encloses a simulator call.
 	// Nil (the default) disables them at zero cost. The simulator's phase
-	// timers go to Process.Sim.Recorder, which the optimizer never sets:
-	// the simulator, its worker count and its FFT engine are configured on
-	// Process.Sim alone.
+	// timers go to Sim.Recorder, which the optimizer never sets: the
+	// simulator, its worker count and its FFT engine are configured on Sim
+	// alone.
 	Recorder *telemetry.Recorder
 }
 
-// DefaultOptions returns the paper's settings over a process.
-func DefaultOptions(p *litho.Process) Options {
+// DefaultOptions returns the paper's settings over a simulator.
+func DefaultOptions(sim *litho.Sim) Options {
 	return Options{
-		Process:      p,
+		Sim:          sim,
 		Binary:       mask.Sigmoid{Beta: mask.DefaultBeta, TR: 0.5},
 		OutputTR:     0.4,
 		LearningRate: 1,
@@ -135,8 +135,8 @@ type Optimizer struct {
 
 // New validates the configuration and builds an optimizer for the target.
 func New(opts Options, target *grid.Mat) (*Optimizer, error) {
-	if opts.Process == nil {
-		return nil, fmt.Errorf("core: Options.Process is required")
+	if opts.Sim == nil {
+		return nil, fmt.Errorf("core: Options.Sim is required")
 	}
 	if target.W != target.H {
 		return nil, fmt.Errorf("core: target must be square, got %dx%d", target.W, target.H)
@@ -243,9 +243,9 @@ func (o *Optimizer) validateStage(st Stage) error {
 	if m&(m-1) != 0 {
 		return fmt.Errorf("working size %d is not a power of two", m)
 	}
-	p := o.opts.Process.Sim.Model.Nominal.P
-	if m < p {
-		return fmt.Errorf("working size %d below kernel support %d", m, p)
+	sim := o.opts.Sim
+	if m < sim.Model.Nominal.P {
+		return fmt.Errorf("working size %d below kernel support %d", m, sim.Model.Nominal.P)
 	}
 	if st.Iters < 0 {
 		return fmt.Errorf("negative iteration budget %d", st.Iters)
@@ -488,7 +488,7 @@ func (o *Optimizer) step(mp *grid.Mat, st Stage, ztS *grid.Mat, wantGrad bool) (
 		}
 		sp.End()
 	}
-	terms, g, err := CornerLoss(o.opts.Process, m, ztS, s, wantGrad, rec)
+	terms, g, err := CornerLoss(o.opts.Sim, m, ztS, s, wantGrad, rec)
 	if err != nil {
 		return LossTerms{}, nil, err
 	}

@@ -90,9 +90,9 @@ func TestCurvaturePenaltyPrefersStraightEdges(t *testing.T) {
 // check with both penalties active — the full chain including regularizer
 // gradients must stay consistent.
 func TestStepGradientWithPenalties(t *testing.T) {
-	p := process(t)
+	sim := testSim(t)
 	tgt := testTarget()
-	opts := DefaultOptions(p)
+	opts := DefaultOptions(sim)
 	opts.Penalties = []Penalty{TVPenalty{Lambda: 0.05}, CurvaturePenalty{Lambda: 0.01}}
 	o, err := New(opts, tgt)
 	if err != nil {
@@ -137,11 +137,11 @@ func TestStepGradientWithPenalties(t *testing.T) {
 // TestTVPenaltyReducesShots: the complexity regularizer must deliver the
 // effect [4] uses it for — simpler masks — at modest quality cost.
 func TestTVPenaltyReducesShots(t *testing.T) {
-	p := process(t)
+	sim := testSim(t)
 	tgt := testTarget()
 
 	run := func(lambda float64) metrics.Report {
-		opts := DefaultOptions(p)
+		opts := DefaultOptions(sim)
 		opts.SmoothWindow = 0 // isolate the penalty's effect
 		if lambda > 0 {
 			opts.Penalties = []Penalty{TVPenalty{Lambda: lambda}}
@@ -154,7 +154,7 @@ func TestTVPenaltyReducesShots(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := metrics.Evaluate(p, res.Mask, tgt)
+		rep, err := metrics.Evaluate(sim, res.Mask, tgt)
 		if err != nil {
 			t.Fatal(err)
 		}

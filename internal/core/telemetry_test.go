@@ -23,10 +23,10 @@ func (s *eventSink) Flush() error           { return nil }
 // stage, and the iter payload carries the loss decomposition the console and
 // trace sinks render. IterRecord mirrors the same data for library callers.
 func TestRunStageEmitsIterationEvents(t *testing.T) {
-	p := process(t)
+	sim := testSim(t)
 	sink := &eventSink{}
 	rec := telemetry.New(telemetry.WithSink(sink))
-	opts := DefaultOptions(p)
+	opts := DefaultOptions(sim)
 	opts.Recorder = rec
 	o, err := New(opts, testTarget())
 	if err != nil {
@@ -89,8 +89,8 @@ func TestRunStageEmitsIterationEvents(t *testing.T) {
 // A nil recorder must leave Run behaviour identical (same history shape, no
 // events, no panics) — the disabled default for every existing caller.
 func TestRunWithoutRecorder(t *testing.T) {
-	p := process(t)
-	opts := DefaultOptions(p)
+	sim := testSim(t)
+	opts := DefaultOptions(sim)
 	o, err := New(opts, testTarget())
 	if err != nil {
 		t.Fatal(err)
@@ -104,13 +104,13 @@ func TestRunWithoutRecorder(t *testing.T) {
 	}
 }
 
-// The simulator is configured on Process.Sim alone: New and Run leave its
+// The simulator is configured on Options.Sim alone: New and Run leave its
 // worker count, FFT engine and recorder as they found them, even when the
 // options carry a recorder of their own.
 func TestOptionsLeaveSimulatorAlone(t *testing.T) {
-	p := litho.NewProcess(process(t).Sim.Model)
-	p.Sim.Workers = 3
-	opts := DefaultOptions(p)
+	sim := litho.NewSim(testSim(t).Model)
+	sim.Workers = 3
+	opts := DefaultOptions(sim)
 	opts.Recorder = telemetry.New()
 	o, err := New(opts, testTarget())
 	if err != nil {
@@ -119,9 +119,9 @@ func TestOptionsLeaveSimulatorAlone(t *testing.T) {
 	if _, err := o.Run(context.Background(), []Stage{{Scale: 4, Iters: 1}, {Scale: 4, HighRes: true, Iters: 1}}); err != nil {
 		t.Fatal(err)
 	}
-	if p.Sim.Workers != 3 || p.Sim.Engine != litho.EngineBatch || p.Sim.Recorder != nil {
+	if sim.Workers != 3 || sim.Engine != litho.EngineBatch || sim.Recorder != nil {
 		t.Errorf("simulator changed: workers %d, engine %v, recorder %p; want 3, batch, nil",
-			p.Sim.Workers, p.Sim.Engine, p.Sim.Recorder)
+			sim.Workers, sim.Engine, sim.Recorder)
 	}
 }
 
@@ -131,10 +131,10 @@ func TestOptionsLeaveSimulatorAlone(t *testing.T) {
 // and a penalty) open each phase a fixed number of times, and leave the
 // simulator's phase counts as they were before the core phases existed.
 func TestCorePhaseCounts(t *testing.T) {
-	p := litho.NewProcess(process(t).Sim.Model)
+	sim := litho.NewSim(testSim(t).Model)
 	rec := telemetry.New()
-	p.Sim.Recorder = rec
-	opts := DefaultOptions(p)
+	sim.Recorder = rec
+	opts := DefaultOptions(sim)
 	opts.Recorder = rec
 	opts.Penalties = []Penalty{TVPenalty{Lambda: 1e-3}}
 	o, err := New(opts, testTarget())
@@ -195,7 +195,7 @@ func (nanPenalty) Eval(m *grid.Mat) (float64, *grid.Mat) {
 // so the trace still validates — whether the hit comes at a stage's first
 // iteration or later, with and without line search.
 func TestRunStopsOnNonFinite(t *testing.T) {
-	p := process(t)
+	sim := testSim(t)
 	for _, tc := range []struct {
 		name       string
 		lineSearch bool
@@ -212,7 +212,7 @@ func TestRunStopsOnNonFinite(t *testing.T) {
 		var trace bytes.Buffer
 		sink := &eventSink{}
 		rec := telemetry.New(telemetry.WithSink(sink), telemetry.WithTrace(&trace))
-		opts := DefaultOptions(p)
+		opts := DefaultOptions(sim)
 		opts.Recorder = rec
 		opts.LineSearch = tc.lineSearch
 		calls := 0
@@ -264,7 +264,7 @@ func TestRunStopsOnNonFinite(t *testing.T) {
 // as no decrease, and when the last try is NaN too, the parameters are left
 // unchanged and the committed step is 0.
 func TestLineSearchSkipsNonFiniteCandidates(t *testing.T) {
-	opts := DefaultOptions(process(t))
+	opts := DefaultOptions(testSim(t))
 	opts.LineSearch = true
 	opts.Penalties = []Penalty{nanPenalty{}}
 	o, err := New(opts, testTarget())

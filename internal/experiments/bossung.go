@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/grid"
-	"repro/internal/litho"
 	"repro/internal/metrics"
 	"repro/internal/optics"
 	"repro/internal/report"
@@ -18,7 +17,7 @@ import (
 // fab-style view of what the optimization bought: a flatter CD response
 // (smaller dose sensitivity) at the measurement site.
 func Bossung(c Config) (*report.Table, error) {
-	p, err := c.Process()
+	sim, err := c.Sim()
 	if err != nil {
 		return nil, err
 	}
@@ -48,16 +47,16 @@ func Bossung(c Config) (*report.Table, error) {
 		targetCD = widest.BBox.H()
 	}
 
-	ours, err := c.runRecipe(p, "Our-exact", cs.Target, core.ExactM1(), nil, 0)
+	ours, err := c.runRecipe(sim, "Our-exact", cs.Target, core.ExactM1(), nil, 0)
 	if err != nil {
 		return nil, err
 	}
 	doses := []float64{0.94, 0.97, 1.0, 1.03, 1.06}
-	rawPts, err := metrics.CDThroughDose(p, cs.Target, cut, doses)
+	rawPts, err := metrics.CDThroughDose(sim, cs.Target, cut, doses)
 	if err != nil {
 		return nil, err
 	}
-	optPts, err := metrics.CDThroughDose(p, ours.Mask, cut, doses)
+	optPts, err := metrics.CDThroughDose(sim, ours.Mask, cut, doses)
 	if err != nil {
 		return nil, err
 	}
@@ -148,17 +147,16 @@ func Kernels(c Config) (*report.Table, error) {
 	return t, nil
 }
 
-// forwardWithKernels builds a model with nk kernels and returns the exact
-// aerial image of the target mask.
+// forwardWithKernels builds a simulator with nk kernels (newSim) and
+// returns the exact aerial image of the target mask.
 func forwardWithKernels(c Config, target *grid.Mat, nk int) (*grid.Mat, error) {
 	oc := c.Optics()
 	oc.NumKernels = nk
-	model, err := optics.BuildModel(oc)
+	sim, err := c.newSim(oc)
 	if err != nil {
 		return nil, err
 	}
-	sim := litho.NewSim(model)
-	f, err := sim.Forward(target, model.Nominal, 1, false)
+	f, err := sim.Forward(target, sim.Model.Nominal, 1, false)
 	if err != nil {
 		return nil, err
 	}

@@ -37,7 +37,7 @@ type Config struct {
 	// OutDir, when non-empty, receives image and CSV artifacts.
 	OutDir string
 	// Recorder, when enabled, receives experiment progress events and is
-	// the process simulator's recorder for phase timers (the -v flag of
+	// the simulator's recorder for phase timers (the -v flag of
 	// cmd/mltables wires a console sink here).
 	Recorder *telemetry.Recorder
 }
@@ -92,26 +92,36 @@ func (c Config) Optics() optics.Config {
 	return oc
 }
 
-// Process builds the lithography process: the kernel model, timed as
-// setup.optics, and a simulator recording to c.Recorder.
-func (c Config) Process() (*litho.Process, error) {
+// Sim builds the lithography simulator at this scale (newSim over
+// c.Optics()), rejecting a grid too small for the recipes' s = 8 stages.
+func (c Config) Sim() (*litho.Sim, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
+	sim, err := c.newSim(c.Optics())
+	if err != nil {
+		return nil, err
+	}
+	if p := sim.Model.Nominal.P; c.N/8 < p {
+		// The s = 8 stages of the recipes need N/8 ≥ P.
+		return nil, fmt.Errorf("experiments: grid %d too small for kernel support %d at s=8 (raise N or shrink FieldNM)", c.N, p)
+	}
+	return sim, nil
+}
+
+// newSim builds the kernel model of oc, timed as setup.optics, and a
+// simulator over it with the run's workers, recording to c.Recorder.
+func (c Config) newSim(oc optics.Config) (*litho.Sim, error) {
 	sp := c.Recorder.StartSpan("setup.optics")
-	model, err := optics.BuildModel(c.Optics())
+	model, err := optics.BuildModel(oc)
 	sp.End()
 	if err != nil {
 		return nil, err
 	}
-	p := litho.NewProcess(model)
-	p.Sim.Workers = c.Workers
-	p.Sim.Recorder = c.Recorder
-	if c.N/8 < model.Nominal.P {
-		// The s = 8 stages of the recipes need N/8 ≥ P.
-		return nil, fmt.Errorf("experiments: grid %d too small for kernel support %d at s=8 (raise N or shrink FieldNM)", c.N, model.Nominal.P)
-	}
-	return p, nil
+	sim := litho.NewSim(model)
+	sim.Workers = c.Workers
+	sim.Recorder = c.Recorder
+	return sim, nil
 }
 
 // RegionMargins returns the Fig. 7 region margins in pixels: a tight

@@ -53,7 +53,7 @@ func TestConfigDerivedQuantities(t *testing.T) {
 
 func TestProcessGridTooSmallForS8(t *testing.T) {
 	c := Config{N: 64, FieldNM: 2048, Kernels: 4, IterDiv: 1}
-	if _, err := c.Process(); err == nil {
+	if _, err := c.Sim(); err == nil {
 		t.Error("N=64 with P=35 kernels accepted (s=8 stage would be impossible)")
 	}
 }
@@ -339,18 +339,29 @@ func TestVerifyClaimsAtModerateBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, row := range tb.Rows {
-		if row[2] != "PASS" {
-			t.Errorf("claim failed: %s (%s)", row[0], row[1])
-		}
+	if err := FailedClaims(tb); err != nil {
+		t.Error(err)
 	}
 }
 
+// TestSourcesAblation: every source shape's simulator is the run's, so an
+// enabled recorder times each model build (setup.optics) and the
+// simulations beside the optimizer's phases.
 func TestSourcesAblation(t *testing.T) {
 	c := tiny(t)
+	rec := telemetry.New()
+	c.Recorder = rec
 	tb, err := Sources(c)
 	if err != nil {
 		t.Fatal(err)
+	}
+	phases := map[string]int64{}
+	for _, ph := range rec.Phases() {
+		phases[ph.Name] = ph.Count
+	}
+	if phases["setup.optics"] != 4 || phases["litho.fft_forward"] == 0 {
+		t.Errorf("setup.optics spans %d (want 4), litho.fft_forward spans %d (want some)",
+			phases["setup.optics"], phases["litho.fft_forward"])
 	}
 	if len(tb.Rows) != 4 {
 		t.Fatalf("%d rows, want 4", len(tb.Rows))

@@ -22,7 +22,7 @@ import (
 // smaller band (on very easy patterns a raw mask can already sit at the
 // window optimum, which is why the L2/EPE columns matter too).
 func Window(c Config) (*report.Table, error) {
-	p, err := c.Process()
+	sim, err := c.Sim()
 	if err != nil {
 		return nil, err
 	}
@@ -35,16 +35,16 @@ func Window(c Config) (*report.Table, error) {
 		return nil, err
 	}
 	c.logf("window: optimizing case1 with Our-exact")
-	ours, err := c.runRecipe(p, "Our-exact", cs.Target, core.ExactM1(), opt1, 0)
+	ours, err := c.runRecipe(sim, "Our-exact", cs.Target, core.ExactM1(), opt1, 0)
 	if err != nil {
 		return nil, err
 	}
 	deltas := []float64{0, 0.01, 0.02, 0.03, 0.05}
-	rawBands, err := metrics.PVBandLadder(p, cs.Target, deltas)
+	rawBands, err := metrics.PVBandLadder(sim, cs.Target, deltas)
 	if err != nil {
 		return nil, err
 	}
-	optBands, err := metrics.PVBandLadder(p, ours.Mask, deltas)
+	optBands, err := metrics.PVBandLadder(sim, ours.Mask, deltas)
 	if err != nil {
 		return nil, err
 	}
@@ -80,7 +80,7 @@ func Window(c Config) (*report.Table, error) {
 // low-res-only) and, at fine pixel pitches, recovers the Eq. (8)
 // approximation error as well.
 func Convergence(c Config) (*report.Table, error) {
-	p, err := c.Process()
+	sim, err := c.Sim()
 	if err != nil {
 		return nil, err
 	}
@@ -107,7 +107,7 @@ func Convergence(c Config) (*report.Table, error) {
 		"schedule", "L2 (nm²)", "PVB (nm²)", "#shots", "ILT time (s)")
 	var series []*report.Series
 	for _, v := range variants {
-		opts := c.coreOptions(p)
+		opts := c.coreOptions(sim)
 		o, err := core.New(opts, cs.Target)
 		if err != nil {
 			return nil, err
@@ -116,7 +116,7 @@ func Convergence(c Config) (*report.Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", v.name, err)
 		}
-		rep, err := c.evaluateMask(p, res.Mask, cs.Target)
+		rep, err := c.evaluateMask(sim, res.Mask, cs.Target)
 		if err != nil {
 			return nil, err
 		}

@@ -26,7 +26,7 @@ func (c Config) savePNG(name string, m *grid.Mat) error {
 // vs our mask on case1 — ours should have more regular shapes (fewer,
 // larger fracturing rectangles relative to its area).
 func Fig1(c Config) (*report.Table, error) {
-	p, err := c.Process()
+	sim, err := c.Sim()
 	if err != nil {
 		return nil, err
 	}
@@ -38,11 +38,11 @@ func Fig1(c Config) (*report.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	a2, err := c.runAttention(p, cs.Target, opt1)
+	a2, err := c.runAttention(sim, cs.Target, opt1)
 	if err != nil {
 		return nil, err
 	}
-	ours, err := c.runRecipe(p, "Our-exact", cs.Target, core.ExactM1(), opt1, 0)
+	ours, err := c.runRecipe(sim, "Our-exact", cs.Target, core.ExactM1(), opt1, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -74,7 +74,7 @@ func Fig1(c Config) (*report.Table, error) {
 // (L2, PVB) = (50626, 51465) vs (43452, 46361) and visible SRAFs only for
 // T_R = 0.5.
 func Fig4(c Config) (*report.Table, error) {
-	p, err := c.Process()
+	sim, err := c.Sim()
 	if err != nil {
 		return nil, err
 	}
@@ -89,7 +89,7 @@ func Fig4(c Config) (*report.Table, error) {
 		fmt.Sprintf("Fig. 4 — binary function T_R ablation (%d low-res iterations, case1)", iters),
 		"T_R", "L2 (nm²)", "PVB (nm²)", "SRAF area (nm²)", "paper L2", "paper PVB")
 	for _, tr := range []float64{0, 0.5} {
-		opts := c.coreOptions(p)
+		opts := c.coreOptions(sim)
 		opts.Binary = mask.Sigmoid{Beta: mask.DefaultBeta, TR: tr}
 		if tr == 0 {
 			opts.OutputTR = 0
@@ -102,7 +102,7 @@ func Fig4(c Config) (*report.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		rep, err := c.evaluateMask(p, res.Mask, cs.Target)
+		rep, err := c.evaluateMask(sim, res.Mask, cs.Target)
 		if err != nil {
 			return nil, err
 		}
@@ -178,7 +178,7 @@ func Fig5(c Config) (*report.Table, error) {
 // Fig6 reproduces the smoothing-pool comparison on a low-resolution run:
 // with pooling the mask has (slightly) higher L2 but a simpler pattern.
 func Fig6(c Config) (*report.Table, error) {
-	p, err := c.Process()
+	sim, err := c.Sim()
 	if err != nil {
 		return nil, err
 	}
@@ -195,7 +195,7 @@ func Fig6(c Config) (*report.Table, error) {
 		if window == 0 {
 			name = "without pooling"
 		}
-		opts := c.coreOptions(p)
+		opts := c.coreOptions(sim)
 		opts.SmoothWindow = window
 		o, err := core.New(opts, cs.Target)
 		if err != nil {
@@ -205,7 +205,7 @@ func Fig6(c Config) (*report.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		rep, err := c.evaluateMask(p, res.Mask, cs.Target)
+		rep, err := c.evaluateMask(sim, res.Mask, cs.Target)
 		if err != nil {
 			return nil, err
 		}
@@ -222,7 +222,7 @@ func Fig6(c Config) (*report.Table, error) {
 // Fig7 reproduces the optimizing-region comparison: Our-exact under
 // option 1 (tight) vs option 2 (loose) on one case.
 func Fig7(c Config) (*report.Table, error) {
-	p, err := c.Process()
+	sim, err := c.Sim()
 	if err != nil {
 		return nil, err
 	}
@@ -237,7 +237,7 @@ func Fig7(c Config) (*report.Table, error) {
 	t := report.NewTable("Fig. 7 — optimizing region options (case1, Our-exact)",
 		"option", "region area (nm²)", "L2 (nm²)", "PVB (nm²)", "#shots")
 	for i, region := range []*grid.Mat{opt1, opt2} {
-		meas, err := c.runRecipe(p, fmt.Sprintf("option%d", i+1), cs.Target, core.ExactM1(), region, 0)
+		meas, err := c.runRecipe(sim, fmt.Sprintf("option%d", i+1), cs.Target, core.ExactM1(), region, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -259,7 +259,7 @@ func Fig7(c Config) (*report.Table, error) {
 // early stopping, plus the four panels (target, binarized mask, final mask,
 // wafer image). The key check: every via prints.
 func Fig8(c Config) (*report.Table, error) {
-	p, err := c.Process()
+	sim, err := c.Sim()
 	if err != nil {
 		return nil, err
 	}
@@ -267,19 +267,19 @@ func Fig8(c Config) (*report.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := c.runVia(p, cs.Target, c.IterDiv)
+	res, err := c.runVia(sim, cs.Target, c.IterDiv)
 	if err != nil {
 		return nil, err
 	}
-	rep, err := c.evaluateMask(p, res.Mask, cs.Target)
+	rep, err := c.evaluateMask(sim, res.Mask, cs.Target)
 	if err != nil {
 		return nil, err
 	}
-	wafer, err := p.Print(res.Mask, p.Nominal())
+	wafer, err := sim.Print(res.Mask, sim.Nominal())
 	if err != nil {
 		return nil, err
 	}
-	total, printed := viasPrinted(cs.Target, wafer)
+	total, printed := viasPrinted(cs.Target, wafer[0])
 
 	t := report.NewTable("Fig. 8 — via pattern flow (staged schedule, early stop 15)",
 		"metric", "value")
@@ -294,14 +294,14 @@ func Fig8(c Config) (*report.Table, error) {
 	if err := c.savePNG("fig8_target.png", cs.Target); err != nil {
 		return nil, err
 	}
-	binarized := core.DefaultOptions(p).Binary.Apply(res.Params)
+	binarized := core.DefaultOptions(sim).Binary.Apply(res.Params)
 	if err := c.savePNG("fig8_binarized.png", binarized); err != nil {
 		return nil, err
 	}
 	if err := c.savePNG("fig8_mask.png", res.Mask); err != nil {
 		return nil, err
 	}
-	if err := c.savePNG("fig8_wafer.png", wafer); err != nil {
+	if err := c.savePNG("fig8_wafer.png", wafer[0]); err != nil {
 		return nil, err
 	}
 	t.Note("the paper's acceptance bar: every via shape appears on the wafer image")

@@ -88,7 +88,7 @@ func TestWorkLedger(t *testing.T) {
 	} {
 		rec := telemetry.New()
 		tc.cfg.Recorder = rec
-		p, err := tc.cfg.Process()
+		sim, err := tc.cfg.Sim()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,7 +96,7 @@ func TestWorkLedger(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opts := core.DefaultOptions(p)
+		opts := core.DefaultOptions(sim)
 		opts.Recorder = rec
 		o, err := core.New(opts, cs.Target)
 		if err != nil {
@@ -106,7 +106,7 @@ func TestWorkLedger(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := metrics.Evaluate(p, res.Mask, cs.Target)
+		rep, err := metrics.Evaluate(sim, res.Mask, cs.Target)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -26,31 +26,31 @@ type Measured struct {
 }
 
 // evaluateMask runs the contest evaluation and scales areas to nm².
-func (c Config) evaluateMask(p *litho.Process, m, target *grid.Mat) (metrics.Report, error) {
-	rep, err := metrics.Evaluate(p, m, target)
+func (c Config) evaluateMask(sim *litho.Sim, m, target *grid.Mat) (metrics.Report, error) {
+	rep, err := metrics.Evaluate(sim, m, target)
 	if err != nil {
 		return rep, err
 	}
 	return rep.Scale(c.PixelNM()), nil
 }
 
-// coreOptions is core.DefaultOptions over p with the run's recorder, so a
+// coreOptions is core.DefaultOptions over sim with the run's recorder, so a
 // trace or the -v console carries the optimizer's stages, iterations and
 // core.* phases.
-func (c Config) coreOptions(p *litho.Process) core.Options {
-	opts := core.DefaultOptions(p)
+func (c Config) coreOptions(sim *litho.Sim) core.Options {
+	opts := core.DefaultOptions(sim)
 	opts.Recorder = c.Recorder
 	return opts
 }
 
 // runVia runs the via recipe (core.Recipe: its schedule, budgets divided
 // by div, and its patience) on a target.
-func (c Config) runVia(p *litho.Process, target *grid.Mat, div int) (*core.Result, error) {
+func (c Config) runVia(sim *litho.Sim, target *grid.Mat, div int) (*core.Result, error) {
 	stages, patience, err := core.Recipe("via")
 	if err != nil {
 		return nil, err
 	}
-	opts := c.coreOptions(p)
+	opts := c.coreOptions(sim)
 	opts.Patience = patience
 	o, err := core.New(opts, target)
 	if err != nil {
@@ -61,8 +61,8 @@ func (c Config) runVia(p *litho.Process, target *grid.Mat, div int) (*core.Resul
 
 // runRecipe executes a multi-level ILT recipe (budgets divided by IterDiv),
 // post-processes the mask, and evaluates it.
-func (c Config) runRecipe(p *litho.Process, method string, target *grid.Mat, stages []core.Stage, region *grid.Mat, patience int) (Measured, error) {
-	opts := c.coreOptions(p)
+func (c Config) runRecipe(sim *litho.Sim, method string, target *grid.Mat, stages []core.Stage, region *grid.Mat, patience int) (Measured, error) {
+	opts := c.coreOptions(sim)
 	opts.Region = region
 	opts.Patience = patience
 	o, err := core.New(opts, target)
@@ -74,7 +74,7 @@ func (c Config) runRecipe(p *litho.Process, method string, target *grid.Mat, sta
 		return Measured{}, fmt.Errorf("%s: %w", method, err)
 	}
 	cleaned := post.Clean(res.Mask, target, post.DefaultOptions(c.PixelNM()))
-	rep, err := c.evaluateMask(p, cleaned.Mask, target)
+	rep, err := c.evaluateMask(sim, cleaned.Mask, target)
 	if err != nil {
 		return Measured{}, fmt.Errorf("%s: %w", method, err)
 	}
@@ -87,14 +87,14 @@ func (c Config) runRecipe(p *litho.Process, method string, target *grid.Mat, sta
 }
 
 // runAttention measures the A2-ILT-style baseline.
-func (c Config) runAttention(p *litho.Process, target *grid.Mat, region *grid.Mat) (Measured, error) {
+func (c Config) runAttention(sim *litho.Sim, target *grid.Mat, region *grid.Mat) (Measured, error) {
 	iters := maxInt(1, 100/c.IterDiv)
 	band := maxInt(2, int(24/c.PixelNM()))
-	res, err := baselines.AttentionILT(p, target, iters, band, region)
+	res, err := baselines.AttentionILT(sim, target, iters, band, region)
 	if err != nil {
 		return Measured{}, err
 	}
-	rep, err := c.evaluateMask(p, res.Mask, target)
+	rep, err := c.evaluateMask(sim, res.Mask, target)
 	if err != nil {
 		return Measured{}, err
 	}
@@ -103,15 +103,15 @@ func (c Config) runAttention(p *litho.Process, target *grid.Mat, region *grid.Ma
 }
 
 // runLevelSet measures the GLS-ILT-style baseline.
-func (c Config) runLevelSet(p *litho.Process, target *grid.Mat, region *grid.Mat) (Measured, error) {
+func (c Config) runLevelSet(sim *litho.Sim, target *grid.Mat, region *grid.Mat) (Measured, error) {
 	iters := maxInt(1, 100/c.IterDiv)
 	res, err := baselines.LevelSetILT(baselines.LevelSetOptions{
-		Process: p, Iters: iters, Region: region, Recorder: c.Recorder,
+		Sim: sim, Iters: iters, Region: region, Recorder: c.Recorder,
 	}, target)
 	if err != nil {
 		return Measured{}, err
 	}
-	rep, err := c.evaluateMask(p, res.Mask, target)
+	rep, err := c.evaluateMask(sim, res.Mask, target)
 	if err != nil {
 		return Measured{}, err
 	}
@@ -120,12 +120,12 @@ func (c Config) runLevelSet(p *litho.Process, target *grid.Mat, region *grid.Mat
 }
 
 // runPixel measures conventional full-resolution pixel ILT.
-func (c Config) runPixel(p *litho.Process, target *grid.Mat, region *grid.Mat, iters int) (Measured, error) {
-	res, err := baselines.PixelILT(p, target, iters, region)
+func (c Config) runPixel(sim *litho.Sim, target *grid.Mat, region *grid.Mat, iters int) (Measured, error) {
+	res, err := baselines.PixelILT(sim, target, iters, region)
 	if err != nil {
 		return Measured{}, err
 	}
-	rep, err := c.evaluateMask(p, res.Mask, target)
+	rep, err := c.evaluateMask(sim, res.Mask, target)
 	if err != nil {
 		return Measured{}, err
 	}

@@ -4,15 +4,8 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/bench"
-	"repro/internal/grid"
 	"repro/internal/report"
 )
-
-// poolTarget downsamples a case target for the Eq. (8) timing run.
-func poolTarget(cs bench.Case, scale int) *grid.Mat {
-	return grid.AvgPoolDown(cs.Target, scale)
-}
 
 // Experiment names accepted by Run and cmd/mltables -exp.
 var Names = []string{

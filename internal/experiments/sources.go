@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 
 	"repro/internal/core"
-	"repro/internal/litho"
 	"repro/internal/optics"
 	"repro/internal/report"
 )
@@ -25,15 +24,13 @@ func Sources(c Config) (*report.Table, error) {
 	for _, shape := range []optics.SourceShape{optics.Annular, optics.Circular, optics.Dipole, optics.Quasar} {
 		oc := c.Optics()
 		oc.Shape = shape
-		model, err := optics.BuildModel(oc)
+		sim, err := c.newSim(oc)
 		if err != nil {
 			return nil, fmt.Errorf("%v: %w", shape, err)
 		}
-		proc := litho.NewProcess(model)
 		c.logf("sources: %v", shape)
 
-		opts := c.coreOptions(proc)
-		o, err := core.New(opts, cs.Target)
+		o, err := core.New(c.coreOptions(sim), cs.Target)
 		if err != nil {
 			return nil, err
 		}
@@ -41,11 +38,11 @@ func Sources(c Config) (*report.Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%v: %w", shape, err)
 		}
-		rep, err := c.evaluateMask(proc, res.Mask, cs.Target)
+		rep, err := c.evaluateMask(sim, res.Mask, cs.Target)
 		if err != nil {
 			return nil, err
 		}
-		t.Add(shape.String(), report.I(len(optics.DiscretizeSource(oc))), report.I(model.Nominal.P),
+		t.Add(shape.String(), report.I(len(optics.DiscretizeSource(oc))), report.I(sim.Model.Nominal.P),
 			report.F(rep.L2, 0), report.F(rep.PVB, 0), report.I(rep.EPE), report.I(rep.Shots))
 	}
 	t.Note("the paper uses the annular column; the others probe how the optics substrate responds to source geometry (dipole favours one orientation, so mixed-orientation M1 suffers)")

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/core"
-	"repro/internal/litho"
 	"repro/internal/report"
 )
 
@@ -18,7 +17,7 @@ import (
 // no-downsampling runtime with far fewer shots; no-downsampling has the
 // lowest L2 but unacceptable #shots.
 func Table1(c Config) (*report.Table, error) {
-	p, err := c.Process()
+	sim, err := c.Sim()
 	if err != nil {
 		return nil, err
 	}
@@ -45,7 +44,7 @@ func Table1(c Config) (*report.Table, error) {
 	var times []float64
 	for _, v := range variants {
 		c.logf("table1: %s", v.name)
-		opts := c.coreOptions(p)
+		opts := c.coreOptions(sim)
 		opts.SmoothWindow = v.smooth
 		o, err := core.New(opts, cs.Target)
 		if err != nil {
@@ -55,7 +54,7 @@ func Table1(c Config) (*report.Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("table1 %s: %w", v.name, err)
 		}
-		rep, err := c.evaluateMask(p, res.Mask, cs.Target)
+		rep, err := c.evaluateMask(sim, res.Mask, cs.Target)
 		if err != nil {
 			return nil, err
 		}
@@ -78,8 +77,8 @@ func Table1(c Config) (*report.Table, error) {
 // suiteTable runs a method set over a case suite and renders a paper-style
 // table: one row per (case, method), Average rows, paper reference rows,
 // and ratio-vs-Our-exact rows.
-func (c Config) suiteTable(title string, cases []bench.Case, p *litho.Process,
-	methods []string, run func(cs bench.Case, method string) (Measured, error),
+func (c Config) suiteTable(title string, cases []bench.Case, methods []string,
+	run func(cs bench.Case, method string) (Measured, error),
 	paperRows []PaperAvg, csvName string) (*report.Table, error) {
 
 	t := report.NewTable(title,
@@ -149,7 +148,7 @@ func (c Config) suiteTable(title string, cases []bench.Case, p *litho.Process,
 // Table2 reproduces Table II: the ten M1 cases under region option 1, with
 // the A2-ILT-style baseline when WithBaselines is set.
 func Table2(c Config) (*report.Table, error) {
-	p, err := c.Process()
+	sim, err := c.Sim()
 	if err != nil {
 		return nil, err
 	}
@@ -168,22 +167,22 @@ func Table2(c Config) (*report.Table, error) {
 		}
 		switch method {
 		case "Our-fast":
-			return c.runRecipe(p, method, cs.Target, core.FastM1(), opt1, 0)
+			return c.runRecipe(sim, method, cs.Target, core.FastM1(), opt1, 0)
 		case "Our-exact":
-			return c.runRecipe(p, method, cs.Target, core.ExactM1(), opt1, 0)
+			return c.runRecipe(sim, method, cs.Target, core.ExactM1(), opt1, 0)
 		default:
-			return c.runAttention(p, cs.Target, opt1)
+			return c.runAttention(sim, cs.Target, opt1)
 		}
 	}
 	return c.suiteTable(
 		fmt.Sprintf("Table II — ICCAD 2013 M1 cases, region option 1 (N=%d)", c.N),
-		cases, p, methods, run, PaperTable2, "table2")
+		cases, methods, run, PaperTable2, "table2")
 }
 
 // Table3 reproduces Table III: the same cases under region option 2, with
 // the GLS-ILT-style level-set baseline when WithBaselines is set.
 func Table3(c Config) (*report.Table, error) {
-	p, err := c.Process()
+	sim, err := c.Sim()
 	if err != nil {
 		return nil, err
 	}
@@ -202,23 +201,23 @@ func Table3(c Config) (*report.Table, error) {
 		}
 		switch method {
 		case "Our-fast":
-			return c.runRecipe(p, method, cs.Target, core.FastM1(), opt2, 0)
+			return c.runRecipe(sim, method, cs.Target, core.FastM1(), opt2, 0)
 		case "Our-exact":
-			return c.runRecipe(p, method, cs.Target, core.ExactM1(), opt2, 0)
+			return c.runRecipe(sim, method, cs.Target, core.ExactM1(), opt2, 0)
 		default:
-			return c.runLevelSet(p, cs.Target, opt2)
+			return c.runLevelSet(sim, cs.Target, opt2)
 		}
 	}
 	return c.suiteTable(
 		fmt.Sprintf("Table III — ICCAD 2013 M1 cases, region option 2 (N=%d)", c.N),
-		cases, p, methods, run, PaperTable3, "table3")
+		cases, methods, run, PaperTable3, "table3")
 }
 
 // Table4 reproduces Table IV: the denser extended cases 11–20 under region
 // option 1, with conventional pixel ILT (the non-learned core of
 // Neural-ILT's refinement loop) when WithBaselines is set.
 func Table4(c Config) (*report.Table, error) {
-	p, err := c.Process()
+	sim, err := c.Sim()
 	if err != nil {
 		return nil, err
 	}
@@ -237,14 +236,14 @@ func Table4(c Config) (*report.Table, error) {
 		}
 		switch method {
 		case "Our-fast":
-			return c.runRecipe(p, method, cs.Target, core.FastM1(), opt1, 0)
+			return c.runRecipe(sim, method, cs.Target, core.FastM1(), opt1, 0)
 		case "Our-exact":
-			return c.runRecipe(p, method, cs.Target, core.ExactM1(), opt1, 0)
+			return c.runRecipe(sim, method, cs.Target, core.ExactM1(), opt1, 0)
 		default:
-			return c.runPixel(p, cs.Target, opt1, maxInt(1, 100/c.IterDiv))
+			return c.runPixel(sim, cs.Target, opt1, maxInt(1, 100/c.IterDiv))
 		}
 	}
 	return c.suiteTable(
 		fmt.Sprintf("Table IV — extended cases 11–20, region option 1 (N=%d)", c.N),
-		cases, p, methods, run, PaperTable4, "table4")
+		cases, methods, run, PaperTable4, "table4")
 }

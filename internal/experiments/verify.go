@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"path/filepath"
-	"time"
+	"strings"
 
 	"repro/internal/baselines"
 	"repro/internal/core"
@@ -12,8 +12,23 @@ import (
 	"repro/internal/grid"
 	"repro/internal/mask"
 	"repro/internal/report"
-	"repro/internal/telemetry"
 )
+
+// FailedClaims returns an error naming every claim of a Verify table whose
+// verdict reads FAIL, with its measurement, or nil when every claim passes.
+// Verify itself fails only when a run cannot complete.
+func FailedClaims(t *report.Table) error {
+	var failed []string
+	for _, row := range t.Rows {
+		if row[2] == "FAIL" {
+			failed = append(failed, fmt.Sprintf("%s (%s)", row[0], row[1]))
+		}
+	}
+	if len(failed) == 0 {
+		return nil
+	}
+	return fmt.Errorf("%d of %d claims FAIL:\n  %s", len(failed), len(t.Rows), strings.Join(failed, "\n  "))
+}
 
 // raggedness is the isoperimetric quotient perimeter²/area of a binary
 // mask — large for fragmented/jagged masks, 16 for a perfect square.
@@ -32,7 +47,7 @@ func raggedness(m *grid.Mat) float64 {
 // hardware and synthetic layouts, but these orderings must hold for the
 // reproduction to count.
 func Verify(c Config) (*report.Table, error) {
-	p, err := c.Process()
+	sim, err := c.Sim()
 	if err != nil {
 		return nil, err
 	}
@@ -57,110 +72,49 @@ func Verify(c Config) (*report.Table, error) {
 	// any host. Wall ratios of windows a few milliseconds long measure the
 	// host (two workers fanning out over 32-px grids) as much as the
 	// paper's cost model, so they stay in each row's text only.
-	rec := p.Sim.Recorder
-	if rec == nil {
-		rec = telemetry.New() // for the work counters only
-		p.Sim.Recorder = rec
-	}
-	counted := func(names ...string) int64 {
-		n := rec.Counters()
-		var sum int64
-		for _, name := range names {
-			sum += n[name]
-		}
-		return sum
-	}
-	work := func() int64 {
-		return counted("litho.fft_forward_butterflies", "litho.fft_inverse_butterflies", "litho.adjoint_butterflies")
-	}
 
 	// Claim 1: Eq. 8 ≤ Eq. 7 ≪ Eq. 3 forward time. The Eq. 3 vs Eq. 7 half
 	// is judged on inverse-transform work, because the full-size mask FFT
 	// both run is not what Eq. 7 saves; the Eq. 8 vs Eq. 7 half on all
 	// transform work, because Eq. 8 saves on the mask FFT as well.
-	{
-		sims := maxInt(10, 60/c.IterDiv)
-		ks := p.Sim.Model.Nominal
-		pooled := poolTarget(cs, 4)
-		// measure returns one variant's wall time over sims simulations,
-		// after a warm-up, and their inverse and total transform work.
-		measure := func(f func() error) (wall float64, inverse, total int64, err error) {
-			if err := f(); err != nil { // warm-up
-				return 0, 0, 0, err
-			}
-			inv0, w0 := counted("litho.fft_inverse_butterflies"), work()
-			start := time.Now()
-			for i := 0; i < sims; i++ {
-				if err := f(); err != nil {
-					return 0, 0, 0, err
-				}
-			}
-			return time.Since(start).Seconds(), counted("litho.fft_inverse_butterflies") - inv0, work() - w0, nil
-		}
-		eq3, inv3, _, err := measure(func() error { _, e := p.Sim.Forward(cs.Target, ks, 1, false); return e })
-		if err != nil {
-			return nil, err
-		}
-		eq7, inv7, w7, err := measure(func() error { _, e := p.Sim.ForwardEq7(cs.Target, 4, ks, 1); return e })
-		if err != nil {
-			return nil, err
-		}
-		eq8, _, w8, err := measure(func() error { _, e := p.Sim.Forward(pooled, ks, 1, false); return e })
-		if err != nil {
-			return nil, err
-		}
-		add("1. forward time Eq8 ≤ Eq7 ≪ Eq3 (paper 17.5×/10.7×)",
-			fmt.Sprintf("Eq3/Eq7 = %.1f× inverse work (%.1f× wall), Eq8/Eq7 = %.2f× work (%.2f× wall), Eq3/Eq8 = %.1f× wall",
-				float64(inv3)/float64(inv7), eq3/eq7, float64(w8)/float64(w7), eq8/eq7, eq3/eq8),
-			inv7 > 0 && inv3 > 3*inv7 && float64(w8) <= 1.25*float64(w7))
+	fwd, err := forwardCosts(sim, cs, 4, maxInt(10, 60/c.IterDiv))
+	if err != nil {
+		return nil, err
 	}
+	eq3, eq7, eq8 := fwd[0], fwd[1], fwd[2]
+	add("1. forward time Eq8 ≤ Eq7 ≪ Eq3 (paper 17.5×/10.7×)",
+		fmt.Sprintf("Eq3/Eq7 = %.1f× inverse work (%.1f× wall), Eq8/Eq7 = %.2f× work (%.2f× wall), Eq3/Eq8 = %.1f× wall",
+			float64(eq3.inverse)/float64(eq7.inverse), eq3.wall/eq7.wall,
+			float64(eq8.total)/float64(eq7.total), eq8.wall/eq7.wall, eq3.wall/eq8.wall),
+		eq7.inverse > 0 && eq3.inverse > 3*eq7.inverse && float64(eq8.total) <= 1.25*float64(eq7.total))
 
 	// Claims 2 & part of 4: per-iteration work and wall time.
-	iterCost := func(st core.Stage) (wall, bf float64, err error) {
-		opts := c.coreOptions(p)
-		o, err := core.New(opts, cs.Target)
-		if err != nil {
-			return 0, 0, err
-		}
-		st.Iters = maxInt(2, 6/c.IterDiv)
-		w0 := work()
-		res, err := o.Run(context.Background(), []core.Stage{st})
-		if err != nil {
-			return 0, 0, err
-		}
-		iters := float64(res.Iterations)
-		return res.ILTSeconds / iters, float64(work()-w0) / iters, nil
-	}
-	lowIter, lowWork, err := iterCost(core.Stage{Scale: 4})
+	iter, err := c.iterCosts(sim, cs, maxInt(2, 6/c.IterDiv))
 	if err != nil {
 		return nil, err
 	}
-	highIter, highWork, err := iterCost(core.Stage{Scale: 4, HighRes: true})
-	if err != nil {
-		return nil, err
-	}
-	fullIter, fullWork, err := iterCost(core.Stage{Scale: 1})
-	if err != nil {
-		return nil, err
-	}
+	low, high, full := iter[0], iter[1], iter[2]
 	add("2. low-res iteration ≪ high-res (paper ≈18×)",
-		fmt.Sprintf("high/low = %.1f× work (%.1f× wall)", highWork/lowWork, highIter/lowIter),
-		highWork > 5*lowWork)
+		fmt.Sprintf("high/low = %.1f× work (%.1f× wall)", float64(high.total)/float64(low.total), high.wall/low.wall),
+		high.total > 5*low.total)
+	fullHigh := float64(full.total) / float64(high.total)
 	add("2b. high-res ≈ no-downsampling iteration time",
-		fmt.Sprintf("full/high = %.2f× work (%.2f× wall)", fullWork/highWork, fullIter/highIter),
-		fullWork/highWork > 0.5 && fullWork/highWork < 2.0)
+		fmt.Sprintf("full/high = %.2f× work (%.2f× wall)", fullHigh, full.wall/high.wall),
+		fullHigh > 0.5 && fullHigh < 2.0)
 
 	// Claims 3, 4, 7: quality/cost orderings on one case. evaluated runs
 	// one ILT flow and evaluates its mask; the flow's transform work is
 	// counted around the flow alone, not around the evaluation.
+	work := butterflies(sim)
 	evaluated := func(run func() (*core.Result, error)) (Measured, int64, error) {
-		w0 := work()
+		_, w0 := work()
 		res, err := run()
 		if err != nil {
 			return Measured{}, 0, err
 		}
-		w := work() - w0
-		rep, err := c.evaluateMask(p, res.Mask, cs.Target)
+		_, w := work()
+		w -= w0
+		rep, err := c.evaluateMask(sim, res.Mask, cs.Target)
 		if err != nil {
 			return Measured{}, 0, err
 		}
@@ -168,7 +122,7 @@ func Verify(c Config) (*report.Table, error) {
 		return Measured{Report: rep, ILTSec: res.ILTSeconds, Result: res, Mask: res.Mask}, w, nil
 	}
 	runStages := func(stages []core.Stage, smooth int) (Measured, int64, error) {
-		opts := c.coreOptions(p)
+		opts := c.coreOptions(sim)
 		opts.SmoothWindow = smooth
 		o, err := core.New(opts, cs.Target)
 		if err != nil {
@@ -187,7 +141,7 @@ func Verify(c Config) (*report.Table, error) {
 		return nil, err
 	}
 	pixel, pixelWork, err := evaluated(func() (*core.Result, error) {
-		return baselines.PixelILT(p, cs.Target, maxInt(1, 100/c.IterDiv), nil)
+		return baselines.PixelILT(sim, cs.Target, maxInt(1, 100/c.IterDiv), nil)
 	})
 	if err != nil {
 		return nil, err
@@ -229,7 +183,7 @@ func Verify(c Config) (*report.Table, error) {
 	{
 		far := geom.DilateBox(cs.Target, maxInt(2, int(50/c.PixelNM())))
 		runTR := func(tr float64) (Measured, float64, error) {
-			opts := c.coreOptions(p)
+			opts := c.coreOptions(sim)
 			opts.Binary = mask.Sigmoid{Beta: mask.DefaultBeta, TR: tr}
 			if tr == 0 {
 				opts.OutputTR = 0
@@ -242,7 +196,7 @@ func Verify(c Config) (*report.Table, error) {
 			if err != nil {
 				return Measured{}, 0, err
 			}
-			rep, err := c.evaluateMask(p, res.Mask, cs.Target)
+			rep, err := c.evaluateMask(sim, res.Mask, cs.Target)
 			if err != nil {
 				return Measured{}, 0, err
 			}
@@ -302,15 +256,15 @@ func Verify(c Config) (*report.Table, error) {
 		if div > 5 {
 			div = 5 // the via flow needs a real budget to converge
 		}
-		res, err := c.runVia(p, vc.Target, div)
+		res, err := c.runVia(sim, vc.Target, div)
 		if err != nil {
 			return nil, err
 		}
-		wafer, err := p.Print(res.Mask, p.Nominal())
+		wafer, err := sim.Print(res.Mask, sim.Nominal())
 		if err != nil {
 			return nil, err
 		}
-		total, printed := viasPrinted(vc.Target, wafer)
+		total, printed := viasPrinted(vc.Target, wafer[0])
 		add("8. via flow prints every via (Fig. 8)",
 			fmt.Sprintf("%d of %d printed", printed, total), total > 0 && printed == total)
 	}

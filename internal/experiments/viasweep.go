@@ -16,7 +16,7 @@ import (
 // down with IterDiv to keep reduced harnesses fast). The acceptance bar is
 // the paper's: every via prints, even on the worst case.
 func ViaSweep(c Config) (*report.Table, error) {
-	p, err := c.Process()
+	sim, err := c.Sim()
 	if err != nil {
 		return nil, err
 	}
@@ -36,19 +36,19 @@ func ViaSweep(c Config) (*report.Table, error) {
 	allPrinted := true
 	for _, cs := range cases {
 		c.logf("viasweep: %s", cs.Name)
-		res, err := c.runVia(p, cs.Target, c.IterDiv)
+		res, err := c.runVia(sim, cs.Target, c.IterDiv)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", cs.Name, err)
 		}
-		rep, err := c.evaluateMask(p, res.Mask, cs.Target)
+		rep, err := c.evaluateMask(sim, res.Mask, cs.Target)
 		if err != nil {
 			return nil, err
 		}
-		wafer, err := p.Print(res.Mask, p.Nominal())
+		wafer, err := sim.Print(res.Mask, sim.Nominal())
 		if err != nil {
 			return nil, err
 		}
-		total, printed := viasPrinted(cs.Target, wafer)
+		total, printed := viasPrinted(cs.Target, wafer[0])
 		if printed != total {
 			allPrinted = false
 		}

@@ -8,9 +8,10 @@ import (
 // PlanCache is a concurrency-safe, singleflight cache of square 2-D FFT
 // plans keyed by size. Plans are pure functions of their size (twiddle and
 // bit-reversal tables), so one cache can safely back any number of
-// simulators: the long-running ILT server shares a single PlanCache across
-// every concurrent job, amortizing plan construction the same way one
-// litho.Sim amortizes it across iterations.
+// simulators: litho keeps a single PlanCache per process, which every
+// litho.Sim — every concurrent job of the long-running ILT server among
+// them — shares, amortizing plan construction across simulators as well
+// as across iterations.
 //
 // The zero value is ready to use. Concurrent first requests for one size
 // share a single construction — no goroutine ever observes a half-built

@@ -14,7 +14,7 @@ import (
 // worker count. allocs/op includes the per-tile optimizer state by design
 // (tiles own their state); the interesting column is ns/op vs workers.
 func BenchmarkFullchipWorkers(b *testing.B) {
-	p := process(b)
+	sim := testSim(b)
 	tgt := grid.NewMat(320, 320)
 	for y := 0; y < 3; y++ {
 		for x := 0; x < 3; x++ {
@@ -23,13 +23,13 @@ func BenchmarkFullchipWorkers(b *testing.B) {
 			}, 1)
 		}
 	}
-	halo := HaloFor(p, 4)
+	halo := HaloFor(sim, 4)
 	for _, w := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				res, err := Optimize(Options{
-					Process: p, TileSize: 128, Halo: halo,
+					Sim: sim, TileSize: 128, Halo: halo,
 					Stages:    []core.Stage{{Scale: 4, Iters: 4}},
 					SkipEmpty: true, Workers: w,
 				}, tgt)

@@ -45,9 +45,9 @@ func (e *TileError) Unwrap() error { return e.Err }
 // requires an optics model whose FieldNM equals TileSize × (layout pixel
 // pitch) — e.g. 512-px tiles of a 1 nm/px layout need a 512 nm-field model.
 type Options struct {
-	// Process supplies the forward model (shared across tiles). Its
-	// FieldNM must equal TileSize × the layout's pixel pitch.
-	Process *litho.Process
+	// Sim supplies the forward model (shared across tiles). Its FieldNM
+	// must equal TileSize × the layout's pixel pitch.
+	Sim *litho.Sim
 	// TileSize is the per-tile simulation grid (power of two).
 	TileSize int
 	// Halo is the overlap margin in pixels. It must cover the optical
@@ -57,7 +57,7 @@ type Options struct {
 	// Stages is the per-tile multi-level schedule.
 	Stages []core.Stage
 	// Configure, when set, can adjust the per-tile optimizer options
-	// (penalties, learning rate, ...). The Process field is pre-filled. It
+	// (penalties, learning rate, ...). The Sim field is pre-filled. It
 	// is invoked once per Optimize call to build the option template shared
 	// by every tile; anything it installs (GradHook, Penalties) must be
 	// safe for concurrent use when Workers allows more than one tile in
@@ -74,9 +74,9 @@ type Options struct {
 	// Recorder receives one "tile" event per tile (coordinates, seconds,
 	// skip state, emitted in row-major order after the pool joins, so the
 	// trace is deterministic) plus a "fullchip.end" summary. Nil disables
-	// them. Phase timers go to Process.Sim.Recorder, which Optimize never
-	// sets. Per-tile iteration events stay off unless Configure installs
-	// its own core recorder (they would interleave across tiles).
+	// them. Phase timers go to Sim.Recorder, which Optimize never sets.
+	// Per-tile iteration events stay off unless Configure installs its own
+	// core recorder (they would interleave across tiles).
 	Recorder *telemetry.Recorder
 }
 
@@ -98,16 +98,16 @@ type Result struct {
 	TileSeconds []float64
 }
 
-// HaloFor returns a safe halo for a process at the given pixel pitch: the
+// HaloFor returns a safe halo for a simulator at the given pixel pitch: the
 // optical interaction radius  ≈ 1 / (minimum resolvable pitch) is bounded
 // by the kernel support in the frequency domain; its spatial reach is
 // P/(2·Δf·n·pixel)… in practice the contest convention of ~0.5·P pixels of
 // the native grid works; we take the kernel half-support plus margin.
-func HaloFor(p *litho.Process, pixelNM float64) int {
+func HaloFor(sim *litho.Sim, pixelNM float64) int {
 	// The widest kernel's spatial extent is ≈ FieldNM / P (one frequency-
 	// grid period over the kernel support); cover it with margin.
-	field := p.Sim.Model.Config.FieldNM
-	reach := field / float64(p.Sim.Model.Nominal.P) / pixelNM
+	field := sim.Model.Config.FieldNM
+	reach := field / float64(sim.Model.Nominal.P) / pixelNM
 	h := int(reach*1.5) + 8
 	return h
 }
@@ -115,8 +115,8 @@ func HaloFor(p *litho.Process, pixelNM float64) int {
 // Optimize runs the tiled flow over a target of arbitrary (not necessarily
 // square or power-of-two) size.
 func Optimize(opt Options, target *grid.Mat) (*Result, error) {
-	if opt.Process == nil {
-		return nil, fmt.Errorf("fullchip: Options.Process is required")
+	if opt.Sim == nil {
+		return nil, fmt.Errorf("fullchip: Options.Sim is required")
 	}
 	t := opt.TileSize
 	if t < 8 || t&(t-1) != 0 {
@@ -136,11 +136,11 @@ func Optimize(opt Options, target *grid.Mat) (*Result, error) {
 	res := &Result{Mask: out, TilesTotal: nx * ny, TileSeconds: make([]float64, nx*ny)}
 
 	// One option template shared by every tile; per-tile optimizers copy it.
-	copts := core.DefaultOptions(opt.Process)
+	copts := core.DefaultOptions(opt.Sim)
 	if opt.Configure != nil {
 		opt.Configure(&copts)
 	}
-	copts.Process = opt.Process
+	copts.Sim = opt.Sim
 
 	// The tile loop: each worker owns its tile's optimizer state end to end
 	// and commits into a disjoint core region of the stitched mask, so no

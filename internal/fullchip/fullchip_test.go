@@ -17,20 +17,20 @@ import (
 )
 
 var (
-	procOnce sync.Once
-	procVal  *litho.Process
+	simOnce   sync.Once
+	sharedSim *litho.Sim
 )
 
-func process(t testing.TB) *litho.Process {
+func testSim(t testing.TB) *litho.Sim {
 	t.Helper()
-	procOnce.Do(func() {
+	simOnce.Do(func() {
 		m, err := optics.BuildModel(optics.TestScale())
 		if err != nil {
 			panic(err)
 		}
-		procVal = litho.NewProcess(m)
+		sharedSim = litho.NewSim(m)
 	})
-	return procVal
+	return sharedSim
 }
 
 func TestExtractZeroPads(t *testing.T) {
@@ -65,15 +65,15 @@ func TestCommitClipsToOutput(t *testing.T) {
 }
 
 func TestOptimizeValidation(t *testing.T) {
-	p := process(t)
+	sim := testSim(t)
 	tgt := grid.NewMat(64, 64)
 	stages := []core.Stage{{Scale: 2, Iters: 1}}
 	cases := []Options{
-		{Process: nil, TileSize: 64, Stages: stages},
-		{Process: p, TileSize: 48, Stages: stages},
-		{Process: p, TileSize: 64, Halo: 32, Stages: stages},
-		{Process: p, TileSize: 64, Halo: -1, Stages: stages},
-		{Process: p, TileSize: 64},
+		{Sim: nil, TileSize: 64, Stages: stages},
+		{Sim: sim, TileSize: 48, Stages: stages},
+		{Sim: sim, TileSize: 64, Halo: 32, Stages: stages},
+		{Sim: sim, TileSize: 64, Halo: -1, Stages: stages},
+		{Sim: sim, TileSize: 64},
 	}
 	for i, opt := range cases {
 		if _, err := Optimize(opt, tgt); err == nil {
@@ -86,7 +86,7 @@ func TestOptimizeValidation(t *testing.T) {
 // optimized, stitched, and must print essentially as well as a monolithic
 // run over the enclosing power-of-two grid.
 func TestTiledMatchesMonolithicQuality(t *testing.T) {
-	p := process(t)
+	sim := testSim(t)
 	// 192×160 layout (not square, not a power of two).
 	tgt := grid.NewMat(192, 160)
 	geom.FillRect(tgt, geom.Rect{X0: 30, Y0: 40, X1: 90, Y1: 60}, 1)
@@ -94,12 +94,12 @@ func TestTiledMatchesMonolithicQuality(t *testing.T) {
 	geom.FillRect(tgt, geom.Rect{X0: 30, Y0: 100, X1: 80, Y1: 120}, 1)
 
 	stages := []core.Stage{{Scale: 4, Iters: 20}}
-	halo := HaloFor(p, 4) // TestScale at 128-px tiles → 4 nm/px
+	halo := HaloFor(sim, 4) // TestScale at 128-px tiles → 4 nm/px
 	if 2*halo >= 128 {
 		t.Fatalf("halo %d too large for the test tile", halo)
 	}
 	res, err := Optimize(Options{
-		Process: p, TileSize: 128, Halo: halo, Stages: stages, SkipEmpty: true,
+		Sim: sim, TileSize: 128, Halo: halo, Stages: stages, SkipEmpty: true,
 	}, tgt)
 	if err != nil {
 		t.Fatal(err)
@@ -120,7 +120,7 @@ func TestTiledMatchesMonolithicQuality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	evalProc := litho.NewProcess(evalModel)
+	evalSim := litho.NewSim(evalModel)
 	embed := func(m *grid.Mat) *grid.Mat {
 		out := grid.NewMat(256, 256)
 		for y := 0; y < m.H; y++ {
@@ -131,7 +131,7 @@ func TestTiledMatchesMonolithicQuality(t *testing.T) {
 	embTarget := embed(tgt)
 	embTiled := embed(res.Mask)
 
-	mono, err := core.New(core.DefaultOptions(evalProc), embTarget)
+	mono, err := core.New(core.DefaultOptions(evalSim), embTarget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,15 +140,15 @@ func TestTiledMatchesMonolithicQuality(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	tiledRep, err := metrics.Evaluate(evalProc, embTiled, embTarget)
+	tiledRep, err := metrics.Evaluate(evalSim, embTiled, embTarget)
 	if err != nil {
 		t.Fatal(err)
 	}
-	monoRep, err := metrics.Evaluate(evalProc, monoRes.Mask, embTarget)
+	monoRep, err := metrics.Evaluate(evalSim, monoRes.Mask, embTarget)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rawRep, err := metrics.Evaluate(evalProc, embTarget, embTarget)
+	rawRep, err := metrics.Evaluate(evalSim, embTarget, embTarget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,12 +161,12 @@ func TestTiledMatchesMonolithicQuality(t *testing.T) {
 }
 
 func TestSkipEmptyTiles(t *testing.T) {
-	p := process(t)
+	sim := testSim(t)
 	// One feature in the corner of a large sparse layout.
 	tgt := grid.NewMat(256, 256)
 	geom.FillRect(tgt, geom.Rect{X0: 10, Y0: 10, X1: 50, Y1: 30}, 1)
 	res, err := Optimize(Options{
-		Process: p, TileSize: 64, Halo: 12,
+		Sim: sim, TileSize: 64, Halo: 12,
 		Stages: []core.Stage{{Scale: 2, Iters: 2}}, SkipEmpty: true,
 	}, tgt)
 	if err != nil {
@@ -185,14 +185,14 @@ func TestSkipEmptyTiles(t *testing.T) {
 // per-tile stats layout must be identical whether tiles run one at a time
 // or through the worker pool — tile order must not leak into the result.
 func TestParallelTilesMatchSerial(t *testing.T) {
-	p := process(t)
+	sim := testSim(t)
 	tgt := grid.NewMat(192, 160)
 	geom.FillRect(tgt, geom.Rect{X0: 30, Y0: 40, X1: 90, Y1: 60}, 1)
 	geom.FillRect(tgt, geom.Rect{X0: 110, Y0: 90, X1: 170, Y1: 110}, 1)
 	geom.FillRect(tgt, geom.Rect{X0: 20, Y0: 120, X1: 70, Y1: 140}, 1)
 
 	base := Options{
-		Process: p, TileSize: 128, Halo: HaloFor(p, 4),
+		Sim: sim, TileSize: 128, Halo: HaloFor(sim, 4),
 		Stages: []core.Stage{{Scale: 4, Iters: 6}}, SkipEmpty: true,
 	}
 	serialOpt := base
@@ -229,11 +229,11 @@ func TestParallelTilesMatchSerial(t *testing.T) {
 // TestPerTileStatsConsistent: ILTSeconds must equal the sum of TileSeconds
 // and only non-skipped tiles may report time.
 func TestPerTileStatsConsistent(t *testing.T) {
-	p := process(t)
+	sim := testSim(t)
 	tgt := grid.NewMat(256, 256)
 	geom.FillRect(tgt, geom.Rect{X0: 10, Y0: 10, X1: 50, Y1: 30}, 1)
 	res, err := Optimize(Options{
-		Process: p, TileSize: 64, Halo: 12,
+		Sim: sim, TileSize: 64, Halo: 12,
 		Stages: []core.Stage{{Scale: 2, Iters: 2}}, SkipEmpty: true, Workers: 2,
 	}, tgt)
 	if err != nil {
@@ -259,12 +259,12 @@ func TestPerTileStatsConsistent(t *testing.T) {
 }
 
 func TestConfigureHookApplies(t *testing.T) {
-	p := process(t)
+	sim := testSim(t)
 	tgt := grid.NewMat(64, 64)
 	geom.FillRect(tgt, geom.Rect{X0: 20, Y0: 20, X1: 44, Y1: 44}, 1)
 	called := false
 	_, err := Optimize(Options{
-		Process: p, TileSize: 64, Halo: 8,
+		Sim: sim, TileSize: 64, Halo: 8,
 		Stages: []core.Stage{{Scale: 2, Iters: 1}},
 		Configure: func(o *core.Options) {
 			called = true
@@ -280,13 +280,13 @@ func TestConfigureHookApplies(t *testing.T) {
 }
 
 func TestTileErrorCarriesCoordinates(t *testing.T) {
-	p := process(t)
+	sim := testSim(t)
 	tgt := grid.NewMat(96, 96)
 	geom.FillRect(tgt, geom.Rect{X0: 8, Y0: 8, X1: 88, Y1: 88}, 1)
 	// A Configure hook that poisons the option template makes every tile's
 	// core.New fail; the reported error must be the row-major-first tile.
 	_, err := Optimize(Options{
-		Process: p, TileSize: 64, Halo: 8,
+		Sim: sim, TileSize: 64, Halo: 8,
 		Stages:    []core.Stage{{Scale: 4, Iters: 1}},
 		Configure: func(o *core.Options) { o.LearningRate = -1 },
 	}, tgt)
@@ -316,16 +316,16 @@ func (s *eventSink) Emit(e telemetry.Event) { s.events = append(s.events, e) }
 func (s *eventSink) Flush() error           { return nil }
 
 func TestRecorderTileEventsRowMajor(t *testing.T) {
-	p := process(t)
+	sim := testSim(t)
 	// 2×2 tile grid with content only in the top-left tile; SkipEmpty marks
 	// the other three as skipped but they still get a tile event.
 	tgt := grid.NewMat(96, 96)
 	geom.FillRect(tgt, geom.Rect{X0: 4, Y0: 4, X1: 30, Y1: 30}, 1)
 	sink := &eventSink{}
 	rec := telemetry.New(telemetry.WithSink(sink))
-	workers, engine, simRec := p.Sim.Workers, p.Sim.Engine, p.Sim.Recorder
+	workers, engine, simRec := sim.Workers, sim.Engine, sim.Recorder
 	res, err := Optimize(Options{
-		Process: p, TileSize: 64, Halo: 8, SkipEmpty: true, Workers: 4,
+		Sim: sim, TileSize: 64, Halo: 8, SkipEmpty: true, Workers: 4,
 		Stages:   []core.Stage{{Scale: 4, Iters: 1}},
 		Recorder: rec,
 	}, tgt)
@@ -333,9 +333,9 @@ func TestRecorderTileEventsRowMajor(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The tile events' recorder is not the shared simulator's.
-	if p.Sim.Workers != workers || p.Sim.Engine != engine || p.Sim.Recorder != simRec {
+	if sim.Workers != workers || sim.Engine != engine || sim.Recorder != simRec {
 		t.Errorf("Optimize changed the shared simulator: workers %d, engine %v, recorder %p; want %d, %v, %p",
-			p.Sim.Workers, p.Sim.Engine, p.Sim.Recorder, workers, engine, simRec)
+			sim.Workers, sim.Engine, sim.Recorder, workers, engine, simRec)
 	}
 	var tiles []telemetry.Event
 	ends := 0
@@ -366,8 +366,8 @@ func TestRecorderTileEventsRowMajor(t *testing.T) {
 	}
 }
 
-// TestBandEngineFlowsThroughTiles: the tile pool shares one Process, so the
-// Sim's FFT engine selection must reach every tile — the batch engine's
+// TestBandEngineFlowsThroughTiles: the tile pool shares one Sim, so its
+// FFT engine selection must reach every tile — the batch engine's
 // tiles run band-pruned inverses, fewer butterflies than the dense
 // reference's — and the batch must stitch the reference engine's mask.
 func TestBandEngineFlowsThroughTiles(t *testing.T) {
@@ -376,12 +376,12 @@ func TestBandEngineFlowsThroughTiles(t *testing.T) {
 	geom.FillRect(tgt, geom.Rect{X0: 110, Y0: 90, X1: 170, Y1: 110}, 1)
 
 	run := func(e litho.FFTEngine) (*Result, int64) {
-		proc := litho.NewProcess(process(t).Sim.Model)
-		proc.Sim.Engine = e
+		sim := litho.NewSim(testSim(t).Model)
+		sim.Engine = e
 		rec := telemetry.New()
-		proc.Sim.Recorder = rec
+		sim.Recorder = rec
 		res, err := Optimize(Options{
-			Process: proc, TileSize: 128, Halo: HaloFor(proc, 4),
+			Sim: sim, TileSize: 128, Halo: HaloFor(sim, 4),
 			Stages: []core.Stage{{Scale: 4, Iters: 6}}, SkipEmpty: true, Workers: 2,
 		}, tgt)
 		if err != nil {

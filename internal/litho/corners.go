@@ -1,8 +1,6 @@
 package litho
 
 import (
-	"fmt"
-
 	"repro/internal/grid"
 	"repro/internal/optics"
 )
@@ -16,50 +14,43 @@ type Corner struct {
 }
 
 // DoseDelta is the ±dose excursion of the Inner and Outer corners (the
-// contest's 2%).
+// contest's 2%). PVBand is measured between them (Definition 2): inner =
+// defocus & −2% dose, outer = nominal focus & +2% dose.
 const DoseDelta = 0.02
-
-// Process bundles the simulator with the contest process-window corners.
-// PVBand is measured between the Inner and Outer corners (Definition 2):
-// inner = defocus & −2% dose, outer = nominal focus & +2% dose. The resist
-// is the contest's (Threshold, Alpha).
-type Process struct {
-	Sim *Sim
-}
-
-// NewProcess creates the paper's process description over a kernel model.
-func NewProcess(model *optics.Model) *Process {
-	return &Process{Sim: NewSim(model)}
-}
 
 // Nominal returns the nominal-focus, nominal-dose corner (used for Z_norm
 // and the final L2 evaluation).
-func (p *Process) Nominal() Corner {
-	return Corner{Name: "nominal", KS: p.Sim.Model.Nominal, Dose: 1}
+func (s *Sim) Nominal() Corner {
+	return Corner{Name: "nominal", KS: s.Model.Nominal, Dose: 1}
 }
 
 // Outer returns the max-CD corner: nominal focus, +2% dose.
-func (p *Process) Outer() Corner {
-	return Corner{Name: "outer", KS: p.Sim.Model.Nominal, Dose: 1 + DoseDelta}
+func (s *Sim) Outer() Corner {
+	return Corner{Name: "outer", KS: s.Model.Nominal, Dose: 1 + DoseDelta}
 }
 
 // Inner returns the min-CD corner: defocus, −2% dose.
-func (p *Process) Inner() Corner {
-	return Corner{Name: "inner", KS: p.Sim.Model.Defocus, Dose: 1 - DoseDelta}
+func (s *Sim) Inner() Corner {
+	return Corner{Name: "inner", KS: s.Model.Defocus, Dose: 1 - DoseDelta}
 }
 
 // Corners returns the three standard corners in (nominal, inner, outer) order.
-func (p *Process) Corners() []Corner {
-	return []Corner{p.Nominal(), p.Inner(), p.Outer()}
+func (s *Sim) Corners() []Corner {
+	return []Corner{s.Nominal(), s.Inner(), s.Outer()}
 }
 
-// Print runs the full binary print pipeline at one corner: exact forward
-// simulation followed by the constant-threshold resist. This is the
-// evaluation path (metrics are always computed on exact simulations).
-func (p *Process) Print(mask *grid.Mat, c Corner) (*grid.Mat, error) {
-	f, err := p.Sim.Forward(mask, c.KS, c.Dose, false)
+// Print runs the binary print pipeline at every corner: one exact
+// ForwardCorners call (one mask spectrum, one SOCS pass per kernel set)
+// followed by the constant-threshold resist, in corner order. This is the
+// evaluation path: metrics are always computed on exact simulations.
+func (s *Sim) Print(mask *grid.Mat, corners ...Corner) ([]*grid.Mat, error) {
+	fields, err := s.ForwardCorners(mask, corners, false)
 	if err != nil {
-		return nil, fmt.Errorf("litho: print at %s corner: %w", c.Name, err)
+		return nil, err
 	}
-	return ResistBinary(f.Intensity, Threshold), nil
+	zs := make([]*grid.Mat, len(fields))
+	for i, f := range fields {
+		zs[i] = ResistBinary(f.Intensity, Threshold)
+	}
+	return zs, nil
 }

@@ -88,8 +88,10 @@ func (e FFTEngine) String() string {
 	return fmt.Sprintf("FFTEngine(%d)", int(e))
 }
 
-// Sim owns the FFT plan cache and runs forward/adjoint simulations for one
-// optical model. It is safe for concurrent use.
+// Sim is the lithography process of one optical model: it runs the
+// forward and adjoint simulations and the binary print (Print), and its
+// Model's nominal and defocus kernel sets give the process corners
+// (Nominal, Inner, Outer). It is safe for concurrent use.
 type Sim struct {
 	Model *optics.Model
 	// Workers bounds the per-kernel fan-out of the SOCS loops; ≤ 0 selects
@@ -105,25 +107,23 @@ type Sim struct {
 	// perform no extra allocations. Set it before sharing the Sim across
 	// goroutines.
 	Recorder *telemetry.Recorder
-	// Plans, when non-nil, is a shared FFT-plan cache. Long-running
-	// processes (the ILT server) point every per-job Sim at one cache so
-	// plan construction is amortized across jobs, not just across the
-	// iterations of one optimization. Nil (the default) gives the Sim a
-	// private cache. Set it before the first simulation.
-	Plans *fft.PlanCache
-
-	ownPlans fft.PlanCache
 }
 
-// Scratch pools shared by every Sim in the process. The ILT server builds
-// one Sim per job, so per-Sim pools would lease every job fresh buffers and
-// leave the previous job's to the GC. The pools are keyed by size, their
-// contents are undefined, and they are safe for concurrent use.
+// The FFT-plan cache and scratch pools shared by every Sim in the process.
+// The ILT server builds one Sim per job, so per-Sim pools would lease every
+// job fresh buffers and leave the previous job's to the GC, and per-Sim
+// plans would rebuild every job's twiddle tables. The plans are pure
+// functions of their size; the pools are keyed by size and their contents
+// are undefined. All are safe for concurrent use.
 var (
+	plans    fft.PlanCache      // 2-D FFT plans, built once per size
 	cscratch grid.CMatPool      // complex scratch and kept amplitudes
 	mscratch grid.MatPool       // real per-kernel intensity contributions
 	kscratch grid.CMatSlicePool // per-call []*CMat work lists (patches, rebuilt amplitudes)
 )
+
+// CachedPlans reports how many plan sizes the process-wide cache holds.
+func CachedPlans() int { return plans.Sizes() }
 
 // NewSim creates a simulator over a built kernel model.
 func NewSim(model *optics.Model) *Sim {
@@ -131,19 +131,15 @@ func NewSim(model *optics.Model) *Sim {
 }
 
 // Plan returns (building if needed) the 2-D FFT plan for size m. Plan
-// construction happens exactly once per size per cache, no matter how many
-// goroutines ask concurrently; with a shared Plans cache, once per size
-// per process.
+// construction happens exactly once per size per process, no matter how
+// many Sims or goroutines ask concurrently; the build or hit is counted on
+// the calling Sim's Recorder.
 func (s *Sim) Plan(m int) (*fft.Plan2, error) {
-	cache := s.Plans
-	if cache == nil {
-		cache = &s.ownPlans
-	}
 	var t0 time.Time
 	if s.Recorder.Enabled() {
 		t0 = time.Now()
 	}
-	plan, built, err := cache.Get(m)
+	plan, built, err := plans.Get(m)
 	if built {
 		s.Recorder.Add("litho.plan_builds", 1)
 		if !t0.IsZero() {

@@ -324,12 +324,12 @@ func TestGradientKeepAmpsEquivalence(t *testing.T) {
 // Amplitudes are kept only at m ≤ L = adjointGrid(P), so the contract runs
 // at m = L = 32; above L no field holds a lease and Release does nothing.
 func TestReleaseContract(t *testing.T) {
-	p := NewProcess(model(t))
+	sim := NewSim(model(t))
 	rng := rand.New(rand.NewSource(9))
 	const n = 32
 	mask := randMask(rng, n)
 	dLdI := randMask(rng, n)
-	fields, err := p.Sim.ForwardCorners(mask, []Corner{p.Nominal(), p.Inner(), p.Outer()}, true)
+	fields, err := sim.ForwardCorners(mask, []Corner{sim.Nominal(), sim.Inner(), sim.Outer()}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,28 +337,28 @@ func TestReleaseContract(t *testing.T) {
 	if &nom.Amps[0] != &out.Amps[0] || &nom.Amps[0] == &in.Amps[0] {
 		t.Fatal("the nominal and outer corners must share one amplitude lease, the inner its own")
 	}
-	want, err := p.Sim.Gradient(out, dLdI)
+	want, err := sim.Gradient(out, dLdI)
 	if err != nil {
 		t.Fatal(err)
 	}
 	kept := out.Amps[0].Clone()
-	p.Sim.Release(nom)
+	sim.Release(nom)
 	if nom.Amps != nil {
 		t.Error("Release left Amps set")
 	}
 	if out.Amps == nil || out.Amps[0].MaxAbsDiff(kept) != 0 {
 		t.Error("releasing one field of a kernel set disturbed the other's amplitudes")
 	}
-	p.Sim.Release(nom) // a second Release is a no-op
+	sim.Release(nom) // a second Release is a no-op
 	if out.Amps == nil {
 		t.Error("a second Release of one field returned the shared lease")
 	}
-	p.Sim.Release(out)
-	p.Sim.Release(in)
+	sim.Release(out)
+	sim.Release(in)
 	if out.Amps != nil || in.Amps != nil {
 		t.Error("Release left Amps set")
 	}
-	got, err := p.Sim.Gradient(out, dLdI)
+	got, err := sim.Gradient(out, dLdI)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +366,7 @@ func TestReleaseContract(t *testing.T) {
 		t.Error("gradient of a released field differs from the kept-amplitude gradient")
 	}
 
-	fields, err = p.Sim.ForwardCorners(randMask(rng, 2*n), []Corner{p.Nominal(), p.Inner(), p.Outer()}, true)
+	fields, err = sim.ForwardCorners(randMask(rng, 2*n), []Corner{sim.Nominal(), sim.Inner(), sim.Outer()}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,7 +374,7 @@ func TestReleaseContract(t *testing.T) {
 		if f.Amps != nil || f.lease != nil {
 			t.Errorf("m = %d above L: a field holds %d kept amplitudes", 2*n, len(f.Amps))
 		}
-		p.Sim.Release(f)
+		sim.Release(f)
 	}
 }
 
@@ -438,18 +438,18 @@ func TestResistSigmoidGradMatchesFiniteDifference(t *testing.T) {
 }
 
 func TestProcessCorners(t *testing.T) {
-	p := NewProcess(model(t))
-	cs := p.Corners()
+	sim := NewSim(model(t))
+	cs := sim.Corners()
 	if len(cs) != 3 {
 		t.Fatalf("got %d corners", len(cs))
 	}
 	if cs[0].Dose != 1 || cs[1].Dose != 0.98 || cs[2].Dose != 1.02 {
 		t.Errorf("corner doses %v %v %v", cs[0].Dose, cs[1].Dose, cs[2].Dose)
 	}
-	if cs[1].KS != p.Sim.Model.Defocus {
+	if cs[1].KS != sim.Model.Defocus {
 		t.Error("inner corner does not use defocus kernels")
 	}
-	if cs[0].KS != p.Sim.Model.Nominal || cs[2].KS != p.Sim.Model.Nominal {
+	if cs[0].KS != sim.Model.Nominal || cs[2].KS != sim.Model.Nominal {
 		t.Error("nominal/outer corners do not use nominal kernels")
 	}
 }
@@ -458,7 +458,7 @@ func TestProcessCorners(t *testing.T) {
 // dose) must print at least as much area as the inner corner (−2% dose,
 // defocus) — the PVBand is exactly the gap between them.
 func TestCornerOrderingOnFeature(t *testing.T) {
-	p := NewProcess(model(t))
+	sim := NewSim(model(t))
 	const n = 128
 	mask := grid.NewMat(n, n)
 	for y := 44; y < 84; y++ {
@@ -466,15 +466,11 @@ func TestCornerOrderingOnFeature(t *testing.T) {
 			mask.Set(x, y, 1)
 		}
 	}
-	zIn, err := p.Print(mask, p.Inner())
+	zs, err := sim.Print(mask, sim.Inner(), sim.Outer())
 	if err != nil {
 		t.Fatal(err)
 	}
-	zOut, err := p.Print(mask, p.Outer())
-	if err != nil {
-		t.Fatal(err)
-	}
-	aIn, aOut := zIn.Sum(), zOut.Sum()
+	aIn, aOut := zs[0].Sum(), zs[1].Sum()
 	if aOut < aIn {
 		t.Errorf("outer area %v < inner area %v", aOut, aIn)
 	}
@@ -484,7 +480,7 @@ func TestCornerOrderingOnFeature(t *testing.T) {
 }
 
 func TestPrintSigmoidMatchesBinaryFarFromEdge(t *testing.T) {
-	p := NewProcess(model(t))
+	sim := NewSim(model(t))
 	const n = 128
 	mask := grid.NewMat(n, n)
 	for y := 32; y < 96; y++ {
@@ -492,11 +488,12 @@ func TestPrintSigmoidMatchesBinaryFarFromEdge(t *testing.T) {
 			mask.Set(x, y, 1)
 		}
 	}
-	zb, err := p.Print(mask, p.Nominal())
+	zbs, err := sim.Print(mask, sim.Nominal())
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs, err := p.Sim.ForwardCorners(mask, []Corner{p.Nominal()}, false)
+	zb := zbs[0]
+	fs, err := sim.ForwardCorners(mask, []Corner{sim.Nominal()}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -507,21 +504,6 @@ func TestPrintSigmoidMatchesBinaryFarFromEdge(t *testing.T) {
 	}
 	if zb.At(4, 4) != 0 || zs.At(4, 4) > 0.05 {
 		t.Errorf("corner: binary %v sigmoid %v", zb.At(4, 4), zs.At(4, 4))
-	}
-}
-
-func TestPlanCacheReuse(t *testing.T) {
-	sim := NewSim(model(t))
-	p1, err := sim.Plan(64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2, err := sim.Plan(64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p1 != p2 {
-		t.Error("plan cache returned distinct plans for the same size")
 	}
 }
 

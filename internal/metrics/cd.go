@@ -63,7 +63,7 @@ type BossungPoint struct {
 // and defocus and measures the CD at the cut — the Bossung data for one
 // measurement site. All prints share one mask spectrum and one SOCS pass
 // per focus state.
-func CDThroughDose(p *litho.Process, maskImg *grid.Mat, cut CutLine, doses []float64) ([]BossungPoint, error) {
+func CDThroughDose(sim *litho.Sim, maskImg *grid.Mat, cut CutLine, doses []float64) ([]BossungPoint, error) {
 	if len(doses) == 0 {
 		return nil, fmt.Errorf("metrics: empty dose ladder")
 	}
@@ -73,14 +73,14 @@ func CDThroughDose(p *litho.Process, maskImg *grid.Mat, cut CutLine, doses []flo
 		}
 	}
 	corners := make([]litho.Corner, 0, 2*len(doses))
-	for _, ks := range []*optics.KernelSet{p.Sim.Model.Nominal, p.Sim.Model.Defocus} {
+	for _, ks := range []*optics.KernelSet{sim.Model.Nominal, sim.Model.Defocus} {
 		for _, d := range doses {
 			corners = append(corners, litho.Corner{Name: "bossung", KS: ks, Dose: d})
 		}
 	}
-	zs, err := prints(p, maskImg, corners)
+	zs, err := sim.Print(maskImg, corners...)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("metrics: %w", err)
 	}
 	out := make([]BossungPoint, len(zs))
 	for i, z := range zs {

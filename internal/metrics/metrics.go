@@ -123,37 +123,22 @@ func (r Report) Scale(pixelNM float64) Report {
 // against a target: exact lithography at the three corners (one mask
 // spectrum; the nominal and outer corners share one SOCS pass), then all
 // four metrics. The EPE geometry is the contest's (EPEPixels) at maskOut's
-// pixel pitch: the optics field p simulates over maskOut's width. The
+// pixel pitch: the optics field sim simulates over maskOut's width. The
 // scoring after the simulation is timed as the metrics.evaluate phase on
-// p.Sim.Recorder, beside the simulation's own litho phases.
-func Evaluate(p *litho.Process, maskOut, target *grid.Mat) (Report, error) {
+// sim.Recorder, beside the simulation's own litho phases.
+func Evaluate(sim *litho.Sim, maskOut, target *grid.Mat) (Report, error) {
 	var r Report
-	zs, err := prints(p, maskOut, p.Corners())
+	zs, err := sim.Print(maskOut, sim.Corners()...)
 	if err != nil {
-		return r, err
+		return r, fmt.Errorf("metrics: %w", err)
 	}
-	sp := p.Sim.Recorder.StartSpan("metrics.evaluate")
+	sp := sim.Recorder.StartSpan("metrics.evaluate")
 	defer sp.End()
 	zNorm, zIn, zOut := zs[0], zs[1], zs[2]
-	spacingPx, thrPx := EPEPixels(p.Sim.Model.Config.FieldNM / float64(maskOut.W))
+	spacingPx, thrPx := EPEPixels(sim.Model.Config.FieldNM / float64(maskOut.W))
 	r.L2 = L2(zNorm, target)
 	r.PVB = PVBand(zIn, zOut)
 	r.EPE = EPE(target, zNorm, spacingPx, thrPx)
 	r.Shots = Shots(maskOut)
 	return r, nil
-}
-
-// prints simulates one mask at every corner through one
-// Sim.ForwardCorners call and returns the constant-threshold resist images
-// in corner order.
-func prints(p *litho.Process, mask *grid.Mat, corners []litho.Corner) ([]*grid.Mat, error) {
-	fields, err := p.Sim.ForwardCorners(mask, corners, false)
-	if err != nil {
-		return nil, fmt.Errorf("metrics: %w", err)
-	}
-	zs := make([]*grid.Mat, len(fields))
-	for i, f := range fields {
-		zs[i] = litho.ResistBinary(f.Intensity, litho.Threshold)
-	}
-	return zs, nil
 }

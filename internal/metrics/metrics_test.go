@@ -12,20 +12,20 @@ import (
 )
 
 var (
-	procOnce sync.Once
-	proc     *litho.Process
+	simOnce   sync.Once
+	sharedSim *litho.Sim
 )
 
-func process(t testing.TB) *litho.Process {
+func testSim(t testing.TB) *litho.Sim {
 	t.Helper()
-	procOnce.Do(func() {
+	simOnce.Do(func() {
 		m, err := optics.BuildModel(optics.TestScale())
 		if err != nil {
 			panic(err)
 		}
-		proc = litho.NewProcess(m)
+		sharedSim = litho.NewSim(m)
 	})
-	return proc
+	return sharedSim
 }
 
 func TestL2BasicAndSymmetry(t *testing.T) {
@@ -151,11 +151,11 @@ func TestReportScale(t *testing.T) {
 // TestEvaluateEndToEnd: the target itself used as a mask prints something,
 // and the evaluation pipeline returns finite, sane metrics.
 func TestEvaluateEndToEnd(t *testing.T) {
-	p := process(t)
+	sim := testSim(t)
 	const n = 128
 	tgt := grid.NewMat(n, n)
 	geom.FillRect(tgt, geom.Rect{X0: 40, Y0: 48, X1: 88, Y1: 80}, 1)
-	rep, err := Evaluate(p, tgt, tgt)
+	rep, err := Evaluate(sim, tgt, tgt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,12 +176,12 @@ func TestEvaluateEndToEnd(t *testing.T) {
 // sizing) should beat the raw target mask on L2 — the ordering property all
 // table comparisons depend on.
 func TestEvaluateOrderingSanity(t *testing.T) {
-	p := process(t)
+	sim := testSim(t)
 	const n = 128
 	tgt := grid.NewMat(n, n)
 	geom.FillRect(tgt, geom.Rect{X0: 40, Y0: 48, X1: 88, Y1: 80}, 1)
 
-	raw, err := Evaluate(p, tgt, tgt)
+	raw, err := Evaluate(sim, tgt, tgt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestEvaluateOrderingSanity(t *testing.T) {
 		}
 		biased := grid.NewMat(n, n)
 		geom.FillRect(biased, geom.Rect{X0: 40 - bias, Y0: 48 - bias, X1: 88 + bias, Y1: 80 + bias}, 1)
-		rep, err := Evaluate(p, biased, tgt)
+		rep, err := Evaluate(sim, biased, tgt)
 		if err != nil {
 			t.Fatal(err)
 		}

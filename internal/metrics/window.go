@@ -29,9 +29,9 @@ type WindowPoint struct {
 
 // DoseWindow prints the mask at every dose in the ladder (at nominal focus
 // and, when withDefocus is set, also defocused) and evaluates each
-// condition against the target. All conditions share one mask spectrum and
-// one SOCS pass per focus state.
-func DoseWindow(p *litho.Process, maskImg, target *grid.Mat, doses []float64, withDefocus bool, epeSpacingPx, epeThrPx int) ([]WindowPoint, error) {
+// condition against the target, with Evaluate's EPE geometry. All
+// conditions share one mask spectrum and one SOCS pass per focus state.
+func DoseWindow(sim *litho.Sim, maskImg, target *grid.Mat, doses []float64, withDefocus bool) ([]WindowPoint, error) {
 	if len(doses) == 0 {
 		return nil, fmt.Errorf("metrics: empty dose ladder")
 	}
@@ -40,9 +40,9 @@ func DoseWindow(p *litho.Process, maskImg, target *grid.Mat, doses []float64, wi
 			return nil, fmt.Errorf("metrics: non-positive dose %g", dose)
 		}
 	}
-	focus := []litho.Corner{p.Nominal()}
+	focus := []litho.Corner{sim.Nominal()}
 	if withDefocus {
-		focus = append(focus, p.Inner())
+		focus = append(focus, sim.Inner())
 	}
 	corners := make([]litho.Corner, 0, len(focus)*len(doses))
 	for _, c := range focus {
@@ -51,10 +51,11 @@ func DoseWindow(p *litho.Process, maskImg, target *grid.Mat, doses []float64, wi
 			corners = append(corners, c)
 		}
 	}
-	zs, err := prints(p, maskImg, corners)
+	zs, err := sim.Print(maskImg, corners...)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("metrics: %w", err)
 	}
+	spacingPx, thrPx := EPEPixels(sim.Model.Config.FieldNM / float64(maskImg.W))
 	out := make([]WindowPoint, len(corners))
 	for i, z := range zs {
 		out[i] = WindowPoint{
@@ -62,7 +63,7 @@ func DoseWindow(p *litho.Process, maskImg, target *grid.Mat, doses []float64, wi
 			Defocused: i >= len(doses),
 			Area:      z.Sum(),
 			L2:        L2(z, target),
-			EPE:       EPE(target, z, epeSpacingPx, epeThrPx),
+			EPE:       EPE(target, z, spacingPx, thrPx),
 		}
 	}
 	return out, nil
@@ -73,23 +74,23 @@ func DoseWindow(p *litho.Process, maskImg, target *grid.Mat, doses []float64, wi
 // and (nominal focus, 1+delta) prints. The paper's PVB is the delta = 0.02
 // rung. Every rung shares one mask spectrum and one SOCS pass per focus
 // state.
-func PVBandLadder(p *litho.Process, maskImg *grid.Mat, deltas []float64) ([]float64, error) {
+func PVBandLadder(sim *litho.Sim, maskImg *grid.Mat, deltas []float64) ([]float64, error) {
 	corners := make([]litho.Corner, 0, 2*len(deltas))
 	for _, d := range deltas {
 		if d < 0 || d >= 1 {
 			return nil, fmt.Errorf("metrics: dose delta %g outside [0, 1)", d)
 		}
-		corners = append(corners,
-			litho.Corner{Name: "inner", KS: p.Sim.Model.Defocus, Dose: 1 - d},
-			litho.Corner{Name: "outer", KS: p.Sim.Model.Nominal, Dose: 1 + d})
+		inner, outer := sim.Inner(), sim.Outer()
+		inner.Dose, outer.Dose = 1-d, 1+d // the ladder supplies the dose
+		corners = append(corners, inner, outer)
 	}
 	out := make([]float64, 0, len(deltas))
 	if len(deltas) == 0 {
 		return out, nil
 	}
-	zs, err := prints(p, maskImg, corners)
+	zs, err := sim.Print(maskImg, corners...)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("metrics: %w", err)
 	}
 	for i := range deltas {
 		out = append(out, PVBand(zs[2*i], zs[2*i+1]))

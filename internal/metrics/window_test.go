@@ -15,10 +15,10 @@ func windowMask(t *testing.T) (*grid.Mat, *grid.Mat) {
 }
 
 func TestDoseWindowMonotoneArea(t *testing.T) {
-	p := process(t)
+	sim := testSim(t)
 	tgt, m := windowMask(t)
 	doses := []float64{0.94, 0.98, 1.0, 1.02, 1.06}
-	pts, err := DoseWindow(p, m, tgt, doses, false, 10, 4)
+	pts, err := DoseWindow(sim, m, tgt, doses, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,9 +34,9 @@ func TestDoseWindowMonotoneArea(t *testing.T) {
 }
 
 func TestDoseWindowWithDefocus(t *testing.T) {
-	p := process(t)
+	sim := testSim(t)
 	tgt, m := windowMask(t)
-	pts, err := DoseWindow(p, m, tgt, []float64{1.0}, true, 10, 4)
+	pts, err := DoseWindow(sim, m, tgt, []float64{1.0}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,11 +48,11 @@ func TestDoseWindowWithDefocus(t *testing.T) {
 	}
 	// Defocus blurs the aerial image; the thresholded area may round to the
 	// same pixel count on easy patterns, so compare intensities directly.
-	fNom, err := p.Sim.Forward(m, p.Sim.Model.Nominal, 1, false)
+	fNom, err := sim.Forward(m, sim.Model.Nominal, 1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fDef, err := p.Sim.Forward(m, p.Sim.Model.Defocus, 1, false)
+	fDef, err := sim.Forward(m, sim.Model.Defocus, 1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,21 +67,21 @@ func TestDoseWindowWithDefocus(t *testing.T) {
 }
 
 func TestDoseWindowValidation(t *testing.T) {
-	p := process(t)
+	sim := testSim(t)
 	tgt, m := windowMask(t)
-	if _, err := DoseWindow(p, m, tgt, nil, false, 10, 4); err == nil {
+	if _, err := DoseWindow(sim, m, tgt, nil, false); err == nil {
 		t.Error("empty ladder accepted")
 	}
-	if _, err := DoseWindow(p, m, tgt, []float64{0}, false, 10, 4); err == nil {
+	if _, err := DoseWindow(sim, m, tgt, []float64{0}, false); err == nil {
 		t.Error("zero dose accepted")
 	}
 }
 
 func TestPVBandLadderMonotone(t *testing.T) {
-	p := process(t)
+	sim := testSim(t)
 	_, m := windowMask(t)
 	deltas := []float64{0, 0.01, 0.02, 0.04}
-	bands, err := PVBandLadder(p, m, deltas)
+	bands, err := PVBandLadder(sim, m, deltas)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,33 +103,33 @@ func TestPVBandLadderMonotone(t *testing.T) {
 }
 
 func TestPVBandLadderValidation(t *testing.T) {
-	p := process(t)
+	sim := testSim(t)
 	_, m := windowMask(t)
-	if _, err := PVBandLadder(p, m, []float64{-0.1}); err == nil {
+	if _, err := PVBandLadder(sim, m, []float64{-0.1}); err == nil {
 		t.Error("negative delta accepted")
 	}
-	if _, err := PVBandLadder(p, m, []float64{1}); err == nil {
+	if _, err := PVBandLadder(sim, m, []float64{1}); err == nil {
 		t.Error("delta = 1 accepted")
 	}
 }
 
 // The paper's PVB (Definition 2) must equal the 0.02 rung of the ladder.
 func TestPVBandLadderMatchesDefinition2(t *testing.T) {
-	p := process(t)
+	sim := testSim(t)
 	_, m := windowMask(t)
-	bands, err := PVBandLadder(p, m, []float64{0.02})
+	bands, err := PVBandLadder(sim, m, []float64{0.02})
 	if err != nil {
 		t.Fatal(err)
 	}
-	zIn, err := p.Print(m, p.Inner())
+	zIn, err := sim.Print(m, sim.Inner())
 	if err != nil {
 		t.Fatal(err)
 	}
-	zOut, err := p.Print(m, p.Outer())
+	zOut, err := sim.Print(m, sim.Outer())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := PVBand(zIn, zOut); bands[0] != want {
+	if want := PVBand(zIn[0], zOut[0]); bands[0] != want {
 		t.Errorf("ladder rung %v != Definition 2 PVB %v", bands[0], want)
 	}
 }
@@ -161,11 +161,11 @@ func TestCDBasics(t *testing.T) {
 }
 
 func TestCDThroughDoseMonotone(t *testing.T) {
-	p := process(t)
+	sim := testSim(t)
 	_, m := windowMask(t)
 	cut := CutLine{Horizontal: true, X: 64, Y: 64}
 	doses := []float64{0.94, 1.0, 1.06}
-	pts, err := CDThroughDose(p, m, cut, doses)
+	pts, err := CDThroughDose(sim, m, cut, doses)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,10 +182,10 @@ func TestCDThroughDoseMonotone(t *testing.T) {
 			t.Error("feature did not print at nominal dose")
 		}
 	}
-	if _, err := CDThroughDose(p, m, cut, nil); err == nil {
+	if _, err := CDThroughDose(sim, m, cut, nil); err == nil {
 		t.Error("empty ladder accepted")
 	}
-	if _, err := CDThroughDose(p, m, cut, []float64{-1}); err == nil {
+	if _, err := CDThroughDose(sim, m, cut, []float64{-1}); err == nil {
 		t.Error("negative dose accepted")
 	}
 }

@@ -7,11 +7,11 @@
 //
 // Re-entrancy contract (see DESIGN.md, "Serving"): concurrent jobs share
 // only immutable or concurrency-safe state — the optics.Model kernel sets
-// (read-only after construction) and the fft.PlanCache (singleflight).
-// Everything mutable is per job: each job gets its own litho.Process and
-// Sim (whose scratch pools lease buffers only inside that job's
-// simulations), its own core.Optimizer, and its own telemetry.Recorder
-// feeding that job's event log. No package-level state exists.
+// (read-only after construction) and litho's process-wide FFT-plan cache
+// (singleflight) and scratch pools. Everything mutable is per job: each
+// job gets its own litho.Sim, its own core.Optimizer, and its own
+// telemetry.Recorder feeding that job's event log. The package itself
+// holds no package-level state.
 package server
 
 import (

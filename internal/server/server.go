@@ -45,16 +45,15 @@ type Config struct {
 // submission, status, cancellation, SSE progress streams, health and
 // metrics, over a bounded two-priority queue and a fixed executor pool.
 //
-// Shared across jobs: the kernel-model cache (keyed by optics config),
-// one fft.PlanCache, and the server recorder. Per job: process, simulator
-// (with its scratch pools), optimizer, recorder, event log — see the
-// package comment for the re-entrancy contract.
+// Shared across jobs: the kernel-model cache (keyed by optics config), the
+// server recorder and litho's process-wide FFT plans and scratch pools.
+// Per job: simulator, optimizer, recorder, event log — see the package
+// comment for the re-entrancy contract.
 type Server struct {
 	cfg    Config
 	mux    *http.ServeMux
 	rec    *telemetry.Recorder
 	models modelCache
-	plans  fft.PlanCache
 	queue  *jobQueue
 
 	// Server-level latency distributions, resolved once at New so the
@@ -317,12 +316,11 @@ func (s *Server) runJob(j *Job, spec *JobSpec) {
 		s.rec.Add("server.model_hits", 1)
 	}
 
-	p := litho.NewProcess(model)
-	p.Sim.Plans = &s.plans
-	p.Sim.Workers = spec.Req.Workers
-	p.Sim.Recorder = rec
+	sim := litho.NewSim(model)
+	sim.Workers = spec.Req.Workers
+	sim.Recorder = rec
 
-	opts := core.DefaultOptions(p)
+	opts := core.DefaultOptions(sim)
 	opts.Recorder = rec
 	opts.Momentum = spec.Req.Momentum
 	opts.LineSearch = spec.Req.LineSearch
@@ -359,7 +357,7 @@ func (s *Server) runJob(j *Job, spec *JobSpec) {
 	}
 	if spec.Req.Metrics {
 		px := j.pixelNM
-		rep, err := metrics.Evaluate(p, res.Mask, spec.Target)
+		rep, err := metrics.Evaluate(sim, res.Mask, spec.Target)
 		if err != nil {
 			s.finishJob(j, StateFailed, fmt.Sprintf("metrics: %v", err), nil, nil)
 			return
@@ -563,7 +561,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		QueueHigh:     qi,
 		Jobs:          s.jobsByState(),
 		CachedModels:  s.models.size(),
-		CachedPlans:   s.plans.Sizes(),
+		CachedPlans:   litho.CachedPlans(),
 		FFTTableBytes: fft.TableBytes(),
 		FFTTableReuse: fft.TableReuse(),
 		Counters:      s.rec.Counters(),
@@ -595,7 +593,7 @@ func (s *Server) writePrometheusMetrics(w http.ResponseWriter) {
 	telemetry.WriteGauge(&buf, "ilt_queue_depth", float64(qi+qb))
 	telemetry.WriteGauge(&buf, "ilt_queue_interactive", float64(qi))
 	telemetry.WriteGauge(&buf, "ilt_cached_models", float64(s.models.size()))
-	telemetry.WriteGauge(&buf, "ilt_cached_fft_plans", float64(s.plans.Sizes()))
+	telemetry.WriteGauge(&buf, "ilt_cached_fft_plans", float64(litho.CachedPlans()))
 	telemetry.WriteGauge(&buf, "ilt_fft_table_bytes", float64(fft.TableBytes()))
 	fmt.Fprintf(&buf, "# TYPE ilt_fft_table_reuse_total counter\nilt_fft_table_reuse_total %d\n", fft.TableReuse())
 	fmt.Fprintf(&buf, "# TYPE ilt_fft_kernel_info gauge\nilt_fft_kernel_info{kernel=%q} 1\n", fft.Kernel())

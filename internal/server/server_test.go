@@ -387,7 +387,7 @@ func TestViaJobStopsEarly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := core.DefaultOptions(litho.NewProcess(model))
+	opts := core.DefaultOptions(litho.NewSim(model))
 	opts.Patience = core.ViaPatience
 	o, err := core.New(opts, spec.Target)
 	if err != nil {
